@@ -1,10 +1,12 @@
 /**
  * Microbenchmarks (google-benchmark) of the ASK hot paths: hashing,
  * packet encode/decode, receive-window operations, packet building,
- * the full switch-program pass, and host-side aggregation.
+ * the full switch-program pass, host-side aggregation, and the event
+ * kernel and network send path at their public boundaries.
  */
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -167,7 +169,8 @@ BENCHMARK(BM_SwitchPassMax);
  * the exact ALU combine the AA rmw lambda runs, hardwired `+` (the old
  * sum-only code) vs apply_op on a runtime ReduceOp (the new dispatch).
  * The per-value delta here, times 32 values, is the dispatch overhead
- * per BM_SwitchPass iteration — observed ~1.7%, under the 2% budget.
+ * per BM_SwitchPass iteration: on a 4-core Xeon VM, 2.1 vs 0.8 ns per
+ * value adds ~40 ns to a ~1 us pass, ~4% (numbers in EXPERIMENTS.md).
  */
 void
 BM_AluCombineFixedAdd(benchmark::State& state)
@@ -266,6 +269,97 @@ BM_TraceRecord(benchmark::State& state)
     }
 }
 BENCHMARK(BM_TraceRecord);
+
+/**
+ * Event-kernel schedule + pop at a steady depth of 4096 live events:
+ * each iteration schedules one event up to 1 us ahead and runs the
+ * earliest. Each event carries a 56-byte capture, the size of the
+ * Packet-carrying lambdas that Network::send, switch egress and
+ * DataChannel::transmit schedule.
+ */
+void
+BM_SimScheduleRun(benchmark::State& state)
+{
+    sim::Simulator s;
+    Rng rng = seeded_rng("micro_hotpaths", 5);
+    std::array<std::uint64_t, 6> payload{};
+    std::uint64_t sum = 0;
+    auto event = [&sum, payload] { sum += payload[0] + 1; };
+    for (int i = 0; i < 4096; ++i)
+        s.schedule_after(static_cast<sim::SimTime>(rng.next_below(1000)), event);
+    for (auto _ : state) {
+        s.schedule_after(static_cast<sim::SimTime>(rng.next_below(1000)), event);
+        s.step();
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimScheduleRun);
+
+/**
+ * The retransmit-timer pattern: each iteration arms a timer 100 us out
+ * and an ACK 1 us out, and the ACK cancels the timer long before it is
+ * due. Simulated time advances ~1 us per iteration, so ~100 cancelled
+ * timers wait in the queue, as behind a sender's RTO timers.
+ */
+void
+BM_SimArmCancel(benchmark::State& state)
+{
+    sim::Simulator s;
+    std::uint64_t acks = 0;
+    for (auto _ : state) {
+        sim::EventId timer = s.schedule_after(100 * units::kMicrosecond,
+                                              [&acks] { --acks; });
+        s.schedule_after(units::kMicrosecond, [&s, &acks, timer] {
+            s.cancel(timer);
+            ++acks;
+        });
+        s.step();
+    }
+    benchmark::DoNotOptimize(acks);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimArmCancel);
+
+/**
+ * Network::send from a 16-port switch to one of its hosts, plus running
+ * the delivery event: edge lookup, fault draw, link serialization, one
+ * scheduled event carrying the Packet, and the receive call. The frame
+ * copy mirrors DataChannel::transmit keeping its retransmission copy.
+ */
+void
+BM_NetworkSend(benchmark::State& state)
+{
+    class SinkNode : public net::Node
+    {
+      public:
+        void receive(net::Packet pkt) override { bytes += pkt.data.size(); }
+        std::string name() const override { return "sink"; }
+        std::uint64_t bytes = 0;
+    };
+
+    sim::Simulator simulator;
+    net::Network network(simulator);
+    SinkNode hub;
+    std::array<SinkNode, 16> hosts;
+    network.attach(&hub);
+    for (SinkNode& host : hosts) {
+        network.attach(&host);
+        network.connect(hub.node_id(), host.node_id(), 100.0, 500);
+    }
+    std::vector<std::uint8_t> frame(296);
+    std::uint32_t next = 0;
+    for (auto _ : state) {
+        net::Packet pkt;
+        pkt.data = frame;
+        network.send(hub.node_id(), hosts[next++ % hosts.size()].node_id(),
+                     std::move(pkt));
+        simulator.step();
+    }
+    benchmark::DoNotOptimize(hosts[0].bytes);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NetworkSend);
 
 /** Console reporter that also captures every run into the JSON report. */
 class JsonCaptureReporter : public benchmark::ConsoleReporter

@@ -19,13 +19,13 @@ FaultModel::extra_delay()
     return 0;
 }
 
-std::vector<Nanoseconds>
+Deliveries
 FaultModel::deliveries()
 {
     const FaultSpec& s = active_spec();
     if (override_)
         ++overridden_tx_;
-    std::vector<Nanoseconds> out;
+    Deliveries out;
     if (rng_.chance(s.loss_prob)) {
         ++dropped_;
         return out;

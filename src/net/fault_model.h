@@ -11,9 +11,10 @@
 #ifndef ASK_NET_FAULT_MODEL_H
 #define ASK_NET_FAULT_MODEL_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/random.h"
 #include "common/units.h"
@@ -56,6 +57,24 @@ struct FaultSpec
     }
 };
 
+/** The fate of one transmission: the extra delay of each delivered
+ *  copy (none when lost, two when duplicated). */
+class Deliveries
+{
+  public:
+    void push_back(Nanoseconds extra) { delays_[count_++] = extra; }
+
+    std::size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    Nanoseconds operator[](std::size_t i) const { return delays_[i]; }
+    const Nanoseconds* begin() const { return delays_.data(); }
+    const Nanoseconds* end() const { return delays_.data() + count_; }
+
+  private:
+    std::array<Nanoseconds, 2> delays_{};
+    std::size_t count_ = 0;
+};
+
 /**
  * Draws fault outcomes for packet deliveries.
  */
@@ -64,12 +83,8 @@ class FaultModel
   public:
     FaultModel(FaultSpec spec, std::uint64_t seed);
 
-    /**
-     * Decide the fate of one transmission.
-     * @return extra delays, one entry per delivered copy (possibly empty
-     *         when the packet is lost; two entries when duplicated).
-     */
-    std::vector<Nanoseconds> deliveries();
+    /** Decide the fate of one transmission. */
+    Deliveries deliveries();
 
     /** The steady-state fault profile the model was built with. */
     const FaultSpec& spec() const { return spec_; }

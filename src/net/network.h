@@ -10,7 +10,6 @@
 #define ASK_NET_NETWORK_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,6 +109,7 @@ class Network
   private:
     struct Edge
     {
+        NodeId to = 0;
         std::unique_ptr<Link> link;
         std::unique_ptr<FaultModel> faults;
     };
@@ -119,7 +119,8 @@ class Network
 
     sim::Simulator& simulator_;
     std::vector<Node*> nodes_;
-    std::map<std::pair<NodeId, NodeId>, Edge> edges_;
+    /** Outgoing edges of each node, indexed by the sending NodeId. */
+    std::vector<std::vector<Edge>> out_edges_;
     NetworkStats stats_;
     std::uint64_t next_uid_ = 1;
 };

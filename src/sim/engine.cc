@@ -132,8 +132,7 @@ ParallelEngine::set_lookahead(SimTime lookahead)
 }
 
 void
-ParallelEngine::post(IslandId from, IslandId to, SimTime delay,
-                     std::function<void()> fn)
+ParallelEngine::post(IslandId from, IslandId to, SimTime delay, EventFn fn)
 {
     ASK_ASSERT(in_window_, "post() is only legal inside a running window");
     ASK_ASSERT(lookahead_ > 0, "posting islands need a positive lookahead");
@@ -166,8 +165,8 @@ ParallelEngine::flush_outboxes()
 {
     // The merge order — islands by id, each outbox in emission order —
     // is a pure function of simulation content, never of the thread
-    // schedule, so the EventIds the target simulators hand out (and
-    // with them same-timestamp FIFO order) are reproducible.
+    // schedule, so the schedule sequence numbers the target simulators
+    // assign (and with them same-timestamp FIFO order) are reproducible.
     for (Island& island : islands_) {
         for (Post& p : island.outbox)
             islands_.at(p.to).sim->schedule_at(p.time, std::move(p.fn));

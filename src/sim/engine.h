@@ -19,7 +19,7 @@
  * another island, so running the windows island-parallel is sound. At
  * the window barrier, buffered posts are merged into their target
  * islands in (source island id, emission order) — a total order that
- * does not depend on thread scheduling — so EventId assignment, and
+ * does not depend on thread scheduling — so the schedule sequence, and
  * with it FIFO tie-breaking among equal timestamps, is identical at
  * any thread count. That is the whole bit-for-bit determinism
  * argument; docs/CONCURRENCY.md spells it out with the invariants.
@@ -96,8 +96,7 @@ class ParallelEngine
      * The callback is merged into `to`'s queue at the next window
      * barrier, in deterministic (source island, emission order) order.
      */
-    void post(IslandId from, IslandId to, SimTime delay,
-              std::function<void()> fn);
+    void post(IslandId from, IslandId to, SimTime delay, EventFn fn);
 
     /** Run windows until every island drains. Returns the maximum
      *  island time reached. */
@@ -126,7 +125,7 @@ class ParallelEngine
     {
         IslandId to = 0;
         SimTime time = 0;
-        std::function<void()> fn;
+        EventFn fn;
     };
 
     struct Island

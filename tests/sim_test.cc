@@ -1,8 +1,16 @@
 /** Unit tests for the discrete-event simulation kernel. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "sim/simulator.h"
 
 namespace ask::sim {
@@ -62,7 +70,11 @@ TEST(Simulator, CancelInvalidIdReturnsFalse)
 {
     Simulator s;
     EXPECT_FALSE(s.cancel(kInvalidEvent));
-    EXPECT_FALSE(s.cancel(999));
+    // A handle this simulator never issued.
+    Simulator other;
+    EventId foreign = other.schedule_at(10, [] {});
+    EXPECT_FALSE(s.cancel(foreign));
+    EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(Simulator, DoubleCancelReturnsFalse)
@@ -71,6 +83,46 @@ TEST(Simulator, DoubleCancelReturnsFalse)
     EventId id = s.schedule_at(10, [] {});
     EXPECT_TRUE(s.cancel(id));
     EXPECT_FALSE(s.cancel(id));
+}
+
+TEST(Simulator, CancelAfterFireReturnsFalse)
+{
+    Simulator s;
+    int fired = 0;
+    EventId id = s.schedule_at(10, [&] { ++fired; });
+    s.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_FALSE(s.cancel(id));
+    EXPECT_FALSE(s.cancel(id));
+}
+
+TEST(Simulator, PendingExactAfterStaleCancel)
+{
+    Simulator s;
+    EventId id = s.schedule_at(10, [] {});
+    s.run();
+    s.cancel(id);
+    EXPECT_EQ(s.pending(), 0u);
+    // The recycled slot must not inherit the stale handle's cancel.
+    int fired = 0;
+    s.schedule_at(20, [&] { ++fired; });
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_FALSE(s.cancel(id));
+    s.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(s.pending(), 0u);
+    EXPECT_EQ(s.executed(), 2u);
+}
+
+TEST(Simulator, CancelFromInsideOwnEventReturnsFalse)
+{
+    Simulator s;
+    EventId self;
+    bool result = true;
+    self = s.schedule_at(5, [&] { result = s.cancel(self); });
+    s.run();
+    EXPECT_FALSE(result);
+    EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(Simulator, RunUntilStopsAtDeadline)
@@ -141,6 +193,242 @@ TEST(Simulator, CancelledEventDoesNotAdvanceClock)
     s.cancel(far);
     s.run();
     EXPECT_EQ(s.now(), 10);
+}
+
+/**
+ * Differential check of the kernel against a reference std::set keyed on
+ * (time, schedule order): random mixes of schedule, cancel (of live,
+ * fired, cancelled and recycled handles) and schedule/cancel from inside
+ * running events. Many events share a timestamp and few are live at
+ * once, so slots are recycled thousands of times, while cancelled far
+ * timers keep a backlog of tombstones in the queue.
+ */
+class KernelModel
+{
+  public:
+    explicit KernelModel(std::uint64_t seed)
+        : rng_(seeded_rng("sim_test.kernel_differential", seed))
+    {
+    }
+
+    void
+    run(int ops)
+    {
+        for (int op = 0; op < ops; ++op) {
+            std::uint64_t roll = rng_.next_below(10);
+            if (roll < 5 || expected_.empty())
+                schedule();
+            else if (roll < 8)
+                cancel_random();
+            else
+                step();
+            ASSERT_EQ(sim_.pending(), expected_.size());
+            ASSERT_EQ(sim_.executed(), fired_.size());
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        while (!expected_.empty()) {
+            step();
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        EXPECT_FALSE(sim_.step());
+        EXPECT_EQ(sim_.pending(), 0u);
+        EXPECT_EQ(sim_.executed(), fired_.size());
+    }
+
+    std::size_t fired() const { return fired_.size(); }
+
+  private:
+    void
+    schedule()
+    {
+        // Near events (0..3 ns) put many events on the same timestamp.
+        // Far ones play retransmit timers: most are cancelled long
+        // before they surface, so tombstones pile up in the queue.
+        bool far = rng_.chance(0.6);
+        SimTime delay = far ? 500 + static_cast<SimTime>(rng_.next_below(500))
+                            : static_cast<SimTime>(rng_.next_below(4));
+        SimTime at = sim_.now() + delay;
+        std::uint64_t label = handles_.size();
+        handles_.push_back(sim_.schedule_at(at, [this, label] { fire(label); }));
+        times_.push_back(at);
+        expected_.insert({at, label});
+        if (far)
+            timers_.push_back(label);
+    }
+
+    void
+    cancel_random()
+    {
+        if (handles_.empty())
+            return;
+        // Mostly an armed timer; otherwise any handle ever issued, which
+        // is usually fired, cancelled or recycled by now.
+        std::uint64_t label = 0;
+        if (!timers_.empty() && rng_.chance(0.9)) {
+            std::size_t pick = rng_.next_below(timers_.size());
+            label = timers_[pick];
+            timers_[pick] = timers_.back();
+            timers_.pop_back();
+        } else {
+            label = rng_.next_below(handles_.size());
+        }
+        bool live = expected_.erase({times_[label], label}) == 1;
+        ASSERT_EQ(sim_.cancel(handles_[label]), live) << "label " << label;
+    }
+
+    void
+    fire(std::uint64_t label)
+    {
+        fired_.push_back(label);
+        // From inside an event: schedule children and cancel others.
+        while (rng_.chance(0.3))
+            schedule();
+        if (rng_.chance(0.2))
+            cancel_random();
+    }
+
+    void
+    step()
+    {
+        if (expected_.empty())
+            return;
+        auto [at, label] = *expected_.begin();
+        expected_.erase(expected_.begin());
+        std::size_t before = fired_.size();
+        ASSERT_TRUE(sim_.step());
+        ASSERT_EQ(fired_.size(), before + 1);
+        ASSERT_EQ(fired_[before], label);
+        ASSERT_EQ(sim_.now(), at);
+    }
+
+    Rng rng_;
+    Simulator sim_;
+    std::vector<EventId> handles_;
+    std::vector<SimTime> times_;
+    std::vector<std::uint64_t> timers_;  // far events not yet cancelled
+    std::set<std::pair<SimTime, std::uint64_t>> expected_;
+    std::vector<std::uint64_t> fired_;
+};
+
+TEST(Simulator, MatchesReferenceOrderUnderRandomScheduleAndCancel)
+{
+    std::size_t total_fired = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        KernelModel model(seed);
+        model.run(5000);
+        if (HasFatalFailure())
+            return;
+        total_fired += model.fired();
+    }
+    EXPECT_GT(total_fired, 20000u);
+}
+
+/** Counts how many times an owning instance is destroyed. */
+struct DestroyCounter
+{
+    explicit DestroyCounter(int* count) : count(count) {}
+    DestroyCounter(DestroyCounter&& o) noexcept
+        : count(std::exchange(o.count, nullptr))
+    {
+    }
+    DestroyCounter(const DestroyCounter&) = delete;
+    ~DestroyCounter()
+    {
+        if (count != nullptr)
+            ++*count;
+    }
+    int* count;
+};
+
+TEST(EventFn, MoveOnlyCaptureRuns)
+{
+    Simulator s;
+    int got = 0;
+    auto value = std::make_unique<int>(7);
+    s.schedule_at(1, [&got, v = std::move(value)] { got = *v; });
+    s.run();
+    EXPECT_EQ(got, 7);
+}
+
+TEST(EventFn, OversizedCaptureTakesHeapPathAndIsDestroyedOnce)
+{
+    int destroyed = 0;
+    int ran = 0;
+    std::array<std::uint64_t, 16> pad{};
+    pad[15] = 3;
+    auto fn = [counter = DestroyCounter(&destroyed), pad, &ran] {
+        ran += static_cast<int>(pad[15]);
+    };
+    static_assert(!EventFn::kStoresInline<decltype(fn)>);
+    {
+        EventFn a(std::move(fn));
+        EventFn b(std::move(a));  // relocating moves the pointer only
+        EventFn c;
+        c = std::move(b);
+        EXPECT_FALSE(static_cast<bool>(a));
+        EXPECT_FALSE(static_cast<bool>(b));
+        Simulator s;
+        s.schedule_at(1, std::move(c));
+        EXPECT_EQ(destroyed, 0);
+        s.run();
+        EXPECT_EQ(ran, 3);
+        EXPECT_EQ(destroyed, 1);
+    }
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EventFn, InlineCaptureIsDestroyedOnce)
+{
+    int destroyed = 0;
+    auto fn = [counter = DestroyCounter(&destroyed)] {};
+    static_assert(EventFn::kStoresInline<decltype(fn)>);
+    {
+        Simulator s;
+        EventFn a(std::move(fn));
+        s.schedule_at(1, std::move(a));
+        s.run();
+        EXPECT_EQ(destroyed, 1);
+    }
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EventFn, CancelReleasesCallableAtOnce)
+{
+    Simulator s;
+    auto token = std::make_shared<int>(0);
+    std::array<std::uint64_t, 16> pad{};
+    EventId small = s.schedule_at(10, [token] { ++*token; });
+    EventId big = s.schedule_at(10, [token, pad] { *token += pad[0]; });
+    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_TRUE(s.cancel(small));
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_TRUE(s.cancel(big));
+    EXPECT_EQ(token.use_count(), 1);
+    s.run();
+    EXPECT_EQ(*token, 0);
+}
+
+TEST(EventFn, PendingCallablesAreReleasedWithTheSimulator)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        Simulator s;
+        s.schedule_at(10, [token] {});
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventFn, EmptyCallableIsRejectedAtSchedule)
+{
+    EXPECT_FALSE(static_cast<bool>(EventFn(std::function<void()>{})));
+    EXPECT_FALSE(static_cast<bool>(EventFn(static_cast<void (*)()>(nullptr))));
+    Simulator s;
+    EXPECT_DEATH(s.schedule_at(1, std::function<void()>{}), "empty callable");
+    EXPECT_DEATH(s.schedule_after(1, EventFn{}), "empty callable");
 }
 
 }  // namespace

@@ -22,7 +22,8 @@ Samples
 packing_distribution(const core::KeySpace& ks, const core::KvStream& stream)
 {
     core::PacketBuilder builder(ks);
-    builder.enqueue(stream);
+    for (const core::KvTuple& t : stream)
+        builder.enqueue(t);
     Samples s;
     while (auto built = builder.next_data())
         s.add(built->valid_tuples);

@@ -2,12 +2,14 @@
  * Microbenchmarks (google-benchmark) of the ASK hot paths: hashing,
  * packet encode/decode, receive-window operations, packet building,
  * the full switch-program pass, host-side aggregation, and the event
- * kernel and network send path at their public boundaries.
+ * kernel, network send path and write-ahead log at their public
+ * boundaries.
  */
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "ask/packet_builder.h"
 #include "ask/seen_window.h"
 #include "ask/switch_program.h"
+#include "ask/wal.h"
 #include "ask/wire.h"
 #include "common/hash.h"
 #include "common/random.h"
@@ -78,9 +81,11 @@ BM_PacketBuilderDrain(benchmark::State& state)
     core::KvStream stream;
     for (int i = 0; i < 4096; ++i)
         stream.push_back({u64_key(rng.next_below(100000)), 1});
+    // Shared once, as the daemon shares a submitted stream.
+    auto shared = std::make_shared<const core::KvStream>(std::move(stream));
     for (auto _ : state) {
         core::PacketBuilder builder(ks);
-        builder.enqueue(stream);
+        builder.enqueue(shared);
         std::uint64_t packets = 0;
         while (auto built = builder.next_data())
             ++packets;
@@ -360,6 +365,120 @@ BM_NetworkSend(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NetworkSend);
+
+/** `n` tuples with 8-byte keys, as a receiver decodes them from short
+ *  DATA slots or a sender submits them. */
+core::KvStream
+wal_tuples(std::size_t n, std::uint64_t seed)
+{
+    Rng rng = seeded_rng("micro_hotpaths", seed);
+    core::KvStream tuples(n);
+    for (core::KvTuple& t : tuples) {
+        t.key = u64_key(rng.next_below(1u << 20));
+        t.value = static_cast<core::Value>(1 + rng.next_below(100));
+    }
+    return tuples;
+}
+
+/** A kRxData record for `seq`, without its tuples. */
+core::WalRecord
+rx_data_record(core::Seq seq)
+{
+    core::WalRecord r;
+    r.kind = core::WalRecordKind::kRxData;
+    r.task = 1;
+    r.channel = 3;
+    r.seq = seq;
+    return r;
+}
+
+/**
+ * Wal::append of the receiver's per-packet journal record: a kRxData
+ * carrying the 8 tuples of one residual DATA packet, journaled from the
+ * decoded tuples. The log is cleared, untimed, every 4096 records.
+ */
+void
+BM_WalAppendData(benchmark::State& state)
+{
+    core::KvStream tuples = wal_tuples(8, 6);
+    core::Wal wal("bench");
+    core::Seq seq = 0;
+    for (auto _ : state) {
+        wal.append(rx_data_record(seq), tuples);
+        if (++seq % 4096 == 0) {
+            state.PauseTiming();
+            wal.clear();
+            state.ResumeTiming();
+        }
+    }
+    benchmark::DoNotOptimize(wal.digest());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WalAppendData);
+
+/** Wal::append of a sender's kSendSubmit journaling a 65,536-tuple
+ *  stream (the log is cleared, untimed, after each record). */
+void
+BM_WalAppendSubmit(benchmark::State& state)
+{
+    core::KvStream stream = wal_tuples(65536, 7);
+    core::WalRecord r;
+    r.kind = core::WalRecordKind::kSendSubmit;
+    r.task = 1;
+    r.arg0 = 2;
+    core::Wal wal("bench");
+    for (auto _ : state) {
+        wal.append(r, stream);
+        state.PauseTiming();
+        wal.clear();
+        state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(wal.digest());
+    state.SetItemsProcessed(state.iterations() * 65536);
+}
+BENCHMARK(BM_WalAppendSubmit)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One receive task's journal, start to finish: kRxTaskStart, 64
+ * 8-tuple kRxData records, a kRxFin and the kRxTaskDone that retires
+ * them all — appends plus the compaction the done record triggers. The
+ * task id is reused every cycle; the log is cleared, untimed, every 64
+ * cycles.
+ */
+void
+BM_WalTaskCycle(benchmark::State& state)
+{
+    core::KvStream tuples = wal_tuples(8, 8);
+    core::WalRecord start;
+    start.kind = core::WalRecordKind::kRxTaskStart;
+    start.task = 1;
+    start.arg0 = 2;
+    start.kvs = {{"liveness_ns", 0}, {"start_time", 0}, {"op", 0}};
+    core::WalRecord fin;
+    fin.kind = core::WalRecordKind::kRxFin;
+    fin.task = 1;
+    fin.channel = 3;
+    core::WalRecord done;
+    done.kind = core::WalRecordKind::kRxTaskDone;
+    done.task = 1;
+    core::Wal wal("bench");
+    std::uint64_t cycles = 0;
+    for (auto _ : state) {
+        wal.append(start);
+        for (core::Seq seq = 0; seq < 64; ++seq)
+            wal.append(rx_data_record(seq), tuples);
+        wal.append(fin);
+        wal.append(done);
+        if (++cycles % 64 == 0) {
+            state.PauseTiming();
+            wal.clear();
+            state.ResumeTiming();
+        }
+    }
+    benchmark::DoNotOptimize(wal.digest());
+    state.SetItemsProcessed(state.iterations() * 67);
+}
+BENCHMARK(BM_WalTaskCycle);
 
 /** Console reporter that also captures every run into the JSON report. */
 class JsonCaptureReporter : public benchmark::ConsoleReporter

@@ -81,21 +81,22 @@ DataChannel::charge_background(Nanoseconds cost)
 }
 
 void
-DataChannel::submit_send(TaskId task, net::NodeId receiver, KvStream stream,
-                         ReduceOp op, std::function<void()> on_complete,
-                         bool replay)
+DataChannel::submit_send(TaskId task, net::NodeId receiver,
+                         std::shared_ptr<const KvStream> stream, ReduceOp op,
+                         std::function<void()> on_complete, bool replay)
 {
+    std::size_t tuples = stream->size();
     SendJob job;
     job.task = task;
     job.receiver = receiver;
     job.builder = std::make_unique<PacketBuilder>(daemon_.key_space());
-    job.builder->enqueue(stream);
+    job.builder->enqueue(std::move(stream));
     job.on_complete = std::move(on_complete);
     job.op = op;
     job.replay = replay;
-    daemon_.stats().tuples_sent += stream.size();
+    daemon_.stats().tuples_sent += tuples;
     ASK_TRACE(daemon_.tracer_, daemon_.simulator().now(), task, global_id(),
-              0, obs::TraceStage::kSubmit, stream.size(),
+              0, obs::TraceStage::kSubmit, tuples,
               replay ? obs::kTraceFlagReplay : std::uint8_t{0});
     jobs_.push_back(std::move(job));
     pump();
@@ -720,20 +721,19 @@ AskDaemon::submit_send(TaskId task, net::NodeId receiver, KvStream stream,
         t.value = reduce_lift(rop, t.value);
     // Archive the stream for replay: a switch reboot wipes the partial
     // aggregate, and exactness then requires re-sending from the source.
+    // The archive and the channel's builder share this one copy.
     if (wal_ != nullptr) {
         WalRecord r;
         r.kind = WalRecordKind::kSendSubmit;
         r.task = task;
         r.arg0 = static_cast<std::uint32_t>(receiver);
         r.arg1 = static_cast<std::uint32_t>(rop);
-        r.kvs.reserve(stream.size());
-        for (const auto& t : stream)
-            r.kvs.emplace_back(t.key, static_cast<std::uint64_t>(t.value));
-        wal_->append(r);
+        wal_->append(r, stream);
     }
+    auto shared = std::make_shared<const KvStream>(std::move(stream));
     sent_archive_[task].push_back(
-        ArchivedSend{receiver, stream, rop, on_complete});
-    channel_for_task(task).submit_send(task, receiver, std::move(stream), rop,
+        ArchivedSend{receiver, shared, rop, on_complete});
+    channel_for_task(task).submit_send(task, receiver, std::move(shared), rop,
                                        std::move(on_complete));
 }
 
@@ -1025,11 +1025,7 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
             r.task = task.id;
             r.channel = hdr.channel_id;
             r.seq = hdr.seq;
-            r.kvs.reserve(decoded.size());
-            for (const auto& t : decoded)
-                r.kvs.emplace_back(t.key,
-                                   static_cast<std::uint64_t>(t.value));
-            wal_->append(r);
+            wal_->append(r, decoded);
         }
         std::uint64_t tuples = decoded.size();
         // Combine-only: the sender lifted every value at submit_send.
@@ -1209,11 +1205,7 @@ AskDaemon::complete_swap(ReceiveTask& task)
                     r.kind = WalRecordKind::kRxSwapCommit;
                     r.task = task_id;
                     r.seq = t.swap_target;
-                    r.kvs.reserve(fetched.size());
-                    for (const auto& f : fetched)
-                        r.kvs.emplace_back(
-                            f.key, static_cast<std::uint64_t>(f.value));
-                    wal_->append(r);
+                    wal_->append(r, fetched);
                 }
                 stats_.fetch_tuples += fetched.size();
                 t.report.tuples_fetched_from_switch += fetched.size();
@@ -1494,9 +1486,10 @@ AskDaemon::recover_from_wal(
     // process; cluster-level replay re-drives delivery, and completion
     // is observed at the receiver (FIN set), not the sender.
     for (auto& [task, send] : state.sends) {
-        sent_archive_[task].push_back(
-            ArchivedSend{static_cast<net::NodeId>(send.receiver),
-                         std::move(send.stream), send.op, nullptr});
+        sent_archive_[task].push_back(ArchivedSend{
+            static_cast<net::NodeId>(send.receiver),
+            std::make_shared<const KvStream>(std::move(send.stream)), send.op,
+            nullptr});
     }
 
     // Receive tasks: partial aggregate, FIN set, seen windows (replayed

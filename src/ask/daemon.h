@@ -186,13 +186,14 @@ class DataChannel
         return seqs;
     }
 
-    /** Enqueue a sending task (FIFO within the channel). `op` is the
+    /** Enqueue a sending task (FIFO within the channel). The stream
+     *  is shared with the daemon's archive, not copied. `op` is the
      *  task's resolved reduction operator (stamped into every frame);
      *  `replay` marks post-crash re-submissions for the packet
      *  tracer. */
-    void submit_send(TaskId task, net::NodeId receiver, KvStream stream,
-                     ReduceOp op, std::function<void()> on_complete,
-                     bool replay = false);
+    void submit_send(TaskId task, net::NodeId receiver,
+                     std::shared_ptr<const KvStream> stream, ReduceOp op,
+                     std::function<void()> on_complete, bool replay = false);
 
     // ---- packet handlers (called by the daemon's dispatcher) ------------
     void on_ack(Seq seq);
@@ -551,11 +552,13 @@ class AskDaemon : public net::Node
 
     HostReceiveWindow& window_for(ReceiveTask& task, ChannelId channel);
 
-    /** One archived submit_send (kept until forget_task for replay). */
+    /** One archived submit_send (kept until forget_task for replay).
+     *  The stream is the one the channel's packet builder reads. */
     struct ArchivedSend
     {
         net::NodeId receiver = 0;
-        KvStream stream;  ///< already lifted (kCount values are 1)
+        /** Already lifted (kCount values are 1). */
+        std::shared_ptr<const KvStream> stream;
         ReduceOp op = ReduceOp::kAdd;
         std::function<void()> on_complete;
     };

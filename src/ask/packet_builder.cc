@@ -15,29 +15,37 @@ PacketBuilder::PacketBuilder(const KeySpace& key_space)
 void
 PacketBuilder::enqueue(const KvTuple& tuple)
 {
+    owned_.push_back(tuple);
+    enqueue_ref(owned_.back());
+}
+
+void
+PacketBuilder::enqueue(std::shared_ptr<const KvStream> stream)
+{
+    for (const KvTuple& t : *stream)
+        enqueue_ref(t);
+    streams_.push_back(std::move(stream));
+}
+
+void
+PacketBuilder::enqueue_ref(const KvTuple& tuple)
+{
     switch (key_space_.classify(tuple.key)) {
       case KeyClass::kShort:
-        short_queues_[key_space_.short_slot(tuple.key)].push_back(tuple);
+        short_queues_[key_space_.short_slot(tuple.key)].push_back(&tuple);
         ++queued_data_;
         ++short_enqueued_;
         return;
       case KeyClass::kMedium:
-        medium_queues_[key_space_.medium_group(tuple.key)].push_back(tuple);
+        medium_queues_[key_space_.medium_group(tuple.key)].push_back(&tuple);
         ++queued_data_;
         ++medium_enqueued_;
         return;
       case KeyClass::kLong:
-        long_queue_.push_back(tuple);
+        long_queue_.push_back(&tuple);
         ++long_enqueued_;
         return;
     }
-}
-
-void
-PacketBuilder::enqueue(const KvStream& stream)
-{
-    for (const auto& t : stream)
-        enqueue(t);
 }
 
 std::optional<BuiltData>
@@ -63,7 +71,7 @@ PacketBuilder::next_data_into(BuiltData& out)
         auto& q = short_queues_[i];
         if (q.empty())
             continue;
-        const KvTuple& t = q.front();
+        const KvTuple& t = *q.front();
         // encode_key_segment reads the key bytes directly: identical to
         // encode_segment(padded(key), 0) without the padded copy.
         out.slots[i] =
@@ -78,7 +86,7 @@ PacketBuilder::next_data_into(BuiltData& out)
         auto& q = medium_queues_[g];
         if (q.empty())
             continue;
-        const KvTuple& t = q.front();
+        const KvTuple& t = *q.front();
         std::uint32_t mb = config_.medium_base(g);
         for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
             Value v = (j + 1 == config_.medium_segments) ? t.value : 0;
@@ -104,7 +112,7 @@ PacketBuilder::next_long_batch(std::uint32_t max_payload_bytes)
     std::vector<KvTuple> batch;
     std::uint32_t bytes = 2;  // tuple-count field
     while (!long_queue_.empty()) {
-        const KvTuple& t = long_queue_.front();
+        const KvTuple& t = *long_queue_.front();
         std::uint32_t need = 2 + static_cast<std::uint32_t>(t.key.size()) + 4;
         if (!batch.empty() && bytes + need > max_payload_bytes)
             break;
@@ -123,9 +131,9 @@ PacketBuilder::next_bypass_batch(std::uint32_t max_payload_bytes)
 
     std::vector<KvTuple> batch;
     std::uint32_t bytes = 2;  // tuple-count field
-    auto take = [&](std::deque<KvTuple>& q, bool counts_as_data) {
+    auto take = [&](TupleQueue& q, bool counts_as_data) {
         while (!q.empty()) {
-            const KvTuple& t = q.front();
+            const KvTuple& t = *q.front();
             std::uint32_t need =
                 2 + static_cast<std::uint32_t>(t.key.size()) + 4;
             if (!batch.empty() && bytes + need > max_payload_bytes)

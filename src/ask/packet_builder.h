@@ -9,12 +9,17 @@
  * same slot (and hence the same AA) in every packet; skewed datasets
  * leave slots blank, which is exactly the packing-efficiency effect
  * Figure 8(b) measures.
+ *
+ * The queues hold references, not copies: a submitted stream is shared
+ * with the builder, which keeps it alive until the builder dies, and a
+ * tuple enqueued on its own is copied into builder-owned storage.
  */
 #ifndef ASK_ASK_PACKET_BUILDER_H
 #define ASK_ASK_PACKET_BUILDER_H
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -42,11 +47,12 @@ class PacketBuilder
   public:
     explicit PacketBuilder(const KeySpace& key_space);
 
-    /** Add one tuple to its queue. */
+    /** Add one tuple to its queue (the builder keeps its own copy). */
     void enqueue(const KvTuple& tuple);
 
-    /** Add a whole stream. */
-    void enqueue(const KvStream& stream);
+    /** Add a whole stream. The builder shares the stream and queues
+     *  references into it; nothing is copied. */
+    void enqueue(std::shared_ptr<const KvStream> stream);
 
     /** True while any DATA-eligible (short/medium) tuples remain. */
     bool has_data() const { return queued_data_ > 0; }
@@ -87,27 +93,30 @@ class PacketBuilder
     std::optional<std::vector<KvTuple>> next_bypass_batch(
         std::uint32_t max_payload_bytes);
 
-    /**
-     * Degraded mode: route a tuple through the bypass queue regardless
-     * of its key class (used when abandoned in-flight DATA is converted
-     * to host-side aggregation).
-     */
-    void enqueue_bypass(const KvTuple& tuple) { long_queue_.push_back(tuple); }
-
     /** Tuples enqueued so far, by class. */
     std::uint64_t short_enqueued() const { return short_enqueued_; }
     std::uint64_t medium_enqueued() const { return medium_enqueued_; }
     std::uint64_t long_enqueued() const { return long_enqueued_; }
 
   private:
+    /** FIFO of references to tuples the builder keeps alive. */
+    using TupleQueue = std::deque<const KvTuple*>;
+
+    void enqueue_ref(const KvTuple& tuple);
+
     const KeySpace& key_space_;
     const AskConfig& config_;
 
+    /** Streams the queues point into. */
+    std::vector<std::shared_ptr<const KvStream>> streams_;
+    /** Tuples enqueued one at a time (a deque never moves them). */
+    std::deque<KvTuple> owned_;
+
     /** One queue per short slot. */
-    std::vector<std::deque<KvTuple>> short_queues_;
+    std::vector<TupleQueue> short_queues_;
     /** One queue per medium group. */
-    std::vector<std::deque<KvTuple>> medium_queues_;
-    std::deque<KvTuple> long_queue_;
+    std::vector<TupleQueue> medium_queues_;
+    TupleQueue long_queue_;
     std::uint64_t queued_data_ = 0;
 
     std::uint64_t short_enqueued_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -14,19 +16,85 @@ namespace {
 
 /** Frame header: payload length + folded payload-hash check word. */
 constexpr std::size_t kFrameHeader = 8;
+/** Payload bytes before the kvs: kind, six u32 scalars, kv count. */
+constexpr std::size_t kFixedPayload = 1 + 6 * 4 + 4;
+/** Payload bytes of one kv besides its key: key length + u64 value. */
+constexpr std::size_t kKvOverhead = 4 + 8;
 
-void
-put_u32(std::string& out, std::uint32_t v)
+char*
+put_u32(char* out, std::uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+        out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    return out + 4;
 }
 
-void
-put_u64(std::string& out, std::uint64_t v)
+char*
+put_u64(char* out, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+        out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    return out + 8;
+}
+
+char*
+put_kv(char* out, std::string_view key, std::uint64_t value)
+{
+    out = put_u32(out, static_cast<std::uint32_t>(key.size()));
+    std::memcpy(out, key.data(), key.size());
+    return put_u64(out + key.size(), value);
+}
+
+/** Payload size of `r` with `tuples` (may be null) after its kvs. */
+std::size_t
+payload_size(const WalRecord& r, const KvStream* tuples)
+{
+    std::size_t n = kFixedPayload;
+    for (const auto& kv : r.kvs)
+        n += kKvOverhead + kv.first.size();
+    if (tuples != nullptr)
+        for (const KvTuple& t : *tuples)
+            n += kKvOverhead + t.key.size();
+    return n;
+}
+
+/** Write the payload of `r` (its kvs, then one kv per tuple) into
+ *  `out`, which holds exactly payload_size(r, tuples) bytes. */
+void
+encode_into(char* out, const WalRecord& r, const KvStream* tuples)
+{
+    std::size_t nkvs = r.kvs.size() + (tuples != nullptr ? tuples->size() : 0);
+    *out++ = static_cast<char>(r.kind);
+    out = put_u32(out, r.task);
+    out = put_u32(out, r.channel);
+    out = put_u32(out, r.seq);
+    out = put_u32(out, r.arg0);
+    out = put_u32(out, r.arg1);
+    out = put_u32(out, r.arg2);
+    out = put_u32(out, static_cast<std::uint32_t>(nkvs));
+    for (const auto& [key, value] : r.kvs)
+        out = put_kv(out, key, value);
+    if (tuples != nullptr)
+        for (const KvTuple& t : *tuples)
+            out = put_kv(out, t.key, static_cast<std::uint64_t>(t.value));
+}
+
+std::string
+encode_record(const WalRecord& r)
+{
+    std::string payload(payload_size(r, nullptr), '\0');
+    encode_into(payload.data(), r, nullptr);
+    return payload;
+}
+
+/** Release a container's storage once it is mostly empty (after a
+ *  compaction shrank the log). */
+template <typename Container>
+void
+shrink_if_sparse(Container& c)
+{
+    if (c.capacity() / 4 > c.size())
+        c.shrink_to_fit();
 }
 
 /** Bounds-checked little-endian reader over a payload slice. */
@@ -88,26 +156,6 @@ class Reader
     std::string_view bytes_;
     std::size_t off_ = 0;
 };
-
-std::string
-encode_record(const WalRecord& r)
-{
-    std::string payload;
-    payload.push_back(static_cast<char>(r.kind));
-    put_u32(payload, r.task);
-    put_u32(payload, r.channel);
-    put_u32(payload, r.seq);
-    put_u32(payload, r.arg0);
-    put_u32(payload, r.arg1);
-    put_u32(payload, r.arg2);
-    put_u32(payload, static_cast<std::uint32_t>(r.kvs.size()));
-    for (const auto& [key, value] : r.kvs) {
-        put_u32(payload, static_cast<std::uint32_t>(key.size()));
-        payload.append(key);
-        put_u64(payload, value);
-    }
-    return payload;
-}
 
 bool
 decode_record(std::string_view payload, WalRecord& out)
@@ -204,18 +252,100 @@ Wal::Wal(std::string name) : name_(std::move(name))
 void
 Wal::append(const WalRecord& record)
 {
-    std::string payload = encode_record(record);
-    std::uint64_t h = fnv1a64(payload);
-    put_u32(bytes_, static_cast<std::uint32_t>(payload.size()));
-    put_u32(bytes_, static_cast<std::uint32_t>(mix64(h)));
-    bytes_.append(payload);
+    append_encoded(record, nullptr);
+}
+
+void
+Wal::append(const WalRecord& record, const KvStream& tuples)
+{
+    append_encoded(record, &tuples);
+}
+
+void
+Wal::append_encoded(const WalRecord& record, const KvStream* tuples)
+{
+    // Size the frame once and encode the payload in place at the end of
+    // the image; the frame header follows from the payload hash.
+    std::size_t len = payload_size(record, tuples);
+    ASK_ASSERT(len <= std::numeric_limits<std::uint32_t>::max(), "WAL ",
+               name_, ": record of ", len, " bytes overflows its frame");
+    std::size_t offset = bytes_.size();
+    bytes_.resize(offset + kFrameHeader + len);
+    char* frame = bytes_.data() + offset;
+    encode_into(frame + kFrameHeader, record, tuples);
+    std::uint64_t h = fnv1a64(std::string_view(frame + kFrameHeader, len));
+    put_u32(put_u32(frame, static_cast<std::uint32_t>(len)),
+            static_cast<std::uint32_t>(mix64(h)));
     record_hashes_.push_back(h);
+    segments_.push_back(Segment{offset, kFrameHeader + len, true});
     digest_ = mix64(digest_ ^ h);
+    ++live_records_;
+    live_bytes_ += kFrameHeader + len;
     if (append_counter_ != nullptr)
         ++*append_counter_;
+
+    retire_by(record, segments_.size() - 1);
+    if (!damaged_ && dead_bytes_ != 0 && dead_bytes_ >= live_bytes_)
+        compact();
     if (paranoid_)
         ASK_ASSERT(verify(), "WAL ", name_, " failed paranoid verify after ",
                    wal_record_kind_name(record.kind));
+}
+
+void
+Wal::retire(std::size_t index)
+{
+    Segment& s = segments_[index];
+    ASK_ASSERT(s.live, "WAL ", name_, ": record ", index, " retired twice");
+    s.live = false;
+    --live_records_;
+    live_bytes_ -= s.bytes;
+    dead_bytes_ += s.bytes;
+}
+
+void
+Wal::compact()
+{
+    // Slide every live frame down over the retired ones, in order; the
+    // segment list keeps the live hashes and the root is folded again.
+    std::vector<std::size_t> remap(segments_.size());
+    std::size_t end = 0;
+    std::size_t kept = 0;
+    std::uint64_t root = 0;
+    for (std::size_t i = 0; i < segments_.size(); ++i) {
+        Segment s = segments_[i];
+        if (!s.live)
+            continue;
+        if (s.offset != end)
+            std::memmove(bytes_.data() + end, bytes_.data() + s.offset,
+                         s.bytes);
+        s.offset = end;
+        end += s.bytes;
+        segments_[kept] = s;
+        record_hashes_[kept] = record_hashes_[i];
+        root = mix64(root ^ record_hashes_[kept]);
+        remap[i] = kept++;
+    }
+    bytes_.resize(end);
+    segments_.resize(kept);
+    record_hashes_.resize(kept);
+    shrink_if_sparse(bytes_);
+    shrink_if_sparse(segments_);
+    shrink_if_sparse(record_hashes_);
+    digest_ = root;
+    dead_bytes_ = 0;
+    ++compactions_;
+
+    for (auto* by_task : {&rx_by_task_, &submits_by_task_})
+        for (auto& [task, list] : *by_task)
+            for (std::size_t& i : list)
+                i = remap[i];
+    for (auto& [base, list] : allocs_by_base_)
+        for (auto& entry : list)
+            entry.first = remap[entry.first];
+    for (auto& [channel, list] : checkpoints_by_channel_)
+        for (auto& entry : list)
+            entry.first = remap[entry.first];
 }
 
 std::vector<WalRecord>
@@ -293,7 +423,16 @@ Wal::clear()
 {
     bytes_.clear();
     record_hashes_.clear();
+    segments_.clear();
     digest_ = 0;
+    damaged_ = false;
+    live_records_ = 0;
+    live_bytes_ = 0;
+    dead_bytes_ = 0;
+    rx_by_task_.clear();
+    submits_by_task_.clear();
+    allocs_by_base_.clear();
+    checkpoints_by_channel_.clear();
 }
 
 obs::Json
@@ -301,7 +440,7 @@ Wal::describe() const
 {
     obs::Json d = obs::Json::object();
     d.set("name", name_);
-    d.set("records", static_cast<std::uint64_t>(record_hashes_.size()));
+    d.set("records", static_cast<std::uint64_t>(live_records_));
     d.set("size_bytes", static_cast<std::uint64_t>(bytes_.size()));
     d.set("digest", std::to_string(digest_));
     WalReplayStatus st;
@@ -309,7 +448,10 @@ Wal::describe() const
     d.set("torn_tail", st.torn_tail);
     d.set("corrupt", st.corrupt);
     obs::Json list = obs::Json::array();
-    for (const WalRecord& r : records) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        if (!segments_[i].live)
+            continue;
+        const WalRecord& r = records[i];
         obs::Json rj = obs::Json::object();
         rj.set("kind", wal_record_kind_name(r.kind));
         rj.set("task", r.task);
@@ -328,6 +470,7 @@ Wal::describe() const
 void
 Wal::truncate_tail(std::size_t n)
 {
+    damaged_ = damaged_ || n != 0;
     bytes_.resize(bytes_.size() - std::min(n, bytes_.size()));
 }
 
@@ -335,6 +478,7 @@ void
 Wal::flip_byte(std::size_t offset)
 {
     ASK_ASSERT(offset < bytes_.size(), "flip_byte past WAL end");
+    damaged_ = true;
     bytes_[offset] = static_cast<char>(bytes_[offset] ^ 0x40);
 }
 
@@ -481,6 +625,86 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
     for (auto& [task, t] : state.rx_tasks)
         t.generation = 2 + resets[task] + state.recoveries;
     return state;
+}
+
+// ---- the liveness rule -----------------------------------------------------
+//
+// A record is retired once a later record makes it irrelevant to every
+// fold over the log: rebuild_daemon_state above and the controller's
+// region rebuild (AskSwitchController::recover_from_wal). Each case
+// names the fold step that makes dropping the records exact.
+//
+//  - kRxTaskDone(t) erases t's receive state and its reset count, so
+//    t's earlier receiver records and the done record itself fold to
+//    nothing.
+//  - kSendForget(t) erases t's archived send: t's earlier submits and
+//    the forget fold to nothing.
+//  - kRelease(t, base) erases the region its kAlloc installed and
+//    frees that alloc's epoch slot. It retires the pair only when that
+//    alloc is the lone live one at `base`. The controller never hands
+//    out a live base or a live epoch slot, so for logs it writes the
+//    pair folds to nothing.
+//  - kSeqCheckpoint keeps the channel's maximum seq, so a checkpoint
+//    retires the same channel's earlier ones whose seq is <= its own.
+//  - kHostRecovered counts into every later generation: never retired.
+
+void
+Wal::retire_by(const WalRecord& record, std::size_t index)
+{
+    // Retire the task's tracked records and the retiring record itself.
+    auto retire_task = [&](auto& by_task) {
+        auto it = by_task.find(record.task);
+        if (it != by_task.end()) {
+            for (std::size_t i : it->second)
+                retire(i);
+            by_task.erase(it);
+        }
+        retire(index);
+    };
+    switch (record.kind) {
+      case WalRecordKind::kRxTaskStart:
+      case WalRecordKind::kRxData:
+      case WalRecordKind::kRxFin:
+      case WalRecordKind::kRxSwapCommit:
+      case WalRecordKind::kRxReset:
+        rx_by_task_[record.task].push_back(index);
+        return;
+      case WalRecordKind::kRxTaskDone:
+        retire_task(rx_by_task_);
+        return;
+      case WalRecordKind::kSendSubmit:
+        submits_by_task_[record.task].push_back(index);
+        return;
+      case WalRecordKind::kSendForget:
+        retire_task(submits_by_task_);
+        return;
+      case WalRecordKind::kAlloc:
+        allocs_by_base_[record.arg0].emplace_back(index, record.task);
+        return;
+      case WalRecordKind::kRelease: {
+        auto it = allocs_by_base_.find(record.arg0);
+        if (it != allocs_by_base_.end() && it->second.size() == 1 &&
+            it->second.front().second == record.task) {
+            retire(it->second.front().first);
+            allocs_by_base_.erase(it);
+            retire(index);
+        }
+        return;
+      }
+      case WalRecordKind::kSeqCheckpoint: {
+        auto& live = checkpoints_by_channel_[record.channel];
+        std::erase_if(live, [&](const std::pair<std::size_t, Seq>& cp) {
+            if (cp.second > record.seq)
+                return false;
+            retire(cp.first);
+            return true;
+        });
+        live.emplace_back(index, record.seq);
+        return;
+      }
+      case WalRecordKind::kHostRecovered:
+        return;
+    }
 }
 
 }  // namespace ask::core

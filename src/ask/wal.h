@@ -31,6 +31,15 @@
  * seqs, replay cursors, seq checkpoints). Keeping it pure makes the
  * recovery-idempotence property directly testable: folding the same
  * log twice must produce operator==-identical state.
+ *
+ * The log is bounded by in-flight work, not by run length. A record
+ * is *retired* once a later record makes it irrelevant to every fold
+ * (the liveness rule, next to rebuild_daemon_state in wal.cc): a task's
+ * done record retires its receive records, a forget retires its
+ * submits, a release retires its alloc, a checkpoint retires the
+ * channel's lower ones. Once retired bytes reach live bytes the image
+ * is rewritten with the live records in order, so the segment list and
+ * the root digest commit to the live log.
  */
 #ifndef ASK_ASK_WAL_H
 #define ASK_ASK_WAL_H
@@ -39,6 +48,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -48,26 +58,34 @@
 namespace ask::core {
 
 /** What one WAL record describes. Values are part of the on-log
- *  encoding; append only. */
+ *  encoding; append only. "Retired by" names the later record that
+ *  makes a record dead (the liveness rule, see Wal). */
 enum class WalRecordKind : std::uint8_t
 {
     /** Controller: region allocated. task; arg0 = base, arg1 = len,
-     *  arg2 = 1 if the task claimed the epoch slot. */
+     *  arg2 = 1 if the task claimed the epoch slot. Retired by the
+     *  kRelease of the same task and base. */
     kAlloc = 1,
-    /** Controller: region released (task completed or aborted). */
+    /** Controller: region released (task completed or aborted). arg0 =
+     *  base. Retires its kAlloc and itself. */
     kRelease = 2,
     /** Sender: stream accepted for transmission. task; arg0 = receiver
      *  host, arg1 = ReduceOp id; kvs = the stream, already lifted
-     *  (replay cursor source — a replay must not lift again). */
+     *  (replay cursor source — a replay must not lift again). Retired
+     *  by the task's kSendForget. */
     kSendSubmit = 3,
-    /** Sender: archived stream dropped (receiver finished the task). */
+    /** Sender: archived stream dropped (receiver finished the task).
+     *  Retires the task's earlier submits and itself. */
     kSendForget = 4,
     /** Sender: all seqs below `seq` on `channel` are or may be in
-     *  use; a restarted channel must resume at `seq`. */
+     *  use; a restarted channel must resume at `seq`. Retires the
+     *  channel's earlier checkpoints whose seq is <= its own. */
     kSeqCheckpoint = 5,
     /** Receiver: task accepted. arg0 = expected senders, arg1 = 1 if
      *  swaps disabled; kvs carry liveness_ns / start_time / op (the
-     *  ReduceOp id; absent in pre-op logs, meaning kAdd). */
+     *  ReduceOp id; absent in pre-op logs, meaning kAdd). Receiver
+     *  records (this and the four below) are retired by the task's
+     *  kRxTaskDone. */
     kRxTaskStart = 6,
     /** Receiver: fresh DATA packet consumed. channel + seq locate the
      *  seen-window slot; kvs = the decoded tuples it contributed. */
@@ -81,9 +99,11 @@ enum class WalRecordKind : std::uint8_t
      *  the drain deadline. Observed seqs intentionally survive. */
     kRxReset = 10,
     /** Receiver: task finished (delivered or failed). arg0 = the
-     *  TaskStatus delivered to the tenant. */
+     *  TaskStatus delivered to the tenant. Retires the task's earlier
+     *  receiver records and itself. */
     kRxTaskDone = 11,
-    /** Host completed a crash recovery (generation fencing marker). */
+    /** Host completed a crash recovery (generation fencing marker).
+     *  Never retired: every later generation counts it. */
     kHostRecovered = 12,
 };
 
@@ -129,6 +149,12 @@ struct WalReplayStatus
  * model the (tiny) separately-durable integrity metadata a real
  * deployment would replicate out-of-band. Fault-injection helpers
  * mutate only the byte image, exactly like media corruption.
+ *
+ * Every append applies the liveness rule; once the retired bytes
+ * reach the live bytes the image is compacted: rewritten with the live
+ * records in order, the segment list cut to theirs and the root digest
+ * folded again over it. A damaged (fault-injected) image is never
+ * compacted.
  */
 class Wal
 {
@@ -141,13 +167,21 @@ class Wal
      *  hash onto the segment list, hash folded into the root digest. */
     void append(const WalRecord& record);
 
-    /** Records appended (== log segments). */
-    std::size_t records() const { return record_hashes_.size(); }
+    /** Append `record` with `tuples` journaled after its kvs, encoded
+     *  straight from the tuples: the same bytes as append() of the
+     *  record with one (key, value) kv per tuple. */
+    void append(const WalRecord& record, const KvStream& tuples);
+
+    /** Live records: the ones recovery acts on. */
+    std::size_t records() const { return live_records_; }
+
+    /** Image compactions so far. */
+    std::size_t compactions() const { return compactions_; }
 
     /** Root digest: ordered fold of the segment hashes. */
     std::uint64_t digest() const { return digest_; }
 
-    /** The per-record log-segment hashes, in append order. */
+    /** The per-record log-segment hashes of the image, in order. */
     const std::vector<std::uint64_t>&
     segment_hashes() const
     {
@@ -159,7 +193,8 @@ class Wal
      * A torn tail yields the verified prefix with status->torn_tail
      * set. Corruption either sets status->corrupt (when `status` is
      * non-null; the verified prefix before the damage is returned) or
-     * throws StateError (when `status` is null).
+     * throws StateError (when `status` is null). Retired records not
+     * yet compacted away are returned too; the folds ignore them.
      */
     std::vector<WalRecord> replay(WalReplayStatus* status = nullptr) const;
 
@@ -171,7 +206,8 @@ class Wal
     void clear();
 
     /** Structured inspection document (operations runbook: dump a
-     *  host's WAL to see what recovery will rebuild). */
+     *  host's WAL to see what recovery will rebuild). Lists the live
+     *  records. */
     obs::Json describe() const;
 
     /** Size of the byte image. */
@@ -190,13 +226,47 @@ class Wal
     void flip_byte(std::size_t offset);
 
   private:
+    /** Where one record's frame sits in the image. */
+    struct Segment
+    {
+        std::size_t offset = 0;
+        std::size_t bytes = 0;  ///< frame header + payload
+        bool live = true;
+    };
+
+    void append_encoded(const WalRecord& record, const KvStream* tuples);
+    /** The liveness rule: retire what `record` (segment `index`) makes
+     *  dead, then track `record` if a later record can retire it. */
+    void retire_by(const WalRecord& record, std::size_t index);
+    void retire(std::size_t index);
+    void compact();
+
     std::string name_;
     std::string bytes_;
     std::vector<std::uint64_t> record_hashes_;
+    std::vector<Segment> segments_;
     std::uint64_t digest_ = 0;
     std::uint64_t* append_counter_ = nullptr;
     /** ASK_WAL_PARANOID=1: re-verify the whole log on every append. */
     bool paranoid_ = false;
+    /** truncate_tail/flip_byte touched the image: never compact it. */
+    bool damaged_ = false;
+
+    std::size_t live_records_ = 0;
+    std::size_t live_bytes_ = 0;
+    std::size_t dead_bytes_ = 0;
+    std::size_t compactions_ = 0;
+    /** Live retirable segments, keyed by what retires them: receiver
+     *  records and submits by task, allocs by base (with their task),
+     *  checkpoints by channel (with their seq). */
+    std::unordered_map<TaskId, std::vector<std::size_t>> rx_by_task_;
+    std::unordered_map<TaskId, std::vector<std::size_t>> submits_by_task_;
+    std::unordered_map<std::uint32_t,
+                       std::vector<std::pair<std::size_t, TaskId>>>
+        allocs_by_base_;
+    std::unordered_map<std::uint32_t,
+                       std::vector<std::pair<std::size_t, Seq>>>
+        checkpoints_by_channel_;
 };
 
 /**

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -695,6 +696,143 @@ TEST(Chaos, CrashAfterDrainRecoversToEmptyState)
     EXPECT_TRUE(state.rx_tasks.empty());
     EXPECT_TRUE(state.sends.empty());
     EXPECT_EQ(state.recoveries, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded logs and the shared stream: a sender keeps one copy of each
+// submitted stream (archive, packet builder and replay share it), and
+// each host's WAL retires a task's records once the task is done.
+// ---------------------------------------------------------------------------
+
+TEST(Chaos, LogsStayBoundedOverManyLossyTasks)
+{
+    // 200 sequential tasks over 1%-lossy cables. Once a task is done and
+    // forgotten, only the channels' latest seq checkpoints stay live, so
+    // the largest log after task i must not grow with i.
+    ClusterConfig cc = base_config();
+    cc.faults = net::FaultSpec::lossy(0.01);
+    cc.seed = 151;
+    AskCluster cluster(cc);
+
+    WalRecord checkpoint;
+    checkpoint.kind = WalRecordKind::kSeqCheckpoint;
+    Wal one("one");
+    one.append(checkpoint);
+    std::size_t channels =
+        std::size_t{cc.num_hosts} * cc.ask.channels_per_host;
+    std::size_t bound = 2 * channels * one.size_bytes();
+
+    std::size_t largest_early = 0;
+    std::size_t largest_late = 0;
+    for (TaskId task = 1; task <= 200; ++task) {
+        std::vector<StreamSpec> streams = two_streams(1000 + task, 150);
+        AggregateMap truth = truth_of(streams, AggOp::kAdd);
+        TaskResult r = cluster.run_task(task, 0, streams);
+        ASSERT_TRUE(r.ok()) << "task " << task << ": " << r.report.detail;
+        ASSERT_EQ(r.result, truth) << "task " << task;
+
+        std::size_t largest = cluster.wal_store().controller_wal().size_bytes();
+        for (std::uint32_t h = 0; h < cc.num_hosts; ++h) {
+            const Wal& log = cluster.wal_store().host_wal(h);
+            largest = std::max(largest, log.size_bytes());
+            ASSERT_LE(log.records(), channels) << "task " << task;
+        }
+        ASSERT_LE(largest, bound) << "task " << task;
+        std::size_t& half = task <= 100 ? largest_early : largest_late;
+        half = std::max(half, largest);
+    }
+    EXPECT_LE(largest_late, largest_early);
+    EXPECT_GT(cluster.total_host_stats().retransmissions, 0u);
+    EXPECT_TRUE(cluster.wal_store().host_wal(0).verify());
+}
+
+TEST(Chaos, SwitchRebootsReplayTheSharedStreamExactly)
+{
+    // Two reboots in one task: each aborts the senders' jobs and
+    // re-sends the archived stream from the copy the first send's
+    // packet builder read. A replay that saw a partly drained or
+    // re-lifted stream would miscount under kCount.
+    ClusterConfig cc = base_config();
+    cc.ask.op = ReduceOp::kCount;
+    cc.seed = 157;
+    std::vector<StreamSpec> streams = two_streams(157, 1500);
+    AggregateMap truth = truth_of(streams, AggOp::kCount);
+    sim::SimTime finish = undisturbed_finish_time(cc, streams);
+
+    // The second reboot lands halfway through the first replay (which
+    // starts once the first recovery's drain window closes).
+    sim::SimTime first = finish / 3;
+    sim::SimTime replay_start =
+        first + 100 * kMicrosecond + cc.ask.recovery_drain_ns;
+    AskCluster cluster(cc);
+    sim::ChaosPlan plan;
+    plan.switch_reboot(first, 100 * kMicrosecond);
+    plan.switch_reboot(replay_start + finish / 2, 100 * kMicrosecond);
+    cluster.arm_chaos(plan);
+
+    TaskResult r = cluster.run_task(1, 0, streams);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    ChaosStats cs = cluster.chaos_stats();
+    EXPECT_EQ(cs.switch_reboots, 2u);
+    EXPECT_EQ(cs.streams_replayed, 4u);
+    // Every submit and replay handed the channel the whole stream.
+    for (const StreamSpec& s : streams)
+        EXPECT_EQ(cluster.daemon(s.host).stats().tuples_sent,
+                  3 * s.stream.size());
+    // The task is done: the archives are gone and so are the submits.
+    for (const StreamSpec& s : streams) {
+        EXPECT_FALSE(cluster.daemon(s.host).has_send_archive(1));
+        EXPECT_TRUE(rebuild_daemon_state(
+                        cluster.wal_store().host_wal(s.host.value()).replay(),
+                        cc.ask.op)
+                        .sends.empty());
+    }
+}
+
+TEST(Chaos, HostCrashAfterCompactionsRecoversExactly)
+{
+    // Five finished tasks compact every host log several times; then
+    // the receiver crashes in the middle of a sixth and must rebuild
+    // that task from the compacted log.
+    ClusterConfig cc = base_config();
+    cc.faults = net::FaultSpec::lossy(0.02);
+    cc.seed = 163;
+    auto streams_of = [](TaskId task) { return two_streams(163 + task, 600); };
+
+    sim::SimTime start = 0;
+    sim::SimTime finish = 0;
+    {
+        AskCluster dry(cc);
+        for (TaskId task = 1; task <= 5; ++task)
+            ASSERT_TRUE(dry.run_task(task, 0, streams_of(task)).ok());
+        start = dry.simulator().now();
+        TaskResult r = dry.run_task(6, 0, streams_of(6));
+        ASSERT_TRUE(r.ok());
+        finish = r.report.finish_time;
+    }
+
+    AskCluster cluster(cc);
+    for (TaskId task = 1; task <= 5; ++task) {
+        std::vector<StreamSpec> streams = streams_of(task);
+        TaskResult r = cluster.run_task(task, 0, streams);
+        ASSERT_TRUE(r.ok()) << r.report.detail;
+        EXPECT_EQ(r.result, truth_of(streams, AggOp::kAdd));
+    }
+    const Wal& log = cluster.wal_store().host_wal(0);
+    EXPECT_GE(log.compactions(), 5u);
+
+    sim::SimTime mid = start + (finish - start) / 2;
+    cluster.simulator().schedule_at(mid, [&] { cluster.crash_host(0); });
+    cluster.simulator().schedule_at(mid + 200 * kMicrosecond,
+                                    [&] { cluster.restart_host(0); });
+    std::vector<StreamSpec> streams = streams_of(6);
+    TaskResult r = cluster.run_task(6, 0, streams);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth_of(streams, AggOp::kAdd));
+    EXPECT_EQ(cluster.chaos_stats().host_crashes, 1u);
+    EXPECT_EQ(cluster.chaos_stats().host_recoveries, 1u);
+    EXPECT_TRUE(log.verify());
 }
 
 }  // namespace

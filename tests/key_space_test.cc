@@ -83,7 +83,7 @@ TEST(KeySpace, PaddedAndUnpadRoundTrip)
 TEST(KeySpace, SegmentsRoundTripThroughDecode)
 {
     KeySpace ks(small_config());
-    for (const std::string& key : {"x", "ab", "abcd", "abcde", "abcdefgh"}) {
+    for (const char* key : {"x", "ab", "abcd", "abcde", "abcdefgh"}) {
         auto segs = ks.segments(key);
         std::string rebuilt;
         for (auto s : segs)

@@ -300,8 +300,9 @@ TEST(Trace, ChainReconstructionThroughLossAndReboot)
         EXPECT_EQ(chain.front().stage, obs::TraceStage::kPacketize);
         bool has_tx = false;
         for (std::size_t i = 0; i < chain.size(); ++i) {
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_LE(chain[i - 1].t_ns, chain[i].t_ns);
+            }
             EXPECT_NE(chain[i].stage, obs::TraceStage::kSubmit);
             EXPECT_NE(chain[i].stage, obs::TraceStage::kReplay);
             EXPECT_NE(chain[i].stage, obs::TraceStage::kFinalize);

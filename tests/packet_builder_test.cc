@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "ask/packet_builder.h"
@@ -167,10 +168,11 @@ TEST(PacketBuilder, CountsByClass)
 TEST(PacketBuilder, NextDataIntoMatchesNextData)
 {
     // The batched hot-path form (next_data_into, one scratch reused
-    // across a whole drain) must be bit-identical to the allocating
-    // next_data() — bitmap, tuple count, and every slot including the
-    // zero-filled blanks — across full, partial, and blank-heavy
-    // packets.
+    // across a whole drain, fed a shared stream the way the daemon
+    // feeds it) must be bit-identical to the allocating next_data() of
+    // a builder fed tuple by tuple — bitmap, tuple count, and every
+    // slot including the zero-filled blanks — across full, partial, and
+    // blank-heavy packets.
     AskConfig c = cfg8();
     KeySpace ks(c);
     Rng rng = seeded_rng("packet_builder_equiv", 21);
@@ -202,8 +204,11 @@ TEST(PacketBuilder, NextDataIntoMatchesNextData)
         KvStream stream = make_stream(shape);
         PacketBuilder ref_builder(ks);
         PacketBuilder batched(ks);
-        ref_builder.enqueue(stream);
-        batched.enqueue(stream);
+        for (const KvTuple& t : stream)
+            ref_builder.enqueue(t);
+        // The builder is the stream's only owner from here on: its
+        // queued references must keep pointing at live tuples.
+        batched.enqueue(std::make_shared<const KvStream>(std::move(stream)));
 
         BuiltData scratch;
         const WireSlot* scratch_data = nullptr;

@@ -75,7 +75,8 @@ class SwitchProgramTest : public ::testing::Test
     data_packet(const KvStream& tuples, Seq seq)
     {
         PacketBuilder builder(key_space_);
-        builder.enqueue(tuples);
+        for (const KvTuple& t : tuples)
+            builder.enqueue(t);
         auto built = builder.next_data();
         EXPECT_TRUE(built.has_value());
         EXPECT_FALSE(builder.has_data()) << "tuples did not fit one packet";

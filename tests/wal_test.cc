@@ -1,16 +1,24 @@
 /**
  * Write-ahead log tests: framing round-trips, merkle-digest integrity,
  * the two corruption classes (torn tail tolerated, damaged record
- * rejected with a typed error and no UB), and the pure daemon-state
- * fold whose idempotence the crash-recovery proof rides on.
+ * rejected with a typed error and no UB), the pure daemon-state fold
+ * whose idempotence the crash-recovery proof rides on, and compaction:
+ * retiring dead records must leave every fold unchanged.
  */
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "ask/controller.h"
+#include "ask/switch_program.h"
 #include "ask/wal.h"
 #include "common/logging.h"
+#include "common/random.h"
+#include "net/network.h"
+#include "pisa/pisa_switch.h"
+#include "sim/simulator.h"
 
 namespace ask::core {
 namespace {
@@ -459,6 +467,323 @@ TEST(WalRebuild, SwapCommitMergesFetchedAggregates)
     EXPECT_EQ(t.committed_epoch, 2u);
     EXPECT_EQ(t.swaps, 1u);
     EXPECT_EQ(t.tuples_fetched_from_switch, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Journaling straight from tuples.
+// ---------------------------------------------------------------------------
+
+/** `record` with one (key, value) kv per tuple appended to its kvs. */
+WalRecord
+with_tuples(WalRecord record, const KvStream& tuples)
+{
+    for (const KvTuple& t : tuples)
+        record.kvs.emplace_back(t.key, static_cast<std::uint64_t>(t.value));
+    return record;
+}
+
+TEST(Wal, AppendFromTuplesMatchesAppendOfKvs)
+{
+    WalRecord submit;
+    submit.kind = WalRecordKind::kSendSubmit;
+    submit.task = 3;
+    submit.arg0 = 1;
+    submit.arg1 = static_cast<std::uint32_t>(ReduceOp::kMax);
+    WalRecord reset;  // named scalars ahead of the tuples
+    reset.kind = WalRecordKind::kRxReset;
+    reset.task = 3;
+    reset.kvs = {{"drain_until", 77}};
+
+    const std::vector<KvStream> streams = {
+        {},
+        {{"k", 0xFFFFFFFFu}},
+        {{std::string(300, 'L'), 5}, {"", 1}, {std::string(17, 'm'), 9}},
+    };
+    for (const WalRecord& base : {submit, reset}) {
+        for (const KvStream& tuples : streams) {
+            Wal direct("direct");
+            Wal copied("copied");
+            direct.append(base, tuples);
+            copied.append(with_tuples(base, tuples));
+            EXPECT_EQ(direct.size_bytes(), copied.size_bytes());
+            EXPECT_EQ(direct.segment_hashes(), copied.segment_hashes());
+            EXPECT_EQ(direct.digest(), copied.digest());
+            EXPECT_EQ(direct.replay(), copied.replay());
+            EXPECT_TRUE(direct.verify());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Compaction.
+// ---------------------------------------------------------------------------
+
+/** Reference liveness rule, written as a scan over the full record
+ *  list: which records does some later record retire? */
+std::vector<bool>
+reference_live(const std::vector<WalRecord>& all)
+{
+    auto is_rx = [](WalRecordKind k) {
+        return k == WalRecordKind::kRxTaskStart ||
+               k == WalRecordKind::kRxData || k == WalRecordKind::kRxFin ||
+               k == WalRecordKind::kRxSwapCommit ||
+               k == WalRecordKind::kRxReset;
+    };
+    std::vector<bool> live(all.size(), true);
+    for (std::size_t j = 0; j < all.size(); ++j) {
+        const WalRecord& r = all[j];
+        for (std::size_t i = 0; i < j; ++i) {
+            const WalRecord& e = all[i];
+            bool dead = false;
+            switch (r.kind) {
+              case WalRecordKind::kRxTaskDone:
+                dead = is_rx(e.kind) && e.task == r.task;
+                break;
+              case WalRecordKind::kSendForget:
+                dead = e.kind == WalRecordKind::kSendSubmit &&
+                       e.task == r.task;
+                break;
+              case WalRecordKind::kSeqCheckpoint:
+                dead = e.kind == WalRecordKind::kSeqCheckpoint &&
+                       e.channel == r.channel && e.seq <= r.seq;
+                break;
+              default:
+                break;
+            }
+            if (dead)
+                live[i] = false;
+        }
+        if (r.kind == WalRecordKind::kRxTaskDone ||
+            r.kind == WalRecordKind::kSendForget)
+            live[j] = false;
+    }
+    return live;
+}
+
+TEST(WalCompaction, SeededDifferentialAgainstTheFullLog)
+{
+    // Random daemon logs — receiver lifecycles, submits and forgets,
+    // checkpoints that may go backwards, recovery markers, and task ids
+    // reused after they finish — appended half through append(record)
+    // and half straight from tuples. After every append the compacted
+    // log must fold to the state of the full record list, verify, and
+    // hold less than twice the bytes of the records still live.
+    std::size_t compactions = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng = seeded_rng("wal_compaction_differential", seed);
+        Wal wal("differential");
+        std::vector<WalRecord> all;
+        std::vector<std::size_t> frame_bytes;
+        auto random_tuples = [&rng] {
+            KvStream tuples(rng.next_below(5));
+            for (KvTuple& t : tuples) {
+                t.key = std::string(1 + rng.next_below(20),
+                                    static_cast<char>('a' + rng.next_below(4)));
+                t.value = static_cast<Value>(rng.next_below(100));
+            }
+            return tuples;
+        };
+
+        for (int step = 0; step < 300; ++step) {
+            WalRecord r;
+            r.task = static_cast<TaskId>(1 + rng.next_below(3));
+            r.channel = static_cast<std::uint32_t>(rng.next_below(3));
+            KvStream tuples;
+            std::uint64_t pick = rng.next_below(100);
+            if (pick < 10) {
+                r = start_record(r.task, 1 + rng.next_below(2),
+                                 rng.next_below(2) == 0);
+            } else if (pick < 45) {
+                r.kind = WalRecordKind::kRxData;
+                r.seq = static_cast<Seq>(step);
+                tuples = random_tuples();
+            } else if (pick < 52) {
+                r.kind = WalRecordKind::kRxFin;
+            } else if (pick < 57) {
+                r.kind = WalRecordKind::kRxSwapCommit;
+                r.seq = static_cast<Seq>(1 + rng.next_below(4));
+                tuples = random_tuples();
+            } else if (pick < 60) {
+                r.kind = WalRecordKind::kRxReset;
+                r.kvs = {{"drain_until", static_cast<std::uint64_t>(step)}};
+            } else if (pick < 68) {
+                r.kind = WalRecordKind::kRxTaskDone;
+            } else if (pick < 76) {
+                r.kind = WalRecordKind::kSendSubmit;
+                r.arg0 = static_cast<std::uint32_t>(rng.next_below(4));
+                tuples = random_tuples();
+            } else if (pick < 81) {
+                r.kind = WalRecordKind::kSendForget;
+            } else if (pick < 98) {
+                r.kind = WalRecordKind::kSeqCheckpoint;
+                r.seq = static_cast<Seq>(64 * rng.next_below(8));
+            } else {
+                r = WalRecord{};
+                r.kind = WalRecordKind::kHostRecovered;
+            }
+
+            if (rng.next_below(2) == 0)
+                wal.append(r, tuples);
+            else
+                wal.append(with_tuples(r, tuples));
+            all.push_back(with_tuples(r, tuples));
+            Wal alone("alone");
+            alone.append(all.back());
+            frame_bytes.push_back(alone.size_bytes());
+
+            ASSERT_TRUE(wal.verify()) << "seed " << seed << " step " << step;
+            ASSERT_EQ(rebuild_daemon_state(wal.replay(), ReduceOp::kAdd),
+                      rebuild_daemon_state(all, ReduceOp::kAdd))
+                << "seed " << seed << " step " << step;
+            std::vector<bool> live = reference_live(all);
+            std::size_t live_records = 0;
+            std::size_t live_bytes = 0;
+            for (std::size_t i = 0; i < all.size(); ++i) {
+                if (live[i]) {
+                    ++live_records;
+                    live_bytes += frame_bytes[i];
+                }
+            }
+            ASSERT_EQ(wal.records(), live_records)
+                << "seed " << seed << " step " << step;
+            if (live_bytes == 0)
+                ASSERT_EQ(wal.size_bytes(), 0u);
+            else
+                ASSERT_LT(wal.size_bytes(), 2 * live_bytes)
+                    << "seed " << seed << " step " << step;
+        }
+        compactions += wal.compactions();
+    }
+    EXPECT_GT(compactions, 12u);
+}
+
+/** A host log that compacted once: task 1 ran to completion, task 2 is
+ *  still receiving. */
+Wal
+compacted_log()
+{
+    Wal wal("compacted");
+    wal.append(start_record(1, 1, false));
+    wal.append(data_record(1, 0, 0, {{"a", 1}, {"b", 2}}));
+    wal.append(data_record(1, 0, 1, {{"a", 3}}));
+    WalRecord done;
+    done.kind = WalRecordKind::kRxTaskDone;
+    done.task = 1;
+    wal.append(done);
+    wal.append(start_record(2, 1, false));
+    wal.append(data_record(2, 1, 0, {{"c", 5}}));
+    wal.append(data_record(2, 1, 1, {{"d", 6}}));
+    return wal;
+}
+
+TEST(WalCompaction, DoneRetiresTheTaskAndCompacts)
+{
+    Wal wal = compacted_log();
+    EXPECT_EQ(wal.compactions(), 1u);
+    EXPECT_EQ(wal.records(), 3u);
+    ASSERT_EQ(wal.segment_hashes().size(), 3u);
+    std::vector<WalRecord> replayed = wal.replay();
+    ASSERT_EQ(replayed.size(), 3u);
+    EXPECT_EQ(replayed[0], start_record(2, 1, false));
+    EXPECT_TRUE(wal.verify());
+    // The root digest commits to the live log: the same three records
+    // appended to a fresh log give the same digest.
+    Wal fresh("fresh");
+    for (const WalRecord& r : replayed)
+        fresh.append(r);
+    EXPECT_EQ(wal.digest(), fresh.digest());
+    EXPECT_EQ(wal.size_bytes(), fresh.size_bytes());
+    obs::Json d = wal.describe();
+    EXPECT_EQ(d.find("records")->as_int(), 3);
+    EXPECT_EQ(d.find("log")->size(), 3u);
+}
+
+TEST(WalCompaction, TornTailOnACompactedImage)
+{
+    Wal wal = compacted_log();
+    wal.truncate_tail(3);
+    WalReplayStatus st;
+    std::vector<WalRecord> replayed = wal.replay(&st);
+    EXPECT_TRUE(st.torn_tail);
+    EXPECT_FALSE(st.corrupt);
+    EXPECT_EQ(replayed.size(), 2u);
+    EXPECT_FALSE(wal.verify());
+
+    // A damaged image is never compacted: the done record below retires
+    // task 2's records but leaves the image — and the tear — in place.
+    std::size_t size = wal.size_bytes();
+    WalRecord done;
+    done.kind = WalRecordKind::kRxTaskDone;
+    done.task = 2;
+    wal.append(done);
+    EXPECT_EQ(wal.compactions(), 1u);
+    EXPECT_GT(wal.size_bytes(), size);
+    EXPECT_FALSE(wal.verify());
+}
+
+TEST(WalCompaction, FlippedByteOnACompactedImage)
+{
+    Wal wal = compacted_log();
+    wal.flip_byte(wal.size_bytes() - 2);
+    WalReplayStatus st;
+    std::vector<WalRecord> replayed = wal.replay(&st);
+    EXPECT_TRUE(st.corrupt);
+    EXPECT_EQ(replayed.size(), 2u);
+    EXPECT_THROW(wal.replay(), StateError);
+    EXPECT_FALSE(wal.verify());
+}
+
+TEST(WalCompaction, ControllerRecoversTheSameRegions)
+{
+    sim::Simulator simulator;
+    net::Network network(simulator);
+    pisa::PisaSwitch sw(network, 16, pisa::kDefaultStageSramBytes);
+    AskConfig cfg;
+    cfg.num_aas = 8;
+    cfg.aggregators_per_aa = 64;
+    cfg.medium_groups = 2;
+    cfg.medium_segments = 2;
+    cfg.max_hosts = 4;
+    cfg.channels_per_host = 2;
+    cfg.max_tasks = 4;
+    AskSwitchProgram program(cfg, sw);
+    AskSwitchController ctl(program);
+    Wal wal("controller");
+    ctl.set_wal(&wal);
+
+    TaskRegion first = *ctl.allocate(1, 8);
+    TaskRegion second = *ctl.allocate(2, 8);
+    ctl.release(1);  // retires alloc(1) and itself
+    TaskRegion reused = *ctl.allocate(3, 8, ReduceOp::kMax);
+    EXPECT_EQ(reused.base, first.base);  // alloc / release / alloc of a base
+    ctl.release(2);
+    TaskRegion last = *ctl.allocate(4, 4);
+    EXPECT_GE(wal.compactions(), 2u);
+    EXPECT_EQ(wal.records(), 2u);
+
+    // Reboot the switch and crash the controller: both forget the task
+    // table, and the compacted journal alone must bring it back.
+    std::uint32_t free_before = ctl.free_aggregators();
+    program.on_reboot();
+    ctl.crash();
+    EXPECT_EQ(ctl.recover_from_wal(), 2u);
+    EXPECT_EQ(ctl.free_aggregators(), free_before);
+    EXPECT_EQ(program.find_task(1), nullptr);
+    EXPECT_EQ(program.find_task(2), nullptr);
+    for (auto [task, want] : {std::pair{TaskId{3}, reused},
+                              std::pair{TaskId{4}, last}}) {
+        const TaskRegion* got = program.find_task(task);
+        ASSERT_NE(got, nullptr) << "task " << task;
+        EXPECT_EQ(got->base, want.base);
+        EXPECT_EQ(got->len, want.len);
+        EXPECT_EQ(got->epoch_slot, want.epoch_slot);
+        EXPECT_EQ(got->op, want.op);
+    }
+    // The next allocation lands where it would have without the crash:
+    // task 2's freed slice, past the reused one.
+    std::optional<TaskRegion> next = ctl.allocate(5, 4);
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next->base, second.base + last.len);
 }
 
 }  // namespace

@@ -293,8 +293,9 @@ TEST(WireProperty, CorruptedLengthFieldsRejectedWithoutUb)
         // Must either parse (corruption hit only key/value bytes) or
         // return nullopt; either way no out-of-bounds access.
         auto parsed = try_parse_long_tuples(data);
-        if (parsed.has_value())
+        if (parsed.has_value()) {
             EXPECT_LE(parsed->size(), 0xffffu);
+        }
     }
 }
 
@@ -308,10 +309,12 @@ TEST(WireProperty, RandomGarbageBuffersNeverParseOutOfBounds)
         // Exercise both codec entry points used on receive paths.
         auto hdr = parse_header(garbage);
         auto tuples = try_parse_long_tuples(garbage);
-        if (garbage.size() < 40)
+        if (garbage.size() < 40) {
             EXPECT_FALSE(hdr.has_value());
-        if (garbage.size() < 42)
+        }
+        if (garbage.size() < 42) {
             EXPECT_FALSE(tuples.has_value());
+        }
     }
 }
 

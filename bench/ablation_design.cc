@@ -25,14 +25,14 @@ double
 switch_fraction(bool shadow, const core::KvStream& stream)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = core::TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.medium_groups = 0;
     cc.ask.shadow_copies = shadow;
     cc.ask.swap_threshold_packets = shadow ? 256 : 0;
     core::AskCluster cluster(cc);
     cluster.run_task(1, 0, {{1, stream}}, {.region_len = 32});
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     return 100.0 * static_cast<double>(sw.tuples_aggregated) /
            static_cast<double>(sw.tuples_in);
 }

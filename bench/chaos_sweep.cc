@@ -46,7 +46,7 @@ ClusterConfig
 sweep_config()
 {
     ClusterConfig cc;
-    cc.num_hosts = 4;
+    cc.topology = core::TopologyBuilder().add_rack(4).build();
     cc.ask.max_hosts = 4;
     cc.ask.aggregators_per_aa = 512;
     cc.ask.swap_threshold_packets = 64;
@@ -113,7 +113,7 @@ main(int argc, char** argv)
                                     {3, sweep_stream(rng, n)}};
     AggregateMap truth;
     for (const auto& s : streams)
-        core::aggregate_into(truth, s.stream, core::AggOp::kAdd);
+        core::aggregate_into(truth, s.stream, core::ReduceOp::kAdd);
 
     RowResult base = run_one(sim::ChaosPlan{}, streams, truth);
     sim::SimTime horizon = base.jct * 2;

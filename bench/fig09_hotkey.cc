@@ -22,7 +22,7 @@ switch_fraction(bool prioritize, std::uint32_t region_per_aa,
                 const core::KvStream& stream)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = core::TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.medium_groups = 0;  // numeric keys: all AAs short
     cc.ask.shadow_copies = prioritize;
@@ -32,7 +32,7 @@ switch_fraction(bool prioritize, std::uint32_t region_per_aa,
     core::TaskResult r = cluster.run_task(
         1, 0, {{1, stream}}, {.region_len = region_per_aa});
     (void)r;
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     return 100.0 * static_cast<double>(sw.tuples_aggregated) /
            static_cast<double>(sw.tuples_in);
 }

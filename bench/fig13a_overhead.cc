@@ -28,7 +28,7 @@ Rates
 ask_rates(std::uint32_t channels, std::uint64_t tuples)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = core::TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.channels_per_host = channels;
     cc.ask.medium_groups = 0;
@@ -52,8 +52,8 @@ ask_rates(std::uint32_t channels, std::uint64_t tuples)
         bench::run_streaming_tasks(cluster, std::move(tasks));
 
     net::NodeId sender = cluster.daemon(1).node_id();
-    std::uint64_t wire =
-        cluster.network().link_bytes(sender, cluster.switch_node());
+    std::uint64_t wire = cluster.network().link_bytes(
+        sender, cluster.switch_node(core::SwitchId{0}));
     Nanoseconds fixed = cc.mgmt_latency_ns + cc.notify_latency_ns;
     Nanoseconds elapsed = std::max<Nanoseconds>(sr.senders_done - fixed, 1);
     Rates out;

@@ -108,7 +108,7 @@ switch_pass_bench(benchmark::State& state, core::ReduceOp op)
     cfg.max_hosts = 2;
     cfg.channels_per_host = 1;
     core::AskSwitchProgram program(cfg, sw);
-    core::AskSwitchController controller(program);
+    core::AskSwitchController controller({&program});
     controller.allocate(1, 1024, op);
 
     core::KeySpace ks(cfg);
@@ -228,7 +228,7 @@ BM_HostAggregate(benchmark::State& state)
         stream.push_back({u64_key(rng.next_below(1024)), 1});
     for (auto _ : state) {
         core::AggregateMap acc;
-        core::aggregate_into(acc, stream, core::AggOp::kAdd);
+        core::aggregate_into(acc, stream, core::ReduceOp::kAdd);
         benchmark::DoNotOptimize(acc);
     }
     state.SetItemsProcessed(state.iterations() * 4096);

@@ -1,9 +1,9 @@
 /**
- * sim_parallel — wall-clock speedup and determinism of the sharded
- * discrete-event engine (docs/CONCURRENCY.md).
+ * sim_parallel — wall-clock speedup and determinism of the parallel
+ * job pool (sim/engine.h, docs/CONCURRENCY.md).
  *
  * Runs a fixed set of independent fig13b-shaped fabric replicas — each
- * replica is a full AskCluster on its own engine island streaming
+ * replica is a full AskCluster run as one engine job, streaming
  * every host to a receiver across racks — once per thread count in
  * {1, 2, 4}, and reports for each thread count the wall-clock time,
  * the speedup against the 1-thread run, and a determinism bit: a

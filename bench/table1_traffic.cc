@@ -29,7 +29,7 @@ measure(const workload::CorpusProfile& profile, std::uint64_t tuples,
     p.vocabulary /= vocab_scale;  // scaled with the stream volume
 
     core::ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = core::TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     core::AskCluster cluster(cc);
 
@@ -40,7 +40,7 @@ measure(const workload::CorpusProfile& profile, std::uint64_t tuples,
 
     // Denominators include the long-key traffic that bypasses the
     // switch (the paper counts all incoming tuples/packets).
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     std::uint64_t all_tuples = cluster.total_host_stats().tuples_sent;
     Measured m;
     m.tuple_pct = 100.0 * static_cast<double>(sw.tuples_aggregated) /

@@ -12,7 +12,13 @@
 #      shows must name a variable the code actually consults — a
 #      getenv("ASK_...") in src/ or bench/, or an ASK_* build knob in
 #      the top-level CMakeLists.txt (a renamed env var would otherwise
-#      leave readers exporting a no-op).
+#      leave readers exporting a no-op);
+#   5. every backticked API reference `Type::member` (optionally
+#      `ns::`-qualified, optionally called: `()` or `(args)`) must name
+#      a type some header under src/ or bench/ declares (class, struct,
+#      or `using Type =`), and that same header must contain `member`
+#      as a word — a deleted or renamed API fails the docs. ROADMAP.md
+#      is exempt: it records what was deleted.
 #
 # Invoked by the `doc_drift` ctest target:
 #
@@ -101,6 +107,27 @@ if(NOT known_env)
     message(FATAL_ERROR "doc_drift: harvested no ASK_* variable names")
 endif()
 
+# The types docs may name (rule 5): every class/struct/using-alias a
+# header under src/ or bench/ declares. decl_<Type> lists the indices
+# of the declaring headers; hdr_<i> holds header i's text.
+file(GLOB_RECURSE api_headers "${REPO_DIR}/src/*.h" "${REPO_DIR}/bench/*.h")
+set(n_headers 0)
+foreach(hdr IN LISTS api_headers)
+    file(READ "${hdr}" hdr_${n_headers})
+    string(REGEX MATCHALL
+        "(class|struct)[ \t]+[A-Z][A-Za-z0-9_]*|using[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*="
+        decls "${hdr_${n_headers}}")
+    foreach(decl IN LISTS decls)
+        string(REGEX REPLACE "^(class|struct|using)[ \t]+([A-Za-z0-9_]+).*$"
+            "\\2" tname "${decl}")
+        list(APPEND decl_${tname} ${n_headers})
+    endforeach()
+    math(EXPR n_headers "${n_headers} + 1")
+endforeach()
+if(n_headers EQUAL 0)
+    message(FATAL_ERROR "doc_drift: no headers under src/ or bench/")
+endif()
+
 # ---- the docs under check -----------------------------------------------
 
 file(GLOB doc_files
@@ -113,6 +140,7 @@ set(checked_flags 0)
 set(checked_links 0)
 set(checked_presets 0)
 set(checked_envs 0)
+set(checked_refs 0)
 
 foreach(doc IN LISTS doc_files)
     # Iterate lines with FIND/SUBSTRING rather than file(STRINGS) or a
@@ -228,6 +256,42 @@ foreach(doc IN LISTS doc_files)
                 math(EXPR errors "${errors} + 1")
             endif()
         endwhile()
+
+        # Rule 5: API references must name a declared type and member.
+        # Consumed one at a time, like rule 2, because of the parens.
+        if(doc_rel STREQUAL "ROADMAP.md")
+            continue()
+        endif()
+        set(rest "${line}")
+        while(TRUE)
+            string(REGEX MATCH
+                "`([a-z_][a-z0-9_]*::)*([A-Z][A-Za-z0-9_]*)::([A-Za-z_][A-Za-z0-9_]*)(\\([^`)]*\\))?`"
+                one "${rest}")
+            if(one STREQUAL "")
+                break()
+            endif()
+            set(type "${CMAKE_MATCH_2}")
+            set(member "${CMAKE_MATCH_3}")
+            string(FIND "${rest}" "${one}" mpos)
+            string(LENGTH "${one}" mlen)
+            math(EXPR mnext "${mpos} + ${mlen}")
+            string(SUBSTRING "${rest}" ${mnext} -1 rest)
+            math(EXPR checked_refs "${checked_refs} + 1")
+            set(found FALSE)
+            foreach(i IN LISTS decl_${type})
+                if(hdr_${i} MATCHES "(^|[^A-Za-z0-9_])${member}([^A-Za-z0-9_]|$)")
+                    set(found TRUE)
+                    break()
+                endif()
+            endforeach()
+            if(NOT found)
+                message(SEND_ERROR
+                    "doc_drift: ${doc_rel}: ${type}::${member} names no "
+                    "member of a type declared under src/ or bench/:\n  "
+                    "${line}")
+                math(EXPR errors "${errors} + 1")
+            endif()
+        endwhile()
     endwhile()
 endforeach()
 
@@ -238,4 +302,5 @@ list(LENGTH doc_files n_docs)
 message(STATUS
     "doc_drift: ${n_docs} docs ok (${checked_flags} CLI flags, "
     "${checked_links} links, ${checked_presets} preset names, "
-    "${checked_envs} env assignments verified)")
+    "${checked_envs} env assignments, ${checked_refs} API references "
+    "verified)")

@@ -22,7 +22,7 @@ main()
     //    default AskConfig is the paper's: 32 aggregator arrays of
     //    32768 aggregators, window W=256, 4 data channels per host.
     core::ClusterConfig config;
-    config.num_hosts = 2;
+    config.topology = core::TopologyBuilder().add_rack(2).build();
     config.ask.max_hosts = 2;
 
     core::AskCluster cluster(config);
@@ -53,7 +53,7 @@ main()
     for (const auto& [key, value] : result.result)
         std::cout << "  " << key << " -> " << value << "\n";
 
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     std::cout << "switch aggregated " << sw.tuples_aggregated
               << " tuples and fully absorbed " << sw.packets_acked
               << " packets\n";

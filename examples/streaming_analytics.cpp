@@ -26,7 +26,7 @@ main()
     using namespace ask;
 
     core::ClusterConfig cc;
-    cc.num_hosts = 4;
+    cc.topology = core::TopologyBuilder().add_rack(4).build();
     cc.ask.max_hosts = 4;
     cc.ask.medium_groups = 0;
     cc.ask.swap_threshold_packets = 128;       // aggressive hot-key swaps
@@ -47,9 +47,9 @@ main()
 
     core::AggregateMap clicks_truth, metrics_truth;
     for (const auto& s : click_streams)
-        core::aggregate_into(clicks_truth, s.stream, core::AggOp::kAdd);
+        core::aggregate_into(clicks_truth, s.stream, core::ReduceOp::kAdd);
     for (const auto& s : metric_streams)
-        core::aggregate_into(metrics_truth, s.stream, core::AggOp::kAdd);
+        core::aggregate_into(metrics_truth, s.stream, core::ReduceOp::kAdd);
 
     core::TaskResult clicks_result;
     core::TaskResult metrics_result;
@@ -63,7 +63,7 @@ main()
                         });
     cluster.run();
 
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     core::HostStats hosts = cluster.total_host_stats();
 
     std::cout << "clickstream tenant: "

@@ -29,7 +29,7 @@ main()
     workload::TextCorpus corpus(profile, 2026);
 
     core::ClusterConfig cc;
-    cc.num_hosts = 3;
+    cc.topology = core::TopologyBuilder().add_rack(3).build();
     cc.ask.max_hosts = 3;
     core::AskCluster cluster(cc);
 
@@ -41,7 +41,7 @@ main()
 
     std::cout << "WordCount over " << 2 * 40000 << " words, "
               << r.result.size() << " distinct\n";
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     std::cout << "switch absorbed "
               << 100.0 * sw.tuples_aggregated /
                      std::max<std::uint64_t>(1, sw.tuples_in)

@@ -40,8 +40,8 @@ Nanoseconds
 ask_push_elapsed(const TrainSpec& spec, std::uint64_t elements)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = spec.workers;
-    cc.ask.max_hosts = cc.num_hosts;
+    cc.topology = core::TopologyBuilder().add_rack(spec.workers).build();
+    cc.ask.max_hosts = spec.workers;
     cc.link_gbps = spec.link_gbps;
     // Value streams arrive in lockstep; periodic shadow swaps drain the
     // aggregators so the (index-)key working set keeps fitting.
@@ -124,8 +124,8 @@ measure_float_gradient_accuracy(const TrainSpec& spec,
                                 std::uint64_t elements)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = spec.workers;
-    cc.ask.max_hosts = cc.num_hosts;
+    cc.topology = core::TopologyBuilder().add_rack(spec.workers).build();
+    cc.ask.max_hosts = spec.workers;
     cc.link_gbps = spec.link_gbps;
 
     const std::uint32_t frac = cc.ask.float_frac_bits;

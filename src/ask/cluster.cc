@@ -9,8 +9,8 @@ namespace ask::core {
 
 namespace {
 
-/** The deployed layout: the config's explicit Topology, or a
- *  single-rack layout synthesized from the deprecated num_hosts. */
+/** The deployed layout: the config's Topology, or one rack of two
+ *  hosts when it carries none. */
 Topology
 resolve_topology(const ClusterConfig& config)
 {
@@ -19,7 +19,7 @@ resolve_topology(const ClusterConfig& config)
         topo.validate();
         return topo;
     }
-    return TopologyBuilder().add_rack(config.num_hosts).build();
+    return TopologyBuilder().add_rack(2).build();
 }
 
 /** Metric prefix for switch `s` of `topo`: rack 0's ToR keeps the
@@ -37,27 +37,12 @@ switch_prefix(const Topology& topo, std::uint32_t s, const char* base)
 }  // namespace
 
 AskCluster::AskCluster(const ClusterConfig& config)
-    : AskCluster(config, nullptr)
-{
-}
-
-AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator& external)
-    : AskCluster(config, &external)
-{
-}
-
-AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator* external)
-    : config_(config), topo_(resolve_topology(config)),
-      owned_simulator_(external ? nullptr
-                                : std::make_unique<sim::Simulator>()),
-      simulator_(external ? *external : *owned_simulator_),
-      network_(simulator_)
+    : config_(config), topo_(resolve_topology(config)), network_(simulator_)
 {
     config_.ask.validate();
     ASK_ASSERT(topo_.num_hosts() <= config_.ask.max_hosts,
                "more hosts than the switch provisions state for");
 
-    const bool fabric = topo_.has_tier();
     const std::uint32_t cph = config_.ask.channels_per_host;
 
     // Switches attach first (ToRs in rack order, then the aggregation
@@ -69,47 +54,35 @@ AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator* external)
         network_.attach(switches_.back().get());
     }
 
-    if (!fabric) {
-        // Classic star: one program provisioning the full channel space.
-        programs_.push_back(
-            std::make_unique<AskSwitchProgram>(config_.ask, *switches_[0]));
-    } else {
-        // Each ToR provisions exactly its rack's channel shard — the
-        // per-switch register state this buys is bounded by the rack
-        // size, not the cluster size (fig13b measures this).
-        for (std::uint32_t r = 0; r < topo_.num_racks(); ++r) {
-            auto lo = static_cast<ChannelId>(topo_.host_lo(RackId{r}) * cph);
-            auto hi = static_cast<ChannelId>(
-                lo + topo_.hosts_in(RackId{r}) * cph);
-            programs_.push_back(std::make_unique<AskSwitchProgram>(
-                config_.ask, *switches_[r], lo, hi));
-            // Leaf role: a ToR must keep cross-rack packets alive to the
-            // tier (which holds window state for every channel) even
-            // when it absorbed every tuple — see set_tree_leaf().
-            programs_.back()->set_tree_leaf(true);
-        }
+    // Each ToR provisions exactly its rack's channel shard — the
+    // per-switch register state this buys is bounded by the rack size,
+    // not the cluster size (fig13b measures this).
+    for (std::uint32_t r = 0; r < topo_.num_racks(); ++r) {
+        auto lo = static_cast<ChannelId>(topo_.host_lo(RackId{r}) * cph);
+        auto hi =
+            static_cast<ChannelId>(lo + topo_.hosts_in(RackId{r}) * cph);
+        programs_.push_back(std::make_unique<AskSwitchProgram>(
+            config_.ask, *switches_[r], lo, hi));
+        // Leaf role: under a tier, a ToR must keep cross-rack packets
+        // alive to the tier (which holds window state for every
+        // channel) even when it absorbed every tuple — see
+        // set_tree_leaf(). A lone ToR is the tree root.
+        programs_.back()->set_tree_leaf(topo_.has_tier());
+    }
+    if (topo_.has_tier()) {
         // The tier merges everything, so it provisions every channel
         // any deployed host can use.
         programs_.push_back(std::make_unique<AskSwitchProgram>(
             config_.ask, *switches_[topo_.num_racks()], 0,
             static_cast<ChannelId>(topo_.num_hosts() * cph)));
     }
-    for (auto& p : programs_)
+    std::vector<AskSwitchProgram*> progs;
+    for (auto& p : programs_) {
         p->set_tracer(&obs_.tracer);
-
-    if (!fabric) {
-        controller_ = std::make_unique<AskSwitchController>(*programs_[0]);
-        controller_->set_wal(&wal_store_.controller_wal());
-        wal_store_.controller_wal().set_append_counter(
-            &chaos_stats_.wal_appends);
-    } else {
-        std::vector<AskSwitchProgram*> progs;
-        for (auto& p : programs_)
-            progs.push_back(p.get());
-        auto fab = std::make_unique<FabricController>(std::move(progs));
-        fab->attach_wals(wal_store_, &chaos_stats_.wal_appends);
-        controller_ = std::move(fab);
+        progs.push_back(p.get());
     }
+    controller_ = std::make_unique<AskSwitchController>(std::move(progs));
+    controller_->attach_wals(wal_store_, &chaos_stats_.wal_appends);
 
     MgmtRetryPolicy mgmt_policy;
     mgmt_policy.max_tries = config_.ask.mgmt_max_tries;
@@ -133,7 +106,7 @@ AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator* external)
         daemons_.back()->set_wal(&wal);
     }
 
-    if (fabric) {
+    if (topo_.has_tier()) {
         // Tier uplinks, then the FIBs. ToRs forward remote-host
         // destinations up; the tier forwards each host down its rack.
         net::NodeId tier_node = switches_[topo_.num_racks()]->node_id();
@@ -433,8 +406,8 @@ AskCluster::on_switch_reboot_end(const sim::ChaosEvent& e)
 
     // Recovery, in dependency order. (1) The controller re-installs
     // every journaled region — allocation truth lives host-side. The
-    // fabric fan-out is idempotent per switch: only the rebooted data
-    // plane is missing bindings.
+    // fan-out is idempotent per switch: only the rebooted data plane is
+    // missing bindings.
     chaos_stats_.regions_reinstalled += controller_->reinstall_after_reboot();
 
     // (2) Silence the senders of every active task BEFORE fencing:
@@ -453,7 +426,7 @@ AskCluster::on_switch_reboot_end(const sim::ChaosEvent& e)
         clear_active_regions();
 
     // (3) Fence every data channel: stale-drop pre-crash sequences and
-    // repair the compact-seen parity the wipe destroyed. The fabric
+    // repair the compact-seen parity the wipe destroyed. The controller
     // fences each channel on every switch provisioning it. Crashed
     // hosts are skipped — their channels re-fence at the WAL checkpoint
     // when they restart.
@@ -656,7 +629,7 @@ AskCluster::restart_controller()
              "); aborting every active task");
         // One corrupt journal poisons the whole fan-out: clear every
         // per-switch log and drop any partially-rebuilt journals so
-        // every sub-controller restarts consistently empty.
+        // every switch's journal restarts consistently empty.
         for (std::uint32_t s = 0; s < num_switches(); ++s)
             wal_store_.wal(controller_wal_name(SwitchId{s})).clear();
         controller_->crash();

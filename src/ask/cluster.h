@@ -2,18 +2,17 @@
  * @file
  * AskCluster: the top-level facade wiring a complete ASK deployment —
  * simulator, network fabric, one or more PISA switches running the ASK
- * program, the (fabric-aware) switch control plane, and one daemon per
- * server. This is the public entry point used by examples, tests, and
- * benchmarks.
+ * program, the switch control plane, and one daemon per server. This
+ * is the public entry point used by examples, tests, and benchmarks.
  *
- * Topology-first API: a ClusterConfig carries an explicit Topology
- * (racks, hosts per rack, tier links) built with TopologyBuilder. A
- * single-rack topology wires the classic star — one ToR, every daemon
- * attached to it. A multi-rack topology wires a two-tier tree: each
- * rack's ToR runs an AskSwitchProgram provisioned for *its rack's
- * channel shard*, an aggregation-tier switch provisioned for every
- * channel merges the ToR partial aggregates, and a FabricController
- * fans the control plane out across all of them. See
+ * Topology-first API: a ClusterConfig carries a Topology (racks, hosts
+ * per rack, tier links) built with TopologyBuilder. Every topology is
+ * wired one way: each rack's ToR runs an AskSwitchProgram provisioned
+ * for *its rack's channel shard*, every daemon attaches to its rack's
+ * ToR, and one AskSwitchController spans every switch. A multi-rack
+ * topology adds an aggregation-tier switch, provisioned for every
+ * channel, that merges the ToR partial aggregates; its ToRs become tree
+ * leaves. A one-rack cluster is the one-switch case. See
  * docs/ARCHITECTURE.md for the life of a cross-rack DATA packet.
  */
 #ifndef ASK_ASK_CLUSTER_H
@@ -29,7 +28,6 @@
 #include "ask/config.h"
 #include "ask/controller.h"
 #include "ask/daemon.h"
-#include "ask/fabric.h"
 #include "ask/mgmt.h"
 #include "ask/switch_program.h"
 #include "ask/topology.h"
@@ -52,16 +50,10 @@ struct ClusterConfig
 
     /**
      * The physical layout: racks, hosts per rack, tier links. Build
-     * one with TopologyBuilder. When unset, a single-rack topology of
-     * `num_hosts` servers is synthesized (the pre-fabric behavior).
+     * one with TopologyBuilder. When unset, one rack of two hosts.
      */
     std::optional<Topology> topology;
 
-    /** Servers attached to the ToR switch.
-     *  Deprecation note (back-compat shim): only consulted when
-     *  `topology` is unset; new callers should describe the layout
-     *  with TopologyBuilder instead. */
-    std::uint32_t num_hosts = 2;
     /** Per-port line rate (host <-> ToR). */
     double link_gbps = 100.0;
     /** One-way cable propagation delay (host <-> ToR). */
@@ -106,17 +98,6 @@ class AskCluster
   public:
     explicit AskCluster(const ClusterConfig& config);
 
-    /**
-     * External-simulator mode: wire the whole deployment onto a
-     * simulator the caller owns — in practice a sim::ParallelEngine
-     * island, so several clusters can run island-parallel under the
-     * engine's deterministic merge (see docs/CONCURRENCY.md). The
-     * cluster registers every event (packets, chaos, management RPCs)
-     * on `external`, which must outlive the cluster; run() drains it
-     * as usual, or the engine drives it together with its siblings.
-     */
-    AskCluster(const ClusterConfig& config, sim::Simulator& external);
-
     ~AskCluster();
 
     AskCluster(const AskCluster&) = delete;
@@ -158,7 +139,7 @@ class AskCluster
 
     // ---- topology ---------------------------------------------------------
 
-    /** The deployed layout (synthesized single-rack when the config
+    /** The deployed layout (one rack of two hosts when the config
      *  carried none). */
     const Topology& topology() const { return topo_; }
     std::uint32_t num_racks() const { return topo_.num_racks(); }
@@ -186,22 +167,8 @@ class AskCluster
         return switches_.at(s.value())->node_id();
     }
 
-    /** The control plane: a plain AskSwitchController for one rack, a
-     *  FabricController (fan-out) for several. */
+    /** The control plane over every switch. */
     AskSwitchController& controller() { return *controller_; }
-
-    // ---- deprecated single-switch shims ------------------------------------
-    // Deprecation note (back-compat shims): these pre-fabric accessors
-    // resolve to switch 0 — rack 0's ToR. They are exact on a
-    // single-rack cluster and partial views on a fabric; new code
-    // should pass a SwitchId.
-    pisa::PisaSwitch& pisa_switch() { return pisa_switch(SwitchId{0}); }
-    AskSwitchProgram& program() { return program(SwitchId{0}); }
-    const SwitchAggStats& switch_stats() const
-    {
-        return switch_stats(SwitchId{0});
-    }
-    net::NodeId switch_node() const { return switch_node(SwitchId{0}); }
 
     const ClusterConfig& config() const { return config_; }
 
@@ -280,10 +247,6 @@ class AskCluster
     void restart_controller();
 
   private:
-    /** The real constructor both public overloads delegate to:
-     *  `external == nullptr` means own the simulator. */
-    AskCluster(const ClusterConfig& config, sim::Simulator* external);
-
     /** Tasks currently in flight, for reboot recovery. */
     struct ActiveTask
     {
@@ -343,12 +306,7 @@ class AskCluster
     /** Stable storage. Declared before the components that journal into
      *  it and survives their crashes by construction. */
     WalStore wal_store_;
-    /** Owns the event queue in the classic mode; null when the cluster
-     *  was constructed onto an external (engine-island) simulator. */
-    std::unique_ptr<sim::Simulator> owned_simulator_;
-    /** The simulator every component schedules on — *owned_simulator_
-     *  or the caller's. All code below talks to this reference. */
-    sim::Simulator& simulator_;
+    sim::Simulator simulator_;
     net::Network network_;
     /** One per SwitchId: ToRs 0..R-1, then the tier switch (if any). */
     std::vector<std::unique_ptr<pisa::PisaSwitch>> switches_;

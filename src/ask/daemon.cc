@@ -1533,7 +1533,7 @@ AskDaemon::recover_from_wal(
         // Reconcile an interrupted swap: if the switch's epoch ran
         // ahead of the journaled commit, the SWAP was applied but the
         // retired copy never drained — finish the drain now.
-        if (controller_.program().find_task(task_id) != nullptr) {
+        if (controller_.installed(task_id)) {
             std::uint32_t switch_epoch = controller_.current_epoch(task_id);
             if (switch_epoch > t.committed_epoch) {
                 t.swap_in_flight = true;

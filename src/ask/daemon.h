@@ -325,8 +325,8 @@ class AskDaemon : public net::Node
      *                     Strongly typed; a raw std::uint32_t still
      *                     converts implicitly (see the HostId shim).
      * @param switch_node  node id of this host's ToR switch on the fabric.
-     * @param controller   the switch control plane (the fabric controller
-     *                     in a multi-rack deployment).
+     * @param controller   the switch control plane over every switch of
+     *                     the deployment.
      * @param mgmt         the management network all controller RPCs use.
      * @param obs          optional observability bundle (metrics + trace);
      *                     must outlive the daemon when given.

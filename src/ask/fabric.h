@@ -1,100 +1,12 @@
 /**
  * @file
- * The fabric-aware control plane for multi-rack deployments.
- *
- * A FabricController presents the exact AskSwitchController interface
- * the daemons speak, but manages one sub-controller — with its own
- * region journal and write-ahead log — per switch in the fabric (every
- * ToR plus the aggregation-tier switch). Each control-plane operation
- * fans out:
- *
- *   - allocate/release install (uninstall) the task's region on every
- *     switch, all-or-nothing: a task aggregates wherever its packets
- *     travel, so every switch on any path needs the region.
- *   - fetch concatenates the per-switch region drains — the software
- *     tier-merge of the partial aggregates; the receiver's
- *     merge_stream_into() folds keys split across switches under the
- *     task's bound ReduceOp (not an assumed `+`).
- *   - fence_channel reaches every switch provisioning the channel (the
- *     owning ToR and the tier), so a recovery fence is fabric-wide.
- *   - probe_packet merges verdicts: a slot consumed on ANY switch of
- *     the packet's path is consumed.
- *   - reinstall_after_reboot is idempotent per switch, so one rebooted
- *     ToR re-installs only its own lost bindings.
- *
- * Per-switch WALs (see controller_wal_name) keep each switch's region
- * journal independently recoverable — a fabric controller crash replays
- * every journal and reconciles each data plane separately.
+ * Forwarding header: the multi-switch control plane is
+ * AskSwitchController (ask/controller.h), which also declares
+ * controller_wal_name(). Kept while perfbench/src still includes it.
  */
 #ifndef ASK_ASK_FABRIC_H
 #define ASK_ASK_FABRIC_H
 
-#include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
-#include <vector>
-
 #include "ask/controller.h"
-#include "ask/switch_program.h"
-#include "ask/types.h"
-#include "ask/wal.h"
-
-namespace ask::core {
-
-/**
- * Name of the WAL journaling switch `s`'s regions. Switch 0 keeps the
- * classic "controller" name so single-switch tooling (and recovery
- * probes) keep working; the rest are "controller.s<N>".
- */
-std::string controller_wal_name(SwitchId s);
-
-/** The multi-switch control plane (see file header). */
-class FabricController : public AskSwitchController
-{
-  public:
-    /**
-     * @param programs one program per switch, indexed by SwitchId
-     *                 (ToRs first, the tier switch last). Must outlive
-     *                 the controller; at least one entry.
-     */
-    explicit FabricController(std::vector<AskSwitchProgram*> programs);
-
-    /** Attach one WAL per switch from `store`, named per
-     *  controller_wal_name(). `append_counter` (optional) receives
-     *  every journal append across the fabric. */
-    void attach_wals(WalStore& store, std::uint64_t* append_counter);
-
-    /** The per-switch sub-controller (tests, recovery probes). */
-    AskSwitchController& sub(SwitchId s) { return *subs_.at(s.value()); }
-
-    // ---- AskSwitchController ----------------------------------------------
-
-    std::optional<TaskRegion> allocate(
-        TaskId task, std::uint32_t len,
-        ReduceOp op = ReduceOp::kAdd) override;
-    void release(TaskId task) override;
-    void crash() override;
-    std::uint32_t recover_from_wal() override;
-    KvStream fetch(TaskId task, std::uint32_t copy, bool clear) override;
-    std::uint64_t fetch_scan_entries(TaskId task) const override;
-    std::uint32_t current_epoch(TaskId task) const override;
-    std::uint32_t free_aggregators() const override;
-    std::uint32_t reinstall_after_reboot() override;
-    void fence_channel(ChannelId channel, Seq next_seq) override;
-    AskSwitchProgram::ProbeResult probe_packet(ChannelId channel,
-                                               Seq seq) const override;
-    std::uint32_t num_switches() const override
-    {
-        return static_cast<std::uint32_t>(subs_.size());
-    }
-    std::vector<std::uint64_t> fetched_tally(TaskId task) const override;
-
-  private:
-    std::vector<AskSwitchProgram*> programs_;
-    std::vector<std::unique_ptr<AskSwitchController>> subs_;
-};
-
-}  // namespace ask::core
 
 #endif  // ASK_ASK_FABRIC_H

@@ -349,16 +349,6 @@ AskSwitchProgram::current_epoch(TaskId task) const
     return static_cast<std::uint32_t>(swap_epoch_->cp_read(r->epoch_slot));
 }
 
-void
-AskSwitchProgram::set_local_channels(ChannelId lo, ChannelId hi)
-{
-    ASK_ASSERT(lo < hi, "empty local channel range");
-    ASK_ASSERT(lo >= prov_lo_ && hi <= prov_hi_,
-               "local channels outside the provisioned range");
-    local_lo_ = lo;
-    local_hi_ = hi;
-}
-
 std::uint64_t
 AskSwitchProgram::reliability_state_bits() const
 {
@@ -864,11 +854,9 @@ AskSwitchProgram::process(net::Packet pkt, pisa::Emitter& emit)
     // provisioned channels (a ToR's own rack; everything for the tier
     // switch); other racks' traffic is plain-forwarded toward the
     // receiver host (aggregation happens at the tier, or at the host).
-    bool local = local_hi_ == 0 ? provisions(hdr->channel_id)
-                                : (hdr->channel_id >= local_lo_ &&
-                                   hdr->channel_id < local_hi_);
-    if (!local && (hdr->type == PacketType::kData ||
-                   hdr->type == PacketType::kLongData)) {
+    if (!provisions(hdr->channel_id) &&
+        (hdr->type == PacketType::kData ||
+         hdr->type == PacketType::kLongData)) {
         net::NodeId dst = pkt.dst;
         emit.emit(dst, std::move(pkt));
         return;

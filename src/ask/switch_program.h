@@ -78,14 +78,14 @@ class AskSwitchProgram : public pisa::SwitchProgram
     AskSwitchProgram(const AskConfig& config, pisa::PisaSwitch& sw);
 
     /**
-     * Fabric variant: provision reliability state (max_seq, seen,
+     * Sharded variant: provision reliability state (max_seq, seen,
      * pkt_state) for the channel range [lo, hi) only — a rack's ToR
      * carries state for its own hosts' channels, not the whole
      * cluster's, which is what keeps per-switch state bounded by rack
      * size as racks are added (paper §7). Channels outside the range
      * are not local: their DATA/LONG_DATA traffic is plain-forwarded
-     * toward the receiver. The single-switch constructor above is
-     * exactly [0, max_channels()).
+     * toward the receiver. AskCluster builds every switch this way;
+     * the constructor above is exactly [0, max_channels()).
      */
     AskSwitchProgram(const AskConfig& config, pisa::PisaSwitch& sw,
                      ChannelId lo, ChannelId hi);
@@ -139,15 +139,6 @@ class AskSwitchProgram : public pisa::SwitchProgram
 
     /** Reset a task's swap epoch to 0 (on region release). */
     void reset_epoch(TaskId task);
-
-    /**
-     * Multi-rack deployments (paper §7): restrict the aggregation (and
-     * all reliability state) to this ToR's local data channels
-     * [lo, hi). Traffic from other racks is forwarded untouched, so
-     * per-switch state stays bounded by the rack's own hosts. Default:
-     * every channel is local (single-rack deployment).
-     */
-    void set_local_channels(ChannelId lo, ChannelId hi);
 
     /** Does this switch hold reliability state for `channel`? */
     bool provisions(ChannelId channel) const
@@ -340,8 +331,6 @@ class AskSwitchProgram : public pisa::SwitchProgram
     /** Provisioned channel range (reliability-state coverage). */
     ChannelId prov_lo_ = 0;
     ChannelId prov_hi_ = 0;
-    ChannelId local_lo_ = 0;
-    ChannelId local_hi_ = 0;  ///< 0,0 = every provisioned channel is local
     bool data_blackhole_ = false;
     bool tree_leaf_ = false;  ///< leaf ToR: forward residuals, never consume
     obs::PacketTracer* tracer_ = nullptr;  ///< borrowed, may be null

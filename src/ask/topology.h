@@ -3,13 +3,12 @@
  * Explicit cluster topology: racks of hosts behind per-rack ToR switches,
  * joined by an upper aggregation tier (paper §7, "scaling out").
  *
- * The pre-fabric ClusterConfig described a deployment as a flat
- * `num_hosts` behind one implicit ToR. A Topology makes the shape
- * first-class: how many racks, how many hosts each, and the links that
- * join the tiers. Single-rack topologies reproduce the old deployment
- * exactly (one switch, no tier); multi-rack topologies add one
+ * A Topology is how a ClusterConfig describes a deployment: how many
+ * racks, how many hosts each, and the links that join the tiers. A
+ * single rack is one switch and no tier; multi-rack topologies add one
  * aggregation-tier switch above the ToRs that merges partial aggregates
- * in-network before delivery.
+ * in-network before delivery. AskCluster wires both the same way — a
+ * one-rack cluster is the one-switch case of the fabric.
  *
  * Build one with TopologyBuilder:
  *
@@ -54,7 +53,7 @@ struct Topology
     std::uint32_t num_hosts() const;
 
     /** Multi-rack deployments run one aggregation-tier switch above the
-     *  ToRs; a single rack is exactly the classic one-switch cluster. */
+     *  ToRs; a single rack runs its ToR alone. */
     bool has_tier() const { return num_racks() > 1; }
 
     /** Switches in the fabric: the ToRs plus the tier switch (if any). */

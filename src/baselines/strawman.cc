@@ -9,7 +9,7 @@ strawman_cluster(std::uint32_t hosts, std::uint32_t channels_per_host,
                  std::uint32_t expected_distinct_keys)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = hosts;
+    cc.topology = core::TopologyBuilder().add_rack(hosts).build();
     cc.ask.num_aas = 1;
     cc.ask.medium_groups = 0;
     cc.ask.shadow_copies = false;

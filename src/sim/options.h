@@ -6,9 +6,10 @@
  * engine (see sim/engine.h). It defaults to 1 — fully sequential, the
  * behavior every test and bench was written against — and is raised
  * either programmatically or with the ASK_SIM_THREADS environment
- * variable. Raising it never changes results: the engine's merge is
- * deterministic, so a run is bit-for-bit identical at any thread
- * count (docs/CONCURRENCY.md gives the argument).
+ * variable. Raising it never changes results: jobs are independent
+ * and their results are folded in job order, so a run is bit-for-bit
+ * identical at any thread count (docs/CONCURRENCY.md gives the
+ * argument).
  */
 #ifndef ASK_SIM_OPTIONS_H
 #define ASK_SIM_OPTIONS_H

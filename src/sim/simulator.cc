@@ -167,23 +167,6 @@ Simulator::run_until(SimTime deadline)
     return now_;
 }
 
-SimTime
-Simulator::run_before(SimTime end)
-{
-    while (settle_head() && heap_.front().time < end)
-        run_head();
-    return now_;
-}
-
-bool
-Simulator::next_event_time(SimTime* t)
-{
-    if (!settle_head())
-        return false;
-    *t = heap_.front().time;
-    return true;
-}
-
 bool
 Simulator::step()
 {

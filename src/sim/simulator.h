@@ -228,23 +228,6 @@ class Simulator
      */
     SimTime run_until(SimTime deadline);
 
-    /**
-     * Run every event with time strictly before `end`, including events
-     * those events schedule into [now, end). Unlike run_until, now() is
-     * NOT advanced to `end` when the queue drains early — the parallel
-     * engine runs one lookahead window [T, T+L) per island with this,
-     * and an island that sat idle must still accept merged cross-island
-     * work stamped anywhere >= its last executed event.
-     */
-    SimTime run_before(SimTime end);
-
-    /**
-     * Time of the earliest live (non-cancelled) pending event, written
-     * to `*t`. Returns false when the queue is drained. Cancelled heads
-     * are purged on the way, so the answer is exact, not a bound.
-     */
-    bool next_event_time(SimTime* t);
-
     /** Execute at most one event. Returns false if the queue was empty. */
     bool step();
 

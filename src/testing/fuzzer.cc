@@ -154,7 +154,7 @@ run_fuzz(const FuzzOptions& options)
         sim_options.num_threads = options.num_threads;
     sim::ParallelEngine engine(sim_options);
 
-    // Scenarios run in fixed-size waves (replica islands on the engine
+    // Scenarios run in fixed-size waves (independent jobs on the engine
     // pool), then fold into the report strictly in scenario order. The
     // wave size is a constant, NOT the thread count: the fold — and so
     // the report bytes, including where a max_failures campaign stops —

@@ -42,9 +42,9 @@ struct FuzzOptions
     /**
      * Worker threads for the campaign (0 = read ASK_SIM_THREADS via
      * sim::SimOptions::from_env()). Every scenario is an independent
-     * replica island — its own AskCluster, simulator, and oracle — so
-     * the campaign runs them in fixed-size waves on the parallel
-     * engine and folds outcomes in scenario order. The report (and its
+     * job — its own AskCluster, simulator, and oracle — so the
+     * campaign runs them in fixed-size waves on the parallel engine
+     * and folds outcomes in scenario order. The report (and its
      * bytes) is identical at any thread count; the sim_parallel_ab
      * ctest diffs 1 vs 2 vs 4 to keep that true.
      */

@@ -101,7 +101,7 @@ sample_chaos(Rng& rng, const core::ClusterConfig& cluster,
                static_cast<sim::SimTime>(
                    rng.next_below(static_cast<std::uint64_t>(horizon)));
         e.subject = static_cast<std::uint32_t>(
-            rng.next_below(cluster.num_hosts));
+            rng.next_below(cluster.topology->num_hosts()));
         if (roll < 3) {
             e.kind = sim::ChaosKind::kLinkBlackout;
             e.duration = std::min<sim::SimTime>(dur, 1 * kMillisecond);
@@ -168,7 +168,7 @@ sample_crashes(Rng& rng, const core::ClusterConfig& cluster,
             e.duration = (100 + rng.next_below(500)) * kMicrosecond;
         } else {
             e.subject = static_cast<std::uint32_t>(
-                rng.next_below(cluster.num_hosts));
+                rng.next_below(cluster.topology->num_hosts()));
             e.duration = (50 + rng.next_below(450)) * kMicrosecond;
         }
         cursor += rng.next_below(1 + static_cast<std::uint64_t>(
@@ -198,12 +198,10 @@ ScenarioSpec::describe() const
     // Seeds are uint64; render as a string so the document round-trips
     // the exact value (Json integers are int64).
     d.set("seed", std::to_string(seed));
-    d.set("hosts", cluster.num_hosts);
-    d.set("racks", cluster.topology.has_value() ? cluster.topology->num_racks()
-                                                : 1u);
-    d.set("switches", cluster.topology.has_value()
-                          ? cluster.topology->num_switches()
-                          : 1u);
+    // generate_scenario() always sets the topology.
+    d.set("hosts", cluster.topology->num_hosts());
+    d.set("racks", cluster.topology->num_racks());
+    d.set("switches", cluster.topology->num_switches());
     d.set("num_aas", cluster.ask.num_aas);
     d.set("aggregators_per_aa", cluster.ask.aggregators_per_aa);
     d.set("window", cluster.ask.window);
@@ -265,8 +263,9 @@ generate_scenario(std::uint64_t seed, const ScenarioTuning& tuning)
 
     // ---- deployment ------------------------------------------------------
     core::ClusterConfig& cc = spec.cluster;
-    cc.num_hosts = static_cast<std::uint32_t>(rng.next_in(2, 4));
-    cc.ask.max_hosts = cc.num_hosts;
+    const auto hosts = static_cast<std::uint32_t>(rng.next_in(2, 4));
+    cc.topology = core::TopologyBuilder().add_rack(hosts).build();
+    cc.ask.max_hosts = hosts;
     cc.ask.num_aas = rng.chance(0.5) ? 8 : 4;
     cc.ask.medium_segments = 2;
     cc.ask.medium_groups = cc.ask.num_aas == 8 ? 2 : 1;
@@ -283,9 +282,9 @@ generate_scenario(std::uint64_t seed, const ScenarioTuning& tuning)
     // blackhole scenarios to degrade within the simulated horizon.
     cc.ask.max_data_tries = static_cast<std::uint32_t>(rng.next_in(6, 12));
     switch (rng.next_below(4)) {
-      case 0: cc.ask.op = core::AggOp::kMax; break;
-      case 1: cc.ask.op = core::AggOp::kMin; break;
-      default: cc.ask.op = core::AggOp::kAdd; break;
+      case 0: cc.ask.op = core::ReduceOp::kMax; break;
+      case 1: cc.ask.op = core::ReduceOp::kMin; break;
+      default: cc.ask.op = core::ReduceOp::kAdd; break;
     }
     cc.seed = rng.next_u64();
     if (rng.chance(0.5)) {
@@ -302,7 +301,7 @@ generate_scenario(std::uint64_t seed, const ScenarioTuning& tuning)
         TaskSpec task;
         task.id = i + 1;
         task.receiver_host =
-            static_cast<std::uint32_t>(rng.next_below(cc.num_hosts));
+            static_cast<std::uint32_t>(rng.next_below(hosts));
         // Every task's region must fit the pool alongside its peers'.
         std::uint32_t max_len = std::max(4u, copy / num_tasks);
         if (num_tasks == 1 && rng.chance(0.3))
@@ -315,7 +314,7 @@ generate_scenario(std::uint64_t seed, const ScenarioTuning& tuning)
                 core::TaskOptions::SwapPolicy::kDisabled;
 
         // Senders: a non-empty subset of the other hosts.
-        for (std::uint32_t h = 0; h < cc.num_hosts; ++h) {
+        for (std::uint32_t h = 0; h < hosts; ++h) {
             if (h == task.receiver_host)
                 continue;
             if (task.streams.empty() || rng.chance(0.7))
@@ -352,16 +351,16 @@ generate_scenario(std::uint64_t seed, const ScenarioTuning& tuning)
     // Multi-rack layouts ride a dedicated chain as well: every draw
     // above (deployment, streams, chaos) is byte-identical to the
     // pre-fabric generator, and the topology choice only re-shapes the
-    // wiring into racks plus an aggregation tier. About half the
+    // one rack drawn above into racks plus an aggregation tier. About half the
     // scenarios exercise the hierarchical merge path — including under
     // the ToR/tier reboot and crash chaos sampled above (reboot
     // subjects map onto fabric switches modulo num_switches).
     Rng topo_rng(mix64(seed ^ 0x7090a11fabULL));
-    if (cc.num_hosts >= 2 && topo_rng.chance(0.5)) {
+    if (hosts >= 2 && topo_rng.chance(0.5)) {
         auto racks = static_cast<std::uint32_t>(
-            2 + topo_rng.next_below(std::min(cc.num_hosts, 3u) - 1));
+            2 + topo_rng.next_below(std::min(hosts, 3u) - 1));
         std::vector<std::uint32_t> per_rack(racks, 0);
-        for (std::uint32_t h = 0; h < cc.num_hosts; ++h)
+        for (std::uint32_t h = 0; h < hosts; ++h)
             ++per_rack[h % racks];
         core::TopologyBuilder builder;
         for (std::uint32_t r = 0; r < racks; ++r)

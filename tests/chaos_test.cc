@@ -53,7 +53,7 @@ short_stream(Rng& rng, std::size_t n, std::size_t distinct)
 }
 
 AggregateMap
-truth_of(const std::vector<StreamSpec>& streams, AggOp op)
+truth_of(const std::vector<StreamSpec>& streams, ReduceOp op)
 {
     AggregateMap t;
     for (const auto& s : streams)
@@ -65,7 +65,7 @@ ClusterConfig
 base_config()
 {
     ClusterConfig cc;
-    cc.num_hosts = 3;
+    cc.topology = TopologyBuilder().add_rack(3).build();
     cc.ask.max_hosts = 3;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 128;
@@ -105,7 +105,7 @@ TEST(Chaos, SwitchRebootMidTaskStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 11;
     std::vector<StreamSpec> streams = two_streams(11, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -134,7 +134,7 @@ TEST(Chaos, SwitchRebootUnderLossWithSwapsStaysExact)
     cc.faults = net::FaultSpec::lossy(0.08, 0.04, 0.1);
     cc.seed = 23;
     std::vector<StreamSpec> streams = two_streams(23, 1000);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -153,7 +153,7 @@ TEST(Chaos, TwoRebootsBackToBackStayExact)
     ClusterConfig cc = base_config();
     cc.seed = 31;
     std::vector<StreamSpec> streams = two_streams(31, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);
@@ -184,7 +184,7 @@ TEST(Chaos, DataBlackholeDegradesToHostAggregation)
     Rng rng = seeded_rng("chaos_test", 41);
     std::vector<StreamSpec> streams{{1, mixed_stream(rng, 300, 40)},
                                     {2, mixed_stream(rng, 300, 40)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     AskCluster cluster(cc);
     sim::ChaosPlan plan;
@@ -200,7 +200,7 @@ TEST(Chaos, DataBlackholeDegradesToHostAggregation)
     ChaosStats cs = cluster.chaos_stats();
     EXPECT_EQ(cs.data_blackholes, 1u);
     EXPECT_GE(cs.degraded_entries, 1u);  // at least one sender fell back
-    EXPECT_GT(cluster.switch_stats().blackholed, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).blackholed, 0u);
     // Everything after the fallback travels the long-key bypass.
     EXPECT_GT(cluster.total_host_stats().long_packets_sent, 0u);
     EXPECT_GT(cluster.total_host_stats().tuples_aggregated_locally, 0u);
@@ -213,7 +213,7 @@ TEST(Chaos, TransientBlackholeRecoversAndStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 43;
     std::vector<StreamSpec> streams = two_streams(43, 600);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     AskCluster cluster(cc);
     sim::ChaosPlan plan;
@@ -226,7 +226,7 @@ TEST(Chaos, TransientBlackholeRecoversAndStaysExact)
     TaskResult r = cluster.run_task(1, 0, streams);
     ASSERT_TRUE(r.ok()) << r.report.detail;
     EXPECT_EQ(r.result, truth);
-    EXPECT_GT(cluster.switch_stats().blackholed, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).blackholed, 0u);
     EXPECT_EQ(cluster.chaos_stats().degraded_entries, 0u);
 }
 
@@ -239,7 +239,7 @@ TEST(Chaos, LinkEpisodesStayExact)
     ClusterConfig cc = base_config();
     cc.seed = 53;
     std::vector<StreamSpec> streams = two_streams(53, 1000);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);
@@ -263,12 +263,12 @@ TEST(Chaos, RandomizedPlanOnLossyFabricStaysExact)
     cc.seed = 67;
 
     std::vector<StreamSpec> streams = two_streams(67, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     AskCluster cluster(cc);
     cluster.arm_chaos(sim::ChaosPlan::randomized(
         /*seed=*/67, /*horizon=*/50 * kMillisecond, /*episodes=*/12,
-        /*num_hosts=*/cc.num_hosts, /*mean_duration=*/200 * kMicrosecond,
+        /*num_hosts=*/cluster.num_hosts(), /*mean_duration=*/200 * kMicrosecond,
         /*intensity=*/0.4));
 
     TaskResult r = cluster.run_task(1, 0, streams);
@@ -286,7 +286,7 @@ TEST(Chaos, MgmtOutageIsRiddenOutByRetries)
     cc.seed = 71;
     Rng rng = seeded_rng("chaos_test", 71);
     std::vector<StreamSpec> streams{{1, mixed_stream(rng, 300, 40)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     AskCluster cluster(cc);
     sim::ChaosPlan plan;
@@ -339,7 +339,7 @@ TEST(Chaos, RegionExhaustionFailsSecondTask)
 
     Rng rng = seeded_rng("chaos_test", 83);
     std::vector<StreamSpec> s1{{1, mixed_stream(rng, 400, 50)}};
-    AggregateMap truth = truth_of(s1, AggOp::kAdd);
+    AggregateMap truth = truth_of(s1, ReduceOp::kAdd);
 
     TaskResult first;
     TaskReport second;
@@ -462,7 +462,7 @@ TEST(Chaos, EverythingEverywhereStaysExact)
     cc.faults = net::FaultSpec::lossy(0.03, 0.01, 0.05);
     cc.seed = 101;
     std::vector<StreamSpec> streams = two_streams(101, 1500);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);
@@ -495,7 +495,7 @@ TEST(Chaos, ReceiverCrashMidTaskRecoversExactly)
     ClusterConfig cc = base_config();
     cc.seed = 103;
     std::vector<StreamSpec> streams = two_streams(103, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -521,7 +521,7 @@ TEST(Chaos, SenderCrashMidTaskReplaysAndStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 107;
     std::vector<StreamSpec> streams = two_streams(107, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -552,7 +552,7 @@ TEST(Chaos, ReceiverCrashWithSwapsAndLossStaysExact)
     cc.faults = net::FaultSpec::lossy(0.05, 0.02, 0.08);
     cc.seed = 109;
     std::vector<StreamSpec> streams = two_streams(109, 1000);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -571,7 +571,7 @@ TEST(Chaos, ControllerCrashMidTaskStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 113;
     std::vector<StreamSpec> streams = two_streams(113, 1200);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
 
     AskCluster cluster(cc);
@@ -596,7 +596,7 @@ TEST(Chaos, ControllerCrashThenSwitchRebootStaysExact)
     ClusterConfig cc = base_config();
     cc.seed = 127;
     std::vector<StreamSpec> streams = two_streams(127, 1500);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);
@@ -678,7 +678,7 @@ TEST(Chaos, CrashAfterDrainRecoversToEmptyState)
     ClusterConfig cc = base_config();
     cc.seed = 139;
     std::vector<StreamSpec> streams = two_streams(139, 400);
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     AskCluster cluster(cc);
@@ -719,20 +719,20 @@ TEST(Chaos, LogsStayBoundedOverManyLossyTasks)
     Wal one("one");
     one.append(checkpoint);
     std::size_t channels =
-        std::size_t{cc.num_hosts} * cc.ask.channels_per_host;
+        std::size_t{cluster.num_hosts()} * cc.ask.channels_per_host;
     std::size_t bound = 2 * channels * one.size_bytes();
 
     std::size_t largest_early = 0;
     std::size_t largest_late = 0;
     for (TaskId task = 1; task <= 200; ++task) {
         std::vector<StreamSpec> streams = two_streams(1000 + task, 150);
-        AggregateMap truth = truth_of(streams, AggOp::kAdd);
+        AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
         TaskResult r = cluster.run_task(task, 0, streams);
         ASSERT_TRUE(r.ok()) << "task " << task << ": " << r.report.detail;
         ASSERT_EQ(r.result, truth) << "task " << task;
 
         std::size_t largest = cluster.wal_store().controller_wal().size_bytes();
-        for (std::uint32_t h = 0; h < cc.num_hosts; ++h) {
+        for (std::uint32_t h = 0; h < cluster.num_hosts(); ++h) {
             const Wal& log = cluster.wal_store().host_wal(h);
             largest = std::max(largest, log.size_bytes());
             ASSERT_LE(log.records(), channels) << "task " << task;
@@ -756,7 +756,7 @@ TEST(Chaos, SwitchRebootsReplayTheSharedStreamExactly)
     cc.ask.op = ReduceOp::kCount;
     cc.seed = 157;
     std::vector<StreamSpec> streams = two_streams(157, 1500);
-    AggregateMap truth = truth_of(streams, AggOp::kCount);
+    AggregateMap truth = truth_of(streams, ReduceOp::kCount);
     sim::SimTime finish = undisturbed_finish_time(cc, streams);
 
     // The second reboot lands halfway through the first replay (which
@@ -817,7 +817,7 @@ TEST(Chaos, HostCrashAfterCompactionsRecoversExactly)
         std::vector<StreamSpec> streams = streams_of(task);
         TaskResult r = cluster.run_task(task, 0, streams);
         ASSERT_TRUE(r.ok()) << r.report.detail;
-        EXPECT_EQ(r.result, truth_of(streams, AggOp::kAdd));
+        EXPECT_EQ(r.result, truth_of(streams, ReduceOp::kAdd));
     }
     const Wal& log = cluster.wal_store().host_wal(0);
     EXPECT_GE(log.compactions(), 5u);
@@ -829,7 +829,7 @@ TEST(Chaos, HostCrashAfterCompactionsRecoversExactly)
     std::vector<StreamSpec> streams = streams_of(6);
     TaskResult r = cluster.run_task(6, 0, streams);
     ASSERT_TRUE(r.ok()) << r.report.detail;
-    EXPECT_EQ(r.result, truth_of(streams, AggOp::kAdd));
+    EXPECT_EQ(r.result, truth_of(streams, ReduceOp::kAdd));
     EXPECT_EQ(cluster.chaos_stats().host_crashes, 1u);
     EXPECT_EQ(cluster.chaos_stats().host_recoveries, 1u);
     EXPECT_TRUE(log.verify());

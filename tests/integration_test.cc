@@ -21,7 +21,7 @@ ClusterConfig
 small_cluster(std::uint32_t hosts)
 {
     ClusterConfig cc;
-    cc.num_hosts = hosts;
+    cc.topology = TopologyBuilder().add_rack(hosts).build();
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 256;
     cc.ask.medium_groups = 2;
@@ -55,7 +55,7 @@ ground_truth(const std::vector<StreamSpec>& streams)
 {
     AggregateMap truth;
     for (const auto& s : streams)
-        aggregate_into(truth, s.stream, AggOp::kAdd);
+        aggregate_into(truth, s.stream, ReduceOp::kAdd);
     return truth;
 }
 
@@ -83,7 +83,7 @@ TEST(Integration, MultiSenderExactResult)
     TaskResult r = cluster.run_task(1, 0, streams);
     EXPECT_EQ(r.result, truth);
     // Multiple senders' tuples for the same key merged on the switch.
-    EXPECT_GT(cluster.switch_stats().tuples_aggregated, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).tuples_aggregated, 0u);
 }
 
 TEST(Integration, ReceiverCanAlsoSend)
@@ -143,7 +143,7 @@ TEST(Integration, ConservationOfTuples)
     std::uint64_t total = 1400;
     TaskResult r = cluster.run_task(1, 0, streams);
 
-    const SwitchAggStats& sw = cluster.switch_stats();
+    const SwitchAggStats& sw = cluster.switch_stats(SwitchId{0});
     HostStats hosts = cluster.total_host_stats();
     EXPECT_EQ(sw.tuples_aggregated + hosts.tuples_aggregated_locally, total);
     EXPECT_EQ(sw.tuples_in, total);
@@ -221,7 +221,7 @@ TEST(Integration, ShadowCopySwapsPreserveExactness)
     TaskResult r = cluster.run_task(1, 0, streams, {.region_len = 2});
     EXPECT_EQ(r.result, truth);
     EXPECT_GT(r.report.swaps, 0u);
-    EXPECT_GT(cluster.switch_stats().swaps, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).swaps, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
  * Multi-rack fabric tests: each rack's ToR runs an AskSwitchProgram
  * provisioned for its rack's channel shard, and an aggregation-tier
  * switch merges the ToR partial aggregates before delivery (tree
- * aggregation). Exactly-once correctness must hold for intra-rack,
+ * aggregation). A single rack is wired the same way, as the one-switch
+ * case. Exactly-once correctness must hold for intra-rack,
  * cross-rack, and mixed tasks — including through a mid-task ToR
  * reboot — and per-ToR reliability state must stay bounded by the rack
  * size, not the cluster size.
@@ -48,7 +49,7 @@ mixed_stream(Rng& rng, std::size_t n, std::size_t distinct)
 }
 
 AggregateMap
-truth_of(const std::vector<StreamSpec>& streams, AggOp op)
+truth_of(const std::vector<StreamSpec>& streams, ReduceOp op)
 {
     AggregateMap t;
     for (const auto& s : streams)
@@ -112,7 +113,7 @@ TEST(MultiRack, IntraRackTaskAggregatesAndAcksOnItsToR)
 {
     AskCluster cluster(fabric_config(2));
     std::vector<StreamSpec> streams = {{HostId{1}, rack_stream(2, 600)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     TaskResult r = cluster.run_task(1, HostId{0}, streams);
     ASSERT_TRUE(r.ok()) << r.report.detail;
@@ -133,7 +134,7 @@ TEST(MultiRack, CrossRackResidualsDieAtTheTier)
     // Few distinct keys and a roomy region: the sender's ToR absorbs
     // whole packets, which must still reach the tier as residuals.
     std::vector<StreamSpec> streams = {{HostId{2}, rack_stream(3, 600, 24)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     TaskResult r = cluster.run_task(2, HostId{0}, streams);
     ASSERT_TRUE(r.ok()) << r.report.detail;
@@ -185,7 +186,7 @@ TEST(MultiRack, CollidingKeysMergeAtTheTier)
     // travel upward and the tier performs a genuine second-level merge.
     std::vector<StreamSpec> streams = {{HostId{1}, rack_stream(6, 500)},
                                        {HostId{2}, rack_stream(7, 500)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     TaskOptions opts;
     opts.region_len = 2;
@@ -263,8 +264,8 @@ TEST(MultiRack, ConcurrentTasksInBothRacksStayExact)
     std::vector<StreamSpec> sa = {{HostId{1}, rack_stream(8, 400)},
                                   {HostId{2}, rack_stream(9, 400)}};
     std::vector<StreamSpec> sb = {{HostId{3}, rack_stream(10, 400)}};
-    AggregateMap ta = truth_of(sa, AggOp::kAdd);
-    AggregateMap tb = truth_of(sb, AggOp::kAdd);
+    AggregateMap ta = truth_of(sa, ReduceOp::kAdd);
+    AggregateMap tb = truth_of(sb, ReduceOp::kAdd);
 
     // Explicit regions: a defaulted task would claim the whole pool
     // (copy_size = 64 here) and starve the one allocated after it.
@@ -294,7 +295,7 @@ TEST(MultiRack, ToRRebootMidTaskStaysExact)
     ClusterConfig cc = fabric_config(7);
     std::vector<StreamSpec> streams = {{HostId{2}, rack_stream(11, 1200)},
                                        {HostId{3}, rack_stream(12, 1200)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     // Dry-run on an identical fault-free fabric to aim the reboot at
     // the middle of the task.
@@ -327,7 +328,7 @@ TEST(MultiRack, TierRebootMidTaskStaysExact)
     ClusterConfig cc = fabric_config(8);
     std::vector<StreamSpec> streams = {{HostId{1}, rack_stream(13, 1000)},
                                        {HostId{2}, rack_stream(14, 1000)}};
-    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
 
     sim::SimTime mid;
     {
@@ -351,6 +352,73 @@ TEST(MultiRack, TierRebootMidTaskStaysExact)
     ASSERT_TRUE(r.ok()) << r.report.detail;
     EXPECT_EQ(r.result, truth);
     EXPECT_EQ(cluster.chaos_stats().switch_reboots, 1u);
+}
+
+TEST(MultiRack, OneRackIsAOneSwitchFabric)
+{
+    // One rack is the one-switch case of the fabric wiring: its ToR
+    // provisions exactly its own hosts' channels, although the default
+    // max_hosts leaves room for more, and with no tier above it the ToR
+    // is the tree root.
+    ClusterConfig cc = fabric_config(21);
+    cc.topology = TopologyBuilder().add_rack(3).build();
+    cc.ask.max_hosts = AskConfig{}.max_hosts;
+    cc.faults = net::FaultSpec::lossy(0.02, 0.0, 0.0);
+    std::vector<StreamSpec> streams = {{HostId{1}, rack_stream(21, 1000)},
+                                       {HostId{2}, rack_stream(22, 1000)}};
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
+
+    sim::SimTime mid;
+    {
+        AskCluster dry(cc);
+        TaskResult r = dry.run_task(1, HostId{0}, streams);
+        ASSERT_TRUE(r.ok()) << r.report.detail;
+        mid = r.report.finish_time / 2;
+    }
+
+    AskCluster cluster(cc);
+    std::uint32_t cph = cc.ask.channels_per_host;
+    ASSERT_LT(3u, cc.ask.max_hosts);
+    EXPECT_EQ(cluster.num_switches(), 1u);
+    EXPECT_EQ(cluster.program(kTor0).provisioned_lo(), 0u);
+    EXPECT_EQ(cluster.program(kTor0).provisioned_hi(), 3 * cph);
+    EXPECT_FALSE(cluster.program(kTor0).tree_leaf());
+    EXPECT_EQ(cluster.controller().num_switches(), 1u);
+
+    sim::ChaosPlan plan;
+    sim::ChaosEvent reboot;
+    reboot.kind = sim::ChaosKind::kSwitchReboot;
+    reboot.at = mid;
+    reboot.duration = 200 * kMicrosecond;
+    reboot.subject = 0;
+    plan.add(reboot);
+    cluster.arm_chaos(plan);
+
+    TaskResult r;
+    bool done = false;
+    cluster.submit_task(1, HostId{0}, streams, {},
+                        [&](AggregateMap result, TaskReport report) {
+                            r.result = std::move(result);
+                            r.report = std::move(report);
+                            done = true;
+                        });
+    // Mid-task, the region's allocation is the one live record of the
+    // controller's only journal, the classic "controller" log.
+    cluster.simulator().run_until(mid - 1);
+    EXPECT_EQ(cluster.wal_store().controller_wal().records(), 1u);
+    obs::Json logs = cluster.wal_store().describe();
+    EXPECT_EQ(logs.size(), 1 + cluster.num_hosts());
+    EXPECT_EQ(logs.find(controller_wal_name(SwitchId{1})), nullptr);
+
+    cluster.run();
+    ASSERT_TRUE(done);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    EXPECT_EQ(cluster.chaos_stats().switch_reboots, 1u);
+    ASSERT_EQ(r.report.shards.size(), 1u);
+    EXPECT_EQ(r.report.shards[0].switch_id, kTor0);
+    EXPECT_FALSE(r.report.shards[0].is_tier);
+    EXPECT_EQ(r.report.shards[0].channel_hi, 3 * cph);
 }
 
 TEST(MultiRack, PerSwitchStateBoundedByRackSize)

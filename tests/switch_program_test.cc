@@ -56,7 +56,7 @@ class SwitchProgramTest : public ::testing::Test
           sw_(network_, 16, pisa::kDefaultStageSramBytes),
           config_(test_config()),
           program_(config_, sw_),
-          controller_(program_),
+          controller_({&program_}),
           key_space_(config_)
     {
         network_.attach(&sw_);
@@ -564,7 +564,7 @@ TEST(SwitchController, UndeclaredOpRejectedBeforeAllocation)
     AskConfig cfg = test_config();
     cfg.part_bits = 16;
     AskSwitchProgram program(cfg, sw);
-    AskSwitchController ctl(program);
+    AskSwitchController ctl({&program});
 
     std::uint32_t free_before = ctl.free_aggregators();
     EXPECT_THROW(ctl.allocate(1, 10, ReduceOp::kFloat), ConfigError);
@@ -746,6 +746,32 @@ TEST(SwitchProgramConfig, PlainSeenVariantAlsoFits)
     EXPECT_EQ(sw.pipeline().find_array("seen"), nullptr);
 }
 
+TEST(SwitchProgramConfig, ProvisionsExactlyItsChannelRange)
+{
+    sim::Simulator simulator;
+    net::Network network(simulator);
+    pisa::PisaSwitch shard_sw(network, 16, pisa::kDefaultStageSramBytes);
+    pisa::PisaSwitch full_sw(network, 16, pisa::kDefaultStageSramBytes);
+    AskConfig cfg = test_config();  // 4 hosts x 2 channels
+    AskSwitchProgram shard(cfg, shard_sw, 2, 6);
+    AskSwitchProgram full(cfg, full_sw);
+
+    EXPECT_EQ(shard.provisioned_lo(), 2u);
+    EXPECT_EQ(shard.provisioned_hi(), 6u);
+    EXPECT_FALSE(shard.provisions(1));
+    EXPECT_TRUE(shard.provisions(2));
+    EXPECT_TRUE(shard.provisions(5));
+    EXPECT_FALSE(shard.provisions(6));
+    // Reliability state is sized by the range, not by max_hosts.
+    EXPECT_EQ(shard.reliability_state_bits() * 2,
+              full.reliability_state_bits());
+
+    // Without a range, every channel max_hosts allows.
+    EXPECT_TRUE(full.provisions(0));
+    EXPECT_TRUE(full.provisions(cfg.max_channels() - 1));
+    EXPECT_FALSE(full.provisions(cfg.max_channels()));
+}
+
 TEST(SwitchController, AllocateReleaseReuse)
 {
     sim::Simulator simulator;
@@ -753,7 +779,7 @@ TEST(SwitchController, AllocateReleaseReuse)
     pisa::PisaSwitch sw(network, 16, pisa::kDefaultStageSramBytes);
     AskConfig cfg = test_config();
     AskSwitchProgram program(cfg, sw);
-    AskSwitchController ctl(program);
+    AskSwitchController ctl({&program});
 
     std::uint32_t cap = cfg.copy_size();
     EXPECT_EQ(ctl.free_aggregators(), cap);

@@ -2,8 +2,8 @@
  * Microbenchmarks (google-benchmark) of the ASK hot paths: hashing,
  * packet encode/decode, receive-window operations, packet building,
  * the full switch-program pass, host-side aggregation, and the event
- * kernel, network send path and write-ahead log at their public
- * boundaries.
+ * kernel, network send path, switch and daemon receive and write-ahead
+ * log at their public boundaries.
  */
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "ask/cluster.h"
 #include "ask/controller.h"
 #include "bench_util.h"
 #include "obs/metrics.h"
@@ -95,26 +96,54 @@ BM_PacketBuilderDrain(benchmark::State& state)
 }
 BENCHMARK(BM_PacketBuilderDrain);
 
-/** One full DATA packet pass through the ASK switch program, with the
- *  task region bound to `op`. */
+/** Enqueue and drain a 65,536-tuple hot-first Zipf stream (paper
+ *  defaults, medium groups included): the hottest keys come first, so
+ *  early packets carry few tuples and long slot queues build up. */
 void
-switch_pass_bench(benchmark::State& state, core::ReduceOp op)
+BM_PacketBuilderHotFirst(benchmark::State& state)
 {
-    sim::Simulator simulator;
-    net::Network network(simulator);
-    pisa::PisaSwitch sw(network);
+    core::AskConfig cfg;
+    core::KeySpace ks(cfg);
+    workload::ZipfGenerator zipf(1 << 16, 1.0, 9);
+    auto shared = std::make_shared<const core::KvStream>(
+        zipf.generate(65536, workload::KeyOrder::kHotFirst));
+    core::BuiltData built;
+    for (auto _ : state) {
+        core::PacketBuilder builder(ks);
+        builder.enqueue(shared);
+        std::uint64_t packets = 0;
+        while (builder.next_data_into(built))
+            ++packets;
+        while (auto batch = builder.next_long_batch(cfg.long_payload_bytes))
+            ++packets;
+        benchmark::DoNotOptimize(packets);
+    }
+    state.SetItemsProcessed(state.iterations() * 65536);
+}
+BENCHMARK(BM_PacketBuilderHotFirst)->Unit(benchmark::kMicrosecond);
+
+/** The all-short config of the switch benches: two hosts of one
+ *  channel each. */
+core::AskConfig
+switch_bench_config()
+{
     core::AskConfig cfg;
     cfg.medium_groups = 0;
     cfg.max_hosts = 2;
     cfg.channels_per_host = 1;
-    core::AskSwitchProgram program(cfg, sw);
-    core::AskSwitchController controller({&program});
-    controller.allocate(1, 1024, op);
+    return cfg;
+}
 
+/** A task-1 DATA frame on channel 0 whose slots hold the first packet
+ *  built from `tuples` random short keys (drawn from 4096). */
+std::vector<std::uint8_t>
+bench_data_frame(const core::AskConfig& cfg, core::ReduceOp op,
+                 int tuples, std::uint64_t seed)
+{
     core::KeySpace ks(cfg);
     core::PacketBuilder builder(ks);
-    Rng rng = seeded_rng("micro_hotpaths", 2);
-    for (int i = 0; i < 32; ++i)
+    Rng rng = seeded_rng("micro_hotpaths", seed);
+    for (int i = 0; i < tuples; ++i)
         builder.enqueue({u64_key(rng.next_below(4096)), 1});
     auto built = builder.next_data();
 
@@ -123,12 +152,35 @@ switch_pass_bench(benchmark::State& state, core::ReduceOp op)
     hdr.channel_id = 0;
     hdr.task_id = 1;
     hdr.op = op;
+    hdr.num_slots = static_cast<std::uint8_t>(cfg.num_aas);
     hdr.bitmap = built->bitmap;
     auto frame = core::make_frame(hdr, cfg.payload_bytes());
-    for (std::uint32_t i = 0; i < cfg.num_aas; ++i) {
-        if (built->bitmap & (1ULL << i))
-            core::write_slot(frame, i, built->slots[i]);
-    }
+    core::write_slots(frame, built->bitmap, cfg.num_aas, built->slots.data());
+    return frame;
+}
+
+/** Stamp `seq` into a frame built by bench_data_frame. */
+void
+set_frame_seq(std::vector<std::uint8_t>& frame, core::Seq seq)
+{
+    for (int i = 0; i < 4; ++i)
+        frame[20 + 8 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
+}
+
+/** One full DATA packet pass through the ASK switch program, with the
+ *  task region bound to `op`. */
+void
+switch_pass_bench(benchmark::State& state, core::ReduceOp op)
+{
+    sim::Simulator simulator;
+    net::Network network(simulator);
+    pisa::PisaSwitch sw(network);
+    core::AskConfig cfg = switch_bench_config();
+    core::AskSwitchProgram program(cfg, sw);
+    core::AskSwitchController controller({&program});
+    controller.allocate(1, 1024, op);
+    auto frame = bench_data_frame(cfg, op, 32, 2);
+    std::uint64_t bitmap = core::parse_header(frame)->bitmap;
 
     class NullEmitter : public pisa::Emitter
     {
@@ -138,14 +190,11 @@ switch_pass_bench(benchmark::State& state, core::ReduceOp op)
 
     core::Seq seq = 0;
     for (auto _ : state) {
-        core::rewrite_bitmap(frame, built->bitmap);
+        core::rewrite_bitmap(frame, bitmap);
+        // Fresh seq each pass to stay on the aggregation path.
+        set_frame_seq(frame, seq++);
         net::Packet pkt;
         pkt.data = frame;
-        // Fresh seq each pass to stay on the aggregation path.
-        pkt.data[20 + 8] = static_cast<std::uint8_t>(seq);
-        pkt.data[20 + 9] = static_cast<std::uint8_t>(seq >> 8);
-        pkt.data[20 + 10] = static_cast<std::uint8_t>(seq >> 16);
-        ++seq;
         sw.pipeline().begin_pass();
         program.process(std::move(pkt), emitter);
     }
@@ -168,6 +217,99 @@ BM_SwitchPassMax(benchmark::State& state)
     switch_pass_bench(state, core::ReduceOp::kMax);
 }
 BENCHMARK(BM_SwitchPassMax);
+
+/** A node that counts the bytes delivered to it. */
+class SinkNode : public net::Node
+{
+  public:
+    void receive(net::Packet pkt) override { bytes += pkt.data.size(); }
+    std::string name() const override { return "sink"; }
+    std::uint64_t bytes = 0;
+};
+
+/**
+ * One full DATA frame through PisaSwitch::receive between two hosts:
+ * the pass set-up, the switch program, and the ACK the switch emits
+ * (scheduled; the queued egress events run, untimed, every 4096
+ * frames).
+ */
+void
+BM_SwitchReceive(benchmark::State& state)
+{
+    sim::Simulator simulator;
+    net::Network network(simulator);
+    pisa::PisaSwitch sw(network);
+    SinkNode sender;
+    SinkNode receiver;
+    network.attach(&sw);
+    network.attach(&sender);
+    network.attach(&receiver);
+    network.connect(sw.node_id(), sender.node_id(), 100.0, 500);
+    network.connect(sw.node_id(), receiver.node_id(), 100.0, 500);
+    core::AskConfig cfg = switch_bench_config();
+    core::AskSwitchProgram program(cfg, sw);
+    core::AskSwitchController controller({&program});
+    controller.allocate(1, 1024, core::ReduceOp::kAdd);
+    auto frame = bench_data_frame(cfg, core::ReduceOp::kAdd, 32, 2);
+
+    core::Seq seq = 0;
+    for (auto _ : state) {
+        set_frame_seq(frame, seq);
+        net::Packet pkt;
+        pkt.src = sender.node_id();
+        pkt.dst = receiver.node_id();
+        pkt.data = frame;
+        sw.receive(std::move(pkt));
+        if (++seq % 4096 == 0) {
+            state.PauseTiming();
+            simulator.run();
+            state.ResumeTiming();
+        }
+    }
+    benchmark::DoNotOptimize(sender.bytes);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SwitchReceive);
+
+/**
+ * One forwarded DATA frame (8 short-key tuples the switch left to the
+ * host) through AskDaemon::receive and the events it schedules:
+ * process_data (seen-window check, decode, the kRxData WAL record, host
+ * aggregation) and the ACK it returns through the switch to the sender.
+ * The receiver's WAL is cleared, untimed, every 4096 frames.
+ */
+void
+BM_DaemonDataReceive(benchmark::State& state)
+{
+    core::ClusterConfig cc;
+    cc.ask = switch_bench_config();
+    core::AskCluster cluster(cc);
+    core::AskDaemon& rx = cluster.daemon(1);
+    rx.start_receive(
+        1, 1, {.swap_policy = core::TaskOptions::SwapPolicy::kDisabled},
+        nullptr, nullptr);
+    cluster.run();
+    auto frame = bench_data_frame(cc.ask, core::ReduceOp::kAdd, 8, 10);
+
+    core::Seq seq = 0;
+    for (auto _ : state) {
+        set_frame_seq(frame, seq);
+        net::Packet pkt;
+        pkt.src = cluster.daemon(0).node_id();
+        pkt.dst = rx.node_id();
+        pkt.data = frame;
+        rx.receive(std::move(pkt));
+        cluster.run();
+        if (++seq % 4096 == 0) {
+            state.PauseTiming();
+            cluster.wal_store().host_wal(1).clear();
+            state.ResumeTiming();
+        }
+    }
+    benchmark::DoNotOptimize(rx.stats().packets_received);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DaemonDataReceive);
 
 /**
  * A/B for the cost the generalized reduction added to the switch merge:
@@ -335,14 +477,6 @@ BENCHMARK(BM_SimArmCancel);
 void
 BM_NetworkSend(benchmark::State& state)
 {
-    class SinkNode : public net::Node
-    {
-      public:
-        void receive(net::Packet pkt) override { bytes += pkt.data.size(); }
-        std::string name() const override { return "sink"; }
-        std::uint64_t bytes = 0;
-    };
-
     sim::Simulator simulator;
     net::Network network(simulator);
     SinkNode hub;
@@ -437,6 +571,21 @@ BM_WalAppendSubmit(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 65536);
 }
 BENCHMARK(BM_WalAppendSubmit)->Unit(benchmark::kMicrosecond);
+
+/** The WAL frame payload hash over `range(0)` bytes: 64 B is a small
+ *  control record, 1 MiB a slice of a large submit. */
+void
+BM_WalPayloadHash(benchmark::State& state)
+{
+    Rng rng = seeded_rng("micro_hotpaths", 11);
+    std::string payload(static_cast<std::size_t>(state.range(0)), '\0');
+    for (char& c : payload)
+        c = static_cast<char>(rng.next_below(256));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(core::wal_payload_hash(payload));
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WalPayloadHash)->Arg(64)->Arg(1 << 20);
 
 /**
  * One receive task's journal, start to finish: kRxTaskStart, 64

@@ -652,9 +652,7 @@ AskCluster::clear_active_regions()
             if (p->find_task(task) == nullptr)
                 continue;
             p->reset_epoch(task);
-            p->read_region(task, 0, /*clear=*/true);
-            if (config_.ask.shadow_copies)
-                p->read_region(task, 1, /*clear=*/true);
+            p->clear_region(task);
         }
     }
 }

@@ -161,9 +161,7 @@ AskSwitchController::release_on(Switch& sw, TaskId task)
     // reusing this slice starts blank on copy 0 with epoch 0.
     AskSwitchProgram& program = *sw.program;
     program.reset_epoch(task);
-    program.read_region(task, 0, /*clear=*/true);
-    if (program.config().shadow_copies)
-        program.read_region(task, 1, /*clear=*/true);
+    program.clear_region(task);
     sw.allocated.erase(it);
     program.remove_task(task);
 }

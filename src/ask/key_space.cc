@@ -6,7 +6,9 @@
 namespace ask::core {
 
 KeySpace::KeySpace(const AskConfig& config)
-    : config_(config), agg_seed_mixed_(mix64(hash_seeds::kAggregatorAddress))
+    : config_(config),
+      part_seed_mixed_(mix64(hash_seeds::kKeyPartition)),
+      agg_seed_mixed_(mix64(hash_seeds::kAggregatorAddress))
 {
     config_.validate();
 }
@@ -35,16 +37,15 @@ std::uint32_t
 KeySpace::short_slot(const Key& key) const
 {
     ASK_ASSERT(classify(key) == KeyClass::kShort, "not a short key");
-    return static_cast<std::uint32_t>(
-        hash64(key, hash_seeds::kKeyPartition) % config_.short_aas());
+    return bucket(hash64_premixed(key, part_seed_mixed_), config_.short_aas());
 }
 
 std::uint32_t
 KeySpace::medium_group(const Key& key) const
 {
     ASK_ASSERT(classify(key) == KeyClass::kMedium, "not a medium key");
-    return static_cast<std::uint32_t>(
-        hash64(key, hash_seeds::kKeyPartition) % config_.medium_groups);
+    return bucket(hash64_premixed(key, part_seed_mixed_),
+                  config_.medium_groups);
 }
 
 std::string

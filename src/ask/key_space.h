@@ -33,6 +33,14 @@ enum class KeyClass : std::uint8_t
     kLong,    ///< > n*m bits: bypasses the switch entirely
 };
 
+/** Where the sender puts a key: its class, and its short slot or
+ *  medium group (0 for a long key). */
+struct KeyPlace
+{
+    KeyClass cls = KeyClass::kLong;
+    std::uint32_t index = 0;
+};
+
 /**
  * Pure functions mapping keys to classes, slots, and wire segments.
  * Sender, switch, and receiver all consult the same KeySpace, which is
@@ -47,6 +55,14 @@ class KeySpace
      *  (empty or containing NUL bytes) — the caller decides whether a
      *  bad key fails the task or the process. */
     KeyClass classify(const Key& key) const;
+
+    /**
+     * Validate, classify and partition-hash a key in one call, the
+     * sender's per-tuple entry point: {classify(key), short_slot(key)}
+     * for a short key, {classify(key), medium_group(key)} for a medium
+     * one, {kLong, 0} for a long one. Throws StateError like classify().
+     */
+    KeyPlace place(const Key& key) const;
 
     /** Subspace (== AA index == payload slot) of a *short* key. */
     std::uint32_t short_slot(const Key& key) const;
@@ -109,13 +125,41 @@ class KeySpace
   private:
     void check_key(const Key& key) const;
 
+    /** h % n, taken with a mask when n is a power of two: the same
+     *  bucket without a 64-bit divide per tuple. */
+    static std::uint32_t bucket(std::uint64_t h, std::uint32_t n)
+    {
+        if ((n & (n - 1)) == 0)
+            return static_cast<std::uint32_t>(h & (n - 1));
+        return static_cast<std::uint32_t>(h % n);
+    }
+
     AskConfig config_;
-    /** mix64(hash_seeds::kAggregatorAddress), hoisted out of the
-     *  per-tuple addressing hash. */
+    /** mix64 of the partition and addressing seeds, hoisted out of the
+     *  per-tuple hashes. */
+    std::uint64_t part_seed_mixed_;
     std::uint64_t agg_seed_mixed_;
 };
 
 // ---- hot-path members, inline: one call per tuple each ------------------
+
+inline KeyPlace
+KeySpace::place(const Key& key) const
+{
+    check_key(key);
+    if (key.size() <= config_.seg_bytes()) {
+        return KeyPlace{KeyClass::kShort,
+                        bucket(hash64_premixed(key, part_seed_mixed_),
+                               config_.short_aas())};
+    }
+    if (config_.medium_groups > 0 &&
+        key.size() <= config_.max_medium_key_bytes()) {
+        return KeyPlace{KeyClass::kMedium,
+                        bucket(hash64_premixed(key, part_seed_mixed_),
+                               config_.medium_groups)};
+    }
+    return KeyPlace{KeyClass::kLong, 0};
+}
 
 inline void
 KeySpace::decode_segment_into(std::uint32_t seg, char* out) const
@@ -152,12 +196,8 @@ KeySpace::aggregator_index(std::string_view padded_key,
     // so every segment of a medium key lands at the same index in each AA
     // of its group. Uses the addressing seed, independent from the
     // partition seed (see common/hash.h). Regions are powers of two in
-    // every stock allocation, where the reduction is a mask — identical
-    // to % but without a 64-bit divide per tuple.
-    std::uint64_t h = hash64_premixed(padded_key, agg_seed_mixed_);
-    if ((copy_len & (copy_len - 1)) == 0)
-        return static_cast<std::uint32_t>(h & (copy_len - 1));
-    return static_cast<std::uint32_t>(h % copy_len);
+    // every stock allocation, where the reduction is a mask.
+    return bucket(hash64_premixed(padded_key, agg_seed_mixed_), copy_len);
 }
 
 inline std::uint32_t

@@ -10,13 +10,19 @@
  * leave slots blank, which is exactly the packing-efficiency effect
  * Figure 8(b) measures.
  *
- * The queues hold references, not copies: a submitted stream is shared
- * with the builder, which keeps it alive until the builder dies, and a
- * tuple enqueued on its own is copied into builder-owned storage.
+ * Each key is placed (classified and partition-hashed) once, at
+ * enqueue, and the short and medium queues hold the tuple already
+ * encoded: one WireSlot per short tuple, m per medium tuple with the
+ * value in the last, so building a packet copies queue heads and never
+ * reads a key again. Long tuples are queued by reference: a submitted
+ * stream with long keys is shared with the builder, which keeps it
+ * alive until the builder dies, and a long tuple enqueued on its own is
+ * copied into builder-owned storage.
  */
 #ifndef ASK_ASK_PACKET_BUILDER_H
 #define ASK_ASK_PACKET_BUILDER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -50,12 +56,13 @@ class PacketBuilder
     /** Add one tuple to its queue (the builder keeps its own copy). */
     void enqueue(const KvTuple& tuple);
 
-    /** Add a whole stream. The builder shares the stream and queues
-     *  references into it; nothing is copied. */
+    /** Add a whole stream. Short and medium tuples are encoded into
+     *  their queues; long ones are queued by reference into the stream,
+     *  which the builder then shares. */
     void enqueue(std::shared_ptr<const KvStream> stream);
 
     /** True while any DATA-eligible (short/medium) tuples remain. */
-    bool has_data() const { return queued_data_ > 0; }
+    bool has_data() const { return nonempty_ != 0; }
 
     /** True while long-key tuples remain. */
     bool has_long() const { return !long_queue_.empty(); }
@@ -99,25 +106,38 @@ class PacketBuilder
     std::uint64_t long_enqueued() const { return long_enqueued_; }
 
   private:
-    /** FIFO of references to tuples the builder keeps alive. */
-    using TupleQueue = std::deque<const KvTuple*>;
+    /** FIFO of encoded tuples, `width` slots each; popping advances
+     *  `head`, and a drained queue rewinds to reuse its storage. */
+    struct SlotQueue
+    {
+        std::vector<WireSlot> slots;
+        std::size_t head = 0;
+    };
 
-    void enqueue_ref(const KvTuple& tuple);
+    /** Queue index of a placed short or medium key: short slot s is
+     *  queue s, medium group g is queue short_aas() + g. */
+    std::uint32_t queue_of(const KeyPlace& place) const;
+    /** Slots per tuple in queue q: 1 for a short slot, m for a group. */
+    std::uint32_t width(std::uint32_t q) const;
+    /** Encode `tuple` onto the tail of queue q. */
+    void push(std::uint32_t q, const KvTuple& tuple);
+    /** The head tuple's slots of non-empty queue q, and its removal. */
+    const WireSlot* front(std::uint32_t q) const;
+    void pop(std::uint32_t q);
 
     const KeySpace& key_space_;
     const AskConfig& config_;
 
-    /** Streams the queues point into. */
+    /** Streams the long queue points into. */
     std::vector<std::shared_ptr<const KvStream>> streams_;
-    /** Tuples enqueued one at a time (a deque never moves them). */
+    /** Long tuples enqueued one at a time (a deque never moves them). */
     std::deque<KvTuple> owned_;
 
-    /** One queue per short slot. */
-    std::vector<TupleQueue> short_queues_;
-    /** One queue per medium group. */
-    std::vector<TupleQueue> medium_queues_;
-    TupleQueue long_queue_;
-    std::uint64_t queued_data_ = 0;
+    /** Short-slot queues, then medium-group queues (see queue_of). */
+    std::vector<SlotQueue> queues_;
+    /** Bit q set iff queues_[q] holds a tuple. */
+    std::uint64_t nonempty_ = 0;
+    std::deque<const KvTuple*> long_queue_;
 
     std::uint64_t short_enqueued_ = 0;
     std::uint64_t medium_enqueued_ = 0;

@@ -400,8 +400,6 @@ AskSwitchProgram::read_region(TaskId task, std::uint32_t copy, bool clear)
                     KeySpace::unpad(key_space_.decode_segment(k)),
                     vpart(config_.part_bits, word)});
             }
-            if (clear)
-                aas_[i]->cp_write(off + idx, 0);
         }
     }
 
@@ -422,13 +420,29 @@ AskSwitchProgram::read_region(TaskId task, std::uint32_t copy, bool clear)
                 }
                 out.push_back(KvTuple{KeySpace::unpad(padded), value});
             }
-            if (clear) {
-                for (std::uint32_t j = 0; j < config_.medium_segments; ++j)
-                    aas_[mb + j]->cp_write(off + idx, 0);
-            }
         }
     }
+    if (clear)
+        clear_copy(*r, copy);
     return out;
+}
+
+void
+AskSwitchProgram::clear_region(TaskId task)
+{
+    const TaskRegion* r = find_task(task);
+    ASK_ASSERT(r != nullptr, "clear_region of unknown task ", task);
+    clear_copy(*r, 0);
+    if (config_.shadow_copies)
+        clear_copy(*r, 1);
+}
+
+void
+AskSwitchProgram::clear_copy(const TaskRegion& region, std::uint32_t copy)
+{
+    std::uint32_t off = copy * config_.copy_size();
+    for (pisa::RegisterArray* aa : aas_)
+        aa->cp_clear(off + region.base, region.len);
 }
 
 void

@@ -176,6 +176,10 @@ class AskSwitchProgram : public pisa::SwitchProgram
      */
     KvStream read_region(TaskId task, std::uint32_t copy, bool clear);
 
+    /** Slow-path zeroing of a task's whole region, every shadow copy,
+     *  without decoding it (region release and reset). */
+    void clear_region(TaskId task);
+
     // ---- failure recovery (chaos injection) ------------------------------
 
     /**
@@ -285,6 +289,9 @@ class AskSwitchProgram : public pisa::SwitchProgram
 
     std::uint64_t aa_index(const TaskRegion& region, std::uint32_t indicator,
                            std::string_view padded_key) const;
+
+    /** Zero `region` in shadow copy `copy` of every AA. */
+    void clear_copy(const TaskRegion& region, std::uint32_t copy);
 
     AskConfig config_;
     KeySpace key_space_;

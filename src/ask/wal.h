@@ -12,10 +12,10 @@
  *
  * Records are framed `[u32 len][u32 check][payload]` (little-endian)
  * over an in-memory byte image, mirroring an appended file. Integrity
- * is merkle-style: every record payload is hashed (fnv1a64) into a
- * log-segment hash list, and the root digest folds those hashes in
- * order. Replay distinguishes the two corruption classes a real log
- * sees:
+ * is merkle-style: every record payload is hashed (wal_payload_hash,
+ * eight bytes per step) into a log-segment hash list, and the root
+ * digest folds those hashes in order. Replay distinguishes the two
+ * corruption classes a real log sees:
  *
  *  - a *torn tail* — the crash landed mid-append, so the byte image is
  *    a proper prefix of what the segment list describes. Tolerated:
@@ -48,6 +48,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -106,6 +107,14 @@ enum class WalRecordKind : std::uint8_t
      *  Never retired: every later generation counts it. */
     kHostRecovered = 12,
 };
+
+/**
+ * Hash of one frame payload, eight bytes per step with the length in
+ * the seed and the tail zero-padded. Every step is a bijection of the
+ * running value, so a change confined to one 8-byte word of a payload
+ * always changes its hash: replay cannot miss a flipped byte.
+ */
+std::uint64_t wal_payload_hash(std::string_view payload);
 
 /** Human-readable record-kind name (logs, WAL inspection). */
 const char* wal_record_kind_name(WalRecordKind kind);

@@ -1,6 +1,8 @@
 #include "ask/wire.h"
 
 #include <bit>
+#include <cstring>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -11,42 +13,45 @@ namespace {
 constexpr std::uint32_t kHeaderOffset = net::kIpHeaderBytes;
 constexpr std::uint32_t kPayloadOffset = kHeaderOffset + kAskHeaderBytes;
 
+// Wire integers are little-endian: on a little-endian host each one is a
+// single memcpy load or store, and a payload slot is a WireSlot's bytes.
+static_assert(std::endian::native == std::endian::little,
+              "wire integers are stored and loaded with memcpy");
+static_assert(sizeof(WireSlot) == 8 &&
+                  std::is_trivially_copyable_v<WireSlot>,
+              "a payload slot is a WireSlot's 8 bytes");
+
 void
 put_u16(std::vector<std::uint8_t>& b, std::size_t off, std::uint16_t v)
 {
-    b[off] = static_cast<std::uint8_t>(v);
-    b[off + 1] = static_cast<std::uint8_t>(v >> 8);
+    std::memcpy(b.data() + off, &v, sizeof(v));
 }
 
 void
 put_u32(std::vector<std::uint8_t>& b, std::size_t off, std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        b[off + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(v >> (8 * i));
+    std::memcpy(b.data() + off, &v, sizeof(v));
 }
 
 void
 put_u64(std::vector<std::uint8_t>& b, std::size_t off, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        b[off + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(v >> (8 * i));
+    std::memcpy(b.data() + off, &v, sizeof(v));
 }
 
 std::uint16_t
 get_u16(const std::vector<std::uint8_t>& b, std::size_t off)
 {
-    return static_cast<std::uint16_t>(b[off] | (b[off + 1] << 8));
+    std::uint16_t v = 0;
+    std::memcpy(&v, b.data() + off, sizeof(v));
+    return v;
 }
 
 std::uint32_t
 get_u32(const std::vector<std::uint8_t>& b, std::size_t off)
 {
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[off + static_cast<std::size_t>(i)])
-             << (8 * i);
+    std::memcpy(&v, b.data() + off, sizeof(v));
     return v;
 }
 
@@ -54,9 +59,7 @@ std::uint64_t
 get_u64(const std::vector<std::uint8_t>& b, std::size_t off)
 {
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[off + static_cast<std::size_t>(i)])
-             << (8 * i);
+    std::memcpy(&v, b.data() + off, sizeof(v));
     return v;
 }
 
@@ -155,7 +158,7 @@ read_slots(const std::vector<std::uint8_t>& data, std::uint64_t bitmap,
     for (; rest != 0; rest &= rest - 1) {
         auto i = static_cast<std::uint32_t>(std::countr_zero(rest));
         std::size_t off = kPayloadOffset + static_cast<std::size_t>(i) * 8;
-        out[i] = WireSlot{get_u32(data, off), get_u32(data, off + 4)};
+        std::memcpy(&out[i], data.data() + off, sizeof(WireSlot));
     }
 }
 
@@ -167,8 +170,7 @@ write_slots(std::vector<std::uint8_t>& data, std::uint64_t bitmap,
     for (; rest != 0; rest &= rest - 1) {
         auto i = static_cast<std::uint32_t>(std::countr_zero(rest));
         std::size_t off = kPayloadOffset + static_cast<std::size_t>(i) * 8;
-        put_u32(data, off, slots[i].seg);
-        put_u32(data, off + 4, slots[i].value);
+        std::memcpy(data.data() + off, &slots[i], sizeof(WireSlot));
     }
 }
 

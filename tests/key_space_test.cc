@@ -5,6 +5,7 @@
 #include <string>
 
 #include "ask/key_space.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -205,6 +206,55 @@ TEST(KeySpace, RejectsNulBytesWithTypedError)
             }
         },
         StateError);
+}
+
+TEST(KeySpace, PlaceMatchesClassifyAndPartition)
+{
+    // place() is classify() plus short_slot()/medium_group() in one
+    // call. The small config's 4 short slots and 2 groups take the
+    // mask reduction, 5 and 3 take the modulo one; both must agree
+    // with the partition hash taken mod n.
+    AskConfig odd = small_config();
+    odd.num_aas = 11;
+    odd.medium_groups = 3;  // 5 short AAs, 3 groups x 2 AAs
+    for (const AskConfig& c : {small_config(), odd}) {
+        KeySpace ks(c);
+        int seen[3] = {0, 0, 0};
+        for (int i = 0; i < 3000; ++i) {
+            std::string key(1 + i % 10, 'a');
+            std::uint64_t x = mix64(static_cast<std::uint64_t>(i));
+            for (char& ch : key) {
+                ch = static_cast<char>('a' + x % 26);
+                x /= 26;
+            }
+            KeyPlace p = ks.place(key);
+            std::uint64_t h = hash64(key, hash_seeds::kKeyPartition);
+            ASSERT_EQ(p.cls, ks.classify(key)) << key;
+            ++seen[static_cast<int>(p.cls)];
+            switch (p.cls) {
+              case KeyClass::kShort:
+                EXPECT_EQ(p.index, ks.short_slot(key)) << key;
+                EXPECT_EQ(p.index, h % c.short_aas()) << key;
+                break;
+              case KeyClass::kMedium:
+                EXPECT_EQ(p.index, ks.medium_group(key)) << key;
+                EXPECT_EQ(p.index, h % c.medium_groups) << key;
+                break;
+              case KeyClass::kLong:
+                EXPECT_EQ(p.index, 0u) << key;
+                break;
+            }
+        }
+        for (int n : seen)
+            EXPECT_GT(n, 0) << "a key class the sweep never reached";
+    }
+}
+
+TEST(KeySpace, PlaceRejectsInvalidKeys)
+{
+    KeySpace ks(small_config());
+    EXPECT_THROW(ks.place(""), StateError);
+    EXPECT_THROW(ks.place(std::string("a\0b", 3)), StateError);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 /** Unit tests for sender-side packet construction (§3.2.2). */
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "ask/packet_builder.h"
 #include "common/random.h"
@@ -22,6 +25,139 @@ cfg8()
     c.medium_segments = 2;
     return c;
 }
+
+/**
+ * The pointer-queue builder the encoded-slot queues replaced, kept as
+ * the reference: queues of tuple references, every key classified and
+ * encoded again (from its padded form) for each packet it rides in.
+ */
+class ReferenceBuilder
+{
+  public:
+    explicit ReferenceBuilder(const KeySpace& ks)
+        : ks_(ks), cfg_(ks.config()), short_(cfg_.short_aas()),
+          medium_(cfg_.medium_groups)
+    {
+    }
+
+    void
+    enqueue(const KvTuple& t)
+    {
+        owned_.push_back(t);
+        switch (ks_.classify(t.key)) {
+          case KeyClass::kShort:
+            short_[ks_.short_slot(t.key)].push_back(&owned_.back());
+            ++shorts;
+            return;
+          case KeyClass::kMedium:
+            medium_[ks_.medium_group(t.key)].push_back(&owned_.back());
+            ++mediums;
+            return;
+          case KeyClass::kLong:
+            long_.push_back(&owned_.back());
+            ++longs;
+            return;
+        }
+    }
+
+    std::optional<BuiltData>
+    next_data()
+    {
+        BuiltData out;
+        out.slots.assign(cfg_.num_aas, WireSlot{});
+        for (std::uint32_t i = 0; i < cfg_.short_aas(); ++i)
+            if (!short_[i].empty())
+                put(out, short_[i], i, 1);
+        for (std::uint32_t g = 0; g < cfg_.medium_groups; ++g)
+            if (!medium_[g].empty())
+                put(out, medium_[g], cfg_.medium_base(g), cfg_.medium_segments);
+        if (out.valid_tuples == 0)
+            return std::nullopt;
+        return out;
+    }
+
+    std::optional<std::vector<KvTuple>>
+    next_long_batch(std::uint32_t budget)
+    {
+        if (long_.empty())
+            return std::nullopt;
+        std::vector<KvTuple> batch;
+        std::uint32_t bytes = 2;
+        take(long_, batch, bytes, budget);
+        return batch;
+    }
+
+    std::optional<std::vector<KvTuple>>
+    next_bypass_batch(std::uint32_t budget)
+    {
+        if (empty())
+            return std::nullopt;
+        std::vector<KvTuple> batch;
+        std::uint32_t bytes = 2;
+        if (take(long_, batch, bytes, budget)) {
+            for (auto& q : short_)
+                if (!take(q, batch, bytes, budget))
+                    break;
+            for (auto& q : medium_)
+                if (!take(q, batch, bytes, budget))
+                    break;
+        }
+        return batch;
+    }
+
+    bool
+    empty() const
+    {
+        auto drained = [](const std::vector<Queue>& qs) {
+            for (const Queue& q : qs)
+                if (!q.empty())
+                    return false;
+            return true;
+        };
+        return long_.empty() && drained(short_) && drained(medium_);
+    }
+
+    std::uint64_t shorts = 0, mediums = 0, longs = 0;
+
+  private:
+    using Queue = std::deque<const KvTuple*>;
+
+    void
+    put(BuiltData& out, Queue& q, std::uint32_t base, std::uint32_t width)
+    {
+        const KvTuple& t = *q.front();
+        std::string padded = ks_.padded(t.key);
+        for (std::uint32_t j = 0; j < width; ++j) {
+            out.slots[base + j] = WireSlot{ks_.encode_segment(padded, j),
+                                           j + 1 == width ? t.value : 0};
+            out.bitmap |= 1ULL << (base + j);
+        }
+        ++out.valid_tuples;
+        q.pop_front();
+    }
+
+    static bool
+    take(Queue& q, std::vector<KvTuple>& batch, std::uint32_t& bytes,
+         std::uint32_t budget)
+    {
+        while (!q.empty()) {
+            std::uint32_t need =
+                2 + static_cast<std::uint32_t>(q.front()->key.size()) + 4;
+            if (!batch.empty() && bytes + need > budget)
+                return false;
+            bytes += need;
+            batch.push_back(*q.front());
+            q.pop_front();
+        }
+        return true;
+    }
+
+    const KeySpace& ks_;
+    const AskConfig& cfg_;
+    std::deque<KvTuple> owned_;
+    std::vector<Queue> short_, medium_;
+    Queue long_;
+};
 
 TEST(PacketBuilder, EmptyBuilderYieldsNothing)
 {
@@ -207,7 +343,7 @@ TEST(PacketBuilder, NextDataIntoMatchesNextData)
         for (const KvTuple& t : stream)
             ref_builder.enqueue(t);
         // The builder is the stream's only owner from here on: its
-        // queued references must keep pointing at live tuples.
+        // queued long-key references must keep pointing at live tuples.
         batched.enqueue(std::make_shared<const KvStream>(std::move(stream)));
 
         BuiltData scratch;
@@ -282,6 +418,102 @@ TEST(PacketBuilder, DrainsEverythingExactlyOnce)
             break;
     }
     EXPECT_EQ(seen, truth);
+}
+
+TEST(PacketBuilder, MatchesThePointerQueueReference)
+{
+    // The encoded-slot queues against the reference builder on mixed
+    // short, medium and long keys (boundary lengths and repeats
+    // included), fed by two shared streams around single tuples and
+    // drained with interleaved DATA and long batches that switch to the
+    // degraded bypass mid-stream. One config takes the mask partition
+    // (4 short slots, 2 groups), the other the modulo one (3 and 3).
+    AskConfig pow2 = cfg8();
+    AskConfig odd = cfg8();
+    odd.num_aas = 12;
+    odd.medium_groups = 3;
+    odd.medium_segments = 3;
+    odd.part_bits = 16;
+    for (const AskConfig& c : {pow2, odd}) {
+        KeySpace ks(c);
+        Rng rng = seeded_rng("packet_builder_reference", c.num_aas);
+        std::uint32_t longest = c.max_medium_key_bytes() + 4;
+        auto letter = [&] {
+            return static_cast<char>('a' + rng.next_below(3));
+        };
+        auto random_key = [&] {
+            switch (rng.next_below(4)) {
+              case 0:
+                return std::string(c.seg_bytes(), letter());
+              case 1:
+                return std::string(c.max_medium_key_bytes(), letter());
+              default: {
+                std::string key(1 + rng.next_below(longest), 'a');
+                for (char& ch : key)
+                    ch = letter();
+                return key;
+              }
+            }
+        };
+        auto make_stream = [&](int n) {
+            KvStream stream;
+            for (int i = 0; i < n; ++i)
+                stream.push_back(KvTuple{
+                    random_key(), static_cast<Value>(1 + rng.next_below(999))});
+            return stream;
+        };
+
+        PacketBuilder b(ks);
+        ReferenceBuilder ref(ks);
+        auto enqueue_stream = [&](KvStream stream) {
+            for (const KvTuple& t : stream)
+                ref.enqueue(t);
+            b.enqueue(std::make_shared<const KvStream>(std::move(stream)));
+        };
+        enqueue_stream(make_stream(400));
+        for (const KvTuple& t : make_stream(40)) {
+            ref.enqueue(t);
+            b.enqueue(t);
+        }
+        enqueue_stream(make_stream(400));
+        EXPECT_EQ(b.short_enqueued(), ref.shorts);
+        EXPECT_EQ(b.medium_enqueued(), ref.mediums);
+        EXPECT_EQ(b.long_enqueued(), ref.longs);
+
+        BuiltData built;
+        int step = 0;
+        while (!ref.empty()) {
+            ASSERT_FALSE(b.empty()) << "step " << step;
+            std::uint32_t budget = 16 + rng.next_below(80);
+            if (step >= 60) {
+                EXPECT_EQ(b.next_bypass_batch(budget),
+                          ref.next_bypass_batch(budget))
+                    << "step " << step;
+            } else if (rng.next_below(4) == 0) {
+                EXPECT_EQ(b.next_long_batch(budget),
+                          ref.next_long_batch(budget))
+                    << "step " << step;
+            } else {
+                std::optional<BuiltData> want = ref.next_data();
+                ASSERT_EQ(b.next_data_into(built), want.has_value())
+                    << "step " << step;
+                if (want) {
+                    EXPECT_EQ(built.bitmap, want->bitmap) << "step " << step;
+                    EXPECT_EQ(built.valid_tuples, want->valid_tuples);
+                    ASSERT_EQ(built.slots.size(), want->slots.size());
+                    for (std::size_t i = 0; i < built.slots.size(); ++i) {
+                        EXPECT_EQ(built.slots[i].seg, want->slots[i].seg)
+                            << "step " << step << " slot " << i;
+                        EXPECT_EQ(built.slots[i].value, want->slots[i].value)
+                            << "step " << step << " slot " << i;
+                    }
+                }
+            }
+            ++step;
+        }
+        EXPECT_TRUE(b.empty());
+        EXPECT_GT(step, 60) << "the drain never reached the bypass switch";
+    }
 }
 
 }  // namespace

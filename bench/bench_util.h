@@ -283,78 +283,6 @@ full_scale(int argc, char** argv)
     return false;
 }
 
-/** One aggregation task for run_streaming_tasks. */
-struct StreamingTask
-{
-    core::TaskId id;
-    std::uint32_t receiver_host;
-    std::vector<core::StreamSpec> streams;
-    core::TaskOptions options;
-};
-
-/** Outcome of a streaming measurement. */
-struct StreamingResult
-{
-    /** Time the last sender finished (all its data ACKed + FIN_ACKed):
-     *  the paper's sender-side aggregation-throughput endpoint. */
-    sim::SimTime senders_done = 0;
-    /** Time the last task fully finalized (fetch + merge). */
-    sim::SimTime all_done = 0;
-};
-
-/**
- * Run tasks with per-stream completion tracking: unlike
- * AskCluster::run_task, this reports when the *senders* finished, which
- * excludes teardown fetches from throughput measurements.
- */
-inline StreamingResult
-run_streaming_tasks(core::AskCluster& cluster,
-                    std::vector<StreamingTask> tasks)
-{
-    StreamingResult result;
-    std::size_t tasks_left = tasks.size();
-    std::size_t streams_left = 0;
-    for (const auto& t : tasks)
-        streams_left += t.streams.size();
-
-    for (auto& t : tasks) {
-        core::AskDaemon& receiver = cluster.daemon(t.receiver_host);
-        net::NodeId receiver_node = receiver.node_id();
-        auto n_senders = static_cast<std::uint32_t>(t.streams.size());
-        receiver.start_receive(
-            t.id, n_senders, t.options,
-            [&result, &tasks_left, &cluster](core::AggregateMap,
-                                             core::TaskReport) {
-                if (--tasks_left == 0)
-                    result.all_done = cluster.simulator().now();
-            },
-            [&cluster, &result, &streams_left, receiver_node, id = t.id,
-             op = t.options.op, streams = std::move(t.streams)]() mutable {
-                cluster.simulator().schedule_after(
-                    cluster.config().notify_latency_ns,
-                    [&cluster, &result, &streams_left, receiver_node, id, op,
-                     streams = std::move(streams)]() mutable {
-                        for (auto& s : streams) {
-                            // Senders must bind the same op the receiver
-                            // resolved, or the switch drops their frames
-                            // as op mismatches.
-                            cluster.daemon(s.host).submit_send(
-                                id, receiver_node, std::move(s.stream),
-                                [&result, &streams_left, &cluster] {
-                                    if (--streams_left == 0) {
-                                        result.senders_done =
-                                            cluster.simulator().now();
-                                    }
-                                },
-                                op);
-                        }
-                    });
-            });
-    }
-    cluster.run();
-    return result;
-}
-
 /** Print the bench banner with experiment id and description. */
 inline void
 banner(const std::string& experiment, const std::string& what)

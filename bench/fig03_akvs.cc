@@ -39,26 +39,27 @@ measure_akvs(core::ClusterConfig cc, std::uint64_t tuples,
     // Task ids chosen so the sender's hash load balancing is even.
     std::vector<std::uint32_t> ids =
         bench::balanced_task_ids(1, cc.ask.channels_per_host, parts);
-    std::vector<bench::StreamingTask> tasks;
     const core::KeySpace& ks = cluster.daemon(1).key_space();
     std::uint32_t keys_per_slot = std::max<std::uint64_t>(
         1, keys_per_part / cc.ask.short_aas());
-    for (std::uint32_t p = 0; p < parts; ++p) {
-        tasks.push_back(
-            {ids[p], 0,
-             {{1, bench::balanced_uniform_stream(
-                      ks, keys_per_slot, per_part,
-                      p * (keys_per_part + 1))}},
-             {.region_len = region}});
-    }
     // Throughput is measured to the point all senders finished (their
     // data ACKed), matching the paper's sender-side metric; setup
     // latency is subtracted.
-    bench::StreamingResult r = bench::run_streaming_tasks(cluster,
-                                                          std::move(tasks));
+    sim::SimTime senders_done = 0;
+    for (std::uint32_t p = 0; p < parts; ++p) {
+        cluster.submit_task(
+            ids[p], 0,
+            {{1, bench::balanced_uniform_stream(ks, keys_per_slot, per_part,
+                                                p * (keys_per_part + 1))}},
+            {.region_len = region},
+            [&senders_done](core::AggregateMap, core::TaskReport rep) {
+                senders_done = std::max(senders_done, rep.senders_done);
+            });
+    }
+    cluster.run();
     Nanoseconds fixed = cc.mgmt_latency_ns + cc.notify_latency_ns;
     return static_cast<double>(per_part * parts) /
-           units::to_seconds(std::max<Nanoseconds>(r.senders_done - fixed, 1));
+           units::to_seconds(std::max<Nanoseconds>(senders_done - fixed, 1));
 }
 
 }  // namespace

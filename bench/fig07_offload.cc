@@ -41,19 +41,22 @@ ask_jct_seconds(std::uint32_t channels, std::uint64_t sim_scale)
         std::max<std::uint64_t>(1,
                                 distinct / parts / cc.ask.short_aas()));
     const core::KeySpace& ks = cluster.daemon(1).key_space();
-    std::vector<bench::StreamingTask> tasks;
+    sim::SimTime senders_done = 0;
     for (std::uint32_t p = 0; p < parts; ++p) {
-        tasks.push_back({ids[p], 0,
-                         {{1, bench::balanced_uniform_stream(
-                                  ks, keys_per_slot, tuples / parts,
-                                  static_cast<std::uint64_t>(p) << 24)}},
-                         {.region_len = cc.ask.copy_size() / parts}});
+        cluster.submit_task(
+            ids[p], 0,
+            {{1, bench::balanced_uniform_stream(
+                     ks, keys_per_slot, tuples / parts,
+                     static_cast<std::uint64_t>(p) << 24)}},
+            {.region_len = cc.ask.copy_size() / parts},
+            [&senders_done](core::AggregateMap, core::TaskReport rep) {
+                senders_done = std::max(senders_done, rep.senders_done);
+            });
     }
-    bench::StreamingResult sr =
-        bench::run_streaming_tasks(cluster, std::move(tasks));
+    cluster.run();
 
     Nanoseconds fixed = cc.mgmt_latency_ns + cc.notify_latency_ns;
-    Nanoseconds stream = std::max<Nanoseconds>(sr.senders_done - fixed, 1);
+    Nanoseconds stream = std::max<Nanoseconds>(senders_done - fixed, 1);
     // Streaming rescales with volume; add the (unscaled) final fetch.
     double fetch_s = units::to_seconds(
         static_cast<Nanoseconds>(2.0 * cc.ask.copy_size() * cc.ask.num_aas * 2));

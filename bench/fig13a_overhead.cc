@@ -39,23 +39,25 @@ ask_rates(std::uint32_t channels, std::uint64_t tuples)
     std::uint32_t parts = channels;
     auto ids = bench::balanced_task_ids(1, channels, parts);
     std::uint64_t per_part = tuples / parts;
-    std::vector<bench::StreamingTask> tasks;
     const core::KeySpace& ks = cluster.daemon(1).key_space();
+    sim::SimTime senders_done = 0;
     for (std::uint32_t p = 0; p < parts; ++p) {
-        tasks.push_back({ids[p], 0,
-                         {{1, bench::balanced_uniform_stream(
-                                  ks, 32, per_part,
-                                  static_cast<std::uint64_t>(p) << 20)}},
-                         {.region_len = cc.ask.copy_size() / parts}});
+        cluster.submit_task(
+            ids[p], 0,
+            {{1, bench::balanced_uniform_stream(
+                     ks, 32, per_part, static_cast<std::uint64_t>(p) << 20)}},
+            {.region_len = cc.ask.copy_size() / parts},
+            [&senders_done](core::AggregateMap, core::TaskReport rep) {
+                senders_done = std::max(senders_done, rep.senders_done);
+            });
     }
-    bench::StreamingResult sr =
-        bench::run_streaming_tasks(cluster, std::move(tasks));
+    cluster.run();
 
     net::NodeId sender = cluster.daemon(1).node_id();
     std::uint64_t wire = cluster.network().link_bytes(
         sender, cluster.switch_node(core::SwitchId{0}));
     Nanoseconds fixed = cc.mgmt_latency_ns + cc.notify_latency_ns;
-    Nanoseconds elapsed = std::max<Nanoseconds>(sr.senders_done - fixed, 1);
+    Nanoseconds elapsed = std::max<Nanoseconds>(senders_done - fixed, 1);
     Rates out;
     out.goodput =
         units::gbps(static_cast<double>(per_part * parts) * 8.0, elapsed);

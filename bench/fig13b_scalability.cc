@@ -57,7 +57,7 @@ ask_per_sender_gbps(std::uint32_t senders, std::uint64_t tuples_per_sender)
         sender_hosts, cc.ask.channels_per_host, parts);
     ASK_ASSERT(ids.size() == parts, "could not balance task ids");
     std::uint64_t per_part = tuples_per_sender / parts;
-    std::vector<bench::StreamingTask> tasks;
+    sim::SimTime senders_done = 0;
     for (std::uint32_t p = 0; p < parts; ++p) {
         std::vector<core::StreamSpec> streams;
         for (std::uint32_t s = 1; s <= senders; ++s) {
@@ -73,13 +73,16 @@ ask_per_sender_gbps(std::uint32_t senders, std::uint64_t tuples_per_sender)
                                       ks, 2, per_part,
                                       static_cast<std::uint64_t>(p) << 16)});
         }
-        tasks.push_back({ids[p], 0, std::move(streams),
-                         {.region_len = cc.ask.copy_size() / parts}});
+        cluster.submit_task(
+            ids[p], 0, std::move(streams),
+            {.region_len = cc.ask.copy_size() / parts},
+            [&senders_done](core::AggregateMap, core::TaskReport rep) {
+                senders_done = std::max(senders_done, rep.senders_done);
+            });
     }
-    bench::StreamingResult sr =
-        bench::run_streaming_tasks(cluster, std::move(tasks));
+    cluster.run();
     Nanoseconds fixed = cc.mgmt_latency_ns + cc.notify_latency_ns;
-    Nanoseconds elapsed = std::max<Nanoseconds>(sr.senders_done - fixed, 1);
+    Nanoseconds elapsed = std::max<Nanoseconds>(senders_done - fixed, 1);
     double total_tuple_bytes =
         static_cast<double>(per_part) * parts * senders * 8.0;
     return units::gbps(total_tuple_bytes, elapsed) / senders;
@@ -129,7 +132,7 @@ fabric_goodput(std::uint32_t racks, std::uint64_t tuples_per_sender)
             sender_hosts, cc.ask.channels_per_host, parts, slack);
     ASK_ASSERT(ids.size() == parts, "could not balance task ids");
     std::uint64_t per_part = tuples_per_sender / parts;
-    std::vector<bench::StreamingTask> tasks;
+    sim::SimTime senders_done = 0;
     for (std::uint32_t p = 0; p < parts; ++p) {
         std::vector<core::StreamSpec> streams;
         for (std::uint32_t s : sender_hosts) {
@@ -138,13 +141,16 @@ fabric_goodput(std::uint32_t racks, std::uint64_t tuples_per_sender)
                                       ks, 2, per_part,
                                       static_cast<std::uint64_t>(p) << 16)});
         }
-        tasks.push_back({ids[p], 0, std::move(streams),
-                         {.region_len = cc.ask.copy_size() / parts}});
+        cluster.submit_task(
+            ids[p], 0, std::move(streams),
+            {.region_len = cc.ask.copy_size() / parts},
+            [&senders_done](core::AggregateMap, core::TaskReport rep) {
+                senders_done = std::max(senders_done, rep.senders_done);
+            });
     }
-    bench::StreamingResult sr =
-        bench::run_streaming_tasks(cluster, std::move(tasks));
+    cluster.run();
     Nanoseconds fixed = cc.mgmt_latency_ns + cc.notify_latency_ns;
-    Nanoseconds elapsed = std::max<Nanoseconds>(sr.senders_done - fixed, 1);
+    Nanoseconds elapsed = std::max<Nanoseconds>(senders_done - fixed, 1);
     double total_tuple_bytes =
         static_cast<double>(per_part) * parts * pt.senders * 8.0;
     pt.goodput_gbps = units::gbps(total_tuple_bytes, elapsed);

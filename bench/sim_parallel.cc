@@ -74,7 +74,7 @@ run_replica(std::uint32_t racks, std::uint64_t tuples_per_sender,
     ASK_ASSERT(ids.size() == parts, "could not balance task ids");
 
     std::uint64_t per_part = tuples_per_sender / parts;
-    std::vector<bench::StreamingTask> tasks;
+    ReplicaResult r;
     for (std::uint32_t p = 0; p < parts; ++p) {
         std::vector<core::StreamSpec> streams;
         for (std::uint32_t s : sender_hosts) {
@@ -87,20 +87,21 @@ run_replica(std::uint32_t racks, std::uint64_t tuples_per_sender,
                         (static_cast<std::uint64_t>(replica_index) << 24) +
                             (static_cast<std::uint64_t>(p) << 16))});
         }
-        tasks.push_back({ids[p], 0, std::move(streams),
-                         {.region_len = cc.ask.copy_size() / parts}});
+        cluster.submit_task(
+            ids[p], 0, std::move(streams),
+            {.region_len = cc.ask.copy_size() / parts},
+            [&r](core::AggregateMap, core::TaskReport rep) {
+                r.senders_done = std::max(r.senders_done, rep.senders_done);
+                r.all_done = std::max(r.all_done, rep.finish_time);
+            });
     }
-    bench::StreamingResult sr =
-        bench::run_streaming_tasks(cluster, std::move(tasks));
+    cluster.run();
 
-    ReplicaResult r;
     Nanoseconds fixed = cc.mgmt_latency_ns + cc.notify_latency_ns;
-    Nanoseconds elapsed = std::max<Nanoseconds>(sr.senders_done - fixed, 1);
+    Nanoseconds elapsed = std::max<Nanoseconds>(r.senders_done - fixed, 1);
     double total_tuple_bytes =
         static_cast<double>(per_part) * parts * senders * 8.0;
     r.goodput_gbps = units::gbps(total_tuple_bytes, elapsed);
-    r.senders_done = sr.senders_done;
-    r.all_done = sr.all_done;
     return r;
 }
 

@@ -1,5 +1,6 @@
 #include "ask/cluster.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -94,16 +95,15 @@ AskCluster::AskCluster(const ClusterConfig& config)
     net::CostModel cost_model(config_.cost);
     for (std::uint32_t h = 0; h < topo_.num_hosts(); ++h) {
         pisa::PisaSwitch& tor = tor_of(h);
+        Wal& wal = wal_store_.host_wal(h);
+        wal.set_append_counter(&chaos_stats_.wal_appends);
         daemons_.push_back(std::make_unique<AskDaemon>(
             config_.ask, cost_model, network_, HostId{h}, tor.node_id(),
-            *controller_, *mgmt_, &obs_));
+            *controller_, *mgmt_, wal, &obs_));
         network_.attach(daemons_.back().get());
         network_.connect(daemons_.back()->node_id(), tor.node_id(),
                          config_.link_gbps, config_.link_propagation_ns,
                          config_.faults, config_.seed + h);
-        Wal& wal = wal_store_.host_wal(h);
-        wal.set_append_counter(&chaos_stats_.wal_appends);
-        daemons_.back()->set_wal(&wal);
     }
 
     if (topo_.has_tier()) {
@@ -207,6 +207,9 @@ AskCluster::submit_task(TaskId task, HostId receiver_host,
     active.receiver_host = receiver_host.value();
     for (const auto& s : streams)
         active.sender_hosts.push_back(s.host.value());
+    auto stream_done =
+        std::make_shared<std::vector<sim::SimTime>>(streams.size(), 0);
+    active.stream_done = stream_done;
     active_tasks_[task] = std::move(active);
 
     // The real completion callback lives in the cluster's registry, not
@@ -234,22 +237,29 @@ AskCluster::submit_task(TaskId task, HostId receiver_host,
     // channel and begin streaming.
     receiver.start_receive(
         task, n_senders, opts, std::move(thin_done),
-        /*on_ready=*/[this, task, receiver_node, rop,
+        /*on_ready=*/[this, task, receiver_node, rop, stream_done,
                       streams = std::move(streams)]() mutable {
             simulator_.schedule_after(
                 config_.notify_latency_ns,
-                [this, task, receiver_node, rop,
+                [this, task, receiver_node, rop, stream_done,
                  streams = std::move(streams)]() mutable {
-                    for (auto& s : streams) {
+                    for (std::size_t i = 0; i < streams.size(); ++i) {
+                        // The sender's archive keeps this callback, so
+                        // a replay re-stamps the stream's completion.
+                        auto on_complete = [this, stream_done, i] {
+                            (*stream_done)[i] = simulator_.now();
+                        };
                         // A sender notified while crashed accepts the
                         // stream when it restarts.
+                        HostId host = streams[i].host;
                         run_on_host(
-                            s.host.value(),
-                            [this, host = s.host.value(), task, receiver_node,
-                             stream = std::move(s.stream), rop]() mutable {
-                                daemons_[host]->submit_send(
+                            host.value(),
+                            [this, host, task, receiver_node, rop,
+                             stream = std::move(streams[i].stream),
+                             on_complete]() mutable {
+                                daemons_[host.value()]->submit_send(
                                     task, receiver_node, std::move(stream),
-                                    nullptr, rop);
+                                    on_complete, rop);
                             });
                     }
                 });
@@ -410,64 +420,10 @@ AskCluster::on_switch_reboot_end(const sim::ChaosEvent& e)
     // missing bindings.
     chaos_stats_.regions_reinstalled += controller_->reinstall_after_reboot();
 
-    // (2) Silence the senders of every active task BEFORE fencing:
-    // the fence boundary is each channel's next_seq, and nothing may be
-    // transmitted between reading it and the replay.
-    for (const auto& [task, info] : active_tasks_) {
-        for (std::uint32_t h : info.sender_hosts)
-            daemons_[h]->abort_send(task);
-    }
-
-    // (2b) Fabric only: the reboot wiped ONE switch's registers, but the
-    // replay streams every task from scratch — partial aggregates still
-    // sitting on the surviving switches would be double-counted. Clear
-    // them all. (A single-switch reboot needs no clear: the wipe was it.)
-    if (num_switches() > 1)
-        clear_active_regions();
-
-    // (3) Fence every data channel: stale-drop pre-crash sequences and
-    // repair the compact-seen parity the wipe destroyed. The controller
-    // fences each channel on every switch provisioning it. Crashed
-    // hosts are skipped — their channels re-fence at the WAL checkpoint
-    // when they restart.
-    for (const auto& d : daemons_) {
-        if (d->crashed())
-            continue;
-        for (std::uint32_t c = 0; c < d->num_channels(); ++c) {
-            DataChannel& ch = d->channel(c);
-            controller_->fence_channel(ch.global_id(), ch.next_seq());
-            ++chaos_stats_.channels_fenced;
-        }
-    }
-
-    // (4) Reset the receiver state of every active task and let the
-    // fabric drain, (5) then replay the archived streams. The epoch
-    // voids replays scheduled by an earlier recovery that this reboot
-    // interrupted — they would stream on top of this epoch's replay.
-    // Work aimed at a crashed host waits for its restart (and composes
-    // with the WAL rebuild there): a rebuilt receiver whose registers
-    // this reboot wiped MUST still be reset, or the replay would land
-    // on top of its journaled partial aggregate.
-    std::uint64_t epoch = ++recovery_epoch_;
-    sim::SimTime drain_until =
-        simulator_.now() + config_.ask.recovery_drain_ns;
-    for (const auto& [task, info] : active_tasks_) {
-        run_on_host(info.receiver_host,
-                    [this, task, host = info.receiver_host, drain_until] {
-                        daemons_[host]->prepare_replay(task, drain_until);
-                    });
-        for (std::uint32_t h : info.sender_hosts) {
-            simulator_.schedule_at(drain_until, [this, task, h, epoch] {
-                if (recovery_epoch_ != epoch || active_tasks_.count(task) == 0)
-                    return;
-                run_on_host(h, [this, task, h, epoch] {
-                    if (recovery_epoch_ == epoch &&
-                        active_tasks_.count(task) != 0)
-                        daemons_[h]->replay_task(task);
-                });
-            });
-        }
-    }
+    // (2)-(5) The wipe took this switch's partial aggregates and
+    // seen-window parity with it: silence the senders, clear, fence,
+    // reset the receivers, drain, and replay.
+    reset_and_replay();
 
     // (6) The switch CPU is back: management RPCs flow again — unless
     // the controller process is itself down (or another switch of the
@@ -493,6 +449,17 @@ AskCluster::finish_task(TaskId task, AggregateMap result, TaskReport report)
         return;  // already delivered (e.g. aborted during recovery)
     TaskDoneFn done = std::move(it->second);
     done_registry_.erase(it);
+    // The senders are done when their last stream is, and not at all
+    // while any stream is still open.
+    if (auto at = active_tasks_.find(task); at != active_tasks_.end()) {
+        for (sim::SimTime t : *at->second.stream_done) {
+            if (t == 0) {
+                report.senders_done = 0;
+                break;
+            }
+            report.senders_done = std::max(report.senders_done, t);
+        }
+    }
     // Stamp the per-switch shard map: which switch owned which channel
     // shard, and how much of the result came out of each region.
     std::vector<std::uint64_t> tally = controller_->fetched_tally(task);
@@ -593,12 +560,11 @@ AskCluster::restart_host(HostId host)
     // Mid-send crash: the dead process's in-flight accounting is gone,
     // so which of its tuples the switch registers absorbed is
     // unknowable. Re-establish exactness from the source archives.
-    for (const auto& [task, info] : active_tasks_) {
-        if (d.has_send_archive(task)) {
-            global_replay_reset();
-            break;
-        }
-    }
+    if (std::any_of(active_tasks_.begin(), active_tasks_.end(),
+                    [&d](const auto& kv) {
+                        return d.has_send_archive(kv.first);
+                    }))
+        reset_and_replay();
 }
 
 void
@@ -645,8 +611,28 @@ AskCluster::restart_controller()
 }
 
 void
-AskCluster::clear_active_regions()
+AskCluster::reset_and_replay()
 {
+    // The steps keep the numbers of the switch-reboot recovery, whose
+    // step (1) is the region reinstall (DESIGN.md).
+    //
+    // (2) Silence every live sender of every active task BEFORE
+    // fencing: the fence boundary is each channel's next_seq, and
+    // nothing may be transmitted between reading it and the replay. A
+    // crashed sender's channels emptied when it crashed. Every stream
+    // completes anew in the replay.
+    for (auto& [task, info] : active_tasks_) {
+        for (std::uint32_t h : info.sender_hosts) {
+            if (!daemons_[h]->crashed())
+                daemons_[h]->abort_send(task);
+        }
+        std::fill(info.stream_done->begin(), info.stream_done->end(), 0);
+    }
+
+    // (2b) Discard every active task's partial aggregate on every switch
+    // of the fabric: the replay streams each task from scratch, so any
+    // partial left on a switch would be counted twice. After a
+    // one-switch reboot the wipe already zeroed them.
     for (const auto& [task, info] : active_tasks_) {
         for (auto& p : programs_) {
             if (p->find_task(task) == nullptr)
@@ -655,30 +641,12 @@ AskCluster::clear_active_regions()
             p->clear_region(task);
         }
     }
-}
 
-void
-AskCluster::global_replay_reset()
-{
-    if (active_tasks_.empty())
-        return;
-    std::uint64_t epoch = ++recovery_epoch_;
-
-    // (1) Silence every live sender of every active task.
-    for (const auto& [task, info] : active_tasks_) {
-        for (std::uint32_t h : info.sender_hosts) {
-            if (!daemons_[h]->crashed())
-                daemons_[h]->abort_send(task);
-        }
-    }
-
-    // (2) Discard every active task's partial switch state — on every
-    // switch of the fabric. A crashed sender's in-flight accounting
-    // died with it, so which of its frames the registers absorbed is
-    // unknowable; the archives re-establish the aggregate from source.
-    clear_active_regions();
-
-    // (3) Fence every live channel so pre-reset frames stale-drop.
+    // (3) Fence every data channel: stale-drop pre-reset sequences and
+    // repair the compact-seen parity a wipe destroyed. The controller
+    // fences each channel on every switch provisioning it. Crashed
+    // hosts are skipped — their channels re-fence at the WAL checkpoint
+    // when they restart.
     for (const auto& d : daemons_) {
         if (d->crashed())
             continue;
@@ -689,8 +657,15 @@ AskCluster::global_replay_reset()
         }
     }
 
-    // (4) Reset receivers, drain the fabric, replay the archives — the
-    // same choreography as a switch reboot, crash-aware via run_on_host.
+    // (4) Reset the receiver state of every active task and let the
+    // fabric drain, (5) then replay the archived streams. The epoch
+    // voids replays scheduled by an earlier recovery that this one
+    // interrupted — they would stream on top of this epoch's replay.
+    // Work aimed at a crashed host waits for its restart (and composes
+    // with the WAL rebuild there): a rebuilt receiver whose registers
+    // were wiped MUST still be reset, or the replay would land on top
+    // of its journaled partial aggregate.
+    std::uint64_t epoch = ++recovery_epoch_;
     sim::SimTime drain_until =
         simulator_.now() + config_.ask.recovery_drain_ns;
     for (const auto& [task, info] : active_tasks_) {

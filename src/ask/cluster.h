@@ -236,8 +236,7 @@ class AskCluster
     /** Crash host `host`'s daemon process (its WAL survives). */
     void crash_host(HostId host);
     /** Restart a crashed daemon: WAL replay, deferred-work drain, and —
-     *  when the host was mid-send for an active task — a cluster-wide
-     *  replay reset. */
+     *  when the host was mid-send for an active task — reset_and_replay. */
     void restart_host(HostId host);
     /** Crash the controller process (allocation journals lost; the
      *  management endpoint goes down with it). */
@@ -252,6 +251,12 @@ class AskCluster
     {
         std::uint32_t receiver_host = 0;
         std::vector<std::uint32_t> sender_hosts;
+        /** When each stream (indexed like sender_hosts) was last fully
+         *  ACKed and FIN-ACKed; 0 = not since its submit or the last
+         *  reset_and_replay. The streams' completion callbacks hold it
+         *  too: a FIN_ACK can arrive after delivery, when the task id
+         *  may already name a new task. */
+        std::shared_ptr<std::vector<sim::SimTime>> stream_done;
     };
 
     void on_switch_reboot_start(const sim::ChaosEvent& e);
@@ -278,24 +283,22 @@ class AskCluster
     void run_on_host(std::uint32_t host, std::function<void()> fn);
 
     /** Deliver (and drop from the registry) a task's completion,
-     *  stamping the per-switch shard map onto the report. */
+     *  stamping senders_done and the per-switch shard map onto the
+     *  report. */
     void finish_task(TaskId task, AggregateMap result, TaskReport report);
 
     /** Fail an active task whose durable state is unrecoverable. */
     void abort_active_task(TaskId task, TaskStatus status,
                            const std::string& detail);
 
-    /** Discard every active task's partial aggregate on every switch
-     *  (before a from-scratch replay that would double-count them). */
-    void clear_active_regions();
-
     /**
-     * A sender crashed mid-stream: its in-flight accounting is gone, so
-     * exactness is re-established from scratch — wipe every active
-     * task's switch regions, fence all live channels, reset every
-     * receiver, and replay all archived streams after a drain window.
+     * Re-establish exactness from the source archives after a switch
+     * reboot or a sender crash: silence every live sender of every
+     * active task, clear each task's partial aggregate on every switch,
+     * fence every live channel, reset every receiver, and replay all
+     * archived streams once the drain window closes.
      */
-    void global_replay_reset();
+    void reset_and_replay();
 
     ClusterConfig config_;
     Topology topo_;

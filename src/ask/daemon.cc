@@ -209,13 +209,12 @@ DataChannel::pump()
         // before using the first of them. On the checkpoint boundary the
         // append precedes the allocation below, so the journaled resume
         // point always covers every seq this process could have used.
-        if (daemon_.wal_ != nullptr &&
-            next_seq_ % kSeqCheckpointInterval == 0) {
+        if (next_seq_ % kSeqCheckpointInterval == 0) {
             WalRecord r;
             r.kind = WalRecordKind::kSeqCheckpoint;
             r.channel = local_index_;
             r.seq = next_seq_ + kSeqCheckpointInterval;
-            daemon_.wal_->append(r);
+            daemon_.wal_.append(r);
         }
 
         Seq seq = next_seq_++;
@@ -423,9 +422,8 @@ DataChannel::finish_front_job()
 }
 
 void
-DataChannel::fail_front_job(TaskStatus status, const std::string& reason)
+DataChannel::drop_in_flight()
 {
-    ASK_ASSERT(!jobs_.empty(), "no job to fail");
     for (auto& [seq, entry] : in_flight_) {
         if (entry.timer != sim::kInvalidEvent)
             daemon_.simulator().cancel(entry.timer);
@@ -437,6 +435,13 @@ DataChannel::fail_front_job(TaskStatus status, const std::string& reason)
     }
     fin_outstanding_ = false;
     fin_tries_ = 0;
+}
+
+void
+DataChannel::fail_front_job(TaskStatus status, const std::string& reason)
+{
+    ASK_ASSERT(!jobs_.empty(), "no job to fail");
+    drop_in_flight();
 
     TaskId task = jobs_.front().task;
     // on_complete is deliberately NOT invoked: the stream was not
@@ -451,20 +456,12 @@ DataChannel::abort_task(TaskId task)
 {
     if (!jobs_.empty() && jobs_.front().task == task) {
         // In-flight frames always belong to the front job.
-        for (auto& [seq, entry] : in_flight_) {
-            if (entry.timer != sim::kInvalidEvent)
-                daemon_.simulator().cancel(entry.timer);
+        for ([[maybe_unused]] const auto& [seq, entry] : in_flight_) {
             ASK_TRACE(daemon_.tracer_, daemon_.simulator().now(), task,
                       global_id(), seq, obs::TraceStage::kAbort,
                       entry.tries);
         }
-        in_flight_.clear();
-        if (fin_timer_ != sim::kInvalidEvent) {
-            daemon_.simulator().cancel(fin_timer_);
-            fin_timer_ = sim::kInvalidEvent;
-        }
-        fin_outstanding_ = false;
-        fin_tries_ = 0;
+        drop_in_flight();
     }
     std::erase_if(jobs_, [task](const SendJob& j) { return j.task == task; });
 }
@@ -550,18 +547,8 @@ DataChannel::finish_conversion(Seq seq, AskSwitchProgram::ProbeResult probe)
 void
 DataChannel::reset_after_crash(Seq resume)
 {
-    for (auto& [seq, entry] : in_flight_) {
-        if (entry.timer != sim::kInvalidEvent)
-            daemon_.simulator().cancel(entry.timer);
-    }
-    in_flight_.clear();
+    drop_in_flight();
     jobs_.clear();
-    if (fin_timer_ != sim::kInvalidEvent) {
-        daemon_.simulator().cancel(fin_timer_);
-        fin_timer_ = sim::kInvalidEvent;
-    }
-    fin_outstanding_ = false;
-    fin_tries_ = 0;
     cwnd_ = 16;
     srtt_ns_ = 0.0;
     rttvar_ns_ = 0.0;
@@ -579,7 +566,7 @@ DataChannel::reset_after_crash(Seq resume)
 AskDaemon::AskDaemon(const AskConfig& config, const net::CostModel& cost_model,
                      net::Network& network, HostId host_index,
                      net::NodeId switch_node, AskSwitchController& controller,
-                     MgmtPlane& mgmt, obs::Observability* obs)
+                     MgmtPlane& mgmt, Wal& wal, obs::Observability* obs)
     : config_(config),
       key_space_(config),
       cost_model_(cost_model),
@@ -587,7 +574,8 @@ AskDaemon::AskDaemon(const AskConfig& config, const net::CostModel& cost_model,
       host_index_(host_index),
       switch_node_(switch_node),
       controller_(controller),
-      mgmt_(mgmt)
+      mgmt_(mgmt),
+      wal_(wal)
 {
     ASK_ASSERT(host_index.value() < config_.max_hosts,
                "host index exceeds configured max_hosts");
@@ -679,21 +667,19 @@ AskDaemon::start_receive(TaskId task, std::uint32_t expected_senders,
                 options.sender_liveness_timeout_ns < 0
                     ? config_.sender_liveness_timeout_ns
                     : options.sender_liveness_timeout_ns;
-            if (wal_ != nullptr) {
-                WalRecord r;
-                r.kind = WalRecordKind::kRxTaskStart;
-                r.task = task;
-                r.arg0 = expected_senders;
-                r.arg1 = rx.swaps_disabled ? 1 : 0;
-                r.kvs.emplace_back(
-                    "liveness_ns",
-                    static_cast<std::uint64_t>(rx.liveness_timeout_ns));
-                r.kvs.emplace_back(
-                    "start_time",
-                    static_cast<std::uint64_t>(rx.report.start_time));
-                r.kvs.emplace_back("op", static_cast<std::uint64_t>(rx.op));
-                wal_->append(r);
-            }
+            WalRecord r;
+            r.kind = WalRecordKind::kRxTaskStart;
+            r.task = task;
+            r.arg0 = expected_senders;
+            r.arg1 = rx.swaps_disabled ? 1 : 0;
+            r.kvs.emplace_back(
+                "liveness_ns",
+                static_cast<std::uint64_t>(rx.liveness_timeout_ns));
+            r.kvs.emplace_back(
+                "start_time",
+                static_cast<std::uint64_t>(rx.report.start_time));
+            r.kvs.emplace_back("op", static_cast<std::uint64_t>(rx.op));
+            wal_.append(r);
             auto [it, inserted] = rx_tasks_.emplace(task, std::move(rx));
             ASK_ASSERT(inserted, "task ", task, " already receiving here");
             if (it->second.liveness_timeout_ns > 0)
@@ -722,14 +708,12 @@ AskDaemon::submit_send(TaskId task, net::NodeId receiver, KvStream stream,
     // Archive the stream for replay: a switch reboot wipes the partial
     // aggregate, and exactness then requires re-sending from the source.
     // The archive and the channel's builder share this one copy.
-    if (wal_ != nullptr) {
-        WalRecord r;
-        r.kind = WalRecordKind::kSendSubmit;
-        r.task = task;
-        r.arg0 = static_cast<std::uint32_t>(receiver);
-        r.arg1 = static_cast<std::uint32_t>(rop);
-        wal_->append(r, stream);
-    }
+    WalRecord r;
+    r.kind = WalRecordKind::kSendSubmit;
+    r.task = task;
+    r.arg0 = static_cast<std::uint32_t>(receiver);
+    r.arg1 = static_cast<std::uint32_t>(rop);
+    wal_.append(r, stream);
     auto shared = std::make_shared<const KvStream>(std::move(stream));
     sent_archive_[task].push_back(
         ArchivedSend{receiver, shared, rop, on_complete});
@@ -772,12 +756,10 @@ AskDaemon::forget_task(TaskId task)
     auto it = sent_archive_.find(task);
     if (it == sent_archive_.end())
         return;
-    if (wal_ != nullptr) {
-        WalRecord r;
-        r.kind = WalRecordKind::kSendForget;
-        r.task = task;
-        wal_->append(r);
-    }
+    WalRecord r;
+    r.kind = WalRecordKind::kSendForget;
+    r.task = task;
+    wal_.append(r);
     sent_archive_.erase(it);
 }
 
@@ -822,6 +804,8 @@ AskDaemon::tuples_from_data_frame(const std::vector<std::uint8_t>& frame,
         std::string padded;
         Value value = 0;
         for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
+            ASK_ASSERT(mask & (1ULL << (mb + j)),
+                       "medium group bitmap must be all-or-nothing");
             WireSlot slot = read_slot(frame, mb + j);
             padded += key_space_.decode_segment(slot.seg);
             if (j + 1 == config_.medium_segments)
@@ -850,13 +834,11 @@ AskDaemon::receive(net::Packet pkt)
     switch (hdr->type) {
       case PacketType::kAck:
       case PacketType::kFinAck:
-        dispatch_to_sender_channel(*hdr, pkt);
+        dispatch_to_sender_channel(*hdr);
         return;
       case PacketType::kData:
-        handle_data(std::move(pkt), *hdr);
-        return;
       case PacketType::kLongData:
-        handle_long_data(std::move(pkt), *hdr);
+        handle_data(std::move(pkt), *hdr);
         return;
       case PacketType::kFin:
         handle_fin(pkt, *hdr);
@@ -872,10 +854,8 @@ AskDaemon::receive(net::Packet pkt)
 }
 
 void
-AskDaemon::dispatch_to_sender_channel(const AskHeader& hdr,
-                                      const net::Packet& pkt)
+AskDaemon::dispatch_to_sender_channel(const AskHeader& hdr)
 {
-    (void)pkt;
     std::uint32_t owner = hdr.channel_id / config_.channels_per_host;
     if (owner != host_index_) {
         warn(name(), ": ACK for channel ", hdr.channel_id,
@@ -990,43 +970,15 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
         // Decode first, then journal, then mutate: the WAL record for a
         // consumed packet must carry exactly the tuples the aggregate
         // absorbs, and must be durable before the absorption.
-        KvStream decoded;
-        if (hdr.type == PacketType::kData) {
-            for (std::uint32_t i = 0; i < config_.short_aas(); ++i) {
-                if (!(hdr.bitmap & (1ULL << i)))
-                    continue;
-                WireSlot slot = read_slot(pkt.data, i);
-                decoded.push_back(KvTuple{
-                    KeySpace::unpad(key_space_.decode_segment(slot.seg)),
-                    slot.value});
-            }
-            for (std::uint32_t g = 0; g < config_.medium_groups; ++g) {
-                std::uint32_t mb = config_.medium_base(g);
-                if (!(hdr.bitmap & (1ULL << mb)))
-                    continue;
-                std::string padded;
-                Value value = 0;
-                for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
-                    ASK_ASSERT(hdr.bitmap & (1ULL << (mb + j)),
-                               "medium group bitmap must be all-or-nothing");
-                    WireSlot slot = read_slot(pkt.data, mb + j);
-                    padded += key_space_.decode_segment(slot.seg);
-                    if (j + 1 == config_.medium_segments)
-                        value = slot.value;
-                }
-                decoded.push_back(KvTuple{KeySpace::unpad(padded), value});
-            }
-        } else {  // kLongData
-            decoded = parse_long_tuples(pkt.data);
-        }
-        if (wal_ != nullptr) {
-            WalRecord r;
-            r.kind = WalRecordKind::kRxData;
-            r.task = task.id;
-            r.channel = hdr.channel_id;
-            r.seq = hdr.seq;
-            wal_->append(r, decoded);
-        }
+        KvStream decoded = hdr.type == PacketType::kData
+                               ? tuples_from_data_frame(pkt.data, hdr.bitmap)
+                               : parse_long_tuples(pkt.data);
+        WalRecord r;
+        r.kind = WalRecordKind::kRxData;
+        r.task = task.id;
+        r.channel = hdr.channel_id;
+        r.seq = hdr.seq;
+        wal_.append(r, decoded);
         std::uint64_t tuples = decoded.size();
         // Combine-only: the sender lifted every value at submit_send.
         for (const auto& t : decoded)
@@ -1047,13 +999,7 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
                   hdr.seq, obs::TraceStage::kHostDuplicate);
     }
 
-    maybe_start_swap(task, ch);
-}
-
-void
-AskDaemon::handle_long_data(net::Packet&& pkt, const AskHeader& hdr)
-{
-    handle_data(std::move(pkt), hdr);
+    maybe_start_swap(task);
 }
 
 void
@@ -1073,12 +1019,12 @@ AskDaemon::handle_fin(const net::Packet& pkt, const AskHeader& hdr)
         return;
     }
     task.last_activity = simulator().now();
-    if (wal_ != nullptr && task.fins.count(hdr.channel_id) == 0) {
+    if (task.fins.count(hdr.channel_id) == 0) {
         WalRecord r;
         r.kind = WalRecordKind::kRxFin;
         r.task = task.id;
         r.channel = hdr.channel_id;
-        wal_->append(r);
+        wal_.append(r);
     }
     task.fins.insert(hdr.channel_id);
     DataChannel& ch = channel_for_task(hdr.task_id);
@@ -1089,9 +1035,8 @@ AskDaemon::handle_fin(const net::Packet& pkt, const AskHeader& hdr)
 }
 
 void
-AskDaemon::maybe_start_swap(ReceiveTask& task, DataChannel& ch)
+AskDaemon::maybe_start_swap(ReceiveTask& task)
 {
-    (void)ch;
     if (!config_.shadow_copies || config_.swap_threshold_packets == 0)
         return;
     if (task.swap_in_flight || task.finalizing || task.swaps_disabled)
@@ -1200,13 +1145,11 @@ AskDaemon::complete_swap(ReceiveTask& task)
                 // Journal the drained registers with the commit: the
                 // fetch cleared them, so these tuples now exist only in
                 // this process (and, after this append, in the WAL).
-                if (wal_ != nullptr) {
-                    WalRecord r;
-                    r.kind = WalRecordKind::kRxSwapCommit;
-                    r.task = task_id;
-                    r.seq = t.swap_target;
-                    wal_->append(r, fetched);
-                }
+                WalRecord r;
+                r.kind = WalRecordKind::kRxSwapCommit;
+                r.task = task_id;
+                r.seq = t.swap_target;
+                wal_.append(r, fetched);
                 stats_.fetch_tuples += fetched.size();
                 t.report.tuples_fetched_from_switch += fetched.size();
                 // Switch registers hold lifted partials: combine only.
@@ -1300,13 +1243,11 @@ AskDaemon::finalize(ReceiveTask& task)
                 ASK_TRACE(tracer_, simulator().now(), task_id, 0, 0,
                           obs::TraceStage::kFinalize,
                           t.report.packets_received);
-                if (wal_ != nullptr) {
-                    WalRecord r;
-                    r.kind = WalRecordKind::kRxTaskDone;
-                    r.task = task_id;
-                    r.arg0 = static_cast<std::uint32_t>(TaskStatus::kOk);
-                    wal_->append(r);
-                }
+                WalRecord r;
+                r.kind = WalRecordKind::kRxTaskDone;
+                r.task = task_id;
+                r.arg0 = static_cast<std::uint32_t>(TaskStatus::kOk);
+                wal_.append(r);
                 TaskDoneFn on_done = std::move(t.on_done);
                 AggregateMap result = std::move(t.local);
                 TaskReport report = std::move(t.report);
@@ -1373,13 +1314,11 @@ AskDaemon::fail_receive_task(TaskId task_id, TaskStatus status,
     t.report.finish_time = simulator().now();
     t.report.status = status;
     t.report.detail = std::move(detail);
-    if (wal_ != nullptr) {
-        WalRecord r;
-        r.kind = WalRecordKind::kRxTaskDone;
-        r.task = task_id;
-        r.arg0 = static_cast<std::uint32_t>(status);
-        wal_->append(r);
-    }
+    WalRecord r;
+    r.kind = WalRecordKind::kRxTaskDone;
+    r.task = task_id;
+    r.arg0 = static_cast<std::uint32_t>(status);
+    wal_.append(r);
     TaskDoneFn on_done = std::move(t.on_done);
     TaskReport report = std::move(t.report);
     rx_tasks_.erase(it);
@@ -1405,14 +1344,11 @@ AskDaemon::prepare_replay(TaskId task_id, sim::SimTime drain_until)
     if (it == rx_tasks_.end())
         return;
     ReceiveTask& t = it->second;
-    if (wal_ != nullptr) {
-        WalRecord r;
-        r.kind = WalRecordKind::kRxReset;
-        r.task = task_id;
-        r.kvs.emplace_back("drain_until",
-                           static_cast<std::uint64_t>(drain_until));
-        wal_->append(r);
-    }
+    WalRecord r;
+    r.kind = WalRecordKind::kRxReset;
+    r.task = task_id;
+    r.kvs.emplace_back("drain_until", static_cast<std::uint64_t>(drain_until));
+    wal_.append(r);
     ++t.generation;  // scheduled fetch/finalize callbacks are now void
     t.local.clear();
     t.fins.clear();
@@ -1463,11 +1399,10 @@ std::uint32_t
 AskDaemon::recover_from_wal(
     const std::function<TaskDoneFn(TaskId)>& make_done)
 {
-    ASK_ASSERT(wal_ != nullptr, "daemon recovery without a WAL");
     ASK_ASSERT(crashed_, "recovery of a live daemon");
     // Throwing replay: a corrupt log surfaces as StateError and the
     // cluster fails the host's tasks instead of rebuilding bad state.
-    std::vector<WalRecord> records = wal_->replay();
+    std::vector<WalRecord> records = wal_.replay();
     WalDaemonState state = rebuild_daemon_state(records, config_.op);
     crashed_ = false;
 
@@ -1555,7 +1490,7 @@ AskDaemon::recover_from_wal(
     // ones this one just handed out.
     WalRecord marker;
     marker.kind = WalRecordKind::kHostRecovered;
-    wal_->append(marker);
+    wal_.append(marker);
     warn(name(), ": recovered from WAL: ", rebuilt, " receive task(s), ",
          state.sends.size(), " archived send(s)");
     return rebuilt;

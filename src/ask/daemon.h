@@ -136,6 +136,13 @@ struct TaskReport
 {
     sim::SimTime start_time = 0;
     sim::SimTime finish_time = 0;
+    /** When the task's last stream was fully ACKed and FIN-ACKed at its
+     *  sender: the sender-side endpoint of aggregation throughput, which
+     *  leaves out the teardown fetch. Stamped by AskCluster at delivery;
+     *  0 when some stream had not completed by then (a failed task, a
+     *  FIN_ACK still being retried, or a stream rebuilt from a crashed
+     *  sender's WAL) and for hand-wired daemons. */
+    sim::SimTime senders_done = 0;
     std::uint64_t tuples_aggregated_locally = 0;
     std::uint64_t tuples_fetched_from_switch = 0;
     std::uint64_t packets_received = 0;
@@ -252,6 +259,10 @@ class DataChannel
     void send_fin(const SendJob& job);
     void finish_front_job();
 
+    /** Cancel every in-flight frame's timer and the FIN timer, and
+     *  forget the in-flight frames and the FIN state. */
+    void drop_in_flight();
+
     /** Fail the front send job: drop its in-flight state, notify the
      *  daemon's task-failure handler, and move on to the next job. */
     void fail_front_job(TaskStatus status, const std::string& reason);
@@ -328,13 +339,20 @@ class AskDaemon : public net::Node
      * @param controller   the switch control plane over every switch of
      *                     the deployment.
      * @param mgmt         the management network all controller RPCs use.
+     * @param wal          this host's write-ahead log: every externally
+     *                     visible state change (task starts, journaled
+     *                     submits, observed DATA, FINs, swap commits,
+     *                     resets, completions, sequence checkpoints) is
+     *                     appended *before* the in-memory state mutates,
+     *                     so crash() + recover_from_wal() rebuilds the
+     *                     daemon exactly. Must outlive the daemon.
      * @param obs          optional observability bundle (metrics + trace);
      *                     must outlive the daemon when given.
      */
     AskDaemon(const AskConfig& config, const net::CostModel& cost_model,
               net::Network& network, HostId host_index,
               net::NodeId switch_node, AskSwitchController& controller,
-              MgmtPlane& mgmt, obs::Observability* obs = nullptr);
+              MgmtPlane& mgmt, Wal& wal, obs::Observability* obs = nullptr);
 
     // ---- application-facing API ------------------------------------------
 
@@ -417,15 +435,6 @@ class AskDaemon : public net::Node
                            std::string detail);
 
     // ---- host durability (write-ahead log + crash recovery) ---------------
-
-    /**
-     * Attach this daemon's write-ahead log. Once set, every externally
-     * visible state change — task starts, journaled submits, observed
-     * DATA, FINs, swap commits, resets, completions, and sequence
-     * checkpoints — is appended *before* the in-memory state mutates,
-     * so crash() + recover_from_wal() rebuilds the daemon exactly.
-     */
-    void set_wal(Wal* wal) { wal_ = wal; }
 
     /**
      * Crash the host process: every channel, receive task, archive, and
@@ -526,17 +535,16 @@ class AskDaemon : public net::Node
     /** Charge work to the control-channel thread (fetches, setup). */
     sim::SimTime charge_control(Nanoseconds cost);
 
-    void dispatch_to_sender_channel(const AskHeader& hdr,
-                                    const net::Packet& pkt);
+    void dispatch_to_sender_channel(const AskHeader& hdr);
+    /** DATA and LONG_DATA (bypass) frames alike. */
     void handle_data(net::Packet&& pkt, const AskHeader& hdr);
-    void handle_long_data(net::Packet&& pkt, const AskHeader& hdr);
     void handle_fin(const net::Packet& pkt, const AskHeader& hdr);
     void handle_swap_ack(const AskHeader& hdr);
 
     void process_data(ReceiveTask& task, const net::Packet& pkt,
                       const AskHeader& hdr, DataChannel& ch);
     void send_ack_to(net::NodeId sender, const AskHeader& data_hdr);
-    void maybe_start_swap(ReceiveTask& task, DataChannel& ch);
+    void maybe_start_swap(ReceiveTask& task);
     void send_swap(TaskId task_id);
     void complete_swap(ReceiveTask& task);
     void maybe_finalize(ReceiveTask& task);
@@ -545,8 +553,10 @@ class AskDaemon : public net::Node
     void notify_task_failure(TaskId task, TaskStatus status,
                              const std::string& reason);
 
-    /** Decode the tuples of a DATA frame whose slot bit is in `mask`
-     *  (degraded-mode conversion to bypass frames). */
+    /** Decode the tuples of a DATA frame whose slot bit is in `mask`:
+     *  the frame's bitmap at the receiver, the unconsumed slots in a
+     *  degraded-mode conversion to a bypass frame. A medium group's
+     *  bits are all set or all clear. */
     KvStream tuples_from_data_frame(const std::vector<std::uint8_t>& frame,
                                     std::uint64_t mask) const;
 
@@ -578,8 +588,8 @@ class AskDaemon : public net::Node
     std::function<void(TaskId, TaskStatus, const std::string&)>
         on_task_failure_;
     bool degraded_ = false;
-    /** Host write-ahead log (null = durability disabled). */
-    Wal* wal_ = nullptr;
+    /** Host write-ahead log (owned by the cluster's WalStore). */
+    Wal& wal_;
     /** Crashed and not yet restarted: all traffic is dropped. */
     bool crashed_ = false;
     /** Borrowed observability hooks (may be null). The RTT histogram is

@@ -11,7 +11,7 @@
  * algebra); and the recovery events replay AskCluster's choreography
  * verbatim (abort senders -> clear regions -> fence at the cursor ->
  * reset the receiver partial -> replay the full archive with new
- * sequence numbers; see cluster.cc global_replay_reset).
+ * sequence numbers; see AskCluster::reset_and_replay).
  *
  * What is abstracted: payload slots stand in for whole key-value
  * frames (exactly-once per frame implies exactly-once per tuple — the

@@ -123,6 +123,13 @@ TEST(Chaos, SwitchRebootMidTaskStaysExact)
     EXPECT_GT(cs.channels_fenced, 0u);
     EXPECT_EQ(cs.tasks_reset, 1u);
     EXPECT_EQ(cs.streams_replayed, 2u);
+
+    // Both streams were re-sent once the drain window after the reboot
+    // closed: the senders finished only after the replay began.
+    sim::SimTime replay_start =
+        mid + 200 * kMicrosecond + cc.ask.recovery_drain_ns;
+    EXPECT_GT(r.report.senders_done, replay_start);
+    EXPECT_LE(r.report.senders_done, r.report.finish_time);
 }
 
 TEST(Chaos, SwitchRebootUnderLossWithSwapsStaysExact)
@@ -361,10 +368,13 @@ TEST(Chaos, RegionExhaustionFailsSecondTask)
 
     ASSERT_TRUE(first.ok()) << first.report.detail;
     EXPECT_EQ(first.result, truth);
+    EXPECT_GT(first.report.senders_done, 0);
     ASSERT_TRUE(second_done);
     EXPECT_FALSE(second.ok());
     EXPECT_EQ(second.status, TaskStatus::kRegionExhausted) << second.detail;
     EXPECT_EQ(cluster.chaos_stats().alloc_failures, 1u);
+    // Task 2's senders were never notified, so none of them finished.
+    EXPECT_EQ(second.senders_done, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -540,6 +550,43 @@ TEST(Chaos, SenderCrashMidTaskReplaysAndStaysExact)
     // re-established by the cluster-wide replay reset.
     EXPECT_GE(cs.streams_replayed, 1u);
     EXPECT_GE(cs.tasks_reset, 1u);
+    // The crashed sender re-sent its stream from the WAL, where no
+    // completion callback survives: when it finished is unknown.
+    EXPECT_EQ(r.report.senders_done, 0);
+}
+
+TEST(Chaos, SenderCrashAfterItsStreamLeavesSendersDoneUnknown)
+{
+    // The sender crashes after its stream was ACKed and FIN-ACKed but
+    // before the task is done. Its restart still resets and replays the
+    // task, and the stream it re-sends from the WAL has no completion
+    // callback: the time it stamped before the crash no longer holds.
+    ClusterConfig cc = base_config();
+    cc.seed = 108;
+    std::vector<StreamSpec> streams = two_streams(108, 1200);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
+    TaskReport undisturbed;
+    {
+        AskCluster dry(cc);
+        TaskResult r = dry.run_task(1, 0, streams);
+        ASSERT_TRUE(r.ok());
+        undisturbed = r.report;
+    }
+    ASSERT_GT(undisturbed.senders_done, 0);
+
+    // Both streams are done; the finalize fetch is still under way when
+    // the sender comes back.
+    AskCluster cluster(cc);
+    sim::ChaosPlan plan;
+    plan.host_crash(undisturbed.senders_done + 2 * kMicrosecond,
+                    5 * kMicrosecond, /*host=*/1);
+    cluster.arm_chaos(plan);
+
+    TaskResult r = cluster.run_task(1, 0, streams);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    EXPECT_EQ(cluster.chaos_stats().streams_replayed, 2u);
+    EXPECT_EQ(r.report.senders_done, 0);
 }
 
 TEST(Chaos, ReceiverCrashWithSwapsAndLossStaysExact)
@@ -744,6 +791,63 @@ TEST(Chaos, LogsStayBoundedOverManyLossyTasks)
     EXPECT_LE(largest_late, largest_early);
     EXPECT_GT(cluster.total_host_stats().retransmissions, 0u);
     EXPECT_TRUE(cluster.wal_store().host_wal(0).verify());
+}
+
+TEST(Chaos, LogsStayBoundedOverManyConcurrentLossyTasks)
+{
+    // 48 tasks in waves of 16 concurrent submit_task calls over four
+    // hosts on 1%-lossy cables; every host receives some tasks and
+    // sends for others. Once a wave is done, every task of it is
+    // forgotten: no host keeps its send archive, and each log holds at
+    // most the channels' latest seq checkpoints.
+    ClusterConfig cc = base_config();
+    cc.topology = TopologyBuilder().add_rack(4).build();
+    cc.ask.max_hosts = 4;
+    cc.faults = net::FaultSpec::lossy(0.01);
+    cc.seed = 167;
+    AskCluster cluster(cc);
+
+    WalRecord checkpoint;
+    checkpoint.kind = WalRecordKind::kSeqCheckpoint;
+    Wal one("one");
+    one.append(checkpoint);
+    std::size_t channels =
+        std::size_t{cluster.num_hosts()} * cc.ask.channels_per_host;
+    std::size_t bound = 2 * channels * one.size_bytes();
+
+    constexpr TaskId kWave = 16;
+    for (TaskId first = 1; first <= 48; first += kWave) {
+        TaskId done = 0;
+        for (TaskId task = first; task < first + kWave; ++task) {
+            std::uint32_t rx = task % 4;
+            Rng rng = seeded_rng("chaos_test", 2000 + task);
+            std::vector<StreamSpec> streams{
+                {(rx + 1) % 4, mixed_stream(rng, 150, 40)},
+                {(rx + 2) % 4, mixed_stream(rng, 150, 40)}};
+            cluster.submit_task(
+                task, HostId{rx}, streams,
+                {.region_len = cc.ask.copy_size() / kWave},
+                [&done, task, truth = truth_of(streams, ReduceOp::kAdd)](
+                    AggregateMap m, TaskReport rep) {
+                    EXPECT_TRUE(rep.ok()) << "task " << task << ": "
+                                          << rep.detail;
+                    EXPECT_EQ(m, truth) << "task " << task;
+                    ++done;
+                });
+        }
+        cluster.run();
+        ASSERT_EQ(done, kWave) << "wave from task " << first;
+
+        for (std::uint32_t h = 0; h < cluster.num_hosts(); ++h) {
+            const Wal& log = cluster.wal_store().host_wal(h);
+            ASSERT_LE(log.records(), channels) << "host " << h;
+            ASSERT_LE(log.size_bytes(), bound) << "host " << h;
+            for (TaskId task = first; task < first + kWave; ++task)
+                EXPECT_FALSE(cluster.daemon(HostId{h}).has_send_archive(task))
+                    << "host " << h << ", task " << task;
+        }
+    }
+    EXPECT_GT(cluster.total_host_stats().retransmissions, 0u);
 }
 
 TEST(Chaos, SwitchRebootsReplayTheSharedStreamExactly)

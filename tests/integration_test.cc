@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -319,6 +320,87 @@ TEST(Integration, ValueStreamBackwardCompatibility)
     TaskResult r = cluster.run_task(1, 0, streams);
     EXPECT_EQ(r.result, truth);
     EXPECT_EQ(r.result.size(), dim);
+}
+
+// ---------------------------------------------------------------------------
+// TaskReport::senders_done: when the last stream was fully ACKed and
+// FIN-ACKed at its sender, the endpoint the throughput benches measure.
+// ---------------------------------------------------------------------------
+
+TEST(Integration, SendersDoneIsTheLastStreamCompletion)
+{
+    ClusterConfig cc = small_cluster(3);
+    Rng rng = seeded_rng("integration_test", 23);
+    std::vector<StreamSpec> streams{{1, random_stream(rng, 600, 50)},
+                                    {2, random_stream(rng, 600, 50)}};
+
+    AskCluster cluster(cc);
+    TaskResult r = cluster.run_task(1, 0, streams);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, ground_truth(streams));
+    EXPECT_LT(r.report.start_time, r.report.senders_done);
+    EXPECT_LE(r.report.senders_done, r.report.finish_time);
+
+    // The same task wired by hand on an identical cluster (§3.1: the
+    // receiver registers, and the senders stream once notified) sees
+    // its last stream complete at exactly that time.
+    AskCluster hand(cc);
+    AskDaemon& rx = hand.daemon(0);
+    sim::SimTime last_complete = 0;
+    bool ok = false;
+    rx.start_receive(
+        1, static_cast<std::uint32_t>(streams.size()), {},
+        [&ok](AggregateMap, TaskReport rep) { ok = rep.ok(); },
+        [&] {
+            hand.simulator().schedule_after(cc.notify_latency_ns, [&] {
+                for (const StreamSpec& s : streams) {
+                    hand.daemon(s.host).submit_send(
+                        1, rx.node_id(), s.stream, [&] {
+                            last_complete = std::max(
+                                last_complete, hand.simulator().now());
+                        });
+                }
+            });
+        });
+    hand.run();
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(r.report.senders_done, last_complete);
+}
+
+TEST(Integration, ReusedTaskIdKeepsLateCompletionsOutOfItsReport)
+{
+    // Long cables, a fast management plane and a small region deliver
+    // each task before its senders hear their FIN_ACKs. The same id,
+    // resubmitted from on_done, must not take the first task's late
+    // completions as its own.
+    ClusterConfig cc = small_cluster(3);
+    cc.link_propagation_ns = 20 * units::kMicrosecond;
+    cc.mgmt_latency_ns = 100;
+    TaskOptions small{.region_len = 16};
+    Rng rng = seeded_rng("integration_test", 24);
+    std::vector<StreamSpec> first{{1, random_stream(rng, 200, 8, 4)},
+                                  {2, random_stream(rng, 200, 8, 4)}};
+    std::vector<StreamSpec> second{{2, random_stream(rng, 200, 8, 4)}};
+
+    AskCluster cluster(cc);
+    std::vector<TaskResult> done;
+    cluster.submit_task(
+        1, 0, first, small, [&](AggregateMap m, TaskReport rep) {
+            done.push_back({std::move(m), std::move(rep)});
+            cluster.submit_task(
+                1, 0, second, small, [&](AggregateMap m2, TaskReport rep2) {
+                    done.push_back({std::move(m2), std::move(rep2)});
+                });
+        });
+    cluster.run();
+
+    ASSERT_EQ(done.size(), 2u);
+    ASSERT_TRUE(done[0].ok()) << done[0].report.detail;
+    ASSERT_TRUE(done[1].ok()) << done[1].report.detail;
+    EXPECT_EQ(done[0].result, ground_truth(first));
+    EXPECT_EQ(done[1].result, ground_truth(second));
+    EXPECT_EQ(done[0].report.senders_done, 0);
+    EXPECT_EQ(done[1].report.senders_done, 0);
 }
 
 }  // namespace

@@ -354,6 +354,44 @@ TEST(MultiRack, TierRebootMidTaskStaysExact)
     EXPECT_EQ(cluster.chaos_stats().switch_reboots, 1u);
 }
 
+TEST(MultiRack, SenderCrashMidTaskStaysExact)
+{
+    // A cross-rack sender crashes mid-task. Its in-flight accounting
+    // died with it, so its restart resets and replays every active
+    // task: the partials on its ToR and on the tier must both be
+    // cleared, or the replay would count them twice. A small region
+    // makes the ToR collide, so the tier holds partials too.
+    ClusterConfig cc = fabric_config(9);
+    std::vector<StreamSpec> streams = {{HostId{2}, rack_stream(15, 1200)},
+                                       {HostId{3}, rack_stream(16, 1200)}};
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
+    TaskOptions opts;
+    opts.region_len = 4;
+
+    sim::SimTime mid;
+    {
+        AskCluster dry(cc);
+        TaskResult r = dry.run_task(1, HostId{0}, streams, opts);
+        ASSERT_TRUE(r.ok()) << r.report.detail;
+        mid = r.report.finish_time / 2;
+    }
+
+    AskCluster cluster(cc);
+    sim::ChaosPlan plan;
+    plan.host_crash(mid, 200 * kMicrosecond, /*host=*/2);
+    cluster.arm_chaos(plan);
+
+    TaskResult r = cluster.run_task(1, HostId{0}, streams, opts);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    ChaosStats cs = cluster.chaos_stats();
+    EXPECT_EQ(cs.host_crashes, 1u);
+    EXPECT_EQ(cs.host_recoveries, 1u);
+    EXPECT_GT(cs.streams_replayed, 0u);
+    EXPECT_GT(cluster.switch_stats(kTor1).tuples_aggregated, 0u);
+    EXPECT_GT(cluster.switch_stats(kTier).tuples_aggregated, 0u);
+}
+
 TEST(MultiRack, OneRackIsAOneSwitchFabric)
 {
     // One rack is the one-switch case of the fabric wiring: its ToR

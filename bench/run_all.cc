@@ -79,6 +79,8 @@ run_one(BenchJob& job, const fs::path& out_root, const std::string& mode_flag,
 {
     fs::path dir = out_root / job.name;
     fs::create_directories(dir);
+    // A report left by an earlier run must not pass for this one's.
+    fs::remove(dir / ("BENCH_" + job.name + ".json"));
     // cd into the per-bench directory so BenchReport's cwd fallback and
     // ASK_BENCH_OUT_DIR agree; stdout+stderr land in log.txt for triage.
     std::string cmd = "cd " + quoted(dir.string()) +
@@ -231,7 +233,11 @@ main(int argc, char** argv)
 
     // Schema-check every report in one bench_json_check invocation.
     fs::path checker = bench_dir / "bench_json_check";
-    if (!reports.empty() && fs::exists(checker)) {
+    if (!reports.empty() && !fs::exists(checker)) {
+        all_ok = false;
+        std::cerr << "run_all: no bench_json_check next to run_all; "
+                     "the reports were not schema-checked\n";
+    } else if (!reports.empty()) {
         std::string cmd = quoted(checker.string());
         for (const auto& r : reports)
             cmd += " " + quoted(r);

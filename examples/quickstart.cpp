@@ -58,8 +58,8 @@ main()
               << " tuples and fully absorbed " << sw.packets_acked
               << " packets\n";
 
-    // 5. Every component also publishes counters to the cluster's
-    //    metrics registry; snapshot it for a machine-readable view.
+    // 5. The same counters, folded over the cluster and named by
+    //    component, in one machine-readable snapshot.
     obs::MetricsSnapshot snap = cluster.metrics_snapshot();
     std::cout << "\nmetrics snapshot:\n"
               << "  net.packets_delivered  = "

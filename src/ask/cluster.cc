@@ -128,29 +128,6 @@ AskCluster::AskCluster(const ClusterConfig& config)
             }
         }
     }
-
-    // Wire every component's counters into the registry. The chaos
-    // counters are sliced by owner — cluster, management plane, daemons
-    // each register exactly the fields they increment — and the
-    // disjointness of those slices is asserted, not assumed. Per-switch
-    // counters get per-switch prefixes (rack 0's ToR keeps the
-    // pre-fabric names).
-    network_.register_metrics(obs_.registry);
-    for (std::uint32_t s = 0; s < num_switches(); ++s) {
-        switches_[s]->register_metrics(obs_.registry,
-                                       switch_prefix(topo_, s, "pisa"));
-        register_switch_agg_stats(obs_.registry, programs_[s]->stats(),
-                                  switch_prefix(topo_, s, "switch"));
-    }
-    register_chaos_stats(obs_.registry, chaos_stats_, StatsOwner::kCluster);
-    register_chaos_stats(obs_.registry, mgmt_->chaos_stats(),
-                         StatsOwner::kMgmt);
-    for (const auto& d : daemons_) {
-        register_host_stats(obs_.registry, d->stats());
-        register_chaos_stats(obs_.registry, d->chaos_stats(),
-                             StatsOwner::kDaemon);
-    }
-    obs_.registry.assert_disjoint_owners("chaos.");
 }
 
 AskCluster::~AskCluster() = default;
@@ -201,8 +178,9 @@ AskCluster::submit_task(TaskId task, HostId receiver_host,
     net::NodeId receiver_node = receiver.node_id();
     auto n_senders = static_cast<std::uint32_t>(streams.size());
 
-    // Register the task for chaos recovery: a switch reboot needs to
-    // know which hosts hold replayable archives for which tasks.
+    // Register the task: recovery needs to know which hosts hold
+    // replayable archives for which tasks, and finish_task delivers
+    // the outcome to on_done from here.
     ActiveTask active;
     active.receiver_host = receiver_host.value();
     for (const auto& s : streams)
@@ -210,24 +188,8 @@ AskCluster::submit_task(TaskId task, HostId receiver_host,
     auto stream_done =
         std::make_shared<std::vector<sim::SimTime>>(streams.size(), 0);
     active.stream_done = stream_done;
+    active.on_done = std::move(on_done);
     active_tasks_[task] = std::move(active);
-
-    // The real completion callback lives in the cluster's registry, not
-    // in the daemon: a receiver crash destroys the daemon's copy, and
-    // recovery re-points the rebuilt task here via finish_task.
-    done_registry_[task] = [this, task, on_done = std::move(on_done)](
-                               AggregateMap result, TaskReport report) {
-        auto it = active_tasks_.find(task);
-        if (it != active_tasks_.end()) {
-            for (std::uint32_t h : it->second.sender_hosts) {
-                run_on_host(h,
-                            [this, h, task] { daemons_[h]->forget_task(task); });
-            }
-            active_tasks_.erase(it);
-        }
-        if (on_done)
-            on_done(std::move(result), std::move(report));
-    };
     auto thin_done = [this, task](AggregateMap result, TaskReport report) {
         finish_task(task, std::move(result), std::move(report));
     };
@@ -444,21 +406,21 @@ AskCluster::run_on_host(std::uint32_t host, std::function<void()> fn)
 void
 AskCluster::finish_task(TaskId task, AggregateMap result, TaskReport report)
 {
-    auto it = done_registry_.find(task);
-    if (it == done_registry_.end())
+    auto it = active_tasks_.find(task);
+    if (it == active_tasks_.end())
         return;  // already delivered (e.g. aborted during recovery)
-    TaskDoneFn done = std::move(it->second);
-    done_registry_.erase(it);
+    ActiveTask done = std::move(it->second);
+    active_tasks_.erase(it);
+    for (std::uint32_t h : done.sender_hosts)
+        run_on_host(h, [this, h, task] { daemons_[h]->forget_task(task); });
     // The senders are done when their last stream is, and not at all
     // while any stream is still open.
-    if (auto at = active_tasks_.find(task); at != active_tasks_.end()) {
-        for (sim::SimTime t : *at->second.stream_done) {
-            if (t == 0) {
-                report.senders_done = 0;
-                break;
-            }
-            report.senders_done = std::max(report.senders_done, t);
+    for (sim::SimTime t : *done.stream_done) {
+        if (t == 0) {
+            report.senders_done = 0;
+            break;
         }
+        report.senders_done = std::max(report.senders_done, t);
     }
     // Stamp the per-switch shard map: which switch owned which channel
     // shard, and how much of the result came out of each region.
@@ -475,8 +437,9 @@ AskCluster::finish_task(TaskId task, AggregateMap result, TaskReport report)
         info.stats = programs_[s]->stats();
         report.shards.push_back(std::move(info));
     }
-    if (done)
-        done(std::move(result), std::move(report));
+    // Last: a callback that resubmits the same id starts clean.
+    if (done.on_done)
+        done.on_done(std::move(result), std::move(report));
 }
 
 void
@@ -491,8 +454,8 @@ AskCluster::abort_active_task(TaskId task, TaskStatus status,
     if (!receiver.crashed())
         receiver.fail_receive_task(task, status, detail);
     // fail_receive_task no-ops when the receiver holds no task state
-    // (crashed, or the task never rebuilt); deliver from the registry.
-    if (done_registry_.count(task) != 0) {
+    // (crashed, or the task never rebuilt); deliver from here.
+    if (active_tasks_.count(task) != 0) {
         TaskReport report;
         report.finish_time = simulator_.now();
         report.status = status;
@@ -559,11 +522,19 @@ AskCluster::restart_host(HostId host)
     }
     // Mid-send crash: the dead process's in-flight accounting is gone,
     // so which of its tuples the switch registers absorbed is
-    // unknowable. Re-establish exactness from the source archives.
-    if (std::any_of(active_tasks_.begin(), active_tasks_.end(),
-                    [&d](const auto& kv) {
-                        return d.has_send_archive(kv.first);
-                    }))
+    // unknowable. Re-establish exactness from the source archives. A
+    // stream ACKed and FIN-ACKed before the crash left nothing unknown.
+    auto mid_send = [&d, h_idx](const auto& kv) {
+        const ActiveTask& t = kv.second;
+        if (!d.has_send_archive(kv.first))
+            return false;
+        for (std::size_t i = 0; i < t.sender_hosts.size(); ++i) {
+            if (t.sender_hosts[i] == h_idx && (*t.stream_done)[i] == 0)
+                return true;
+        }
+        return false;
+    };
+    if (std::any_of(active_tasks_.begin(), active_tasks_.end(), mid_send))
         reset_and_replay();
 }
 
@@ -697,6 +668,21 @@ AskCluster::chaos_stats() const
     return total;
 }
 
+obs::MetricsSnapshot
+AskCluster::metrics_snapshot() const
+{
+    obs::MetricsSnapshot snap = obs_.registry.snapshot();
+    network_.add_counters(snap, "net.");
+    for (std::uint32_t s = 0; s < num_switches(); ++s) {
+        switches_[s]->add_counters(snap, switch_prefix(topo_, s, "pisa"));
+        add_counters(snap, switch_prefix(topo_, s, "switch"),
+                     programs_[s]->stats());
+    }
+    add_counters(snap, "host.", total_host_stats());
+    add_counters(snap, "chaos.", chaos_stats());
+    return snap;
+}
+
 HostStats
 AskCluster::total_host_stats() const
 {
@@ -766,16 +752,11 @@ AskCluster::enable_sampling(Nanoseconds interval_ns)
         "switch.agg_ratio",
         [this, prev_in = std::uint64_t{0},
          prev_agg = std::uint64_t{0}](sim::SimTime) mutable {
-            std::uint64_t in = 0;
-            std::uint64_t agg = 0;
-            for (const auto& p : programs_) {
-                in += p->stats().tuples_in;
-                agg += p->stats().tuples_aggregated;
-            }
-            std::uint64_t din = in - prev_in;
-            std::uint64_t dagg = agg - prev_agg;
-            prev_in = in;
-            prev_agg = agg;
+            SwitchAggStats total = total_switch_stats();
+            std::uint64_t din = total.tuples_in - prev_in;
+            std::uint64_t dagg = total.tuples_aggregated - prev_agg;
+            prev_in = total.tuples_in;
+            prev_agg = total.tuples_aggregated;
             return din > 0 ? static_cast<double>(dagg) /
                                  static_cast<double>(din)
                            : 0.0;

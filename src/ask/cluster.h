@@ -183,24 +183,19 @@ class AskCluster
 
     // ---- observability ----------------------------------------------------
 
-    /** The cluster-wide metrics registry. Every component's counters
-     *  are exposed here at construction time. */
-    obs::MetricsRegistry& metrics() { return obs_.registry; }
-
     /** The cluster-wide packet tracer. Disabled by default; enable
      *  globally (`tracer().set_enabled(true)`) or per task
      *  (TaskOptions::trace). */
     obs::PacketTracer& tracer() { return obs_.tracer; }
 
-    /** The whole bundle, for hand-wired daemons. */
-    obs::Observability& observability() { return obs_; }
-
-    /** Point-in-time copy of every metric (counters summed over their
-     *  sources). Snapshots merge associatively across clusters. */
-    obs::MetricsSnapshot metrics_snapshot() const
-    {
-        return obs_.registry.snapshot();
-    }
+    /**
+     * Point-in-time copy of every metric: the registry's histograms and
+     * series, plus every counter of the stats folds — `net.*`, `pisa.*`
+     * and `switch.*` per switch (rack 0's ToR unsuffixed, then `.sN.`,
+     * the tier `.tier.`), `host.*` (total_host_stats()) and `chaos.*`
+     * (chaos_stats()).
+     */
+    obs::MetricsSnapshot metrics_snapshot() const;
 
     /**
      * Start periodic time-series sampling (simulated time): goodput,
@@ -246,7 +241,8 @@ class AskCluster
     void restart_controller();
 
   private:
-    /** Tasks currently in flight, for reboot recovery. */
+    /** A task in flight, from submit_task to finish_task: what
+     *  recovery needs to know, and whom to tell when it is done. */
     struct ActiveTask
     {
         std::uint32_t receiver_host = 0;
@@ -257,6 +253,10 @@ class AskCluster
          *  too: a FIN_ACK can arrive after delivery, when the task id
          *  may already name a new task. */
         std::shared_ptr<std::vector<sim::SimTime>> stream_done;
+        /** The application's completion callback. It lives here, not
+         *  in the daemon: a receiver crash destroys the daemon's copy,
+         *  and recovery re-points the rebuilt task at finish_task. */
+        TaskDoneFn on_done;
     };
 
     void on_switch_reboot_start(const sim::ChaosEvent& e);
@@ -282,9 +282,9 @@ class AskCluster
      *  and compose with — its WAL rebuild). */
     void run_on_host(std::uint32_t host, std::function<void()> fn);
 
-    /** Deliver (and drop from the registry) a task's completion,
-     *  stamping senders_done and the per-switch shard map onto the
-     *  report. */
+    /** Deliver a task's completion: drop it from active_tasks_, forget
+     *  its senders' archives, stamp senders_done and the per-switch
+     *  shard map onto the report, then call its on_done. */
     void finish_task(TaskId task, AggregateMap result, TaskReport report);
 
     /** Fail an active task whose durable state is unrecoverable. */
@@ -302,9 +302,9 @@ class AskCluster
 
     ClusterConfig config_;
     Topology topo_;
-    /** Declared before every component: the registry holds pointers to
-     *  their live counters, so it must construct first (and destruct
-     *  last). */
+    /** Declared before every component: daemons and switch programs
+     *  hold pointers into it (the RTT histogram, the tracer), so it
+     *  must construct first (and destruct last). */
     obs::Observability obs_;
     /** Stable storage. Declared before the components that journal into
      *  it and survives their crashes by construction. */
@@ -323,11 +323,6 @@ class AskCluster
      *  void once recovery N+1 has re-fenced the channels (its frames
      *  would land on top of recovery N+1's own replay). */
     std::uint64_t recovery_epoch_ = 0;
-    /** The real per-task completion callbacks. A receiver crash
-     *  destroys the daemon-held std::function; recovery re-points the
-     *  rebuilt task at this registry, so the application still hears
-     *  the outcome. */
-    std::unordered_map<TaskId, TaskDoneFn> done_registry_;
     /** Recovery work aimed at a crashed host, drained at its restart
      *  (after the WAL rebuild it must compose with). */
     std::unordered_map<std::uint32_t, std::vector<std::function<void()>>>

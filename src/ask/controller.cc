@@ -331,9 +331,15 @@ AskSwitchController::fetched_tally(TaskId task) const
 std::uint64_t
 AskSwitchController::fetch_scan_entries(TaskId task) const
 {
+    // A rebooting switch holds no task table until the reinstall at the
+    // end of its reboot, yet the receiver may finalize meanwhile on FINs
+    // that took the other switches. The management plane is dark until
+    // every switch is back, and that recovery voids the queued fetch.
     std::uint64_t entries = 0;
-    for (const Switch& sw : switches_)
-        entries += sw.program->region_scan_entries(task);
+    for (const Switch& sw : switches_) {
+        if (sw.program->find_task(task) != nullptr)
+            entries += sw.program->region_scan_entries(task);
+    }
     return entries;
 }
 

@@ -118,7 +118,8 @@ class AskSwitchController
      */
     KvStream fetch(TaskId task, std::uint32_t copy, bool clear);
 
-    /** Aggregator entries a fetch of this task scans (cost accounting). */
+    /** Aggregator entries a fetch of this task scans (cost accounting),
+     *  over the switches that hold it (a rebooting one holds none). */
     std::uint64_t fetch_scan_entries(TaskId task) const;
 
     /** Current swap epoch of the task (epochs advance in lock-step, and

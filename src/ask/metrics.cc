@@ -4,52 +4,30 @@
 
 namespace ask::core {
 
-const char*
-stats_owner_name(StatsOwner owner)
+#define ASK_ADD_COUNTER(field, doc) \
+    snap.add_counter(prefix + #field, stats.field);
+
+void
+add_counters(obs::MetricsSnapshot& snap, const std::string& prefix,
+             const SwitchAggStats& stats)
 {
-    switch (owner) {
-      case StatsOwner::kCluster:
-        return "cluster";
-      case StatsOwner::kMgmt:
-        return "mgmt";
-      case StatsOwner::kDaemon:
-        return "daemon";
-    }
-    return "?";
+    ASK_SWITCH_AGG_STATS_FIELDS(ASK_ADD_COUNTER)
 }
 
 void
-register_switch_agg_stats(obs::MetricsRegistry& registry,
-                          const SwitchAggStats& stats,
-                          const std::string& prefix)
+add_counters(obs::MetricsSnapshot& snap, const std::string& prefix,
+             const HostStats& stats)
 {
-#define ASK_X(field, doc) \
-    registry.expose(prefix + #field, &stats.field, "switch");
-    ASK_SWITCH_AGG_STATS_FIELDS(ASK_X)
-#undef ASK_X
+    ASK_HOST_STATS_FIELDS(ASK_ADD_COUNTER)
 }
 
 void
-register_host_stats(obs::MetricsRegistry& registry, const HostStats& stats,
-                    const std::string& prefix)
+add_counters(obs::MetricsSnapshot& snap, const std::string& prefix,
+             const ChaosStats& stats)
 {
-#define ASK_X(field, doc) \
-    registry.expose(prefix + #field, &stats.field, "host");
-    ASK_HOST_STATS_FIELDS(ASK_X)
-#undef ASK_X
+    ASK_CHAOS_STATS_FIELDS(ASK_ADD_COUNTER)
 }
 
-void
-register_chaos_stats(obs::MetricsRegistry& registry, const ChaosStats& stats,
-                     StatsOwner owner, const std::string& prefix)
-{
-#define ASK_X(field, field_owner, doc)                      \
-    if (owner == StatsOwner::field_owner) {                 \
-        registry.expose(prefix + #field, &stats.field,      \
-                        stats_owner_name(owner));           \
-    }
-    ASK_CHAOS_STATS_FIELDS(ASK_X)
-#undef ASK_X
-}
+#undef ASK_ADD_COUNTER
 
 }  // namespace ask::core

@@ -4,17 +4,10 @@
  * the paper's Table 1 and several figures.
  *
  * The field lists are X-macros: each list expands once into the struct
- * definition, once into merge(), and once into the registration helper
- * that exposes every field to an obs::MetricsRegistry — so a counter
- * added to the list is automatically merged, snapshotted, and named.
- *
- * ChaosStats is special: every component that observes a chaos event
- * or performs a recovery action owns a *disjoint slice* of the struct
- * (the cluster coordinator, the management plane, the daemons). The
- * owner of each field is declared right here in the list, and
- * register_chaos_stats() registers only the caller's slice, so
- * MetricsRegistry::assert_disjoint_owners() can verify structurally
- * that no counter is double-counted.
+ * definition, once into merge(), and once into add_counters(), which
+ * writes every field into an obs::MetricsSnapshot under
+ * `<prefix><field>` — so a counter added to the list is automatically
+ * folded, snapshotted, and named.
  */
 #ifndef ASK_ASK_METRICS_H
 #define ASK_ASK_METRICS_H
@@ -23,7 +16,7 @@
 #include <string>
 
 namespace ask::obs {
-class MetricsRegistry;
+class MetricsSnapshot;
 }  // namespace ask::obs
 
 namespace ask::core {
@@ -50,44 +43,46 @@ namespace ask::core {
     X(blackholed, "DATA/SWAP eaten by a sick program")
 
 /**
- * Fault-injection and recovery counters: X(field, owner, doc).
- * `owner` is the StatsOwner member whose component increments the
- * field; AskCluster::chaos_stats() merges the slices.
+ * Fault-injection and recovery counters: X(field, doc). Each section
+ * is incremented by one component; AskCluster::chaos_stats() folds
+ * them.
  */
 #define ASK_CHAOS_STATS_FIELDS(X)                                           \
-    /* ---- faults observed ---- */                                         \
-    X(link_blackouts, kCluster, "cable blackout windows opened")            \
-    X(burst_loss_windows, kCluster, "burst-loss windows opened")            \
-    X(switch_reboots, kCluster, "switch reboot episodes")                   \
-    X(mgmt_outages, kCluster, "management-plane outage windows")            \
-    X(mgmt_delay_windows, kCluster, "management-plane delay windows")       \
-    X(data_blackholes, kCluster, "sick-program blackhole windows")          \
-    X(host_crashes, kCluster, "host daemon crash episodes")                 \
-    X(controller_crashes, kCluster, "controller crash episodes")            \
-    X(unhandled_events, kCluster, "chaos episodes fired with no handler")   \
-    /* ---- recovery actions ---- */                                        \
-    X(regions_reinstalled, kCluster, "task regions re-pushed post-reboot")  \
-    X(channels_fenced, kCluster, "max_seq/seen fences written")             \
-    X(host_recoveries, kCluster, "daemon WAL recoveries completed")         \
-    X(controller_recoveries, kCluster, "controller WAL recoveries")         \
-    X(wal_appends, kCluster, "write-ahead log records appended")            \
-    X(wal_rejected, kCluster, "WAL replays rejected (corrupt log)")         \
-    X(crash_aborted_tasks, kCluster, "tasks failed by unrecoverable crash") \
-    X(tasks_reset, kDaemon, "receiver tasks reset for replay")              \
-    X(streams_replayed, kDaemon, "sender streams re-submitted")             \
-    X(drain_dropped, kDaemon, "packets dropped by drain guards")            \
-    X(crash_dropped, kDaemon, "packets dropped at a crashed host")          \
-    X(degraded_entries, kDaemon, "daemons entering host-only mode")         \
-    X(bypass_conversions, kDaemon, "in-flight DATA rerouted to bypass")     \
-    X(probe_rpcs, kDaemon, "PktState probes during conversion")             \
-    X(swap_giveups, kDaemon, "tasks that stopped swapping")                 \
-    X(fin_giveups, kDaemon, "send jobs failed at FIN budget")               \
-    X(send_failures, kDaemon, "send jobs failed at data budget")            \
-    X(sender_timeouts, kDaemon, "rx tasks failed by liveness timeout")      \
-    X(alloc_failures, kDaemon, "region allocation rejections")              \
-    X(mgmt_rpcs, kMgmt, "management RPC attempts")                          \
-    X(mgmt_retries, kMgmt, "attempts that hit an outage")                   \
-    X(mgmt_giveups, kMgmt, "RPCs abandoned after max tries")
+    /* ---- AskCluster: faults observed ---- */                             \
+    X(link_blackouts, "cable blackout windows opened")                      \
+    X(burst_loss_windows, "burst-loss windows opened")                      \
+    X(switch_reboots, "switch reboot episodes")                             \
+    X(mgmt_outages, "management-plane outage windows")                      \
+    X(mgmt_delay_windows, "management-plane delay windows")                 \
+    X(data_blackholes, "sick-program blackhole windows")                    \
+    X(host_crashes, "host daemon crash episodes")                           \
+    X(controller_crashes, "controller crash episodes")                      \
+    X(unhandled_events, "chaos episodes fired with no handler")             \
+    /* ---- AskCluster: recovery actions ---- */                            \
+    X(regions_reinstalled, "task regions re-pushed post-reboot")            \
+    X(channels_fenced, "max_seq/seen fences written")                       \
+    X(host_recoveries, "daemon WAL recoveries completed")                   \
+    X(controller_recoveries, "controller WAL recoveries")                   \
+    X(wal_appends, "write-ahead log records appended")                      \
+    X(wal_rejected, "WAL replays rejected (corrupt log)")                   \
+    X(crash_aborted_tasks, "tasks failed by unrecoverable crash")           \
+    /* ---- AskDaemon: send/receive recovery paths ---- */                  \
+    X(tasks_reset, "receiver tasks reset for replay")                       \
+    X(streams_replayed, "sender streams re-submitted")                      \
+    X(drain_dropped, "packets dropped by drain guards")                     \
+    X(crash_dropped, "packets dropped at a crashed host")                   \
+    X(degraded_entries, "daemons entering host-only mode")                  \
+    X(bypass_conversions, "in-flight DATA rerouted to bypass")              \
+    X(probe_rpcs, "PktState probes during conversion")                      \
+    X(swap_giveups, "tasks that stopped swapping")                          \
+    X(fin_giveups, "send jobs failed at FIN budget")                        \
+    X(send_failures, "send jobs failed at data budget")                     \
+    X(sender_timeouts, "rx tasks failed by liveness timeout")               \
+    X(alloc_failures, "region allocation rejections")                       \
+    /* ---- MgmtPlane: RPC bookkeeping ---- */                              \
+    X(mgmt_rpcs, "management RPC attempts")                                 \
+    X(mgmt_retries, "attempts that hit an outage")                          \
+    X(mgmt_giveups, "RPCs abandoned after max tries")
 
 /** Host-side per-cluster counters: X(field, doc). */
 #define ASK_HOST_STATS_FIELDS(X)                                            \
@@ -106,20 +101,18 @@ namespace ask::core {
 // Structs generated from the lists
 // ---------------------------------------------------------------------------
 
-#define ASK_STATS_DECLARE_FIELD_2(field, doc) std::uint64_t field = 0;
-#define ASK_STATS_DECLARE_FIELD_3(field, owner, doc) std::uint64_t field = 0;
-#define ASK_STATS_MERGE_FIELD_2(field, doc) field += o.field;
-#define ASK_STATS_MERGE_FIELD_3(field, owner, doc) field += o.field;
+#define ASK_STATS_DECLARE_FIELD(field, doc) std::uint64_t field = 0;
+#define ASK_STATS_MERGE_FIELD(field, doc) field += o.field;
 
 /** Switch-side aggregation counters. */
 struct SwitchAggStats
 {
-    ASK_SWITCH_AGG_STATS_FIELDS(ASK_STATS_DECLARE_FIELD_2)
+    ASK_SWITCH_AGG_STATS_FIELDS(ASK_STATS_DECLARE_FIELD)
 
     SwitchAggStats&
     merge(const SwitchAggStats& o)
     {
-        ASK_SWITCH_AGG_STATS_FIELDS(ASK_STATS_MERGE_FIELD_2)
+        ASK_SWITCH_AGG_STATS_FIELDS(ASK_STATS_MERGE_FIELD)
         return *this;
     }
 };
@@ -127,12 +120,12 @@ struct SwitchAggStats
 /** Fault-injection and recovery counters (see the field list above). */
 struct ChaosStats
 {
-    ASK_CHAOS_STATS_FIELDS(ASK_STATS_DECLARE_FIELD_3)
+    ASK_CHAOS_STATS_FIELDS(ASK_STATS_DECLARE_FIELD)
 
     ChaosStats&
     merge(const ChaosStats& o)
     {
-        ASK_CHAOS_STATS_FIELDS(ASK_STATS_MERGE_FIELD_3)
+        ASK_CHAOS_STATS_FIELDS(ASK_STATS_MERGE_FIELD)
         return *this;
     }
 };
@@ -140,54 +133,30 @@ struct ChaosStats
 /** Host-side per-cluster counters. */
 struct HostStats
 {
-    ASK_HOST_STATS_FIELDS(ASK_STATS_DECLARE_FIELD_2)
+    ASK_HOST_STATS_FIELDS(ASK_STATS_DECLARE_FIELD)
 
     HostStats&
     merge(const HostStats& o)
     {
-        ASK_HOST_STATS_FIELDS(ASK_STATS_MERGE_FIELD_2)
+        ASK_HOST_STATS_FIELDS(ASK_STATS_MERGE_FIELD)
         return *this;
     }
 };
 
-#undef ASK_STATS_DECLARE_FIELD_2
-#undef ASK_STATS_DECLARE_FIELD_3
-#undef ASK_STATS_MERGE_FIELD_2
-#undef ASK_STATS_MERGE_FIELD_3
+#undef ASK_STATS_DECLARE_FIELD
+#undef ASK_STATS_MERGE_FIELD
 
 // ---------------------------------------------------------------------------
-// Registry integration
+// Snapshot writers
 // ---------------------------------------------------------------------------
 
-/** The component kinds that own ChaosStats slices. */
-enum class StatsOwner : std::uint8_t
-{
-    kCluster,  ///< AskCluster fault-arming / reboot recovery
-    kMgmt,     ///< MgmtPlane RPC bookkeeping
-    kDaemon,   ///< AskDaemon send/receive recovery paths
-};
-
-const char* stats_owner_name(StatsOwner owner);
-
-/** Expose every SwitchAggStats field as `<prefix><field>` (owner
- *  "switch"). `stats` must outlive the registry's snapshots. */
-void register_switch_agg_stats(obs::MetricsRegistry& registry,
-                               const SwitchAggStats& stats,
-                               const std::string& prefix = "switch.");
-
-/** Expose every HostStats field as `<prefix><field>` (owner "host"). */
-void register_host_stats(obs::MetricsRegistry& registry,
-                         const HostStats& stats,
-                         const std::string& prefix = "host.");
-
-/**
- * Expose only the fields of `stats` owned by `owner` — each caller
- * registers exactly its slice, so the registry can assert that the
- * slices are disjoint and nothing is double-counted.
- */
-void register_chaos_stats(obs::MetricsRegistry& registry,
-                          const ChaosStats& stats, StatsOwner owner,
-                          const std::string& prefix = "chaos.");
+/** Add every field of `stats` to `snap` as counter `<prefix><field>`. */
+void add_counters(obs::MetricsSnapshot& snap, const std::string& prefix,
+                  const SwitchAggStats& stats);
+void add_counters(obs::MetricsSnapshot& snap, const std::string& prefix,
+                  const HostStats& stats);
+void add_counters(obs::MetricsSnapshot& snap, const std::string& prefix,
+                  const ChaosStats& stats);
 
 }  // namespace ask::core
 

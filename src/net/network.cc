@@ -137,15 +137,13 @@ Network::node(NodeId id) const
 }
 
 void
-Network::register_metrics(obs::MetricsRegistry& registry,
-                          const std::string& prefix) const
+Network::add_counters(obs::MetricsSnapshot& snap,
+                      const std::string& prefix) const
 {
-    registry.expose(prefix + "packets_sent", &stats_.packets_sent, "net");
-    registry.expose(prefix + "packets_delivered", &stats_.packets_delivered,
-                    "net");
-    registry.expose(prefix + "packets_dropped", &stats_.packets_dropped,
-                    "net");
-    registry.expose(prefix + "bytes_sent", &stats_.bytes_sent, "net");
+    snap.add_counter(prefix + "packets_sent", stats_.packets_sent);
+    snap.add_counter(prefix + "packets_delivered", stats_.packets_delivered);
+    snap.add_counter(prefix + "packets_dropped", stats_.packets_dropped);
+    snap.add_counter(prefix + "bytes_sent", stats_.bytes_sent);
 }
 
 }  // namespace ask::net

@@ -20,7 +20,7 @@
 #include "sim/simulator.h"
 
 namespace ask::obs {
-class MetricsRegistry;
+class MetricsSnapshot;
 }  // namespace ask::obs
 
 namespace ask::net {
@@ -101,9 +101,9 @@ class Network
     Node* node(NodeId id) const;
     const NetworkStats& stats() const { return stats_; }
 
-    /** Expose the fabric counters under `prefix` (owner "net"). */
-    void register_metrics(obs::MetricsRegistry& registry,
-                          const std::string& prefix = "net.") const;
+    /** Add the fabric counters to `snap` under `prefix`. */
+    void add_counters(obs::MetricsSnapshot& snap,
+                      const std::string& prefix) const;
     sim::Simulator& simulator() { return simulator_; }
 
   private:

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/logging.h"
-
 namespace ask::obs {
 
 // ---------------------------------------------------------------------------
@@ -99,23 +97,10 @@ LogHistogram::summary_json() const
 // MetricsSnapshot
 // ---------------------------------------------------------------------------
 
-MetricsSnapshot&
-MetricsSnapshot::merge(const MetricsSnapshot& o)
+void
+MetricsSnapshot::add_counter(const std::string& name, std::uint64_t value)
 {
-    for (const auto& [name, v] : o.counters_)
-        counters_[name] += v;
-    for (const auto& [name, v] : o.gauges_)
-        gauges_[name] = v;
-    for (const auto& [name, h] : o.histograms_)
-        histograms_[name].merge(h);
-    for (const auto& [name, s] : o.series_) {
-        TimeSeries& mine = series_[name];
-        mine.times_ns.insert(mine.times_ns.end(), s.times_ns.begin(),
-                             s.times_ns.end());
-        mine.values.insert(mine.values.end(), s.values.begin(),
-                           s.values.end());
-    }
-    return *this;
+    counters_[name] += value;
 }
 
 std::uint64_t
@@ -172,23 +157,6 @@ MetricsSnapshot::to_json() const
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-void
-MetricsRegistry::expose(const std::string& name, const std::uint64_t* field,
-                        const std::string& owner)
-{
-    ASK_ASSERT(field != nullptr, "expose of a null field: ", name);
-    exposed_[name].push_back(Source{field, owner});
-}
-
-Counter&
-MetricsRegistry::counter(const std::string& name)
-{
-    auto& slot = counters_[name];
-    if (!slot)
-        slot = std::make_unique<Counter>();
-    return *slot;
-}
-
 Gauge&
 MetricsRegistry::gauge(const std::string& name)
 {
@@ -220,14 +188,6 @@ MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     MetricsSnapshot snap;
-    for (const auto& [name, sources] : exposed_) {
-        std::uint64_t total = 0;
-        for (const Source& s : sources)
-            total += *s.field;
-        snap.counters_[name] += total;
-    }
-    for (const auto& [name, c] : counters_)
-        snap.counters_[name] += c->value();
     for (const auto& [name, g] : gauges_)
         snap.gauges_[name] = g->value();
     for (const auto& [name, h] : histograms_)
@@ -235,32 +195,6 @@ MetricsRegistry::snapshot() const
     for (const auto& [name, s] : series_)
         snap.series_[name] = *s;
     return snap;
-}
-
-void
-MetricsRegistry::assert_disjoint_owners(const std::string& prefix) const
-{
-    std::map<const std::uint64_t*, std::string> seen_fields;
-    for (const auto& [name, sources] : exposed_) {
-        if (name.compare(0, prefix.size(), prefix) != 0)
-            continue;
-        const std::string* owner = nullptr;
-        for (const Source& s : sources) {
-            if (owner != nullptr && *owner != s.owner) {
-                panic("metric ", name, " claimed by both '", *owner,
-                      "' and '", s.owner,
-                      "': counter slices must be owned by one component "
-                      "kind");
-            }
-            owner = &s.owner;
-            auto [it, inserted] = seen_fields.emplace(s.field, name);
-            if (!inserted) {
-                panic("field registered twice: once as ", it->second,
-                      " and once as ", name,
-                      " — it would be double-counted in every snapshot");
-            }
-        }
-    }
 }
 
 }  // namespace ask::obs

@@ -1,28 +1,19 @@
 /**
  * @file
- * The cluster-wide metrics registry.
+ * The cluster-wide metrics registry and its point-in-time snapshot.
  *
- * Design constraints, in order:
+ * Counters live in the components' own plain `std::uint64_t` struct
+ * fields (SwitchAggStats, HostStats, ChaosStats, NetworkStats, ...), so
+ * the increment path has no string lookup, atomic or indirection. The
+ * snapshot's owner writes them in by name with
+ * `MetricsSnapshot::add_counter` (AskCluster::metrics_snapshot adds the
+ * stats folds).
  *
- *  1. **Zero hot-path cost for counters.** Components keep incrementing
- *     their own plain `std::uint64_t` struct fields (SwitchAggStats,
- *     HostStats, ChaosStats, NetworkStats, ...); the registry holds
- *     *pointers* to those fields (`expose()`) and reads them only when
- *     a snapshot is taken. No string lookup, no atomic, no indirection
- *     on the increment path.
- *  2. **Multiple sources per name.** Every daemon exposes
- *     `host.retransmissions`; the snapshot sums all sources of a name,
- *     which replaces the hand-written per-struct merge boilerplate.
- *  3. **Ownership is declared, then checked.** Each source carries an
- *     owner tag ("cluster", "mgmt", "daemon"); `assert_disjoint_owners`
- *     verifies no metric name is claimed by two different owner kinds
- *     and no field pointer is registered twice — the structural form of
- *     "each component owns a disjoint slice of the chaos counters".
- *
- * Histograms are log-linear (HdrHistogram-style: 8 linear sub-buckets
- * per power of two), giving quantiles with <= 1/8 relative error over
- * the full uint64 range in 512 fixed buckets. Time series are plain
- * (SimTime, double) append-only vectors fed by obs::Sampler.
+ * The registry owns gauges, histograms and time series. Histograms are
+ * log-linear (HdrHistogram-style: 8 linear sub-buckets per power of
+ * two), giving quantiles with <= 1/8 relative error over the full
+ * uint64 range in 512 fixed buckets. Time series are plain (SimTime,
+ * double) append-only vectors fed by obs::Sampler.
  */
 #ifndef ASK_OBS_METRICS_H
 #define ASK_OBS_METRICS_H
@@ -38,17 +29,6 @@
 #include "obs/json.h"
 
 namespace ask::obs {
-
-/** An owned monotonic counter (for components without a stats struct). */
-class Counter
-{
-  public:
-    void add(std::uint64_t n = 1) { value_ += n; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /** A last-value-wins instantaneous measurement. */
 class Gauge
@@ -132,17 +112,14 @@ struct TimeSeries
 };
 
 /**
- * A point-in-time, self-contained copy of every metric: counter values
- * summed over their sources, gauges, histogram summaries (with raw
- * buckets kept so merge stays exact), and time series.
- *
- * Snapshots merge associatively: counters add, histograms merge
- * bucket-wise, gauges keep the last writer, series concatenate.
+ * A point-in-time, self-contained copy of every metric: counters,
+ * gauges, histograms and time series.
  */
 class MetricsSnapshot
 {
   public:
-    MetricsSnapshot& merge(const MetricsSnapshot& o);
+    /** Add `value` to counter `name` (created at 0). */
+    void add_counter(const std::string& name, std::uint64_t value);
 
     /** {counters: {...}, gauges: {...}, histograms: {...},
      *   series: {...}} with keys sorted for schema stability. */
@@ -160,11 +137,7 @@ class MetricsSnapshot
     std::map<std::string, TimeSeries> series_;
 };
 
-/**
- * The registry. Components either `expose()` fields of their own stats
- * structs (preferred: free on the hot path) or create owned
- * counters/gauges/histograms by name.
- */
+/** The registry: gauges, histograms and time series, created by name. */
 class MetricsRegistry
 {
   public:
@@ -172,40 +145,16 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-    /**
-     * Register `field` (a live counter the component keeps
-     * incrementing) as one source of metric `name`. Multiple sources
-     * per name are summed at snapshot time. `owner` tags the component
-     * kind for the disjoint-ownership check.
-     */
-    void expose(const std::string& name, const std::uint64_t* field,
-                const std::string& owner);
-
     /** Owned metrics, created on first use (one instance per name). */
-    Counter& counter(const std::string& name);
     Gauge& gauge(const std::string& name);
     LogHistogram& histogram(const std::string& name);
     TimeSeries& series(const std::string& name);
 
-    /** Read the current value of every metric. */
+    /** Read the current value of every metric (no counters: the
+     *  snapshot's owner adds those). */
     MetricsSnapshot snapshot() const;
 
-    /**
-     * Verify that, among metric names starting with `prefix`, every
-     * name's sources share one owner tag and no field pointer was
-     * registered twice. panics (internal bug) on violation.
-     */
-    void assert_disjoint_owners(const std::string& prefix) const;
-
   private:
-    struct Source
-    {
-        const std::uint64_t* field;
-        std::string owner;
-    };
-
-    std::map<std::string, std::vector<Source>> exposed_;
-    std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<LogHistogram>> histograms_;
     std::map<std::string, std::unique_ptr<TimeSeries>> series_;

@@ -66,14 +66,13 @@ PisaSwitch::install(SwitchProgram* program)
 }
 
 void
-PisaSwitch::register_metrics(obs::MetricsRegistry& registry,
-                             const std::string& prefix) const
+PisaSwitch::add_counters(obs::MetricsSnapshot& snap,
+                         const std::string& prefix) const
 {
-    registry.expose(prefix + "packets_in", &stats_.packets_in, "pisa");
-    registry.expose(prefix + "packets_out", &stats_.packets_out, "pisa");
-    registry.expose(prefix + "passes", &stats_.passes, "pisa");
-    registry.expose(prefix + "dropped_offline", &stats_.dropped_offline,
-                    "pisa");
+    snap.add_counter(prefix + "packets_in", stats_.packets_in);
+    snap.add_counter(prefix + "packets_out", stats_.packets_out);
+    snap.add_counter(prefix + "passes", stats_.passes);
+    snap.add_counter(prefix + "dropped_offline", stats_.dropped_offline);
 }
 
 void

@@ -16,7 +16,7 @@
 #include "pisa/pipeline.h"
 
 namespace ask::obs {
-class MetricsRegistry;
+class MetricsSnapshot;
 }  // namespace ask::obs
 
 namespace ask::pisa {
@@ -119,9 +119,9 @@ class PisaSwitch : public net::Node
     const SwitchStats& stats() const { return stats_; }
     Nanoseconds pipeline_latency_ns() const { return pipeline_latency_ns_; }
 
-    /** Expose the switch counters under `prefix` (owner "pisa"). */
-    void register_metrics(obs::MetricsRegistry& registry,
-                          const std::string& prefix = "pisa.") const;
+    /** Add the switch counters to `snap` under `prefix`. */
+    void add_counters(obs::MetricsSnapshot& snap,
+                      const std::string& prefix) const;
 
   private:
     class PortEmitter;

@@ -555,12 +555,12 @@ TEST(Chaos, SenderCrashMidTaskReplaysAndStaysExact)
     EXPECT_EQ(r.report.senders_done, 0);
 }
 
-TEST(Chaos, SenderCrashAfterItsStreamLeavesSendersDoneUnknown)
+TEST(Chaos, SenderCrashAfterItsStreamCompletedNeedsNoReplay)
 {
     // The sender crashes after its stream was ACKed and FIN-ACKed but
-    // before the task is done. Its restart still resets and replays the
-    // task, and the stream it re-sends from the WAL has no completion
-    // callback: the time it stamped before the crash no longer holds.
+    // before the task is done. Nothing of that stream is unknown, so
+    // its restart resets and replays nothing: the task finishes as if
+    // undisturbed, with the completion time stamped before the crash.
     ClusterConfig cc = base_config();
     cc.seed = 108;
     std::vector<StreamSpec> streams = two_streams(108, 1200);
@@ -585,8 +585,12 @@ TEST(Chaos, SenderCrashAfterItsStreamLeavesSendersDoneUnknown)
     TaskResult r = cluster.run_task(1, 0, streams);
     ASSERT_TRUE(r.ok()) << r.report.detail;
     EXPECT_EQ(r.result, truth);
-    EXPECT_EQ(cluster.chaos_stats().streams_replayed, 2u);
-    EXPECT_EQ(r.report.senders_done, 0);
+    ChaosStats cs = cluster.chaos_stats();
+    EXPECT_EQ(cs.host_recoveries, 1u);
+    EXPECT_EQ(cs.streams_replayed, 0u);
+    EXPECT_EQ(cs.tasks_reset, 0u);
+    EXPECT_EQ(r.report.senders_done, undisturbed.senders_done);
+    EXPECT_EQ(r.report.finish_time, undisturbed.finish_time);
 }
 
 TEST(Chaos, ReceiverCrashWithSwapsAndLossStaysExact)

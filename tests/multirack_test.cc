@@ -392,6 +392,51 @@ TEST(MultiRack, SenderCrashMidTaskStaysExact)
     EXPECT_GT(cluster.switch_stats(kTier).tuples_aggregated, 0u);
 }
 
+TEST(MultiRack, FinalizeDuringAnotherRacksRebootWaitsForTheRecovery)
+{
+    // Receiver and sender share rack 0, so the task's FINs reach the
+    // receiver through its own ToR while rack 1's ToR reboots, and the
+    // receiver finalizes with the rebooting switch holding no task
+    // table. Pricing the fetch must skip that switch; the fetch itself
+    // waits out the dark management plane, and the recovery at the
+    // reboot's end voids it and replays the task.
+    ClusterConfig cc = fabric_config(10);
+    std::vector<StreamSpec> streams = {{HostId{1}, rack_stream(17, 600)}};
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
+    TaskOptions opts;
+    opts.region_len = 64;
+
+    TaskReport undisturbed;
+    {
+        AskCluster dry(cc);
+        TaskResult r = dry.run_task(1, HostId{0}, streams, opts);
+        ASSERT_TRUE(r.ok()) << r.report.detail;
+        undisturbed = r.report;
+    }
+    const sim::SimTime reboot_at = undisturbed.start_time + kMicrosecond;
+    const sim::SimTime reboot_len = 1000 * kMicrosecond;
+    // The reboot covers every FIN of the undisturbed run.
+    ASSERT_LT(undisturbed.finish_time, reboot_at + reboot_len);
+
+    AskCluster cluster(cc);
+    sim::ChaosPlan plan;
+    sim::ChaosEvent reboot;
+    reboot.kind = sim::ChaosKind::kSwitchReboot;
+    reboot.at = reboot_at;
+    reboot.duration = reboot_len;
+    reboot.subject = 1;  // rack 1's ToR, which no packet of the task uses
+    plan.add(reboot);
+    cluster.arm_chaos(plan);
+
+    TaskResult r = cluster.run_task(1, HostId{0}, streams, opts);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    EXPECT_GT(r.report.finish_time, reboot_at + reboot_len);
+    ChaosStats cs = cluster.chaos_stats();
+    EXPECT_EQ(cs.switch_reboots, 1u);
+    EXPECT_EQ(cs.streams_replayed, 1u);
+}
+
 TEST(MultiRack, OneRackIsAOneSwitchFabric)
 {
     // One rack is the one-switch case of the fabric wiring: its ToR

@@ -1,8 +1,9 @@
 /**
  * Observability-layer tests: log-linear histogram quantile error
- * bounds, metrics-snapshot merge associativity, the pinned golden
- * shape of the ask-bench/v1 JSON report, and packet-lifecycle chain
- * reconstruction through loss and a switch reboot.
+ * bounds, the cluster snapshot's counters against the stats folds, the
+ * pinned golden shape of the ask-bench/v1 JSON report, and
+ * packet-lifecycle chain reconstruction through loss and a switch
+ * reboot.
  */
 #include <gtest/gtest.h>
 
@@ -76,59 +77,93 @@ TEST(LogHistogram, MergeMatchesCombinedObservation)
 }
 
 // ---------------------------------------------------------------------------
-// MetricsSnapshot merge
+// Cluster metrics snapshot
 // ---------------------------------------------------------------------------
 
-obs::MetricsSnapshot
-snapshot_with(std::uint64_t counter_base, double gauge, std::uint64_t hist_lo,
-              std::int64_t series_t)
+KvStream
+random_stream(Rng& rng, std::size_t n)
 {
-    obs::MetricsRegistry reg;
-    reg.counter("demo.events").add(counter_base);
-    reg.counter("demo.shared").add(counter_base * 3);
-    reg.gauge("demo.level").set(gauge);
-    for (std::uint64_t v = hist_lo; v < hist_lo + 100; ++v)
-        reg.histogram("demo.latency_ns").observe(v);
-    reg.series("demo.goodput").record(series_t, gauge);
-    return reg.snapshot();
+    KvStream s;
+    s.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        s.push_back({"k" + std::to_string(rng.next_below(50)),
+                     static_cast<Value>(1 + rng.next_below(5))});
+    return s;
 }
 
-TEST(MetricsSnapshot, MergeIsAssociative)
+/** With `snap`, `prefix` and `stats` in scope: the snapshot holds the
+ *  field's value as `<prefix><field>`. */
+#define ASK_EXPECT_COUNTER(field, doc)                                      \
+    EXPECT_EQ(snap.counter(prefix + #field), stats.field) << prefix << #field;
+
+TEST(MetricsSnapshot, CountersEqualTheStatsFolds)
 {
-    obs::MetricsSnapshot a = snapshot_with(10, 1.0, 1, 100);
-    obs::MetricsSnapshot b = snapshot_with(20, 2.0, 1000, 200);
-    obs::MetricsSnapshot c = snapshot_with(30, 3.0, 50000, 300);
+    // chaos_sweep's metrics block, README and the quickstart read these
+    // names; each counter must carry its stats fold's value.
+    ClusterConfig cc;
+    cc.topology = TopologyBuilder().racks(2, 2).build();
+    cc.ask.max_hosts = 4;
+    cc.ask.num_aas = 8;
+    cc.ask.aggregators_per_aa = 128;
+    cc.ask.medium_groups = 2;
+    cc.ask.window = 16;
+    cc.ask.channels_per_host = 2;
+    cc.ask.swap_threshold_packets = 0;
+    cc.faults = net::FaultSpec::lossy(0.05, 0.0, 0.0);
+    cc.seed = 41;
+    Rng rng = seeded_rng("obs_test", 41);
+    std::vector<StreamSpec> streams{{1, random_stream(rng, 800)},
+                                    {2, random_stream(rng, 800)}};
 
-    obs::MetricsSnapshot left = a;   // (a + b) + c
-    left.merge(b);
-    left.merge(c);
+    AskCluster cluster(cc);
+    sim::ChaosPlan plan;
+    plan.switch_reboot(60 * kMicrosecond, 100 * kMicrosecond);
+    plan.host_crash(250 * kMicrosecond, 50 * kMicrosecond, /*host=*/2);
+    cluster.arm_chaos(plan);
+    TaskResult r = cluster.run_task(7, 0, streams, {.region_len = 16});
+    ASSERT_TRUE(r.ok()) << r.report.detail;
 
-    obs::MetricsSnapshot bc = b;     // a + (b + c)
-    bc.merge(c);
-    obs::MetricsSnapshot right = a;
-    right.merge(bc);
-
-    EXPECT_EQ(left.to_json().dump(2), right.to_json().dump(2));
-    EXPECT_EQ(left.counter("demo.events"), 60u);
-    EXPECT_EQ(left.counter("demo.shared"), 180u);
-    ASSERT_NE(left.histogram("demo.latency_ns"), nullptr);
-    EXPECT_EQ(left.histogram("demo.latency_ns")->count(), 300u);
+    obs::MetricsSnapshot snap = cluster.metrics_snapshot();
+    ChaosStats cs = cluster.chaos_stats();
+    EXPECT_EQ(cs.switch_reboots, 1u);
+    EXPECT_EQ(cs.host_crashes, 1u);
+    EXPECT_GT(cs.streams_replayed, 0u);
+    {
+        const std::string prefix = "chaos.";
+        const ChaosStats& stats = cs;
+        ASK_CHAOS_STATS_FIELDS(ASK_EXPECT_COUNTER)
+    }
+    {
+        const std::string prefix = "host.";
+        HostStats stats = cluster.total_host_stats();
+        EXPECT_GT(stats.retransmissions, 0u);
+        ASK_HOST_STATS_FIELDS(ASK_EXPECT_COUNTER)
+    }
+    const std::vector<std::string> switch_infix = {"", "s1.", "tier."};
+    ASSERT_EQ(cluster.num_switches(), switch_infix.size());
+    for (std::uint32_t s = 0; s < cluster.num_switches(); ++s) {
+        const std::string& infix = switch_infix[s];
+        const std::string prefix = "switch." + infix;
+        const SwitchAggStats& stats = cluster.switch_stats(SwitchId{s});
+        ASK_SWITCH_AGG_STATS_FIELDS(ASK_EXPECT_COUNTER)
+        const pisa::SwitchStats& ps = cluster.pisa_switch(SwitchId{s}).stats();
+        EXPECT_GT(ps.passes, 0u) << infix;
+        EXPECT_EQ(snap.counter("pisa." + infix + "packets_in"), ps.packets_in);
+        EXPECT_EQ(snap.counter("pisa." + infix + "packets_out"),
+                  ps.packets_out);
+        EXPECT_EQ(snap.counter("pisa." + infix + "passes"), ps.passes);
+        EXPECT_EQ(snap.counter("pisa." + infix + "dropped_offline"),
+                  ps.dropped_offline);
+    }
+    const net::NetworkStats& ns = cluster.network().stats();
+    EXPECT_GT(ns.packets_dropped, 0u);
+    EXPECT_EQ(snap.counter("net.packets_sent"), ns.packets_sent);
+    EXPECT_EQ(snap.counter("net.packets_delivered"), ns.packets_delivered);
+    EXPECT_EQ(snap.counter("net.packets_dropped"), ns.packets_dropped);
+    EXPECT_EQ(snap.counter("net.bytes_sent"), ns.bytes_sent);
 }
 
-TEST(MetricsRegistry, ExposedSourcesSumAcrossComponents)
-{
-    // Two "daemons" expose the same metric name from their own live
-    // fields; the snapshot sums the sources.
-    std::uint64_t daemon0_field = 5;
-    std::uint64_t daemon1_field = 7;
-    obs::MetricsRegistry reg;
-    reg.expose("host.retransmissions", &daemon0_field, "host");
-    reg.expose("host.retransmissions", &daemon1_field, "host");
-    EXPECT_EQ(reg.snapshot().counter("host.retransmissions"), 12u);
-    daemon1_field += 100;  // live field: no re-registration needed
-    EXPECT_EQ(reg.snapshot().counter("host.retransmissions"), 112u);
-    reg.assert_disjoint_owners("host.");
-}
+#undef ASK_EXPECT_COUNTER
 
 // ---------------------------------------------------------------------------
 // Golden ask-bench/v1 report shape
@@ -150,9 +185,10 @@ TEST(BenchJson, GoldenSchema)
         report.note("pinned by tests/obs_test.cc");
 
         obs::MetricsRegistry reg;
-        reg.counter("demo.events").add(3);
         reg.histogram("demo.latency_ns").observe(100);
-        report.metrics(reg.snapshot().to_json());
+        obs::MetricsSnapshot snap = reg.snapshot();
+        snap.add_counter("demo.events", 3);
+        report.metrics(snap.to_json());
         report.write();
     }
     ASSERT_EQ(::unsetenv("ASK_BENCH_OUT_DIR"), 0);
@@ -233,24 +269,13 @@ trace_config()
     return cc;
 }
 
-KvStream
-trace_stream(Rng& rng, std::size_t n)
-{
-    KvStream s;
-    s.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        s.push_back({"k" + std::to_string(rng.next_below(50)),
-                     static_cast<Value>(1 + rng.next_below(5))});
-    return s;
-}
-
 TEST(Trace, ChainReconstructionThroughLossAndReboot)
 {
     ClusterConfig cc = trace_config();
     cc.seed = 31;
     Rng rng = seeded_rng("obs_test", 31);
-    std::vector<StreamSpec> streams{{1, trace_stream(rng, 800)},
-                                    {2, trace_stream(rng, 800)}};
+    std::vector<StreamSpec> streams{{1, random_stream(rng, 800)},
+                                    {2, random_stream(rng, 800)}};
 
     // Dry-run fault-free to learn the finish time, then aim a reboot at
     // the middle of a lossy run so the trace sees retransmits + replay.

@@ -24,7 +24,6 @@
 
 #include "ask/cluster.h"
 #include "ask/key_space.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/table.h"
@@ -174,39 +173,16 @@ class BenchReport
 };
 
 /**
- * Pick `count` task ids whose hash-based channel assignment on
- * `sender_host` is perfectly balanced over `channels` data channels
- * (replicates AskDaemon::channel_for_task). Benches splitting one
- * logical job into per-channel tasks use this so a small task count
- * doesn't skew per-core utilization.
- */
-inline std::vector<std::uint32_t>
-balanced_task_ids(std::uint32_t sender_host, std::uint32_t channels,
-                  std::uint32_t count)
-{
-    std::vector<std::uint32_t> ids;
-    std::vector<std::uint32_t> load(channels, 0);
-    std::uint32_t per_channel = (count + channels - 1) / channels;
-    for (std::uint32_t candidate = 1; ids.size() < count; ++candidate) {
-        std::uint32_t ch = static_cast<std::uint32_t>(
-            mix64(candidate ^ mix64(sender_host + 1)) % channels);
-        if (load[ch] < per_channel) {
-            ++load[ch];
-            ids.push_back(candidate);
-        }
-    }
-    return ids;
-}
-
-/**
- * Like balanced_task_ids, but balanced for *several* sender hosts at
- * once (each host hashes tasks with its own salt, so an id set that is
- * even on one host can be skewed on another). Greedy search over
- * candidate ids; balance is within +-ceil(count/channels) per host.
- * `slack` loosens the per-channel cap by that many extra tasks: exact
- * simultaneous balance becomes infeasible as the host set grows (every
- * candidate must land on an under-full channel of *every* host at
- * once), so large fabrics trade a little skew for a solution.
+ * Pick `count` task ids whose hash-based channel assignment
+ * (core::task_channel_index, what AskDaemon::channel_for_task uses) is
+ * balanced for *several* sender hosts at once (each host hashes tasks
+ * with its own salt, so an id set that is even on one host can be
+ * skewed on another). Greedy search over candidate ids; balance is
+ * within +-ceil(count/channels) per host. `slack` loosens the
+ * per-channel cap by that many extra tasks: exact simultaneous balance
+ * becomes infeasible as the host set grows (every candidate must land
+ * on an under-full channel of *every* host at once), so large fabrics
+ * trade a little skew for a solution.
  */
 inline std::vector<std::uint32_t>
 balanced_task_ids_multi(const std::vector<std::uint32_t>& hosts,
@@ -221,20 +197,31 @@ balanced_task_ids_multi(const std::vector<std::uint32_t>& hosts,
          ids.size() < count && candidate < 20000000; ++candidate) {
         bool ok = true;
         for (std::size_t h = 0; h < hosts.size() && ok; ++h) {
-            std::uint32_t ch = static_cast<std::uint32_t>(
-                mix64(candidate ^ mix64(hosts[h] + 1)) % channels);
-            ok = load[h][ch] < cap;
+            ok = load[h][core::task_channel_index(
+                     candidate, core::HostId{hosts[h]}, channels)] < cap;
         }
         if (!ok)
             continue;
         for (std::size_t h = 0; h < hosts.size(); ++h) {
-            std::uint32_t ch = static_cast<std::uint32_t>(
-                mix64(candidate ^ mix64(hosts[h] + 1)) % channels);
-            ++load[h][ch];
+            ++load[h][core::task_channel_index(
+                candidate, core::HostId{hosts[h]}, channels)];
         }
         ids.push_back(candidate);
     }
     return ids;
+}
+
+/**
+ * Pick `count` task ids whose channel assignment on `sender_host` is
+ * perfectly balanced over `channels` data channels. Benches splitting
+ * one logical job into per-channel tasks use this so a small task count
+ * doesn't skew per-core utilization.
+ */
+inline std::vector<std::uint32_t>
+balanced_task_ids(std::uint32_t sender_host, std::uint32_t channels,
+                  std::uint32_t count)
+{
+    return balanced_task_ids_multi({sender_host}, channels, count);
 }
 
 /**
@@ -272,17 +259,6 @@ balanced_uniform_stream(const core::KeySpace& ks, std::uint32_t keys_per_slot,
     return out;
 }
 
-/** True when --full was passed (paper-scale volumes). */
-inline bool
-full_scale(int argc, char** argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--full") == 0)
-            return true;
-    }
-    return false;
-}
-
 /** Print the bench banner with experiment id and description. */
 inline void
 banner(const std::string& experiment, const std::string& what)
@@ -290,13 +266,6 @@ banner(const std::string& experiment, const std::string& what)
     std::cout << "\n==========================================================\n"
               << experiment << " — " << what << "\n"
               << "==========================================================\n";
-}
-
-/** Print a footnote line. */
-inline void
-note(const std::string& text)
-{
-    std::cout << "note: " << text << "\n";
 }
 
 }  // namespace ask::bench

@@ -177,7 +177,8 @@ switch_pass_bench(benchmark::State& state, core::ReduceOp op)
     pisa::PisaSwitch sw(network);
     core::AskConfig cfg = switch_bench_config();
     core::AskSwitchProgram program(cfg, sw);
-    core::AskSwitchController controller({&program});
+    core::Wal wal("controller");
+    core::AskSwitchController controller({&program}, wal);
     controller.allocate(1, 1024, op);
     auto frame = bench_data_frame(cfg, op, 32, 2);
     std::uint64_t bitmap = core::parse_header(frame)->bitmap;
@@ -248,7 +249,8 @@ BM_SwitchReceive(benchmark::State& state)
     network.connect(sw.node_id(), receiver.node_id(), 100.0, 500);
     core::AskConfig cfg = switch_bench_config();
     core::AskSwitchProgram program(cfg, sw);
-    core::AskSwitchController controller({&program});
+    core::Wal wal("controller");
+    core::AskSwitchController controller({&program}, wal);
     controller.allocate(1, 1024, core::ReduceOp::kAdd);
     auto frame = bench_data_frame(cfg, core::ReduceOp::kAdd, 32, 2);
 

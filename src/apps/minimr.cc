@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "ask/cluster.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "workload/generators.h"
 
@@ -117,16 +116,15 @@ run_ask_backend(const MrJobSpec& spec)
              ++candidate) {
             bool ok = true;
             for (std::uint32_t h = 0; h < spec.machines && ok; ++h) {
-                std::uint32_t ch = static_cast<std::uint32_t>(
-                    mix64(candidate ^ mix64(h + 1)) % spec.ask_channels);
-                ok = load[h][ch] < cap;
+                ok = load[h][core::task_channel_index(
+                         candidate, core::HostId{h}, spec.ask_channels)] <
+                     cap;
             }
             if (!ok)
                 continue;
             for (std::uint32_t h = 0; h < spec.machines; ++h) {
-                std::uint32_t ch = static_cast<std::uint32_t>(
-                    mix64(candidate ^ mix64(h + 1)) % spec.ask_channels);
-                ++load[h][ch];
+                ++load[h][core::task_channel_index(
+                    candidate, core::HostId{h}, spec.ask_channels)];
             }
             task_ids.push_back(candidate);
         }

@@ -82,8 +82,10 @@ AskCluster::AskCluster(const ClusterConfig& config)
         p->set_tracer(&obs_.tracer);
         progs.push_back(p.get());
     }
-    controller_ = std::make_unique<AskSwitchController>(std::move(progs));
-    controller_->attach_wals(wal_store_, &chaos_stats_.wal_appends);
+    Wal& controller_wal = wal_store_.controller_wal();
+    controller_wal.set_append_counter(&chaos_stats_.wal_appends);
+    controller_ =
+        std::make_unique<AskSwitchController>(std::move(progs), controller_wal);
 
     MgmtRetryPolicy mgmt_policy;
     mgmt_policy.max_tries = config_.ask.mgmt_max_tries;
@@ -250,6 +252,13 @@ void
 AskCluster::arm_chaos(const sim::ChaosPlan& plan)
 {
     ASK_ASSERT(fault_scheduler_ == nullptr, "chaos already armed");
+    // A crashed process restarts when its episode ends; a crash with no
+    // duration has no end, so its process would stay down for good.
+    for (const sim::ChaosEvent& e : plan.events) {
+        if (e.kind == sim::ChaosKind::kHostCrash && e.duration == 0)
+            fail_config("chaos: the host crash at ", e.at,
+                        " ns has no duration, so it would never restart");
+    }
     fault_scheduler_ = std::make_unique<sim::FaultScheduler>(simulator_);
 
     auto subject_host = [this](const sim::ChaosEvent& e) {
@@ -339,14 +348,6 @@ AskCluster::arm_chaos(const sim::ChaosPlan& plan)
             else
                 restart_host(HostId{subject_host(e)});
         });
-    fault_scheduler_->set_handler(
-        sim::ChaosKind::kHostRestart,
-        [this, subject_host](const sim::ChaosEvent& e) {
-            if (e.subject == sim::kControllerSubject)
-                restart_controller();
-            else
-                restart_host(HostId{subject_host(e)});
-        });
 
     fault_scheduler_->set_unhandled_hook(
         [this](const sim::ChaosEvent&) { ++chaos_stats_.unhandled_events; });
@@ -377,9 +378,8 @@ AskCluster::on_switch_reboot_end(const sim::ChaosEvent& e)
     switches_[s.value()]->set_offline(false);
 
     // Recovery, in dependency order. (1) The controller re-installs
-    // every journaled region — allocation truth lives host-side. The
-    // fan-out is idempotent per switch: only the rebooted data plane is
-    // missing bindings.
+    // every journaled region — allocation truth lives host-side. Only
+    // the rebooted data plane is missing bindings, so only it installs.
     chaos_stats_.regions_reinstalled += controller_->reinstall_after_reboot();
 
     // (2)-(5) The wipe took this switch's partial aggregates and
@@ -421,21 +421,6 @@ AskCluster::finish_task(TaskId task, AggregateMap result, TaskReport report)
             break;
         }
         report.senders_done = std::max(report.senders_done, t);
-    }
-    // Stamp the per-switch shard map: which switch owned which channel
-    // shard, and how much of the result came out of each region.
-    std::vector<std::uint64_t> tally = controller_->fetched_tally(task);
-    report.shards.clear();
-    for (std::uint32_t s = 0; s < num_switches(); ++s) {
-        SwitchShardInfo info;
-        info.switch_id = SwitchId{s};
-        info.is_tier = topo_.has_tier() && s == topo_.num_racks();
-        info.rack = RackId{info.is_tier ? 0 : s};
-        info.channel_lo = programs_[s]->provisioned_lo();
-        info.channel_hi = programs_[s]->provisioned_hi();
-        info.tuples_fetched = s < tally.size() ? tally[s] : 0;
-        info.stats = programs_[s]->stats();
-        report.shards.push_back(std::move(info));
     }
     // Last: a callback that resubmits the same id starts clean.
     if (done.on_done)
@@ -564,11 +549,9 @@ AskCluster::restart_controller()
         ++chaos_stats_.wal_rejected;
         warn("cluster: controller WAL rejected (", e.what(),
              "); aborting every active task");
-        // One corrupt journal poisons the whole fan-out: clear every
-        // per-switch log and drop any partially-rebuilt journals so
-        // every switch's journal restarts consistently empty.
-        for (std::uint32_t s = 0; s < num_switches(); ++s)
-            wal_store_.wal(controller_wal_name(SwitchId{s})).clear();
+        // Clear the log and drop any partially-rebuilt journal so the
+        // journal restarts consistently empty.
+        wal_store_.controller_wal().clear();
         controller_->crash();
         std::vector<TaskId> doomed;
         for (const auto& [task, info] : active_tasks_)

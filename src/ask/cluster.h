@@ -211,16 +211,18 @@ class AskCluster
      * plus region-reinstall/fence/replay on switch reboot (the subject
      * selects which switch of the fabric reboots), outage and delay
      * windows on the management plane, and the data-plane blackhole on
-     * every switch program. May be called once per cluster.
+     * every switch program. May be called once per cluster. Throws
+     * ask::ConfigError for a kHostCrash episode of zero duration (its
+     * process would never restart).
      */
     void arm_chaos(const sim::ChaosPlan& plan);
 
     /** Fault-injection/recovery counters over every component. */
     ChaosStats chaos_stats() const;
 
-    /** The cluster's stable storage: every host process (daemons and
-     *  the per-switch controller journals) writes to a WAL here before
-     *  acting, and crash recovery replays it. */
+    /** The cluster's stable storage: every host process (the daemons
+     *  and the controller) writes to a WAL here before acting, and
+     *  crash recovery replays it. */
     WalStore& wal_store() { return wal_store_; }
 
     /** The armed fault scheduler (null until arm_chaos). */
@@ -233,11 +235,11 @@ class AskCluster
     /** Restart a crashed daemon: WAL replay, deferred-work drain, and —
      *  when the host was mid-send for an active task — reset_and_replay. */
     void restart_host(HostId host);
-    /** Crash the controller process (allocation journals lost; the
+    /** Crash the controller process (allocation journal lost; the
      *  management endpoint goes down with it). */
     void crash_controller();
-    /** Restart the controller: journal rebuild from every per-switch
-     *  WAL, then the management endpoint returns. */
+    /** Restart the controller: journal rebuild from its WAL, then the
+     *  management endpoint returns. */
     void restart_controller();
 
   private:
@@ -283,8 +285,8 @@ class AskCluster
     void run_on_host(std::uint32_t host, std::function<void()> fn);
 
     /** Deliver a task's completion: drop it from active_tasks_, forget
-     *  its senders' archives, stamp senders_done and the per-switch
-     *  shard map onto the report, then call its on_done. */
+     *  its senders' archives, stamp senders_done onto the report, then
+     *  call its on_done. */
     void finish_task(TaskId task, AggregateMap result, TaskReport report);
 
     /** Fail an active task whose durable state is unrecoverable. */

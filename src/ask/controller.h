@@ -7,12 +7,13 @@
  * One AskSwitchController manages every switch of a deployment, indexed
  * by SwitchId: the lone ToR of a one-rack cluster, or each rack's ToR
  * plus the aggregation tier of a fabric. A one-rack cluster is simply
- * the one-switch case. Each switch keeps its own region journal, epoch
- * slots, fetch tally and write-ahead log, and every operation fans out:
+ * the one-switch case. A task aggregates wherever its packets travel,
+ * so every switch holds the same region for it: the controller keeps
+ * one region journal, one epoch-slot map and one write-ahead log, and
+ * fans each journaled region out to every switch:
  *
- *   - allocate/release install (uninstall) the task's region on every
- *     switch, all-or-nothing: a task aggregates wherever its packets
- *     travel, so every switch on any path needs the region.
+ *   - allocate/release journal the region once, then install
+ *     (uninstall) it on every switch.
  *   - fetch concatenates the per-switch region drains in SwitchId order
  *     — the software tier-merge of the partial aggregates; the
  *     receiver's merge_stream_into() folds keys split across switches
@@ -21,12 +22,9 @@
  *     owning ToR and the tier), so a recovery fence is fabric-wide.
  *   - probe_packet merges verdicts: a slot consumed on ANY switch of
  *     the packet's path is consumed.
- *   - reinstall_after_reboot is idempotent per switch, so one rebooted
- *     ToR re-installs only its own lost bindings.
- *
- * Per-switch WALs (see controller_wal_name) keep each switch's region
- * journal independently recoverable — a controller crash replays every
- * journal and reconciles each data plane separately.
+ *   - recover_from_wal and reinstall_after_reboot install a journaled
+ *     region only on a data plane that lost it, so one rebooted ToR
+ *     re-installs only its own bindings.
  */
 #ifndef ASK_ASK_CONTROLLER_H
 #define ASK_ASK_CONTROLLER_H
@@ -34,8 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ask/switch_program.h"
@@ -45,17 +42,10 @@
 namespace ask::core {
 
 /**
- * Name of the WAL journaling switch `s`'s regions. Switch 0 keeps the
- * classic "controller" name (WalStore::controller_wal()); the rest are
- * "controller.s<N>".
- */
-std::string controller_wal_name(SwitchId s);
-
-/**
  * Manages the aggregator index space [0, copy_size) shared by all AAs:
  * every task receives one contiguous slice visible in all AAs (and both
  * shadow copies) on every switch. First-fit allocation with coalescing
- * free, per switch.
+ * free.
  */
 class AskSwitchController
 {
@@ -63,51 +53,46 @@ class AskSwitchController
     /**
      * @param programs one program per switch, indexed by SwitchId
      *                 (ToRs first, the tier switch last). Must outlive
-     *                 the controller; at least one entry.
+     *                 the controller; at least one entry, all with the
+     *                 same copy_size() and max_tasks.
+     * @param wal      the region journal's log (WalStore::controller_wal()
+     *                 in a cluster). Must outlive the controller. Every
+     *                 allocation and release is journaled here *before*
+     *                 the in-memory journal or a data plane changes, so
+     *                 a crashed controller rebuilds its allocation state
+     *                 exactly.
      */
-    explicit AskSwitchController(std::vector<AskSwitchProgram*> programs);
+    AskSwitchController(std::vector<AskSwitchProgram*> programs, Wal& wal);
 
     /**
-     * Allocate `len` aggregators per AA per copy for a task on every
-     * switch, bind the region to reduction operator `op`, and install it
-     * on every data plane. Throws ask::ConfigError when the switch
-     * program's access plan does not declare `op` (e.g. kFloat on a
-     * narrow-word build).
+     * Allocate `len` aggregators per AA per copy for a task, bind the
+     * region to reduction operator `op`, and install it on every data
+     * plane. Throws ask::ConfigError when a switch program's access
+     * plan does not declare `op` (e.g. kFloat on a narrow-word build).
      * @return the region, or std::nullopt when memory or epoch slots are
-     *         exhausted on any switch (nothing stays allocated then).
+     *         exhausted (nothing is journaled then).
      */
     std::optional<TaskRegion> allocate(TaskId task, std::uint32_t len,
                                        ReduceOp op = ReduceOp::kAdd);
 
-    /** Release a task's region on every switch and uninstall it. Throws
-     *  StateError for a task some switch holds no journaled region for
-     *  (e.g. a double release across a crash) — after releasing it
-     *  everywhere else. Callers on the runtime path catch and move on. */
+    /** Release a task's region and uninstall it from every switch.
+     *  Throws StateError, before changing anything, for a task the
+     *  journal holds no region for (e.g. a double release across a
+     *  crash). Callers on the runtime path catch and move on. */
     void release(TaskId task);
 
     /**
-     * Attach one WAL per switch from `store`, named per
-     * controller_wal_name(). From then on every allocation and release
-     * is journaled to the switch's WAL *before* its in-memory journal
-     * or data plane changes, so a crashed controller can rebuild its
-     * allocation state exactly. `append_counter` (optional) receives
-     * every journal append.
-     */
-    void attach_wals(WalStore& store, std::uint64_t* append_counter);
-
-    /**
-     * Crash: lose every in-memory allocation journal and epoch-slot map
-     * (the WALs, owned by the cluster's WalStore, survive).
+     * Crash: lose the in-memory allocation journal and epoch-slot map
+     * (the WAL, owned by the cluster's WalStore, survives).
      */
     void crash();
 
     /**
-     * Rebuild every switch's allocation journal from its WAL
-     * (alloc/release record fold), then re-install any journaled region
-     * the data plane no longer carries (covers a switch reboot
-     * overlapping the crash). Throws StateError when a WAL fails its
-     * digest check.
-     * @return the number of regions rebuilt into the journals.
+     * Rebuild the allocation journal from the WAL (alloc/release record
+     * fold), then re-install any journaled region a data plane no longer
+     * carries (covers a switch reboot overlapping the crash). Throws
+     * StateError when the WAL fails its digest check.
+     * @return the number of regions rebuilt into the journal.
      */
     std::uint32_t recover_from_wal();
 
@@ -130,17 +115,16 @@ class AskSwitchController
     /** Is the task's region bound on every switch's data plane? */
     bool installed(TaskId task) const;
 
-    /** Free aggregators per AA per copy remaining: the minimum over the
-     *  switches. */
+    /** Free aggregators per AA per copy remaining. */
     std::uint32_t free_aggregators() const;
 
     /**
      * Failure recovery: a switch CPU rebooted and lost its task table
-     * (and all register state). Re-install every journaled region a
-     * data plane no longer carries. The controller's journal — not
-     * switch memory — is the source of truth for allocations, which is
-     * what makes this safe.
-     * @return the number of regions re-installed.
+     * (and all register state). Re-install every journaled region on
+     * each data plane that no longer carries it. The controller's
+     * journal — not switch memory — is the source of truth for
+     * allocations, which is what makes this safe.
+     * @return the number of (region, switch) installs made.
      */
     std::uint32_t reinstall_after_reboot();
 
@@ -158,43 +142,26 @@ class AskSwitchController
     /** Switches this control plane manages. */
     std::uint32_t num_switches() const
     {
-        return static_cast<std::uint32_t>(switches_.size());
+        return static_cast<std::uint32_t>(programs_.size());
     }
 
-    /**
-     * Tuples fetched from each switch for `task` (slow-path drains:
-     * finalize and swap commits), indexed by SwitchId. Survives
-     * release() so completion reports can attribute the result to its
-     * owning switches; reset when the task id is re-allocated.
-     */
-    std::vector<std::uint64_t> fetched_tally(TaskId task) const;
-
   private:
-    /** One switch's control-plane state. */
-    struct Switch
+    /** Aggregators per AA per copy: every switch's copy_size(). */
+    std::uint32_t capacity() const
     {
-        AskSwitchProgram* program = nullptr;
-        /**
-         * Allocation journal, base -> (region, task). Holds the full
-         * region (not just the length) so a post-reboot reinstall can
-         * restore the exact epoch-slot bindings the senders' traffic
-         * still references.
-         */
-        std::map<std::uint32_t, std::pair<TaskRegion, TaskId>> allocated;
-        std::vector<bool> epoch_slot_used;
-        /** Tuples drained per task (see fetched_tally). */
-        std::unordered_map<TaskId, std::uint64_t> fetched;
-        Wal* wal = nullptr;
-    };
+        return programs_.front()->config().copy_size();
+    }
 
-    static std::optional<TaskRegion> allocate_on(Switch& sw, TaskId task,
-                                                 std::uint32_t len,
-                                                 ReduceOp op);
-    static void release_on(Switch& sw, TaskId task);
-    static std::uint32_t recover_on(Switch& sw);
-    static std::uint32_t reinstall_on(Switch& sw);
-
-    std::vector<Switch> switches_;
+    std::vector<AskSwitchProgram*> programs_;
+    Wal& wal_;
+    /**
+     * Allocation journal, base -> (region, task). Holds the full
+     * region (not just the length) so a post-reboot reinstall can
+     * restore the exact epoch-slot bindings the senders' traffic
+     * still references.
+     */
+    std::map<std::uint32_t, std::pair<TaskRegion, TaskId>> allocated_;
+    std::vector<bool> epoch_slot_used_;
 };
 
 }  // namespace ask::core

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -596,12 +595,8 @@ AskDaemon::name() const
 DataChannel&
 AskDaemon::channel_for_task(TaskId task)
 {
-    // Salt the hash with the host identity: daemons balance their own
-    // channel pools independently, so one task does not land on the
-    // same local channel index cluster-wide (which would funnel all of
-    // the task's flows into a single receiver-side RSS lane).
-    std::uint64_t h = mix64(task ^ mix64(host_index_.value() + 1));
-    return *channels_[h % channels_.size()];
+    return *channels_[task_channel_index(
+        task, host_index_, static_cast<std::uint32_t>(channels_.size()))];
 }
 
 void
@@ -1354,6 +1349,8 @@ AskDaemon::prepare_replay(TaskId task_id, sim::SimTime drain_until)
     t.fins.clear();
     t.report.tuples_aggregated_locally = 0;
     t.report.tuples_fetched_from_switch = 0;
+    t.report.packets_received = 0;
+    t.report.swaps = 0;
     t.packets_since_swap = 0;
     // The register wipe rewound swap_epoch to 0; mirror it host-side.
     t.committed_epoch = 0;

@@ -40,6 +40,7 @@
 #include "ask/types.h"
 #include "ask/wal.h"
 #include "ask/wire.h"
+#include "common/hash.h"
 #include "net/cost_model.h"
 #include "net/network.h"
 #include "obs/observability.h"
@@ -106,31 +107,6 @@ struct TaskOptions
     std::optional<ReduceOp> op = std::nullopt;
 };
 
-/**
- * One switch's share of a task's in-network work: which channel shard
- * it owns, how many tuples the slow path drained from its region, and
- * a completion-time snapshot of its aggregation counters. Callers that
- * used to reach through AskCluster::program() for per-switch numbers
- * read these slices off the TaskReport instead.
- */
-struct SwitchShardInfo
-{
-    SwitchId switch_id = SwitchId{0};
-    /** True for the aggregation-tier switch (provisions every channel);
-     *  false for a ToR (provisions its rack's shard). */
-    bool is_tier = false;
-    /** Owning rack (meaningless when is_tier). */
-    RackId rack = RackId{0};
-    /** Channel shard this switch provisions reliability state for. */
-    ChannelId channel_lo = 0;
-    ChannelId channel_hi = 0;
-    /** Tuples the control plane fetched from this switch's region for
-     *  this task (finalize and swap-commit drains). */
-    std::uint64_t tuples_fetched = 0;
-    /** The switch's cumulative aggregation counters at completion. */
-    SwitchAggStats stats;
-};
-
 /** Completion report for one aggregation task at its receiver. */
 struct TaskReport
 {
@@ -152,9 +128,6 @@ struct TaskReport
      *  specifics (counts, ids) for logs. */
     TaskStatus status = TaskStatus::kOk;
     std::string detail;
-    /** Per-switch shard map, indexed by SwitchId, filled in by the
-     *  cluster at delivery (empty for hand-wired daemons). */
-    std::vector<SwitchShardInfo> shards;
 
     bool ok() const { return status == TaskStatus::kOk; }
 };
@@ -326,6 +299,21 @@ class DataChannel
 
     bool pump_pending_ = false;
 };
+
+/**
+ * Local channel index serving `task` on `host`, of `channels` (the
+ * hash-based load balancing of §3.1; AskDaemon::channel_for_task).
+ * Salted with the host identity: daemons balance their own channel
+ * pools independently, so one task does not land on the same local
+ * channel index cluster-wide (which would funnel all of the task's
+ * flows into a single receiver-side RSS lane).
+ */
+inline std::uint32_t
+task_channel_index(TaskId task, HostId host, std::uint32_t channels)
+{
+    return static_cast<std::uint32_t>(mix64(task ^ mix64(host.value() + 1)) %
+                                      channels);
+}
 
 /** The per-host daemon. */
 class AskDaemon : public net::Node

@@ -9,24 +9,5 @@ log_line(const char* tag, const std::string& msg)
     std::cerr << "[" << tag << "] " << msg << "\n";
 }
 
-bool&
-log_enabled()
-{
-    static bool enabled = true;
-    return enabled;
-}
-
 }  // namespace detail
-
-ScopedLogSilencer::ScopedLogSilencer()
-    : saved_(detail::log_enabled())
-{
-    detail::log_enabled() = false;
-}
-
-ScopedLogSilencer::~ScopedLogSilencer()
-{
-    detail::log_enabled() = saved_;
-}
-
 }  // namespace ask

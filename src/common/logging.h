@@ -40,9 +40,6 @@ concat_args(Args&&... args)
 /** Emit one log line with a severity tag. */
 void log_line(const char* tag, const std::string& msg);
 
-/** Controls whether inform()/warn() produce output (tests may silence). */
-bool& log_enabled();
-
 }  // namespace detail
 
 /** Print an informational status message. */
@@ -50,8 +47,7 @@ template <typename... Args>
 void
 inform(Args&&... args)
 {
-    if (detail::log_enabled())
-        detail::log_line("info", detail::concat_args(std::forward<Args>(args)...));
+    detail::log_line("info", detail::concat_args(std::forward<Args>(args)...));
 }
 
 /** Print a warning; execution continues. */
@@ -59,8 +55,7 @@ template <typename... Args>
 void
 warn(Args&&... args)
 {
-    if (detail::log_enabled())
-        detail::log_line("warn", detail::concat_args(std::forward<Args>(args)...));
+    detail::log_line("warn", detail::concat_args(std::forward<Args>(args)...));
 }
 
 /**
@@ -147,20 +142,6 @@ fail_state(Args&&... args)
                          ":", __LINE__, " ", ##__VA_ARGS__);                \
         }                                                                   \
     } while (0)
-
-/** RAII guard that silences inform()/warn() within a scope (for tests). */
-class ScopedLogSilencer
-{
-  public:
-    ScopedLogSilencer();
-    ~ScopedLogSilencer();
-
-    ScopedLogSilencer(const ScopedLogSilencer&) = delete;
-    ScopedLogSilencer& operator=(const ScopedLogSilencer&) = delete;
-
-  private:
-    bool saved_;
-};
 
 }  // namespace ask
 

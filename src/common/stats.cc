@@ -1,37 +1,8 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/logging.h"
 
 namespace ask {
-
-void
-RunningStat::add(double x)
-{
-    ++n_;
-    sum_ += x;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-double
-RunningStat::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 void
 Samples::add(double x)
@@ -86,30 +57,6 @@ Samples::cdf_at(double x) const
     auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
     return static_cast<double>(it - sorted_.begin()) /
            static_cast<double>(sorted_.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
-{
-    ASK_ASSERT(hi > lo && buckets > 0, "malformed histogram bounds");
-}
-
-void
-Histogram::add(double x)
-{
-    double t = (x - lo_) / (hi_ - lo_);
-    auto n = static_cast<double>(counts_.size());
-    auto i = static_cast<long>(t * n);
-    i = std::clamp<long>(i, 0, static_cast<long>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(i)];
-    ++total_;
-}
-
-double
-Histogram::bucket_lo(std::size_t i) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
 }
 
 }  // namespace ask

@@ -64,10 +64,4 @@ TextTable::to_string() const
     return oss.str();
 }
 
-void
-print_banner(std::ostream& os, const std::string& title)
-{
-    os << "\n=== " << title << " ===\n";
-}
-
 }  // namespace ask

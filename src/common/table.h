@@ -36,9 +36,6 @@ class TextTable
     std::vector<std::vector<std::string>> rows_;
 };
 
-/** Print a section banner for bench output. */
-void print_banner(std::ostream& os, const std::string& title);
-
 }  // namespace ask
 
 #endif  // ASK_COMMON_TABLE_H

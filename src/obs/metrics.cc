@@ -126,10 +126,9 @@ MetricsSnapshot::to_json() const
         counters.set(name, v);
     j.set("counters", std::move(counters));
 
-    Json gauges = Json::object();
-    for (const auto& [name, v] : gauges_)
-        gauges.set(name, v);
-    j.set("gauges", std::move(gauges));
+    // No component keeps a gauge; the ask-bench/v1 schema still carries
+    // the member.
+    j.set("gauges", Json::object());
 
     Json hists = Json::object();
     for (const auto& [name, h] : histograms_)
@@ -157,15 +156,6 @@ MetricsSnapshot::to_json() const
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-Gauge&
-MetricsRegistry::gauge(const std::string& name)
-{
-    auto& slot = gauges_[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
 LogHistogram&
 MetricsRegistry::histogram(const std::string& name)
 {
@@ -188,8 +178,6 @@ MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     MetricsSnapshot snap;
-    for (const auto& [name, g] : gauges_)
-        snap.gauges_[name] = g->value();
     for (const auto& [name, h] : histograms_)
         snap.histograms_[name].merge(*h);
     for (const auto& [name, s] : series_)

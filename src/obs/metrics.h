@@ -9,7 +9,7 @@
  * `MetricsSnapshot::add_counter` (AskCluster::metrics_snapshot adds the
  * stats folds).
  *
- * The registry owns gauges, histograms and time series. Histograms are
+ * The registry owns histograms and time series. Histograms are
  * log-linear (HdrHistogram-style: 8 linear sub-buckets per power of
  * two), giving quantiles with <= 1/8 relative error over the full
  * uint64 range in 512 fixed buckets. Time series are plain (SimTime,
@@ -29,17 +29,6 @@
 #include "obs/json.h"
 
 namespace ask::obs {
-
-/** A last-value-wins instantaneous measurement. */
-class Gauge
-{
-  public:
-    void set(double v) { value_ = v; }
-    double value() const { return value_; }
-
-  private:
-    double value_ = 0.0;
-};
 
 /**
  * Log-linear histogram over non-negative integer values.
@@ -113,7 +102,7 @@ struct TimeSeries
 
 /**
  * A point-in-time, self-contained copy of every metric: counters,
- * gauges, histograms and time series.
+ * histograms and time series.
  */
 class MetricsSnapshot
 {
@@ -121,8 +110,9 @@ class MetricsSnapshot
     /** Add `value` to counter `name` (created at 0). */
     void add_counter(const std::string& name, std::uint64_t value);
 
-    /** {counters: {...}, gauges: {...}, histograms: {...},
-     *   series: {...}} with keys sorted for schema stability. */
+    /** {counters: {...}, gauges: {}, histograms: {...}, series: {...}}
+     *  with keys sorted for schema stability (`gauges` is always
+     *  empty: the ask-bench/v1 schema keeps the member). */
     Json to_json() const;
 
     std::uint64_t counter(const std::string& name) const;
@@ -132,12 +122,11 @@ class MetricsSnapshot
     friend class MetricsRegistry;
 
     std::map<std::string, std::uint64_t> counters_;
-    std::map<std::string, double> gauges_;
     std::map<std::string, LogHistogram> histograms_;
     std::map<std::string, TimeSeries> series_;
 };
 
-/** The registry: gauges, histograms and time series, created by name. */
+/** The registry: histograms and time series, created by name. */
 class MetricsRegistry
 {
   public:
@@ -146,7 +135,6 @@ class MetricsRegistry
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
     /** Owned metrics, created on first use (one instance per name). */
-    Gauge& gauge(const std::string& name);
     LogHistogram& histogram(const std::string& name);
     TimeSeries& series(const std::string& name);
 
@@ -155,7 +143,6 @@ class MetricsRegistry
     MetricsSnapshot snapshot() const;
 
   private:
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<LogHistogram>> histograms_;
     std::map<std::string, std::unique_ptr<TimeSeries>> series_;
 };

@@ -23,8 +23,6 @@ chaos_kind_name(ChaosKind kind)
         return "data-blackhole";
       case ChaosKind::kHostCrash:
         return "host-crash";
-      case ChaosKind::kHostRestart:
-        return "host-restart";
     }
     return "unknown";
 }
@@ -71,12 +69,6 @@ ChaosPlan&
 ChaosPlan::host_crash(SimTime at, SimTime outage, std::uint32_t host)
 {
     return add({ChaosKind::kHostCrash, at, outage, host, 0.0});
-}
-
-ChaosPlan&
-ChaosPlan::host_restart(SimTime at, std::uint32_t host)
-{
-    return add({ChaosKind::kHostRestart, at, 0, host, 0.0});
 }
 
 ChaosPlan&

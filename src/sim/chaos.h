@@ -54,15 +54,10 @@ enum class ChaosKind : std::uint8_t
     /** A host-side process crashes at `at`, losing all in-memory state
      *  (partial aggregates, seen windows, send queues — or, for
      *  subject == kControllerSubject, the allocation journal), and
-     *  restarts after `duration` by replaying its write-ahead log.
-     *  subject = host index, or kControllerSubject for the controller.
-     *  duration == 0 means the restart must be scheduled separately
-     *  with a kHostRestart event. */
+     *  restarts when the episode ends, after `duration` (> 0), by
+     *  replaying its write-ahead log. subject = host index, or
+     *  kControllerSubject for the controller. */
     kHostCrash = 6,
-    /** Explicitly restart a previously crashed host (recover from its
-     *  WAL). Only needed when the matching kHostCrash had duration 0;
-     *  a crash with a duration restarts itself. subject as above. */
-    kHostRestart = 7,
 };
 
 /** ChaosEvent::subject value addressing the controller process rather
@@ -111,7 +106,6 @@ struct ChaosPlan
     ChaosPlan& mgmt_delay(SimTime at, SimTime duration, Nanoseconds extra);
     ChaosPlan& data_blackhole(SimTime at, SimTime duration);
     ChaosPlan& host_crash(SimTime at, SimTime outage, std::uint32_t host);
-    ChaosPlan& host_restart(SimTime at, std::uint32_t host);
     ChaosPlan& controller_crash(SimTime at, SimTime outage);
 
     /**

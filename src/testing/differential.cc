@@ -175,15 +175,11 @@ probe_recovery(const ScenarioSpec& spec, core::AskCluster& cluster,
                  " archived send(s) never forgotten");
     }
 
-    // One region journal per switch in the fabric (switch 0 keeps the
-    // classic "controller" name); each must verify and balance alone.
-    for (std::uint32_t s = 0; s < cluster.num_switches(); ++s) {
-        core::Wal& cwal = cluster.wal_store().wal(
-            core::controller_wal_name(core::SwitchId{s}));
-        if (!cwal.verify()) {
-            fail(cwal.name() + ": log fails its digest check");
-            continue;
-        }
+    // The controller's one region journal must verify and balance.
+    core::Wal& cwal = cluster.wal_store().controller_wal();
+    if (!cwal.verify()) {
+        fail(cwal.name() + ": log fails its digest check");
+    } else {
         std::uint64_t allocs = 0;
         std::uint64_t releases = 0;
         for (const core::WalRecord& r : cwal.replay()) {

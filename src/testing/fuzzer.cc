@@ -41,8 +41,7 @@ bool
 has_crash_event(const ScenarioSpec& spec)
 {
     for (const auto& e : spec.chaos.events) {
-        if (e.kind == sim::ChaosKind::kHostCrash ||
-            e.kind == sim::ChaosKind::kHostRestart)
+        if (e.kind == sim::ChaosKind::kHostCrash)
             return true;
     }
     return false;

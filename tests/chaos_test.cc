@@ -593,6 +593,75 @@ TEST(Chaos, SenderCrashAfterItsStreamCompletedNeedsNoReplay)
     EXPECT_EQ(r.report.finish_time, undisturbed.finish_time);
 }
 
+TEST(Chaos, CrashWithoutDurationIsRejected)
+{
+    // A crashed process restarts when its episode ends. A crash of zero
+    // duration has no end, so arming one is a configuration error, and
+    // the rejected plan leaves the cluster unarmed.
+    AskCluster cluster(base_config());
+    sim::ChaosPlan host;
+    host.host_crash(10 * kMicrosecond, 0, /*host=*/1);
+    EXPECT_THROW(cluster.arm_chaos(host), ConfigError);
+    sim::ChaosPlan controller;
+    controller.controller_crash(10 * kMicrosecond, 0);
+    EXPECT_THROW(cluster.arm_chaos(controller), ConfigError);
+    EXPECT_EQ(cluster.fault_scheduler(), nullptr);
+
+    sim::ChaosPlan episode;
+    episode.host_crash(10 * kMicrosecond, 5 * kMicrosecond, /*host=*/1);
+    cluster.arm_chaos(episode);
+    cluster.run();
+    EXPECT_EQ(cluster.chaos_stats().host_crashes, 1u);
+    EXPECT_EQ(cluster.chaos_stats().host_recoveries, 1u);
+}
+
+TEST(Chaos, ReplayedTaskCountsOnlyTheReplaysPackets)
+{
+    // A switch reboot resets the task and replays both streams. The
+    // report then counts what the replay delivered, as a receiver
+    // rebuilt from its log after the reset does. Long keys bypass the
+    // switch, so every packet reaches the receiver and the count is the
+    // undisturbed run's.
+    ClusterConfig cc = base_config();
+    cc.seed = 109;
+    Rng rng = seeded_rng("chaos_test", 109);
+    std::vector<StreamSpec> streams;
+    for (std::uint32_t h : {1u, 2u}) {
+        KvStream s;
+        for (std::size_t i = 0; i < 6000; ++i)
+            s.push_back({"a-long-key-that-bypasses-the-switch-" +
+                             std::to_string(rng.next_below(500)),
+                         1});
+        streams.push_back({HostId{h}, std::move(s)});
+    }
+    ASSERT_EQ(KeySpace(cc.ask).classify(streams[0].stream[0].key),
+              KeyClass::kLong);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
+    TaskReport undisturbed;
+    {
+        AskCluster dry(cc);
+        TaskResult r = dry.run_task(1, HostId{0}, streams);
+        ASSERT_TRUE(r.ok());
+        undisturbed = r.report;
+    }
+    ASSERT_GT(undisturbed.senders_done, 0);
+
+    // Halfway between the senders' start and their last ACK.
+    AskCluster cluster(cc);
+    sim::ChaosPlan plan;
+    plan.switch_reboot((undisturbed.start_time + cc.notify_latency_ns +
+                        undisturbed.senders_done) /
+                           2,
+                       200 * kMicrosecond);
+    cluster.arm_chaos(plan);
+
+    TaskResult r = cluster.run_task(1, HostId{0}, streams);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    EXPECT_EQ(cluster.chaos_stats().streams_replayed, 2u);
+    EXPECT_EQ(r.report.packets_received, undisturbed.packets_received);
+}
+
 TEST(Chaos, ReceiverCrashWithSwapsAndLossStaysExact)
 {
     // Crash the receiver while shadow-copy swaps are in play on a lossy

@@ -144,27 +144,6 @@ TEST(Hash, Uniformity)
         EXPECT_NEAR(c, n / buckets, n / buckets * 0.25);
 }
 
-TEST(RunningStat, MeanVarianceMinMax)
-{
-    RunningStat s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-9);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, EmptyIsZero)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
 TEST(Samples, QuantilesAndCdf)
 {
     Samples s;
@@ -185,19 +164,6 @@ TEST(Samples, AddAfterQuantileInvalidatesCache)
     EXPECT_DOUBLE_EQ(s.quantile(0.5), 10.0);
     s.add(20.0);
     EXPECT_DOUBLE_EQ(s.quantile(1.0), 20.0);
-}
-
-TEST(Histogram, BucketsAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-100.0);  // clamps to bucket 0
-    h.add(100.0);   // clamps to last bucket
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.bucket_lo(5), 5.0);
 }
 
 TEST(StringUtil, Strf)

@@ -1,10 +1,11 @@
 /**
  * Tests of the control plane's fan-out: one AskSwitchController over
  * two AskSwitchPrograms on two PisaSwitches — a rack ToR provisioning
- * channels [0, 4) and a tier switch provisioning [0, 8). The switches'
- * states are made to diverge the way they can in a deployment (one
- * switch's journal lost before recover_from_wal()), so every rule is
- * exercised where the per-switch answers differ.
+ * channels [0, 4) and a tier switch provisioning [0, 8). The
+ * controller journals each region once and installs it on both; the
+ * data planes are driven apart the way they can be in a deployment
+ * (registers written on one switch only, one switch rebooted), so
+ * every rule is exercised where the per-switch answers differ.
  */
 #include <gtest/gtest.h>
 
@@ -61,14 +62,14 @@ class ControllerFanOutTest : public ::testing::Test
           config_(test_config()),
           tor_program_(config_, tor_, 0, 4),
           tier_program_(config_, tier_, 0, 8),
-          controller_({&tor_program_, &tier_program_})
+          controller_({&tor_program_, &tier_program_}, wal_)
     {
         network_.attach(&tor_);
         network_.attach(&tier_);
         network_.attach(&sender_);
         network_.connect(sender_.node_id(), tor_.node_id(), 100.0, 10);
         network_.connect(sender_.node_id(), tier_.node_id(), 100.0, 10);
-        controller_.attach_wals(wals_, nullptr);
+        wal_.set_append_counter(&appends_);
     }
 
     AskSwitchProgram& program(SwitchId s)
@@ -78,17 +79,6 @@ class ControllerFanOutTest : public ::testing::Test
     pisa::PisaSwitch& pisa_switch(SwitchId s)
     {
         return s == kTor ? tor_ : tier_;
-    }
-
-    /** Switch `s` loses its journal: the log is cleared, the data plane
-     *  reboots, and the controller crashes and recovers. The other
-     *  switch keeps everything it had. */
-    void forget_switch(SwitchId s)
-    {
-        wals_.wal(controller_wal_name(s)).clear();
-        program(s).on_reboot();
-        controller_.crash();
-        controller_.recover_from_wal();
     }
 
     /** Leave (channel, seq) observed on switch `s` with `remaining`
@@ -142,50 +132,86 @@ class ControllerFanOutTest : public ::testing::Test
     AskConfig config_;
     AskSwitchProgram tor_program_;
     AskSwitchProgram tier_program_;
-    WalStore wals_;
+    Wal wal_{"controller"};
+    std::uint64_t appends_ = 0;
     AskSwitchController controller_;
 };
 
-TEST_F(ControllerFanOutTest, AllocationThatFitsOneSwitchRollsBack)
+TEST_F(ControllerFanOutTest, OneJournalRecordPerRegionChange)
 {
-    const std::uint32_t cap = config_.copy_size();
-    ASSERT_TRUE(controller_.allocate(1, cap - 4).has_value());
-    forget_switch(kTor);  // only the tier still holds task 1
-    ASSERT_EQ(tor_program_.find_task(1), nullptr);
-    ASSERT_NE(tier_program_.find_task(1), nullptr);
-    const std::uint32_t free_before = controller_.free_aggregators();
-    EXPECT_EQ(free_before, 4u);  // the minimum over the switches
+    std::optional<TaskRegion> r1 = controller_.allocate(1, 8);
+    ASSERT_TRUE(r1.has_value());
+    EXPECT_EQ(appends_, 1u);
+    EXPECT_EQ(wal_.records(), 1u);
+    // The one journaled region is installed on both switches.
+    for (const AskSwitchProgram* p : {&tor_program_, &tier_program_}) {
+        const TaskRegion* got = p->find_task(1);
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(got->base, r1->base);
+        EXPECT_EQ(got->len, r1->len);
+        EXPECT_EQ(got->epoch_slot, r1->epoch_slot);
+    }
 
-    // Fits the empty ToR, not the tier: nothing may stay behind.
-    EXPECT_FALSE(controller_.allocate(2, 8).has_value());
-    EXPECT_EQ(tor_program_.find_task(2), nullptr);
-    EXPECT_EQ(tier_program_.find_task(2), nullptr);
-    EXPECT_FALSE(controller_.installed(2));
-    EXPECT_EQ(controller_.free_aggregators(), free_before);
+    ASSERT_TRUE(controller_.allocate(2, 8).has_value());
+    EXPECT_EQ(appends_, 2u);
+    controller_.release(1);
+    EXPECT_EQ(appends_, 3u);
+    EXPECT_EQ(tor_program_.find_task(1), nullptr);
+    EXPECT_EQ(tier_program_.find_task(1), nullptr);
+    EXPECT_TRUE(controller_.installed(2));
+    EXPECT_EQ(controller_.free_aggregators(), config_.copy_size() - 8);
 
-    // The rollback also emptied the ToR's journal: once the tier lets
-    // go of task 1, the whole copy is free on both switches.
-    EXPECT_THROW(controller_.release(1), StateError);
-    EXPECT_EQ(controller_.free_aggregators(), cap);
+    // An allocation that does not fit journals nothing.
+    EXPECT_FALSE(controller_.allocate(3, config_.copy_size()).has_value());
+    EXPECT_EQ(appends_, 3u);
 }
 
-TEST_F(ControllerFanOutTest, ReleaseFreesEverySwitchThenThrows)
+TEST_F(ControllerFanOutTest, ReleaseOfAnUnknownOrReleasedTaskChangesNothing)
 {
     ASSERT_TRUE(controller_.allocate(1, 8).has_value());
-    forget_switch(kTier);  // only the ToR still holds task 1
-    EXPECT_TRUE(tor_program_.find_task(1) != nullptr);
-    EXPECT_FALSE(controller_.installed(1));
-    EXPECT_THROW(controller_.release(1), StateError);
-    EXPECT_EQ(tor_program_.find_task(1), nullptr);
-    EXPECT_EQ(controller_.free_aggregators(), config_.copy_size());
-
-    // The failing switch first: the ToR's throw must not strand the
-    // tier's region.
     ASSERT_TRUE(controller_.allocate(2, 8).has_value());
-    forget_switch(kTor);
-    EXPECT_THROW(controller_.release(2), StateError);
-    EXPECT_EQ(tier_program_.find_task(2), nullptr);
-    EXPECT_EQ(controller_.free_aggregators(), config_.copy_size());
+    controller_.release(1);
+    const std::uint64_t appends = appends_;
+    const std::uint64_t records = wal_.records();
+    const std::uint32_t free = controller_.free_aggregators();
+
+    EXPECT_THROW(controller_.release(1), StateError);  // twice
+    EXPECT_THROW(controller_.release(9), StateError);  // never allocated
+    EXPECT_EQ(appends_, appends);
+    EXPECT_EQ(wal_.records(), records);
+    EXPECT_EQ(controller_.free_aggregators(), free);
+    EXPECT_TRUE(controller_.installed(2));
+
+    // The journal the log rebuilds is the one the controller kept.
+    controller_.crash();
+    EXPECT_EQ(controller_.recover_from_wal(), 1u);
+    EXPECT_EQ(controller_.free_aggregators(), free);
+}
+
+TEST_F(ControllerFanOutTest, ToRRebootAndControllerCrashReinstallOnTheToRAlone)
+{
+    std::optional<TaskRegion> region = controller_.allocate(1, 8);
+    ASSERT_TRUE(region.has_value());
+    const TaskRegion* on_tier = tier_program_.find_task(1);
+    ASSERT_NE(on_tier, nullptr);
+
+    tor_program_.on_reboot();
+    controller_.crash();
+    // The journal holds one region, whichever switches lost it.
+    EXPECT_EQ(controller_.recover_from_wal(), 1u);
+    EXPECT_EQ(appends_, 1u);  // recovery journals nothing
+    const TaskRegion* on_tor = tor_program_.find_task(1);
+    ASSERT_NE(on_tor, nullptr);
+    EXPECT_EQ(on_tor->base, region->base);
+    EXPECT_EQ(on_tor->epoch_slot, region->epoch_slot);
+    // The tier kept its binding; it was not installed again.
+    EXPECT_EQ(tier_program_.find_task(1), on_tier);
+    EXPECT_EQ(controller_.reinstall_after_reboot(), 0u);
+
+    tier_program_.on_reboot();
+    EXPECT_FALSE(controller_.installed(1));
+    EXPECT_EQ(controller_.reinstall_after_reboot(), 1u);
+    EXPECT_TRUE(controller_.installed(1));
 }
 
 TEST_F(ControllerFanOutTest, ProbeMergesOverProvisioningSwitches)
@@ -237,8 +263,6 @@ TEST_F(ControllerFanOutTest, FenceTouchesOnlyProvisioningSwitches)
 TEST_F(ControllerFanOutTest, FetchedTallyHasOneEntryPerSwitch)
 {
     ASSERT_TRUE(controller_.allocate(1, 16).has_value());
-    EXPECT_EQ(controller_.fetched_tally(1),
-              (std::vector<std::uint64_t>{0, 0}));
 
     aggregate_on(kTor, 1, 1, {{"a", 1}, {"b", 2}, {"c", 3}});
     aggregate_on(kTier, 1, 1, {{"x", 4}, {"y", 5}});
@@ -248,24 +272,16 @@ TEST_F(ControllerFanOutTest, FetchedTallyHasOneEntryPerSwitch)
     ASSERT_GT(on_tor, 0u);
     ASSERT_GT(on_tier, 0u);
     KvStream drained = controller_.fetch(1, 0, /*clear=*/true);
-    EXPECT_EQ(controller_.fetched_tally(1),
-              (std::vector<std::uint64_t>{on_tor, on_tier}));
 
-    // Drains concatenate in SwitchId order: the ToR's slice first.
+    // The drain holds each switch's slice once, concatenated in SwitchId
+    // order: the ToR's slice first.
     ASSERT_EQ(drained.size(), on_tor + on_tier);
     for (std::size_t i = 0; i < drained.size(); ++i) {
         bool tor_key = drained[i].key == "a" || drained[i].key == "b" ||
                        drained[i].key == "c";
         EXPECT_EQ(tor_key, i < on_tor) << drained[i].key;
     }
-
-    // The tally survives release; re-allocating the id resets it.
-    controller_.release(1);
-    EXPECT_EQ(controller_.fetched_tally(1),
-              (std::vector<std::uint64_t>{on_tor, on_tier}));
-    ASSERT_TRUE(controller_.allocate(1, 16).has_value());
-    EXPECT_EQ(controller_.fetched_tally(1),
-              (std::vector<std::uint64_t>{0, 0}));
+    EXPECT_TRUE(controller_.fetch(1, 0, /*clear=*/false).empty());
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ class SwitchProgramTest : public ::testing::Test
           sw_(network_, 16, pisa::kDefaultStageSramBytes),
           config_(test_config()),
           program_(config_, sw_),
-          controller_({&program_}),
+          controller_({&program_}, wal_),
           key_space_(config_)
     {
         network_.attach(&sw_);
@@ -129,6 +129,7 @@ class SwitchProgramTest : public ::testing::Test
     pisa::PisaSwitch sw_;
     AskConfig config_;
     AskSwitchProgram program_;
+    Wal wal_{"controller"};
     AskSwitchController controller_;
     KeySpace key_space_;
     SinkNode sender_;
@@ -564,7 +565,8 @@ TEST(SwitchController, UndeclaredOpRejectedBeforeAllocation)
     AskConfig cfg = test_config();
     cfg.part_bits = 16;
     AskSwitchProgram program(cfg, sw);
-    AskSwitchController ctl({&program});
+    Wal wal("controller");
+    AskSwitchController ctl({&program}, wal);
 
     std::uint32_t free_before = ctl.free_aggregators();
     EXPECT_THROW(ctl.allocate(1, 10, ReduceOp::kFloat), ConfigError);
@@ -779,7 +781,8 @@ TEST(SwitchController, AllocateReleaseReuse)
     pisa::PisaSwitch sw(network, 16, pisa::kDefaultStageSramBytes);
     AskConfig cfg = test_config();
     AskSwitchProgram program(cfg, sw);
-    AskSwitchController ctl({&program});
+    Wal wal("controller");
+    AskSwitchController ctl({&program}, wal);
 
     std::uint32_t cap = cfg.copy_size();
     EXPECT_EQ(ctl.free_aggregators(), cap);

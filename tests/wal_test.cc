@@ -803,10 +803,9 @@ TEST(WalCompaction, ControllerRecoversTheSameRegions)
     cfg.channels_per_host = 2;
     cfg.max_tasks = 4;
     AskSwitchProgram program(cfg, sw);
-    AskSwitchController ctl({&program});
     WalStore store;
-    ctl.attach_wals(store, nullptr);
     Wal& wal = store.controller_wal();
+    AskSwitchController ctl({&program}, wal);
 
     TaskRegion first = *ctl.allocate(1, 8);
     TaskRegion second = *ctl.allocate(2, 8);

@@ -55,12 +55,6 @@ AskSwitchController::allocate(TaskId task, std::uint32_t len, ReduceOp op)
     if (epoch_slot == epoch_slot_used_.size())
         return std::nullopt;
 
-    TaskRegion region;
-    region.base = base;
-    region.len = len;
-    region.epoch_slot = epoch_slot;
-    region.op = op;
-
     // Reject an undeclared operator BEFORE journaling or mutating: the
     // installs below would throw the same ConfigError, but only after
     // the WAL and journal already recorded a region that never existed.
@@ -85,8 +79,8 @@ AskSwitchController::allocate(TaskId task, std::uint32_t len, ReduceOp op)
     r.arg2 = epoch_slot;
     r.kvs.emplace_back("op", static_cast<std::uint64_t>(op));
     wal_.append(r);
-    epoch_slot_used_[epoch_slot] = true;
-    allocated_[base] = {region, task};
+    apply(r);
+    const TaskRegion& region = allocated_.at(base).first;
     for (AskSwitchProgram* p : programs_)
         p->install_task(task, region);
     return region;
@@ -105,14 +99,35 @@ AskSwitchController::release(TaskId task)
     r.task = task;
     r.arg0 = it->first;
     wal_.append(r);
-    epoch_slot_used_[it->second.first.epoch_slot] = false;
-    allocated_.erase(it);
+    apply(r);
     // Clear the aggregators and reset the swap epoch so a future task
     // reusing this slice starts blank on copy 0 with epoch 0.
     for (AskSwitchProgram* p : programs_) {
         p->reset_epoch(task);
         p->clear_region(task);
         p->remove_task(task);
+    }
+}
+
+void
+AskSwitchController::apply(const WalRecord& r)
+{
+    if (r.kind == WalRecordKind::kAlloc) {
+        TaskRegion region;
+        region.base = r.arg0;
+        region.len = r.arg1;
+        region.epoch_slot = r.arg2;
+        for (const auto& [key, value] : r.kvs)
+            if (key == "op")
+                region.op = static_cast<ReduceOp>(value);
+        allocated_[region.base] = {region, r.task};
+        epoch_slot_used_[region.epoch_slot] = true;
+    } else if (r.kind == WalRecordKind::kRelease) {
+        auto it = allocated_.find(r.arg0);
+        if (it != allocated_.end() && it->second.second == r.task) {
+            epoch_slot_used_[it->second.first.epoch_slot] = false;
+            allocated_.erase(it);
+        }
     }
 }
 
@@ -130,26 +145,8 @@ AskSwitchController::recover_from_wal()
     // cluster aborts the affected tasks instead of trusting the log.
     std::vector<WalRecord> records = wal_.replay();
     crash();
-    for (const WalRecord& r : records) {
-        if (r.kind == WalRecordKind::kAlloc) {
-            TaskRegion region;
-            region.base = r.arg0;
-            region.len = r.arg1;
-            region.epoch_slot = r.arg2;
-            // Pre-op journals carry no "op" kv; those regions were kAdd.
-            for (const auto& [key, value] : r.kvs)
-                if (key == "op")
-                    region.op = static_cast<ReduceOp>(value);
-            allocated_[region.base] = {region, r.task};
-            epoch_slot_used_[region.epoch_slot] = true;
-        } else if (r.kind == WalRecordKind::kRelease) {
-            auto it = allocated_.find(r.arg0);
-            if (it != allocated_.end() && it->second.second == r.task) {
-                epoch_slot_used_[it->second.first.epoch_slot] = false;
-                allocated_.erase(it);
-            }
-        }
-    }
+    for (const WalRecord& r : records)
+        apply(r);
     // The data planes survive a controller crash, but a switch reboot
     // may have raced the outage; restore any missing install.
     reinstall_after_reboot();

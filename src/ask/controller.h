@@ -146,6 +146,12 @@ class AskSwitchController
     }
 
   private:
+    /** The one place the journal changes: a kAlloc record journals its
+     *  region and claims its epoch slot, a kRelease frees them. Other
+     *  records are ignored. allocate/release call it after their
+     *  append, recover_from_wal for every replayed record. */
+    void apply(const WalRecord& record);
+
     /** Aggregators per AA per copy: every switch's copy_size(). */
     std::uint32_t capacity() const
     {

@@ -39,6 +39,20 @@ namespace {
  */
 constexpr Seq kSeqCheckpointInterval = 64;
 
+/** The report a receive task delivers: its journaled start time and
+ *  counters. The caller stamps the finish time and the outcome. */
+TaskReport
+report_of(const WalRxTaskState& state)
+{
+    TaskReport report;
+    report.start_time = state.start_time;
+    report.tuples_aggregated_locally = state.tuples_aggregated_locally;
+    report.tuples_fetched_from_switch = state.tuples_fetched_from_switch;
+    report.packets_received = state.packets_received;
+    report.swaps = state.swaps;
+    return report;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -649,35 +663,30 @@ AskDaemon::start_receive(TaskId task, std::uint32_t expected_senders,
                           len, controller_.free_aggregators()));
                 return;
             }
-            ReceiveTask rx;
-            rx.id = task;
-            rx.op = rop;
-            rx.expected_senders = expected_senders;
-            rx.on_done = std::move(*done);
-            rx.report.start_time = simulator().now();
-            rx.last_activity = simulator().now();
-            rx.swaps_disabled =
-                options.swap_policy == TaskOptions::SwapPolicy::kDisabled;
-            rx.liveness_timeout_ns =
-                options.sender_liveness_timeout_ns < 0
-                    ? config_.sender_liveness_timeout_ns
-                    : options.sender_liveness_timeout_ns;
+            Nanoseconds liveness = options.sender_liveness_timeout_ns < 0
+                                       ? config_.sender_liveness_timeout_ns
+                                       : options.sender_liveness_timeout_ns;
             WalRecord r;
             r.kind = WalRecordKind::kRxTaskStart;
             r.task = task;
             r.arg0 = expected_senders;
-            r.arg1 = rx.swaps_disabled ? 1 : 0;
-            r.kvs.emplace_back(
-                "liveness_ns",
-                static_cast<std::uint64_t>(rx.liveness_timeout_ns));
-            r.kvs.emplace_back(
-                "start_time",
-                static_cast<std::uint64_t>(rx.report.start_time));
-            r.kvs.emplace_back("op", static_cast<std::uint64_t>(rx.op));
+            r.arg1 =
+                options.swap_policy == TaskOptions::SwapPolicy::kDisabled ? 1
+                                                                          : 0;
+            r.kvs.emplace_back("liveness_ns",
+                               static_cast<std::uint64_t>(liveness));
+            r.kvs.emplace_back("start_time",
+                               static_cast<std::uint64_t>(simulator().now()));
+            r.kvs.emplace_back("op", static_cast<std::uint64_t>(rop));
             wal_.append(r);
+            ReceiveTask rx;
+            rx.id = task;
+            rx.state = start_rx_task(r, config_.window);
+            rx.on_done = std::move(*done);
+            rx.last_activity = simulator().now();
             auto [it, inserted] = rx_tasks_.emplace(task, std::move(rx));
             ASK_ASSERT(inserted, "task ", task, " already receiving here");
-            if (it->second.liveness_timeout_ns > 0)
+            if (liveness > 0)
                 arm_liveness(task);
             if (on_ready)
                 on_ready();
@@ -864,17 +873,6 @@ AskDaemon::dispatch_to_sender_channel(const AskHeader& hdr)
         ch.on_fin_ack(hdr.task_id);
 }
 
-HostReceiveWindow&
-AskDaemon::window_for(ReceiveTask& task, ChannelId channel)
-{
-    auto it = task.windows.find(channel);
-    if (it == task.windows.end()) {
-        it = task.windows.emplace(channel, HostReceiveWindow(config_.window))
-                 .first;
-    }
-    return it->second;
-}
-
 void
 AskDaemon::send_ack_to(net::NodeId sender, const AskHeader& data_hdr)
 {
@@ -899,7 +897,7 @@ AskDaemon::handle_data(net::Packet&& pkt, const AskHeader& hdr)
     if (it == rx_tasks_.end())
         return;  // roaming duplicate of a completed task
     ReceiveTask& task = it->second;
-    if (simulator().now() < task.restarting_until) {
+    if (simulator().now() < task.state.drain_until) {
         // Recovery drain: pre-crash traffic must not reach the reset
         // aggregate — the replay re-delivers every tuple. No ACK, and
         // the sender's in-flight state was already aborted.
@@ -946,11 +944,16 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
     // (or corrupted header): drop it before the seen window so it neither
     // consumes a sequence number nor earns an ACK. This also covers the
     // LONG_DATA bypass path, which never crosses the switch's op check.
-    if (hdr.op != task.op) {
+    if (hdr.op != task.state.op) {
         ++stats_.op_mismatch_dropped;
         return;
     }
-    SeenOutcome outcome = window_for(task, hdr.channel_id).observe(hdr.seq);
+    // Classify here; the window records a fresh seq when its record is
+    // applied below, like every other change to the durable state.
+    auto window = task.state.windows.find(hdr.channel_id);
+    SeenOutcome outcome = window == task.state.windows.end()
+                              ? SeenOutcome::kFresh
+                              : window->second.classify(hdr.seq);
     if (outcome == SeenOutcome::kStale)
         return;  // pre-window duplicate: the original was ACKed long ago
 
@@ -962,7 +965,7 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
     send_ack_to(pkt.src, hdr);
 
     if (outcome == SeenOutcome::kFresh) {
-        // Decode first, then journal, then mutate: the WAL record for a
+        // Decode first, then journal, then apply: the WAL record for a
         // consumed packet must carry exactly the tuples the aggregate
         // absorbs, and must be durable before the absorption.
         KvStream decoded = hdr.type == PacketType::kData
@@ -974,19 +977,15 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
         r.channel = hdr.channel_id;
         r.seq = hdr.seq;
         wal_.append(r, decoded);
+        apply_rx(task.state, r, decoded);
         std::uint64_t tuples = decoded.size();
-        // Combine-only: the sender lifted every value at submit_send.
-        for (const auto& t : decoded)
-            accumulate(task.local, t.key, t.value, task.op);
         stats_.tuples_aggregated_locally += tuples;
-        task.report.tuples_aggregated_locally += tuples;
         ASK_TRACE(tracer_, simulator().now(), task.id, hdr.channel_id,
                   hdr.seq, obs::TraceStage::kHostAggregate, tuples);
         // Deferred aggregation is farmed out over the daemon's thread
         // pool round-robin, not pinned to the flow's RSS lane.
         channels_[bg_round_robin_++ % channels_.size()]->charge_background(
             cost_model_.host_aggregate_ns(tuples));
-        ++task.report.packets_received;
         ++task.packets_since_swap;
     } else {
         ++stats_.duplicates_received;
@@ -1007,21 +1006,21 @@ AskDaemon::handle_fin(const net::Packet& pkt, const AskHeader& hdr)
         return;
     }
     ReceiveTask& task = it->second;
-    if (simulator().now() < task.restarting_until) {
+    if (simulator().now() < task.state.drain_until) {
         // A FIN racing the crash must not complete the fin set: the
         // replay will re-send the stream and a fresh FIN after it.
         ++chaos_.drain_dropped;
         return;
     }
     task.last_activity = simulator().now();
-    if (task.fins.count(hdr.channel_id) == 0) {
+    if (task.state.fins.count(hdr.channel_id) == 0) {
         WalRecord r;
         r.kind = WalRecordKind::kRxFin;
         r.task = task.id;
         r.channel = hdr.channel_id;
         wal_.append(r);
+        apply_rx(task.state, r);
     }
-    task.fins.insert(hdr.channel_id);
     DataChannel& ch = channel_for_task(hdr.task_id);
     ch.charge(cost_model_.rx_cost_ns(pkt.data.size()) +
               cost_model_.ctrl_cost_ns());
@@ -1034,12 +1033,13 @@ AskDaemon::maybe_start_swap(ReceiveTask& task)
 {
     if (!config_.shadow_copies || config_.swap_threshold_packets == 0)
         return;
-    if (task.swap_in_flight || task.finalizing || task.swaps_disabled)
+    if (task.swap_in_flight || task.finalizing || task.state.swaps_disabled ||
+        task.swaps_given_up)
         return;
     if (task.packets_since_swap < config_.swap_threshold_packets)
         return;
     task.swap_in_flight = true;
-    task.swap_target = task.committed_epoch + 1;
+    task.swap_target = task.state.committed_epoch + 1;
     task.swap_tries = 0;
     ++stats_.swap_requests;
     send_swap(task.id);
@@ -1061,7 +1061,7 @@ AskDaemon::send_swap(TaskId task_id)
         ++chaos_.swap_giveups;
         warn(name(), ": disabling shadow-copy swaps for task ", task_id,
              " after ", task.swap_tries, " attempts");
-        task.swaps_disabled = true;
+        task.swaps_given_up = true;
         task.swap_in_flight = false;
         if (task.finalize_pending)
             maybe_finalize(task);
@@ -1145,14 +1145,10 @@ AskDaemon::complete_swap(ReceiveTask& task)
                 r.task = task_id;
                 r.seq = t.swap_target;
                 wal_.append(r, fetched);
+                apply_rx(t.state, r, fetched);
                 stats_.fetch_tuples += fetched.size();
-                t.report.tuples_fetched_from_switch += fetched.size();
-                // Switch registers hold lifted partials: combine only.
-                merge_stream_into(t.local, fetched, t.op);
-                t.committed_epoch = t.swap_target;
                 t.packets_since_swap = 0;
                 t.swap_in_flight = false;
-                ++t.report.swaps;
                 if (t.finalize_pending)
                     maybe_finalize(t);
             },
@@ -1164,7 +1160,7 @@ AskDaemon::complete_swap(ReceiveTask& task)
                 if (t.generation != gen)
                     return;
                 ++chaos_.swap_giveups;
-                t.swaps_disabled = true;
+                t.swaps_given_up = true;
                 t.swap_in_flight = false;
                 if (t.finalize_pending)
                     maybe_finalize(t);
@@ -1175,7 +1171,7 @@ AskDaemon::complete_swap(ReceiveTask& task)
 void
 AskDaemon::maybe_finalize(ReceiveTask& task)
 {
-    if (task.fins.size() < task.expected_senders)
+    if (task.state.fins.size() < task.state.expected_senders)
         return;
     if (task.swap_in_flight) {
         task.finalize_pending = true;
@@ -1213,14 +1209,18 @@ AskDaemon::finalize(ReceiveTask& task)
                 if (t.generation != gen)
                     return;
 
+                // Hand the aggregate over to the result, then fold the
+                // final fetch into it.
+                AggregateMap result = std::move(t.state.local);
+                TaskReport report = report_of(t.state);
                 for (std::uint32_t copy = 0;
                      copy < (config_.shadow_copies ? 2u : 1u); ++copy) {
                     KvStream fetched =
                         controller_.fetch(task_id, copy, /*clear=*/true);
                     stats_.fetch_tuples += fetched.size();
-                    t.report.tuples_fetched_from_switch += fetched.size();
+                    report.tuples_fetched_from_switch += fetched.size();
                     // Switch registers hold lifted partials: combine only.
-                    merge_stream_into(t.local, fetched, t.op);
+                    merge_stream_into(result, fetched, t.state.op);
                 }
                 try {
                     controller_.release(task_id);
@@ -1234,18 +1234,15 @@ AskDaemon::finalize(ReceiveTask& task)
                     simulator().cancel(t.liveness_timer);
                     t.liveness_timer = sim::kInvalidEvent;
                 }
-                t.report.finish_time = simulator().now();
+                report.finish_time = simulator().now();
                 ASK_TRACE(tracer_, simulator().now(), task_id, 0, 0,
-                          obs::TraceStage::kFinalize,
-                          t.report.packets_received);
+                          obs::TraceStage::kFinalize, report.packets_received);
                 WalRecord r;
                 r.kind = WalRecordKind::kRxTaskDone;
                 r.task = task_id;
                 r.arg0 = static_cast<std::uint32_t>(TaskStatus::kOk);
                 wal_.append(r);
                 TaskDoneFn on_done = std::move(t.on_done);
-                AggregateMap result = std::move(t.local);
-                TaskReport report = std::move(t.report);
                 rx_tasks_.erase(it);
                 if (on_done)
                     on_done(std::move(result), std::move(report));
@@ -1270,7 +1267,7 @@ AskDaemon::arm_liveness(TaskId task_id)
     if (it == rx_tasks_.end())
         return;
     ReceiveTask& t = it->second;
-    sim::SimTime deadline = t.last_activity + t.liveness_timeout_ns;
+    sim::SimTime deadline = t.last_activity + t.state.liveness_timeout;
     t.liveness_timer = simulator().schedule_at(deadline, [this, task_id] {
         auto jt = rx_tasks_.find(task_id);
         if (jt == rx_tasks_.end())
@@ -1279,7 +1276,7 @@ AskDaemon::arm_liveness(TaskId task_id)
         t.liveness_timer = sim::kInvalidEvent;
         if (t.finalizing)
             return;  // the result fetch is already under way
-        sim::SimTime deadline = t.last_activity + t.liveness_timeout_ns;
+        sim::SimTime deadline = t.last_activity + t.state.liveness_timeout;
         if (simulator().now() < deadline) {
             arm_liveness(task_id);  // activity since: re-arm lazily
             return;
@@ -1288,7 +1285,7 @@ AskDaemon::arm_liveness(TaskId task_id)
         fail_receive_task(
             task_id, TaskStatus::kSenderTimeout,
             strf("sender liveness timeout: heard FINs from %zu of %u senders",
-                 t.fins.size(), t.expected_senders));
+                 t.state.fins.size(), t.state.expected_senders));
     });
 }
 
@@ -1306,16 +1303,16 @@ AskDaemon::fail_receive_task(TaskId task_id, TaskStatus status,
         simulator().cancel(t.swap_timer);
     if (t.liveness_timer != sim::kInvalidEvent)
         simulator().cancel(t.liveness_timer);
-    t.report.finish_time = simulator().now();
-    t.report.status = status;
-    t.report.detail = std::move(detail);
+    TaskReport report = report_of(t.state);
+    report.finish_time = simulator().now();
+    report.status = status;
+    report.detail = std::move(detail);
     WalRecord r;
     r.kind = WalRecordKind::kRxTaskDone;
     r.task = task_id;
     r.arg0 = static_cast<std::uint32_t>(status);
     wal_.append(r);
     TaskDoneFn on_done = std::move(t.on_done);
-    TaskReport report = std::move(t.report);
     rx_tasks_.erase(it);
     // Best-effort region release; under a permanent management outage
     // the region is abandoned (the journal still records it). A crash
@@ -1344,32 +1341,23 @@ AskDaemon::prepare_replay(TaskId task_id, sim::SimTime drain_until)
     r.task = task_id;
     r.kvs.emplace_back("drain_until", static_cast<std::uint64_t>(drain_until));
     wal_.append(r);
+    // The aggregate, FIN set, swap epoch and counters restart; the
+    // windows and the swap policy stay (see apply_rx).
+    apply_rx(t.state, r);
     ++t.generation;  // scheduled fetch/finalize callbacks are now void
-    t.local.clear();
-    t.fins.clear();
-    t.report.tuples_aggregated_locally = 0;
-    t.report.tuples_fetched_from_switch = 0;
-    t.report.packets_received = 0;
-    t.report.swaps = 0;
     t.packets_since_swap = 0;
-    // The register wipe rewound swap_epoch to 0; mirror it host-side.
-    t.committed_epoch = 0;
     t.swap_in_flight = false;
     t.swap_target = 0;
     t.swap_tries = 0;
-    t.swaps_disabled = false;
+    t.swaps_given_up = false;
     if (t.swap_timer != sim::kInvalidEvent) {
         simulator().cancel(t.swap_timer);
         t.swap_timer = sim::kInvalidEvent;
     }
     t.finalize_pending = false;
     t.finalizing = false;
-    t.restarting_until = drain_until;
     // Give the replay breathing room before the liveness clock resumes.
     t.last_activity = drain_until;
-    // t.windows is deliberately KEPT: HostReceiveWindow tolerates gaps,
-    // and replayed sequence numbers continue past the crash point — a
-    // fresh window would mis-classify them relative to pre-crash seqs.
     ++chaos_.tasks_reset;
 }
 
@@ -1400,7 +1388,7 @@ AskDaemon::recover_from_wal(
     // Throwing replay: a corrupt log surfaces as StateError and the
     // cluster fails the host's tasks instead of rebuilding bad state.
     std::vector<WalRecord> records = wal_.replay();
-    WalDaemonState state = rebuild_daemon_state(records, config_.op);
+    WalDaemonState state = rebuild_daemon_state(records, config_.window);
     crashed_ = false;
 
     // Channels resume at their journaled checkpoints (>= every seq the
@@ -1417,46 +1405,30 @@ AskDaemon::recover_from_wal(
     // Replay archives. The original on_complete callbacks died with the
     // process; cluster-level replay re-drives delivery, and completion
     // is observed at the receiver (FIN set), not the sender.
-    for (auto& [task, send] : state.sends) {
-        sent_archive_[task].push_back(ArchivedSend{
-            static_cast<net::NodeId>(send.receiver),
-            std::make_shared<const KvStream>(std::move(send.stream)), send.op,
-            nullptr});
+    for (auto& [task, sends] : state.sends) {
+        for (WalSendState& send : sends) {
+            sent_archive_[task].push_back(ArchivedSend{
+                static_cast<net::NodeId>(send.receiver),
+                std::make_shared<const KvStream>(std::move(send.stream)),
+                send.op, nullptr});
+        }
     }
 
-    // Receive tasks: partial aggregate, FIN set, seen windows (replayed
-    // observation by observation, so post-restart retransmissions stay
-    // duplicates), swap epoch, and the completion callback re-supplied
-    // by the cluster.
+    // Receive tasks: each folded state moves in whole (aggregate, FIN
+    // set, dedup windows, swap epoch, counters), and the completion
+    // callback is re-supplied by the cluster.
     std::uint32_t rebuilt = 0;
     sim::SimTime now = simulator().now();
     for (auto& [task_id, ws] : state.rx_tasks) {
         ReceiveTask rx;
         rx.id = task_id;
-        rx.op = ws.op;
-        rx.expected_senders = ws.expected_senders;
-        rx.swaps_disabled = ws.swaps_disabled;
-        rx.local = std::move(ws.local);
-        for (std::uint32_t f : ws.fins)
-            rx.fins.insert(static_cast<ChannelId>(f));
         rx.on_done = make_done ? make_done(task_id) : nullptr;
-        rx.report.start_time = static_cast<sim::SimTime>(ws.start_time);
-        rx.report.tuples_aggregated_locally = ws.tuples_aggregated_locally;
-        rx.report.tuples_fetched_from_switch =
-            ws.tuples_fetched_from_switch;
-        rx.report.packets_received = ws.packets_received;
-        rx.report.swaps = ws.swaps;
-        rx.committed_epoch = ws.committed_epoch;
-        // Strictly above anything the dead process handed out: its
-        // scheduled swap/finalize callbacks are void on arrival.
-        rx.generation = ws.generation;
-        rx.liveness_timeout_ns =
-            static_cast<Nanoseconds>(ws.liveness_ns);
-        rx.restarting_until = std::max(
-            now, static_cast<sim::SimTime>(ws.restart_drain_until));
-        rx.last_activity = rx.restarting_until;
-        for (const auto& [chan, seq] : ws.observed)
-            window_for(rx, static_cast<ChannelId>(chan)).observe(seq);
+        // Strictly above anything the dead process handed out (at most
+        // 1 + resets + earlier recoveries): its scheduled swap/finalize
+        // callbacks are void on arrival.
+        rx.generation = 2 + ws.resets + state.recoveries;
+        rx.last_activity = std::max(now, ws.drain_until);
+        rx.state = std::move(ws);
 
         auto [it, inserted] = rx_tasks_.emplace(task_id, std::move(rx));
         ASK_ASSERT(inserted, "recovered task ", task_id, " twice");
@@ -1467,7 +1439,7 @@ AskDaemon::recover_from_wal(
         // retired copy never drained — finish the drain now.
         if (controller_.installed(task_id)) {
             std::uint32_t switch_epoch = controller_.current_epoch(task_id);
-            if (switch_epoch > t.committed_epoch) {
+            if (switch_epoch > t.state.committed_epoch) {
                 t.swap_in_flight = true;
                 t.swap_target = switch_epoch;
                 t.swap_tries = 0;
@@ -1475,7 +1447,7 @@ AskDaemon::recover_from_wal(
             }
         }
 
-        if (t.liveness_timeout_ns > 0)
+        if (t.state.liveness_timeout > 0)
             arm_liveness(task_id);
         // The crash may have interrupted the window between the last
         // FIN and the finalize fetch; re-drive it.
@@ -1491,6 +1463,19 @@ AskDaemon::recover_from_wal(
     warn(name(), ": recovered from WAL: ", rebuilt, " receive task(s), ",
          state.sends.size(), " archived send(s)");
     return rebuilt;
+}
+
+WalDaemonState
+AskDaemon::durable_state() const
+{
+    WalDaemonState out;
+    for (const auto& [task, rx] : rx_tasks_)
+        out.rx_tasks.emplace(task, rx.state);
+    for (const auto& [task, archive] : sent_archive_)
+        for (const ArchivedSend& a : archive)
+            out.sends[task].push_back(WalSendState{
+                static_cast<std::uint32_t>(a.receiver), a.op, *a.stream});
+    return out;
 }
 
 }  // namespace ask::core

@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -192,7 +191,6 @@ class DataChannel
      */
     sim::SimTime charge_background(Nanoseconds cost);
 
-    sim::SimTime core_busy_until() const { return core_busy_; }
     sim::SimTime background_busy_until() const { return background_busy_; }
     std::uint64_t busy_ns() const { return busy_ns_; }
 
@@ -397,7 +395,9 @@ class AskDaemon : public net::Node
      * this task's traffic until `drain_until` so pre-crash packets
      * still in the fabric cannot be double-counted. Receive windows are
      * kept — they are gap-tolerant, and replayed sequence numbers
-     * continue past the crash point.
+     * continue past the crash point. The swap policy is kept too: a
+     * kDisabled task never swaps, and a task that gave up on a dead
+     * swap path may try again.
      */
     void prepare_replay(TaskId task, sim::SimTime drain_until);
 
@@ -447,6 +447,15 @@ class AskDaemon : public net::Node
     std::uint32_t recover_from_wal(
         const std::function<TaskDoneFn(TaskId)>& make_done);
 
+    /**
+     * The live state a restart would rebuild from this daemon's log:
+     * every receive task's durable state and every archived submit, in
+     * the shape rebuild_daemon_state() returns (its resume_seq and
+     * recoveries are left empty). Equal to the fold of the log at every
+     * event boundary while the daemon is up.
+     */
+    WalDaemonState durable_state() const;
+
     /** Does this host hold a replay archive for `task`? (Used by the
      *  cluster to decide whether a crashed host was a sender.) */
     bool has_send_archive(TaskId task) const
@@ -486,23 +495,18 @@ class AskDaemon : public net::Node
     struct ReceiveTask
     {
         TaskId id = 0;
-        /** Resolved reduction operator: the fold every local aggregate
-         *  and fetched partial of this task goes through, and the op id
-         *  arriving frames must carry. */
-        ReduceOp op = ReduceOp::kAdd;
-        std::uint32_t expected_senders = 0;
-        std::set<ChannelId> fins;
-        AggregateMap local;
-        std::unordered_map<ChannelId, HostReceiveWindow> windows;
+        /** The durable half. Only start_rx_task and apply_rx change
+         *  it, each right after its record is appended; finalize takes
+         *  the aggregate out at delivery. */
+        WalRxTaskState state;
         TaskDoneFn on_done;
-        TaskReport report;
 
         std::uint64_t packets_since_swap = 0;
-        std::uint32_t committed_epoch = 0;
         bool swap_in_flight = false;
         std::uint32_t swap_target = 0;
         std::uint32_t swap_tries = 0;
-        bool swaps_disabled = false;
+        /** The swap path proved dead: no more swaps until a reset. */
+        bool swaps_given_up = false;
         sim::EventId swap_timer = sim::kInvalidEvent;
         bool finalize_pending = false;
         bool finalizing = false;
@@ -510,14 +514,9 @@ class AskDaemon : public net::Node
         /** Bumped by prepare_replay/failure: scheduled fetch/finalize
          *  callbacks from the previous life must not touch the task. */
         std::uint64_t generation = 0;
-        /** Recovery drain guard: drop this task's traffic until then. */
-        sim::SimTime restarting_until = 0;
         /** Last DATA/FIN arrival (sender-liveness timeout). */
         sim::SimTime last_activity = 0;
         sim::EventId liveness_timer = sim::kInvalidEvent;
-        /** Effective liveness timeout (TaskOptions override resolved
-         *  against the config default); 0 = disabled. */
-        Nanoseconds liveness_timeout_ns = 0;
     };
 
     /** Charge work to the control-channel thread (fetches, setup). */
@@ -547,8 +546,6 @@ class AskDaemon : public net::Node
      *  bits are all set or all clear. */
     KvStream tuples_from_data_frame(const std::vector<std::uint8_t>& frame,
                                     std::uint64_t mask) const;
-
-    HostReceiveWindow& window_for(ReceiveTask& task, ChannelId channel);
 
     /** One archived submit_send (kept until forget_task for replay).
      *  The stream is the one the channel's packet builder reads. */

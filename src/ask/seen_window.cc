@@ -170,20 +170,30 @@ HostReceiveWindow::HostReceiveWindow(std::uint32_t window)
 }
 
 SeenOutcome
+HostReceiveWindow::classify(Seq s) const
+{
+    Seq max_seq = !any_ || s > max_seq_ ? s : max_seq_;
+    if (is_stale(s, max_seq, window_))
+        return SeenOutcome::kStale;
+    if (last_seq_plus1_[s % last_seq_plus1_.size()] ==
+        static_cast<std::uint64_t>(s) + 1)
+        return SeenOutcome::kDuplicate;
+    return SeenOutcome::kFresh;
+}
+
+SeenOutcome
 HostReceiveWindow::observe(Seq s)
 {
-    if (!any_ || s > max_seq_) {
-        max_seq_ = s;
+    // A stale or duplicate seq is at most max_seq_ (a duplicate was
+    // fresh once), so only a fresh one moves the window.
+    SeenOutcome outcome = classify(s);
+    if (outcome == SeenOutcome::kFresh) {
+        max_seq_ = !any_ || s > max_seq_ ? s : max_seq_;
         any_ = true;
+        last_seq_plus1_[s % last_seq_plus1_.size()] =
+            static_cast<std::uint64_t>(s) + 1;
     }
-    if (is_stale(s, max_seq_, window_))
-        return SeenOutcome::kStale;
-
-    std::uint64_t& slot = last_seq_plus1_[s % last_seq_plus1_.size()];
-    if (slot == static_cast<std::uint64_t>(s) + 1)
-        return SeenOutcome::kDuplicate;
-    slot = static_cast<std::uint64_t>(s) + 1;
-    return SeenOutcome::kFresh;
+    return outcome;
 }
 
 }  // namespace ask::core

@@ -164,8 +164,15 @@ class HostReceiveWindow
   public:
     explicit HostReceiveWindow(std::uint32_t window);
 
-    /** Record the arrival of sequence `s` and classify it. */
+    /** Classify an arrival of sequence `s` without recording it: what
+     *  observe(s) would return. */
+    SeenOutcome classify(Seq s) const;
+
+    /** Record the arrival of sequence `s` and classify it. Only a
+     *  fresh arrival changes the window. */
     SeenOutcome observe(Seq s);
+
+    bool operator==(const HostReceiveWindow&) const = default;
 
   private:
     std::uint32_t window_;

@@ -185,17 +185,15 @@ kv_scalar(const WalRecord& r, std::string_view name)
     return 0;
 }
 
-/** Like kv_scalar, but distinguishes "absent" from an explicit 0 —
- *  needed for fields (like the ReduceOp id, where 0 == kAdd) whose
- *  absence means "pre-upgrade log, use the caller's default". */
-std::uint64_t
-kv_scalar_or(const WalRecord& r, std::string_view name,
-             std::uint64_t fallback)
+/** The tuples a replayed record journaled: all of its kvs. */
+KvStream
+journaled_tuples(const WalRecord& r)
 {
+    KvStream tuples;
+    tuples.reserve(r.kvs.size());
     for (const auto& [key, value] : r.kvs)
-        if (key == name)
-            return value;
-    return fallback;
+        tuples.push_back({key, static_cast<Value>(value)});
+    return tuples;
 }
 
 }  // namespace
@@ -532,96 +530,93 @@ WalStore::describe() const
     return d;
 }
 
+WalRxTaskState
+start_rx_task(const WalRecord& start, std::uint32_t window)
+{
+    WalRxTaskState t;
+    t.op = static_cast<ReduceOp>(kv_scalar(start, "op"));
+    t.expected_senders = start.arg0;
+    t.swaps_disabled = start.arg1 != 0;
+    t.liveness_timeout =
+        static_cast<Nanoseconds>(kv_scalar(start, "liveness_ns"));
+    t.start_time = static_cast<Nanoseconds>(kv_scalar(start, "start_time"));
+    t.window = window;
+    return t;
+}
+
+void
+apply_rx(WalRxTaskState& t, const WalRecord& r, const KvStream& tuples)
+{
+    switch (r.kind) {
+      case WalRecordKind::kRxData:
+        t.windows.try_emplace(r.channel, t.window).first->second.observe(r.seq);
+        // Combine-only: journaled tuples were lifted at the sender.
+        for (const KvTuple& tuple : tuples)
+            accumulate(t.local, tuple.key, tuple.value, t.op);
+        t.tuples_aggregated_locally += tuples.size();
+        ++t.packets_received;
+        return;
+      case WalRecordKind::kRxFin:
+        t.fins.insert(r.channel);
+        return;
+      case WalRecordKind::kRxSwapCommit:
+        // Fetched registers are lifted partials: combine only.
+        merge_stream_into(t.local, tuples, t.op);
+        t.tuples_fetched_from_switch += tuples.size();
+        t.committed_epoch = r.seq;
+        ++t.swaps;
+        return;
+      case WalRecordKind::kRxReset:
+        // The register wipe took the partials and rewound the swap
+        // epoch, and the replay re-sends every stream: restart the
+        // aggregate and its counters. The dedup windows survive, and so
+        // does the swap policy.
+        t.local.clear();
+        t.fins.clear();
+        t.committed_epoch = 0;
+        t.tuples_aggregated_locally = 0;
+        t.tuples_fetched_from_switch = 0;
+        t.packets_received = 0;
+        t.swaps = 0;
+        t.drain_until = static_cast<Nanoseconds>(kv_scalar(r, "drain_until"));
+        ++t.resets;
+        return;
+      default:
+        ASK_ASSERT(false, "apply_rx of a ", wal_record_kind_name(r.kind),
+                   " record");
+    }
+}
+
 WalDaemonState
 rebuild_daemon_state(const std::vector<WalRecord>& records,
-                     ReduceOp default_op)
+                     std::uint32_t window)
 {
     WalDaemonState state;
-    std::map<TaskId, std::uint32_t> resets;
-
     for (const WalRecord& r : records) {
         switch (r.kind) {
-          case WalRecordKind::kRxTaskStart: {
-            WalRxTaskState& t = state.rx_tasks[r.task];
-            t = WalRxTaskState{};
-            t.expected_senders = r.arg0;
-            t.swaps_disabled = r.arg1 != 0;
-            t.op = static_cast<ReduceOp>(kv_scalar_or(
-                r, "op", static_cast<std::uint64_t>(default_op)));
-            t.liveness_ns = kv_scalar(r, "liveness_ns");
-            t.start_time = kv_scalar(r, "start_time");
-            resets[r.task] = 0;
+          case WalRecordKind::kRxTaskStart:
+            state.rx_tasks.insert_or_assign(r.task, start_rx_task(r, window));
             break;
-          }
-          case WalRecordKind::kRxData: {
-            auto it = state.rx_tasks.find(r.task);
-            if (it == state.rx_tasks.end())
-                break;
-            WalRxTaskState& t = it->second;
-            t.observed.emplace_back(r.channel, r.seq);
-            // Combine-only: journaled tuples were lifted at the sender.
-            for (const auto& [key, value] : r.kvs) {
-                accumulate(t.local, key, value, t.op);
-                ++t.tuples_aggregated_locally;
-            }
-            ++t.packets_received;
-            break;
-          }
-          case WalRecordKind::kRxFin: {
-            auto it = state.rx_tasks.find(r.task);
-            if (it != state.rx_tasks.end())
-                it->second.fins.insert(r.channel);
-            break;
-          }
-          case WalRecordKind::kRxSwapCommit: {
-            auto it = state.rx_tasks.find(r.task);
-            if (it == state.rx_tasks.end())
-                break;
-            WalRxTaskState& t = it->second;
-            // Fetched registers are lifted partials: combine only.
-            for (const auto& [key, value] : r.kvs) {
-                accumulate(t.local, key, value, t.op);
-                ++t.tuples_fetched_from_switch;
-            }
-            t.committed_epoch = r.seq;
-            ++t.swaps;
-            break;
-          }
+          case WalRecordKind::kRxData:
+          case WalRecordKind::kRxFin:
+          case WalRecordKind::kRxSwapCommit:
           case WalRecordKind::kRxReset: {
             auto it = state.rx_tasks.find(r.task);
             if (it == state.rx_tasks.end())
                 break;
-            WalRxTaskState& t = it->second;
-            // A reset wipes the partial aggregate and progress counters
-            // for a full replay but keeps the observed seqs: the seen
-            // windows survive a reboot-replay on the live daemon too.
-            t.local.clear();
-            t.fins.clear();
-            t.committed_epoch = 0;
-            t.tuples_aggregated_locally = 0;
-            t.tuples_fetched_from_switch = 0;
-            t.packets_received = 0;
-            t.swaps = 0;
-            t.restart_drain_until = kv_scalar(r, "drain_until");
-            ++resets[r.task];
+            if (r.kind == WalRecordKind::kRxReset)
+                apply_rx(it->second, r);  // its kvs are named scalars
+            else
+                apply_rx(it->second, r, journaled_tuples(r));
             break;
           }
           case WalRecordKind::kRxTaskDone:
             state.rx_tasks.erase(r.task);
-            resets.erase(r.task);
             break;
-          case WalRecordKind::kSendSubmit: {
-            // A task may receive several submits from one host; the
-            // rebuilt cursor is their concatenation (aggregation is
-            // insensitive to the packetization boundary).
-            WalSendState& s = state.sends[r.task];
-            s.receiver = r.arg0;
-            s.op = static_cast<ReduceOp>(r.arg1);
-            s.stream.reserve(s.stream.size() + r.kvs.size());
-            for (const auto& [key, value] : r.kvs)
-                s.stream.push_back({key, static_cast<Value>(value)});
+          case WalRecordKind::kSendSubmit:
+            state.sends[r.task].push_back(WalSendState{
+                r.arg0, static_cast<ReduceOp>(r.arg1), journaled_tuples(r)});
             break;
-          }
           case WalRecordKind::kSendForget:
             state.sends.erase(r.task);
             break;
@@ -638,12 +633,6 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
             break;  // controller journal records; not daemon state
         }
     }
-
-    // Fence stale callbacks: any generation the pre-crash process could
-    // have handed out is at most 1 (start) + resets + recoveries-so-far,
-    // so the rebuilt generation overshoots it by construction.
-    for (auto& [task, t] : state.rx_tasks)
-        t.generation = 2 + resets[task] + state.recoveries;
     return state;
 }
 
@@ -654,9 +643,8 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
 // region rebuild (AskSwitchController::recover_from_wal). Each case
 // names the fold step that makes dropping the records exact.
 //
-//  - kRxTaskDone(t) erases t's receive state and its reset count, so
-//    t's earlier receiver records and the done record itself fold to
-//    nothing.
+//  - kRxTaskDone(t) erases t's receive state, so t's earlier receiver
+//    records and the done record itself fold to nothing.
 //  - kSendForget(t) erases t's archived send: t's earlier submits and
 //    the forget fold to nothing.
 //  - kRelease(t, base) erases the region its kAlloc installed and
@@ -666,7 +654,8 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
 //    pair folds to nothing.
 //  - kSeqCheckpoint keeps the channel's maximum seq, so a checkpoint
 //    retires the same channel's earlier ones whose seq is <= its own.
-//  - kHostRecovered counts into every later generation: never retired.
+//  - kHostRecovered counts into every later recovery's generations:
+//    never retired.
 
 void
 Wal::retire_by(const WalRecord& record, std::size_t index)

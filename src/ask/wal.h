@@ -26,11 +26,14 @@
  *    (or throws) a typed StateError and recovery aborts the host's
  *    tasks rather than rebuilding silently-wrong state.
  *
- * rebuild_daemon_state() is the pure fold from a record sequence to
- * the daemon-visible state (partial aggregates, fin sets, observed
- * seqs, replay cursors, seq checkpoints). Keeping it pure makes the
- * recovery-idempotence property directly testable: folding the same
- * log twice must produce operator==-identical state.
+ * Each receive-task record has one transition: start_rx_task() opens
+ * a task's durable state (WalRxTaskState) from its start record, and
+ * apply_rx() advances it by one data, fin, swap-commit or reset record.
+ * The live daemon appends a record and then applies that same record;
+ * rebuild_daemon_state() is the pure fold that applies every record of
+ * a log (plus the send archives, seq checkpoints and recovery count).
+ * So a daemon rebuilt from its log equals the live one, and folding the
+ * same log twice gives operator==-identical state.
  *
  * The log is bounded by in-flight work, not by run length. A record
  * is *retired* once a later record makes it irrelevant to every fold
@@ -53,7 +56,9 @@
 #include <utility>
 #include <vector>
 
+#include "ask/seen_window.h"
 #include "ask/types.h"
+#include "common/units.h"
 #include "obs/json.h"
 
 namespace ask::core {
@@ -64,8 +69,8 @@ namespace ask::core {
 enum class WalRecordKind : std::uint8_t
 {
     /** Controller: region allocated. task; arg0 = base, arg1 = len,
-     *  arg2 = 1 if the task claimed the epoch slot. Retired by the
-     *  kRelease of the same task and base. */
+     *  arg2 = epoch slot; kvs carry the ReduceOp id as "op". Retired by
+     *  the kRelease of the same task and base. */
     kAlloc = 1,
     /** Controller: region released (task completed or aborted). arg0 =
      *  base. Retires its kAlloc and itself. */
@@ -82,22 +87,25 @@ enum class WalRecordKind : std::uint8_t
      *  use; a restarted channel must resume at `seq`. Retires the
      *  channel's earlier checkpoints whose seq is <= its own. */
     kSeqCheckpoint = 5,
-    /** Receiver: task accepted. arg0 = expected senders, arg1 = 1 if
-     *  swaps disabled; kvs carry liveness_ns / start_time / op (the
-     *  ReduceOp id; absent in pre-op logs, meaning kAdd). Receiver
+    /** Receiver: task accepted (start_rx_task). arg0 = expected
+     *  senders, arg1 = 1 if the swap policy is kDisabled; kvs carry
+     *  liveness_ns / start_time / op (the ReduceOp id). Receiver
      *  records (this and the four below) are retired by the task's
      *  kRxTaskDone. */
     kRxTaskStart = 6,
-    /** Receiver: fresh DATA packet consumed. channel + seq locate the
-     *  seen-window slot; kvs = the decoded tuples it contributed. */
+    /** Receiver: fresh DATA packet consumed (apply_rx). channel + seq
+     *  are observed into the channel's dedup window; kvs = the decoded
+     *  tuples it contributed. */
     kRxData = 7,
-    /** Receiver: FIN consumed from `channel`. */
+    /** Receiver: FIN consumed from `channel` (apply_rx). */
     kRxFin = 8,
-    /** Receiver: shadow-copy swap committed. seq = new epoch; kvs =
-     *  the aggregates fetched and merged from the retired copy. */
+    /** Receiver: shadow-copy swap committed (apply_rx). seq = new
+     *  epoch; kvs = the aggregates fetched and merged from the retired
+     *  copy. */
     kRxSwapCommit = 9,
-    /** Receiver: task state reset for a post-reboot replay. kvs carry
-     *  the drain deadline. Observed seqs intentionally survive. */
+    /** Receiver: task state reset for a post-reboot replay (apply_rx).
+     *  kvs carry the drain deadline. The dedup windows and the swap
+     *  policy survive it. */
     kRxReset = 10,
     /** Receiver: task finished (delivered or failed). arg0 = the
      *  TaskStatus delivered to the tenant. Retires the task's earlier
@@ -302,39 +310,58 @@ class WalStore
     std::map<std::string, Wal> wals_;
 };
 
-// ---- pure state rebuild ----------------------------------------------------
+// ---- the durable receiver state and the pure fold -------------------------
 
-/** Rebuilt receiver-task state (one live ReceiveTask's durable core). */
+/**
+ * The durable half of one receive task: everything its log determines.
+ * Only start_rx_task() and apply_rx() change it, on the live daemon (right
+ * after appending the record) and in rebuild_daemon_state() alike.
+ */
 struct WalRxTaskState
 {
     std::uint32_t expected_senders = 0;
+    /** The task's swap policy is kDisabled. A reset keeps it. */
     bool swaps_disabled = false;
     /** The task's reduction operator; folds below combine with it. */
     ReduceOp op = ReduceOp::kAdd;
-    /** Bit-cast of the task's liveness timeout (ns, -1 = disabled). */
-    std::uint64_t liveness_ns = static_cast<std::uint64_t>(-1);
-    std::uint64_t start_time = 0;
-    /** Generation strictly above any the pre-crash process handed out
-     *  (fences stale in-flight callbacks). */
-    std::uint32_t generation = 2;
-    /** Last kRxReset drain deadline (0 = none since start/reset). */
-    std::uint64_t restart_drain_until = 0;
+    /** Sender-liveness timeout; 0 = disabled. */
+    Nanoseconds liveness_timeout = 0;
+    Nanoseconds start_time = 0;
+    /** The last reset's drain deadline (0 = none): the task drops its
+     *  traffic until then. */
+    Nanoseconds drain_until = 0;
+    /** Dedup window size W of every channel window. */
+    std::uint32_t window = 0;
     AggregateMap local;
     std::set<std::uint32_t> fins;
-    /** (channel global id, seq) of every fresh packet consumed, in
-     *  order — replayed into the seen windows so duplicates stay
-     *  duplicates after recovery. Survives kRxReset by design. */
-    std::vector<std::pair<std::uint32_t, Seq>> observed;
+    /** One dedup window per sender channel. They survive a reset:
+     *  replayed seqs continue past the crash point. */
+    std::unordered_map<std::uint32_t, HostReceiveWindow> windows;
     std::uint32_t committed_epoch = 0;
     std::uint64_t tuples_aggregated_locally = 0;
     std::uint64_t tuples_fetched_from_switch = 0;
     std::uint64_t packets_received = 0;
     std::uint32_t swaps = 0;
+    /** kRxReset records applied since the start. */
+    std::uint32_t resets = 0;
 
     bool operator==(const WalRxTaskState&) const = default;
 };
 
-/** Rebuilt archived-send state (replay cursor for one task). */
+/** The state a kRxTaskStart record opens, with dedup windows of
+ *  `window` sequence numbers. */
+WalRxTaskState start_rx_task(const WalRecord& start, std::uint32_t window);
+
+/**
+ * Advance a receive task's durable state by one kRxData, kRxFin,
+ * kRxSwapCommit or kRxReset record. `tuples` are the tuples journaled
+ * with a kRxData or kRxSwapCommit record. Combine-only: they were
+ * lifted before they were journaled.
+ */
+void apply_rx(WalRxTaskState& state, const WalRecord& record,
+              const KvStream& tuples = {});
+
+/** One archived submit (a replay cursor). */
 struct WalSendState
 {
     std::uint32_t receiver = 0;
@@ -351,8 +378,9 @@ struct WalDaemonState
 {
     /** Live (not yet done) receive tasks. */
     std::map<TaskId, WalRxTaskState> rx_tasks;
-    /** Live archived sends (submit without forget). */
-    std::map<TaskId, WalSendState> sends;
+    /** Live archived sends (submits without a forget), one per submit
+     *  in log order. */
+    std::map<TaskId, std::vector<WalSendState>> sends;
     /** Per-local-channel resume seq (max checkpoint). */
     std::map<std::uint32_t, Seq> resume_seq;
     /** Completed recoveries recorded in the log. */
@@ -362,15 +390,13 @@ struct WalDaemonState
 };
 
 /**
- * Fold a daemon WAL's records into the state a restart installs. Pure:
- * same records + same default op => operator==-identical state (the
- * recovery idempotence proof rides on this). `default_op` applies to
- * records from pre-op logs that carry no explicit operator; every fold
- * is combine-only — journaled tuples were lifted before they were
- * journaled.
+ * Fold a daemon WAL's records into the state a restart installs:
+ * receiver records go through start_rx_task/apply_rx, with dedup
+ * windows of `window` sequence numbers. Pure: the same records give
+ * operator==-identical state.
  */
 WalDaemonState rebuild_daemon_state(const std::vector<WalRecord>& records,
-                                    ReduceOp default_op);
+                                    std::uint32_t window);
 
 }  // namespace ask::core
 

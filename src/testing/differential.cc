@@ -162,9 +162,9 @@ probe_recovery(const ScenarioSpec& spec, core::AskCluster& cluster,
         }
         std::vector<core::WalRecord> records = wal.replay();
         core::WalDaemonState once =
-            core::rebuild_daemon_state(records, spec.cluster.ask.op);
+            core::rebuild_daemon_state(records, spec.cluster.ask.window);
         core::WalDaemonState twice =
-            core::rebuild_daemon_state(records, spec.cluster.ask.op);
+            core::rebuild_daemon_state(records, spec.cluster.ask.window);
         if (!(once == twice))
             fail(wal.name() + ": state fold is not idempotent");
         if (!once.rx_tasks.empty())
@@ -210,6 +210,88 @@ probe_recovery(const ScenarioSpec& spec, core::AskCluster& cluster,
              " chaos event(s) reached no handler");
 }
 
+/** The first member in which two receive-task states differ. */
+const char*
+first_difference(const core::WalRxTaskState& a,
+                 const core::WalRxTaskState& b)
+{
+    const std::pair<const char*, bool> members[] = {
+        {"expected_senders", a.expected_senders == b.expected_senders},
+        {"swaps_disabled", a.swaps_disabled == b.swaps_disabled},
+        {"op", a.op == b.op},
+        {"liveness_timeout", a.liveness_timeout == b.liveness_timeout},
+        {"start_time", a.start_time == b.start_time},
+        {"drain_until", a.drain_until == b.drain_until},
+        {"window", a.window == b.window},
+        {"local", a.local == b.local},
+        {"fins", a.fins == b.fins},
+        {"windows", a.windows == b.windows},
+        {"committed_epoch", a.committed_epoch == b.committed_epoch},
+        {"tuples_aggregated_locally",
+         a.tuples_aggregated_locally == b.tuples_aggregated_locally},
+        {"tuples_fetched_from_switch",
+         a.tuples_fetched_from_switch == b.tuples_fetched_from_switch},
+        {"packets_received", a.packets_received == b.packets_received},
+        {"swaps", a.swaps == b.swaps},
+        {"resets", a.resets == b.resets},
+    };
+    for (const auto& [name, same] : members)
+        if (!same)
+            return name;
+    return "nothing";
+}
+
+/**
+ * Live-state probe (post-recovery equivalence, mid-run): every daemon
+ * that is up must hold exactly the receive-task states and archived
+ * submits that folding its own log gives — the state a crash at this
+ * instant would rebuild. A log that fails its digest check is
+ * probe_recovery's story.
+ */
+void
+probe_live_state(const ScenarioSpec& spec, core::AskCluster& cluster,
+                 DiffResult& out)
+{
+    for (std::uint32_t h = 0; h < cluster.num_hosts(); ++h) {
+        const core::AskDaemon& daemon = cluster.daemon(core::HostId{h});
+        core::Wal& wal = cluster.wal_store().host_wal(h);
+        if (daemon.crashed() || !wal.verify())
+            continue;
+        core::WalDaemonState live = daemon.durable_state();
+        core::WalDaemonState folded =
+            core::rebuild_daemon_state(wal.replay(), spec.cluster.ask.window);
+        std::string where = wal.name() + " at " +
+                            std::to_string(cluster.simulator().now()) +
+                            " ns: task ";
+        auto fail = [&out, &where](core::TaskId task,
+                                   const std::string& what) {
+            out.probe_failures.push_back(
+                {"post_recovery_equivalence",
+                 where + std::to_string(task) + ": " + what});
+        };
+        for (const auto& [task, state] : live.rx_tasks) {
+            auto it = folded.rx_tasks.find(task);
+            if (it == folded.rx_tasks.end())
+                fail(task, "receiving, but its log holds no live task");
+            else if (!(state == it->second))
+                fail(task, std::string("live ") +
+                               first_difference(state, it->second) +
+                               " differs from its log's fold");
+        }
+        for (const auto& [task, state] : folded.rx_tasks)
+            if (live.rx_tasks.count(task) == 0)
+                fail(task, "its log holds a live task the daemon lacks");
+        for (const auto& [task, sends] : live.sends) {
+            auto it = folded.sends.find(task);
+            if (it == folded.sends.end() || !(sends == it->second))
+                fail(task, "archived sends differ from its log's fold");
+        }
+        for (const auto& [task, sends] : folded.sends)
+            if (live.sends.count(task) == 0)
+                fail(task, "its log holds archived sends the daemon lacks");
+    }
+}
+
 /**
  * Model-reachability probe: cross-check the dynamically observed
  * component states against the semantic model's reachable-state
@@ -244,7 +326,7 @@ probe_model_reachability(const ScenarioSpec& spec, core::AskCluster& cluster,
         core::WalDaemonState folded;
         if (wal.verify())  // digest failures are probe_recovery's story
             folded = core::rebuild_daemon_state(wal.replay(),
-                                                spec.cluster.ask.op);
+                                                spec.cluster.ask.window);
         for (std::uint32_t c = 0; c < daemon.num_channels(); ++c) {
             core::DataChannel& chan = daemon.channel(c);
             core::ChannelId id = chan.global_id();
@@ -443,6 +525,17 @@ run_differential(const ScenarioSpec& spec)
         cluster.program(core::SwitchId{s}).enable_access_verification();
     if (!spec.chaos.empty())
         cluster.arm_chaos(spec.chaos);
+    // The live state must equal its log's fold just before each chaos
+    // episode starts and just after it ends. The probe only reads.
+    for (const sim::ChaosEvent& e : spec.chaos.events) {
+        for (sim::SimTime at : {e.at - 1, e.at + e.duration + 1}) {
+            if (at >= 0)
+                cluster.simulator().schedule_at(
+                    at, [&spec, &cluster, &out] {
+                        probe_live_state(spec, cluster, out);
+                    });
+        }
+    }
 
     struct Completion
     {

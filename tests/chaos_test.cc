@@ -662,6 +662,42 @@ TEST(Chaos, ReplayedTaskCountsOnlyTheReplaysPackets)
     EXPECT_EQ(r.report.packets_received, undisturbed.packets_received);
 }
 
+TEST(Chaos, DisabledSwapsStayDisabledAfterAReset)
+{
+    // A switch reboot resets a kDisabled task for a replay. The reset
+    // keeps the swap policy, as a receiver rebuilt from its log after
+    // the reset does, so the replay never swaps either.
+    ClusterConfig cc = base_config();
+    cc.ask.swap_threshold_packets = 24;
+    std::vector<StreamSpec> streams = two_streams(113, 1200);
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
+    const TaskOptions opts{.swap_policy = TaskOptions::SwapPolicy::kDisabled};
+    TaskReport undisturbed;
+    {
+        AskCluster dry(cc);
+        TaskResult r = dry.run_task(1, HostId{0}, streams, opts);
+        ASSERT_TRUE(r.ok()) << r.report.detail;
+        undisturbed = r.report;
+    }
+    ASSERT_GT(undisturbed.senders_done, 0);
+
+    // Halfway between the senders' start and their last ACK.
+    AskCluster cluster(cc);
+    sim::ChaosPlan plan;
+    plan.switch_reboot((undisturbed.start_time + cc.notify_latency_ns +
+                        undisturbed.senders_done) /
+                           2,
+                       100 * kMicrosecond);
+    cluster.arm_chaos(plan);
+
+    TaskResult r = cluster.run_task(1, HostId{0}, streams, opts);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    EXPECT_EQ(cluster.chaos_stats().tasks_reset, 1u);
+    EXPECT_EQ(r.report.swaps, 0u);
+    EXPECT_EQ(cluster.daemon(HostId{0}).stats().swap_requests, 0u);
+}
+
 TEST(Chaos, ReceiverCrashWithSwapsAndLossStaysExact)
 {
     // Crash the receiver while shadow-copy swaps are in play on a lossy
@@ -812,7 +848,7 @@ TEST(Chaos, CrashAfterDrainRecoversToEmptyState)
     EXPECT_EQ(cluster.chaos_stats().host_recoveries, 1u);
 
     WalDaemonState state = rebuild_daemon_state(
-        cluster.wal_store().host_wal(0).replay(), cc.ask.op);
+        cluster.wal_store().host_wal(0).replay(), cc.ask.window);
     EXPECT_TRUE(state.rx_tasks.empty());
     EXPECT_TRUE(state.sends.empty());
     EXPECT_EQ(state.recoveries, 1u);
@@ -962,7 +998,7 @@ TEST(Chaos, SwitchRebootsReplayTheSharedStreamExactly)
         EXPECT_FALSE(cluster.daemon(s.host).has_send_archive(1));
         EXPECT_TRUE(rebuild_daemon_state(
                         cluster.wal_store().host_wal(s.host.value()).replay(),
-                        cc.ask.op)
+                        cc.ask.window)
                         .sends.empty());
     }
 }

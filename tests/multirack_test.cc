@@ -357,6 +357,54 @@ TEST(MultiRack, TierRebootMidTaskStaysExact)
     EXPECT_EQ(cluster.chaos_stats().switch_reboots, 1u);
 }
 
+TEST(MultiRack, ReplayedFabricTaskNeverSwaps)
+{
+    // A fabric task never swaps: no fabric-wide epoch flip exists, so
+    // submit_task gives it the kDisabled policy. A reboot of any of its
+    // switches resets it for a replay, and the reset keeps the policy.
+    ClusterConfig cc = fabric_config(7);
+    cc.ask.swap_threshold_packets = 24;
+    std::vector<StreamSpec> streams = {{HostId{1}, rack_stream(25, 1200)},
+                                       {HostId{2}, rack_stream(26, 1200)},
+                                       {HostId{3}, rack_stream(27, 1200)}};
+    AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
+    TaskReport undisturbed;
+    {
+        AskCluster dry(cc);
+        TaskResult r = dry.run_task(1, HostId{0}, streams);
+        ASSERT_TRUE(r.ok()) << r.report.detail;
+        undisturbed = r.report;
+    }
+    ASSERT_GT(undisturbed.senders_done, 0);
+    ASSERT_EQ(undisturbed.swaps, 0u);
+    // Halfway between the senders' start and their last ACK.
+    const sim::SimTime mid = (undisturbed.start_time + cc.notify_latency_ns +
+                              undisturbed.senders_done) /
+                             2;
+
+    for (std::uint32_t subject : {0u, 1u, 2u}) {
+        AskCluster cluster(cc);
+        sim::ChaosPlan plan;
+        sim::ChaosEvent reboot;
+        reboot.kind = sim::ChaosKind::kSwitchReboot;
+        reboot.at = mid;
+        reboot.duration = 100 * kMicrosecond;
+        reboot.subject = subject;
+        plan.add(reboot);
+        cluster.arm_chaos(plan);
+
+        TaskResult r = cluster.run_task(1, HostId{0}, streams);
+        ASSERT_TRUE(r.ok()) << "switch " << subject << ": "
+                            << r.report.detail;
+        EXPECT_EQ(r.result, truth) << "switch " << subject;
+        EXPECT_EQ(cluster.chaos_stats().tasks_reset, 1u)
+            << "switch " << subject;
+        EXPECT_EQ(r.report.swaps, 0u) << "switch " << subject;
+        EXPECT_EQ(cluster.daemon(HostId{0}).stats().swap_requests, 0u)
+            << "switch " << subject;
+    }
+}
+
 TEST(MultiRack, SenderCrashMidTaskStaysExact)
 {
     // A cross-rack sender crashes mid-task. Its in-flight accounting

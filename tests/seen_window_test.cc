@@ -178,7 +178,10 @@ TEST(HostReceiveWindow, StaleRejected)
 TEST(HostReceiveWindow, RandomizedSubsetDelivery)
 {
     // Property: with arbitrary subsets and duplicates within the window,
-    // the window reports kFresh exactly once per sequence.
+    // the window reports kFresh exactly once per sequence. classify()
+    // predicts every observe() without changing the window, and only a
+    // fresh arrival changes it (the receiver classifies, journals, and
+    // only then records the arrival).
     Rng rng = seeded_rng("seen_window_test", 99);
     HostReceiveWindow wdw(64);
     std::vector<int> fresh_count(5000, 0);
@@ -187,8 +190,16 @@ TEST(HostReceiveWindow, RandomizedSubsetDelivery)
         if (rng.chance(0.2) && base + 64 < 5000)
             ++base;
         Seq s = static_cast<Seq>(rng.next_in(base, base + 63));
-        if (wdw.observe(s) == SeenOutcome::kFresh)
+        const HostReceiveWindow before = wdw;
+        SeenOutcome predicted = wdw.classify(s);
+        ASSERT_EQ(wdw, before) << "step " << step;
+        SeenOutcome outcome = wdw.observe(s);
+        ASSERT_EQ(outcome, predicted) << "step " << step << " seq " << s;
+        if (outcome == SeenOutcome::kFresh) {
             ++fresh_count[s];
+        } else {
+            ASSERT_EQ(wdw, before) << "step " << step << " seq " << s;
+        }
     }
     for (std::size_t s = 0; s < fresh_count.size(); ++s)
         EXPECT_LE(fresh_count[s], 1) << "seq " << s << " fresh twice";

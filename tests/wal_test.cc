@@ -23,6 +23,9 @@
 namespace ask::core {
 namespace {
 
+/** Dedup window size of the folds below. */
+constexpr std::uint32_t kW = 16;
+
 WalRecord
 data_record(TaskId task, std::uint32_t channel, Seq seq,
             std::vector<std::pair<std::string, std::uint64_t>> kvs)
@@ -306,14 +309,17 @@ TEST(WalRebuild, FoldIsIdempotent)
     cp.seq = 64;
     log.push_back(cp);
 
-    WalDaemonState once = rebuild_daemon_state(log, ReduceOp::kAdd);
-    WalDaemonState twice = rebuild_daemon_state(log, ReduceOp::kAdd);
+    WalDaemonState once = rebuild_daemon_state(log, kW);
+    WalDaemonState twice = rebuild_daemon_state(log, kW);
     EXPECT_EQ(once, twice);
     ASSERT_EQ(once.rx_tasks.size(), 1u);
     const WalRxTaskState& t = once.rx_tasks.at(1);
     EXPECT_EQ(t.local.at("a"), 4u);
     EXPECT_EQ(t.local.at("b"), 2u);
-    EXPECT_EQ(t.observed.size(), 2u);
+    // Each journaled (channel, seq) is a duplicate in the rebuilt windows.
+    ASSERT_EQ(t.windows.size(), 2u);
+    EXPECT_EQ(t.windows.at(0).classify(0), SeenOutcome::kDuplicate);
+    EXPECT_EQ(t.windows.at(1).classify(0), SeenOutcome::kDuplicate);
     EXPECT_EQ(t.packets_received, 2u);
     EXPECT_EQ(t.tuples_aggregated_locally, 3u);
 }
@@ -328,11 +334,11 @@ TEST(WalRebuild, DoneRemovesTheTask)
     done.task = 1;
     log.push_back(done);
 
-    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, kW);
     EXPECT_TRUE(state.rx_tasks.empty());
 }
 
-TEST(WalRebuild, SubmitsConcatenateAndForgetRemoves)
+TEST(WalRebuild, SubmitsStaySeparateAndForgetRemovesThem)
 {
     WalRecord s1;
     s1.kind = WalRecordKind::kSendSubmit;
@@ -342,17 +348,21 @@ TEST(WalRebuild, SubmitsConcatenateAndForgetRemoves)
     WalRecord s2 = s1;
     s2.kvs = {{"z", 3}};
 
-    WalDaemonState state = rebuild_daemon_state({s1, s2}, ReduceOp::kAdd);
+    // One archived send per submit, in log order, as the live archive
+    // keeps them.
+    WalDaemonState state = rebuild_daemon_state({s1, s2}, kW);
     ASSERT_EQ(state.sends.size(), 1u);
-    const WalSendState& send = state.sends.at(5);
-    EXPECT_EQ(send.receiver, 2u);
-    ASSERT_EQ(send.stream.size(), 3u);
-    EXPECT_EQ(send.stream[2].key, "z");
+    const std::vector<WalSendState>& sends = state.sends.at(5);
+    ASSERT_EQ(sends.size(), 2u);
+    EXPECT_EQ(sends[0].receiver, 2u);
+    EXPECT_EQ(sends[0].stream.size(), 2u);
+    ASSERT_EQ(sends[1].stream.size(), 1u);
+    EXPECT_EQ(sends[1].stream[0].key, "z");
 
     WalRecord forget;
     forget.kind = WalRecordKind::kSendForget;
     forget.task = 5;
-    state = rebuild_daemon_state({s1, s2, forget}, ReduceOp::kAdd);
+    state = rebuild_daemon_state({s1, s2, forget}, kW);
     EXPECT_TRUE(state.sends.empty());
 }
 
@@ -369,17 +379,20 @@ TEST(WalRebuild, ResetWipesProgressButKeepsObservedSeqs)
     log.push_back(reset);
     log.push_back(data_record(1, 0, 2, {{"b", 7}}));
 
-    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, kW);
     const WalRxTaskState& t = state.rx_tasks.at(1);
     // Aggregate restarted from scratch after the reset...
     EXPECT_EQ(t.local.count("a"), 0u);
     EXPECT_EQ(t.local.at("b"), 7u);
     EXPECT_EQ(t.packets_received, 1u);
     // ...but the duplicate-filter history survives it.
-    EXPECT_EQ(t.observed.size(), 3u);
-    EXPECT_EQ(t.restart_drain_until, 5000u);
-    // One reset, no recoveries: generation 2 + 1.
-    EXPECT_EQ(t.generation, 3u);
+    for (Seq seq : {0u, 1u, 2u})
+        EXPECT_EQ(t.windows.at(0).classify(seq), SeenOutcome::kDuplicate)
+            << "seq " << seq;
+    EXPECT_EQ(t.drain_until, 5000);
+    // One reset, no recoveries: recovery hands out generation 2 + 1.
+    EXPECT_EQ(t.resets, 1u);
+    EXPECT_EQ(state.recoveries, 0u);
 }
 
 TEST(WalRebuild, GenerationOvershootsEveryPreCrashHandout)
@@ -391,9 +404,10 @@ TEST(WalRebuild, GenerationOvershootsEveryPreCrashHandout)
     log.push_back(recovered);  // host crashed twice before
     log.push_back(start_record(9, 1, true));
 
-    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, kW);
+    // Recovery hands out generation 2 + 0 resets + 2 recoveries.
+    EXPECT_EQ(state.rx_tasks.at(9).resets, 0u);
     EXPECT_EQ(state.recoveries, 2u);
-    EXPECT_EQ(state.rx_tasks.at(9).generation, 4u);  // 2 + 0 resets + 2
     EXPECT_TRUE(state.rx_tasks.at(9).swaps_disabled);
 }
 
@@ -409,7 +423,7 @@ TEST(WalRebuild, ResumeSeqIsTheMaxCheckpoint)
     WalDaemonState state = rebuild_daemon_state(
         {checkpoint(0, 64), checkpoint(1, 64), checkpoint(0, 192),
          checkpoint(0, 128)},
-        ReduceOp::kAdd);
+        kW);
     EXPECT_EQ(state.resume_seq.at(0), 192u);
     EXPECT_EQ(state.resume_seq.at(1), 64u);
     EXPECT_EQ(state.resume_seq.count(2), 0u);
@@ -417,55 +431,43 @@ TEST(WalRebuild, ResumeSeqIsTheMaxCheckpoint)
 
 TEST(WalRebuild, FoldHonorsTheAggregationOp)
 {
-    std::vector<WalRecord> log;
-    log.push_back(start_record(1, 1, false));
-    log.push_back(data_record(1, 0, 0, {{"a", 9}}));
-    log.push_back(data_record(1, 0, 1, {{"a", 3}}));
-
-    EXPECT_EQ(rebuild_daemon_state(log, ReduceOp::kAdd).rx_tasks.at(1).local.at(
-                  "a"),
-              12u);
-    EXPECT_EQ(rebuild_daemon_state(log, ReduceOp::kMax).rx_tasks.at(1).local.at(
-                  "a"),
-              9u);
-    EXPECT_EQ(rebuild_daemon_state(log, ReduceOp::kMin).rx_tasks.at(1).local.at(
-                  "a"),
-              3u);
+    // The start record's "op" kv pins the task's operator.
+    for (auto [op, want] : {std::pair{ReduceOp::kAdd, 12u},
+                            std::pair{ReduceOp::kMax, 9u},
+                            std::pair{ReduceOp::kMin, 3u}}) {
+        WalRecord start = start_record(1, 1, false);
+        start.kvs.emplace_back("op", static_cast<std::uint64_t>(op));
+        WalDaemonState state = rebuild_daemon_state(
+            {start, data_record(1, 0, 0, {{"a", 9}}),
+             data_record(1, 0, 1, {{"a", 3}})},
+            kW);
+        EXPECT_EQ(state.rx_tasks.at(1).op, op);
+        EXPECT_EQ(state.rx_tasks.at(1).local.at("a"), want)
+            << reduce_op_name(op);
+    }
 }
 
 TEST(WalRebuild, PerTaskOpKvOverridesTheDefault)
 {
-    // A journalled "op" kv pins the task's operator; the default_op
-    // argument only covers pre-upgrade logs that never recorded one.
-    std::vector<WalRecord> log;
-    WalRecord start = start_record(1, 1, false);
-    start.kvs.emplace_back("op", static_cast<std::uint64_t>(ReduceOp::kMax));
-    log.push_back(start);
-    log.push_back(data_record(1, 0, 0, {{"a", 9}}));
-    log.push_back(data_record(1, 0, 1, {{"a", 3}}));
+    // Without an "op" kv a task folds with kAdd; a journaled one
+    // overrides that, and an explicit 0 is kAdd.
+    std::vector<WalRecord> log = {start_record(1, 1, false),
+                                  data_record(1, 0, 0, {{"a", 9}}),
+                                  data_record(1, 0, 1, {{"a", 3}})};
+    WalDaemonState state = rebuild_daemon_state(log, kW);
+    EXPECT_EQ(state.rx_tasks.at(1).op, ReduceOp::kAdd);
+    EXPECT_EQ(state.rx_tasks.at(1).local.at("a"), 12u);
 
-    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
+    log[0].kvs.emplace_back("op", static_cast<std::uint64_t>(ReduceOp::kMax));
+    state = rebuild_daemon_state(log, kW);
     EXPECT_EQ(state.rx_tasks.at(1).op, ReduceOp::kMax);
     EXPECT_EQ(state.rx_tasks.at(1).local.at("a"), 9u);
 
-    // An explicit "op" of 0 is kAdd, not "absent": it must win over a
-    // non-add default.
-    WalRecord start_add = start_record(2, 1, false);
-    start_add.kvs.emplace_back("op", 0);
-    std::vector<WalRecord> log2 = {start_add,
-                                   data_record(2, 0, 0, {{"a", 9}}),
-                                   data_record(2, 0, 1, {{"a", 3}})};
-    state = rebuild_daemon_state(log2, ReduceOp::kMin);
-    EXPECT_EQ(state.rx_tasks.at(2).op, ReduceOp::kAdd);
-    EXPECT_EQ(state.rx_tasks.at(2).local.at("a"), 12u);
-
-    // No "op" kv at all: the caller's default applies.
-    std::vector<WalRecord> log3 = {start_record(3, 1, false),
-                                   data_record(3, 0, 0, {{"a", 9}}),
-                                   data_record(3, 0, 1, {{"a", 3}})};
-    state = rebuild_daemon_state(log3, ReduceOp::kMin);
-    EXPECT_EQ(state.rx_tasks.at(3).op, ReduceOp::kMin);
-    EXPECT_EQ(state.rx_tasks.at(3).local.at("a"), 3u);
+    log[0].kvs.back().second = 0;
+    state = rebuild_daemon_state(log, kW);
+    EXPECT_EQ(state.rx_tasks.at(1).op, ReduceOp::kAdd);
+    EXPECT_EQ(state.rx_tasks.at(1).local.at("a"), 12u);
+    static_assert(static_cast<std::uint64_t>(ReduceOp::kAdd) == 0);
 }
 
 TEST(WalRebuild, SendSubmitRestoresItsOp)
@@ -479,14 +481,12 @@ TEST(WalRebuild, SendSubmitRestoresItsOp)
     s.arg0 = 2;  // receiver host
     s.arg1 = static_cast<std::uint32_t>(ReduceOp::kCount);
     s.kvs = {{"x", 1}};
-    WalDaemonState state = rebuild_daemon_state({s}, ReduceOp::kAdd);
-    EXPECT_EQ(state.sends.at(5).op, ReduceOp::kCount);
+    WalDaemonState state = rebuild_daemon_state({s}, kW);
+    EXPECT_EQ(state.sends.at(5).front().op, ReduceOp::kCount);
 
-    // Pre-op records carry arg1 == 0, which is kAdd — the only operator
-    // that existed when they were written.
     s.arg1 = 0;
-    state = rebuild_daemon_state({s}, ReduceOp::kMax);
-    EXPECT_EQ(state.sends.at(5).op, ReduceOp::kAdd);
+    state = rebuild_daemon_state({s}, kW);
+    EXPECT_EQ(state.sends.at(5).front().op, ReduceOp::kAdd);
 }
 
 TEST(WalRebuild, DataForUnknownTaskIsDropped)
@@ -499,7 +499,7 @@ TEST(WalRebuild, DataForUnknownTaskIsDropped)
     alloc.kind = WalRecordKind::kAlloc;
     alloc.task = 1;
     log.push_back(alloc);
-    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, kW);
     EXPECT_TRUE(state.rx_tasks.empty());
     EXPECT_TRUE(state.sends.empty());
 }
@@ -516,7 +516,7 @@ TEST(WalRebuild, SwapCommitMergesFetchedAggregates)
     swap.kvs = {{"a", 10}, {"c", 4}};
     log.push_back(swap);
 
-    WalDaemonState state = rebuild_daemon_state(log, ReduceOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(log, kW);
     const WalRxTaskState& t = state.rx_tasks.at(1);
     EXPECT_EQ(t.local.at("a"), 11u);
     EXPECT_EQ(t.local.at("c"), 4u);
@@ -688,8 +688,8 @@ TEST(WalCompaction, SeededDifferentialAgainstTheFullLog)
             frame_bytes.push_back(alone.size_bytes());
 
             ASSERT_TRUE(wal.verify()) << "seed " << seed << " step " << step;
-            ASSERT_EQ(rebuild_daemon_state(wal.replay(), ReduceOp::kAdd),
-                      rebuild_daemon_state(all, ReduceOp::kAdd))
+            ASSERT_EQ(rebuild_daemon_state(wal.replay(), kW),
+                      rebuild_daemon_state(all, kW))
                 << "seed " << seed << " step " << step;
             std::vector<bool> live = reference_live(all);
             std::size_t live_records = 0;

@@ -172,6 +172,47 @@ class BenchReport
     bool written_ = false;
 };
 
+/** The kAdd fold of `stream`: what an exact summing task delivers. */
+inline core::AggregateMap
+fold(const core::KvStream& stream)
+{
+    core::AggregateMap truth;
+    core::aggregate_into(truth, stream, core::ReduceOp::kAdd);
+    return truth;
+}
+
+/**
+ * Tally of a bench's task runs whose delivered aggregate equals the
+ * fold of their input, key by key.
+ */
+class ExactRuns
+{
+  public:
+    void check(const core::TaskResult& r, const core::AggregateMap& truth)
+    {
+        ++runs_;
+        if (r.ok() && r.result == truth)
+            ++exact_;
+    }
+
+    /** Record `exact_runs` and `runs` in the report's params; return the
+     *  bench's exit code, 1 with a line on stderr when a run differed. */
+    int finish(BenchReport& report) const
+    {
+        report.param("exact_runs", exact_);
+        report.param("runs", runs_);
+        if (exact_ == runs_)
+            return 0;
+        std::cerr << "exactness: " << runs_ - exact_ << " of " << runs_
+                  << " runs differ from the fold of their input\n";
+        return 1;
+    }
+
+  private:
+    std::uint64_t runs_ = 0;
+    std::uint64_t exact_ = 0;
+};
+
 /**
  * Pick `count` task ids whose hash-based channel assignment
  * (core::task_channel_index, what AskDaemon::channel_for_task uses) is

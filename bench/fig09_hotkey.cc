@@ -19,7 +19,8 @@ using namespace ask;
 
 double
 switch_fraction(bool prioritize, std::uint32_t region_per_aa,
-                const core::KvStream& stream)
+                const core::KvStream& stream, const core::AggregateMap& truth,
+                bench::ExactRuns& exact)
 {
     core::ClusterConfig cc;
     cc.topology = core::TopologyBuilder().add_rack(2).build();
@@ -31,7 +32,7 @@ switch_fraction(bool prioritize, std::uint32_t region_per_aa,
 
     core::TaskResult r = cluster.run_task(
         1, 0, {{1, stream}}, {.region_len = region_per_aa});
-    (void)r;
+    exact.check(r, truth);
     const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     return 100.0 * static_cast<double>(sw.tuples_aggregated) /
            static_cast<double>(sw.tuples_in);
@@ -65,6 +66,10 @@ main(int argc, char** argv)
     core::KvStream zipf_cold =
         zipf_r.generate(tuples, workload::KeyOrder::kColdFirst);
     core::KvStream uniform = uni.generate(tuples);
+    core::AggregateMap zipf_hot_truth = bench::fold(zipf_hot);
+    core::AggregateMap zipf_cold_truth = bench::fold(zipf_cold);
+    core::AggregateMap uniform_truth = bench::fold(uniform);
+    bench::ExactRuns exact;
 
     for (bool prioritize : {false, true}) {
         std::cout << "\n(" << (prioritize ? "b) with" : "a) without")
@@ -80,9 +85,12 @@ main(int argc, char** argv)
                 std::max<std::uint64_t>(1, total / 32));
             std::string ratio =
                 shift == 0 ? "1" : "1/" + std::to_string(1u << shift);
-            double zipf_pct = switch_fraction(prioritize, per_aa, zipf_hot);
-            double zipf_r_pct = switch_fraction(prioritize, per_aa, zipf_cold);
-            double uni_pct = switch_fraction(prioritize, per_aa, uniform);
+            double zipf_pct = switch_fraction(prioritize, per_aa, zipf_hot,
+                                              zipf_hot_truth, exact);
+            double zipf_r_pct = switch_fraction(prioritize, per_aa, zipf_cold,
+                                                zipf_cold_truth, exact);
+            double uni_pct = switch_fraction(prioritize, per_aa, uniform,
+                                             uniform_truth, exact);
             t.row({ratio, fmt_double(zipf_pct, 2), fmt_double(zipf_r_pct, 2),
                    fmt_double(uni_pct, 2)});
             report.row({{"prioritization", prioritize},
@@ -95,5 +103,5 @@ main(int argc, char** argv)
     }
     report.note("paper: without prioritization cold keys pin aggregators for "
                 "the task lifetime; with it, ratio 1/16 reaches 95.85 % on Zipf");
-    return 0;
+    return exact.finish(report);
 }

@@ -528,6 +528,19 @@ rx_data_record(core::Seq seq)
     return r;
 }
 
+/** Set the `bytes_per_tuple` counter: the log bytes one append of
+ *  `record` journaling `tuples` takes, frame header included, per tuple. */
+void
+count_bytes_per_tuple(benchmark::State& state, const core::WalRecord& record,
+                      const core::KvStream& tuples)
+{
+    core::Wal wal("sized");
+    wal.append(record, tuples);
+    state.counters["bytes_per_tuple"] =
+        static_cast<double>(wal.size_bytes()) /
+        static_cast<double>(tuples.size());
+}
+
 /**
  * Wal::append of the receiver's per-packet journal record: a kRxData
  * carrying the 8 tuples of one residual DATA packet, journaled from the
@@ -549,6 +562,7 @@ BM_WalAppendData(benchmark::State& state)
     }
     benchmark::DoNotOptimize(wal.digest());
     state.SetItemsProcessed(state.iterations());
+    count_bytes_per_tuple(state, rx_data_record(0), tuples);
 }
 BENCHMARK(BM_WalAppendData);
 
@@ -571,6 +585,7 @@ BM_WalAppendSubmit(benchmark::State& state)
     }
     benchmark::DoNotOptimize(wal.digest());
     state.SetItemsProcessed(state.iterations() * 65536);
+    count_bytes_per_tuple(state, r, stream);
 }
 BENCHMARK(BM_WalAppendSubmit)->Unit(benchmark::kMicrosecond);
 
@@ -652,9 +667,8 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter
                     benchmark::GetTimeUnitString(run.time_unit));
             row.set("iterations",
                     static_cast<std::uint64_t>(run.iterations));
-            auto items = run.counters.find("items_per_second");
-            if (items != run.counters.end())
-                row.set("items_per_second", items->second.value);
+            for (const auto& [name, counter] : run.counters)
+                row.set(name, counter.value);
             report_.row_json(std::move(row));
         }
         ConsoleReporter::ReportRuns(runs);
@@ -683,7 +697,7 @@ main(int argc, char** argv)
             std::strcmp(argv[i], "--full") != 0)
             args.push_back(argv[i]);
     }
-    std::string min_time = "--benchmark_min_time=0.01s";
+    std::string min_time = "--benchmark_min_time=0.01";
     if (report.smoke())
         args.push_back(min_time.data());
     int bench_argc = static_cast<int>(args.size());

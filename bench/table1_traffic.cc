@@ -23,7 +23,7 @@ struct Measured
 
 Measured
 measure(const workload::CorpusProfile& profile, std::uint64_t tuples,
-        std::uint64_t vocab_scale)
+        std::uint64_t vocab_scale, bench::ExactRuns& exact)
 {
     workload::CorpusProfile p = profile;
     p.vocabulary /= vocab_scale;  // scaled with the stream volume
@@ -34,9 +34,9 @@ measure(const workload::CorpusProfile& profile, std::uint64_t tuples,
     core::AskCluster cluster(cc);
 
     workload::TextCorpus corpus(p, 11);
-    core::TaskResult r =
-        cluster.run_task(1, 0, {{1, corpus.generate(tuples)}});
-    (void)r;
+    core::KvStream stream = corpus.generate(tuples);
+    core::TaskResult r = cluster.run_task(1, 0, {{1, stream}});
+    exact.check(r, bench::fold(stream));
 
     // Denominators include the long-key traffic that bypasses the
     // switch (the paper counts all incoming tuples/packets).
@@ -75,9 +75,10 @@ main(int argc, char** argv)
 
     TextTable t;
     t.header({"dataset", "tuples agg (%)", "paper", "pkts ACKed (%)", "paper"});
+    bench::ExactRuns exact;
     int i = 0;
     for (const auto& profile : workload::all_corpus_profiles()) {
-        Measured m = measure(profile, tuples, vocab_scale);
+        Measured m = measure(profile, tuples, vocab_scale, exact);
         t.row({profile.name, fmt_double(m.tuple_pct, 2), refs[i].tuple,
                fmt_double(m.packet_pct, 2), refs[i].packet});
         report.row({{"dataset", profile.name},
@@ -91,5 +92,5 @@ main(int argc, char** argv)
     report.note("synthetic corpora calibrated to each dataset's skew and "
                 "word-length statistics; vocabulary scaled 1/" +
                 std::to_string(vocab_scale) + " with the stream volume");
-    return 0;
+    return exact.finish(report);
 }

@@ -14,16 +14,13 @@
 namespace ask::core {
 
 static_assert(std::endian::native == std::endian::little,
-              "WAL integers are little-endian, stored and loaded with memcpy");
+              "WAL frame headers are little-endian, copied with memcpy");
 
 namespace {
 
-/** Frame header: payload length + folded payload-hash check word. */
+/** Frame header: payload length + folded payload-hash check word, two
+ *  fixed-width u32s. */
 constexpr std::size_t kFrameHeader = 8;
-/** Payload bytes before the kvs: kind, six u32 scalars, kv count. */
-constexpr std::size_t kFixedPayload = 1 + 6 * 4 + 4;
-/** Payload bytes of one kv besides its key: key length + u64 value. */
-constexpr std::size_t kKvOverhead = 4 + 8;
 
 char*
 put_u32(char* out, std::uint32_t v)
@@ -32,53 +29,96 @@ put_u32(char* out, std::uint32_t v)
     return out + sizeof(v);
 }
 
-char*
-put_u64(char* out, std::uint64_t v)
+std::uint32_t
+get_u32(const char* in)
 {
-    std::memcpy(out, &v, sizeof(v));
-    return out + sizeof(v);
+    std::uint32_t v = 0;
+    std::memcpy(&v, in, sizeof(v));
+    return v;
+}
+
+/** Bytes of `v` as unsigned LEB128: what put_varint writes. Most
+ *  payload integers (key lengths, counts, ids) are below 2^7. */
+std::size_t
+varint_size(std::uint64_t v)
+{
+    std::size_t n = 1;
+    while (v >= 0x80) [[unlikely]] {
+        v >>= 7;
+        ++n;
+    }
+    return n;
+}
+
+/** Write `v` as unsigned LEB128: seven bits a byte, low bits first, the
+ *  top bit set on every byte but the last. */
+char*
+put_varint(char* out, std::uint64_t v)
+{
+    while (v >= 0x80) [[unlikely]] {
+        *out++ = static_cast<char>(v | 0x80);
+        v >>= 7;
+    }
+    *out++ = static_cast<char>(v);
+    return out;
+}
+
+std::size_t
+kv_size(std::string_view key, std::uint64_t value)
+{
+    return varint_size(key.size()) + key.size() + varint_size(value);
 }
 
 char*
 put_kv(char* out, std::string_view key, std::uint64_t value)
 {
-    out = put_u32(out, static_cast<std::uint32_t>(key.size()));
+    out = put_varint(out, key.size());
     std::memcpy(out, key.data(), key.size());
-    return put_u64(out + key.size(), value);
+    return put_varint(out + key.size(), value);
+}
+
+std::size_t
+kv_count(const WalRecord& r, const KvStream* tuples)
+{
+    return r.kvs.size() + (tuples != nullptr ? tuples->size() : 0);
 }
 
 /** Payload size of `r` with `tuples` (may be null) after its kvs. */
 std::size_t
 payload_size(const WalRecord& r, const KvStream* tuples)
 {
-    std::size_t n = kFixedPayload;
-    for (const auto& kv : r.kvs)
-        n += kKvOverhead + kv.first.size();
+    std::size_t n = 1 + varint_size(r.task) + varint_size(r.channel) +
+                    varint_size(r.seq) + varint_size(r.arg0) +
+                    varint_size(r.arg1) + varint_size(r.arg2) +
+                    varint_size(kv_count(r, tuples));
+    for (const auto& [key, value] : r.kvs)
+        n += kv_size(key, value);
     if (tuples != nullptr)
         for (const KvTuple& t : *tuples)
-            n += kKvOverhead + t.key.size();
+            n += kv_size(t.key, t.value);
     return n;
 }
 
-/** Write the payload of `r` (its kvs, then one kv per tuple) into
- *  `out`, which holds exactly payload_size(r, tuples) bytes. */
+/** Write the payload of `r` into `out`, which holds exactly
+ *  payload_size(r, tuples) bytes: the kind byte, then as LEB128 the six
+ *  scalars and the kv count, then each kv (its kvs, then one per tuple)
+ *  as key length, key bytes, value. */
 void
 encode_into(char* out, const WalRecord& r, const KvStream* tuples)
 {
-    std::size_t nkvs = r.kvs.size() + (tuples != nullptr ? tuples->size() : 0);
     *out++ = static_cast<char>(r.kind);
-    out = put_u32(out, r.task);
-    out = put_u32(out, r.channel);
-    out = put_u32(out, r.seq);
-    out = put_u32(out, r.arg0);
-    out = put_u32(out, r.arg1);
-    out = put_u32(out, r.arg2);
-    out = put_u32(out, static_cast<std::uint32_t>(nkvs));
+    out = put_varint(out, r.task);
+    out = put_varint(out, r.channel);
+    out = put_varint(out, r.seq);
+    out = put_varint(out, r.arg0);
+    out = put_varint(out, r.arg1);
+    out = put_varint(out, r.arg2);
+    out = put_varint(out, kv_count(r, tuples));
     for (const auto& [key, value] : r.kvs)
         out = put_kv(out, key, value);
     if (tuples != nullptr)
         for (const KvTuple& t : *tuples)
-            out = put_kv(out, t.key, static_cast<std::uint64_t>(t.value));
+            out = put_kv(out, t.key, t.value);
 }
 
 std::string
@@ -99,7 +139,7 @@ shrink_if_sparse(Container& c)
         c.shrink_to_fit();
 }
 
-/** Bounds-checked little-endian reader over a payload slice. */
+/** Bounds-checked reader of a payload's bytes and LEB128 integers. */
 class Reader
 {
   public:
@@ -108,40 +148,54 @@ class Reader
     bool
     u8(std::uint8_t& v)
     {
-        if (off_ + 1 > bytes_.size())
+        if (left() == 0)
             return false;
         v = static_cast<std::uint8_t>(bytes_[off_++]);
         return true;
     }
 
-    bool u32(std::uint32_t& v) { return word(v); }
-
-    bool u64(std::uint64_t& v) { return word(v); }
+    /** An unsigned LEB128 integer of at most ten bytes that fits in 64
+     *  bits. */
+    bool
+    varint(std::uint64_t& v)
+    {
+        v = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            std::uint8_t b = 0;
+            if (!u8(b))
+                return false;
+            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+            if ((b & 0x80) == 0)
+                return shift < 63 || b <= 1;
+        }
+        return false;
+    }
 
     bool
-    str(std::string& v, std::size_t n)
+    u32(std::uint32_t& v)
     {
-        if (off_ + n > bytes_.size())
+        std::uint64_t w = 0;
+        if (!varint(w) || w > std::numeric_limits<std::uint32_t>::max())
+            return false;
+        v = static_cast<std::uint32_t>(w);
+        return true;
+    }
+
+    bool
+    str(std::string& v, std::uint64_t n)
+    {
+        if (n > left())
             return false;
         v.assign(bytes_.substr(off_, n));
         off_ += n;
         return true;
     }
 
-    bool done() const { return off_ == bytes_.size(); }
+    std::size_t left() const { return bytes_.size() - off_; }
+
+    bool done() const { return left() == 0; }
 
   private:
-    template <typename Word>
-    bool
-    word(Word& v)
-    {
-        if (off_ + sizeof(v) > bytes_.size())
-            return false;
-        std::memcpy(&v, bytes_.data() + off_, sizeof(v));
-        off_ += sizeof(v);
-        return true;
-    }
-
     std::string_view bytes_;
     std::size_t off_ = 0;
 };
@@ -151,10 +205,10 @@ decode_record(std::string_view payload, WalRecord& out)
 {
     Reader rd(payload);
     std::uint8_t kind = 0;
-    std::uint32_t nkvs = 0;
+    std::uint64_t nkvs = 0;
     if (!rd.u8(kind) || !rd.u32(out.task) || !rd.u32(out.channel) ||
         !rd.u32(out.seq) || !rd.u32(out.arg0) || !rd.u32(out.arg1) ||
-        !rd.u32(out.arg2) || !rd.u32(nkvs)) {
+        !rd.u32(out.arg2) || !rd.varint(nkvs)) {
         return false;
     }
     if (kind < static_cast<std::uint8_t>(WalRecordKind::kAlloc) ||
@@ -163,12 +217,14 @@ decode_record(std::string_view payload, WalRecord& out)
     }
     out.kind = static_cast<WalRecordKind>(kind);
     out.kvs.clear();
-    out.kvs.reserve(nkvs);
-    for (std::uint32_t i = 0; i < nkvs; ++i) {
-        std::uint32_t klen = 0;
+    // Every kv takes at least two bytes (key length and value), so the
+    // bytes left bound what the count may reserve.
+    out.kvs.reserve(std::min<std::uint64_t>(nkvs, rd.left() / 2));
+    for (std::uint64_t i = 0; i < nkvs; ++i) {
+        std::uint64_t klen = 0;
         std::string key;
         std::uint64_t value = 0;
-        if (!rd.u32(klen) || !rd.str(key, klen) || !rd.u64(value))
+        if (!rd.varint(klen) || !rd.str(key, klen) || !rd.varint(value))
             return false;
         out.kvs.emplace_back(std::move(key), value);
     }
@@ -387,11 +443,8 @@ Wal::replay(WalReplayStatus* status) const
             st.torn_tail = true;  // crash mid-header
             break;
         }
-        Reader hdr(std::string_view(bytes_).substr(off, kFrameHeader));
-        std::uint32_t len = 0;
-        std::uint32_t check = 0;
-        hdr.u32(len);
-        hdr.u32(check);
+        std::uint32_t len = get_u32(bytes_.data() + off);
+        std::uint32_t check = get_u32(bytes_.data() + off + 4);
         if (off + kFrameHeader + len > bytes_.size()) {
             st.torn_tail = true;  // crash mid-payload
             break;

@@ -11,11 +11,13 @@
  * acting, so a restart can rebuild exactly the state the log claims.
  *
  * Records are framed `[u32 len][u32 check][payload]` (little-endian)
- * over an in-memory byte image, mirroring an appended file. Integrity
- * is merkle-style: every record payload is hashed (wal_payload_hash,
- * eight bytes per step) into a log-segment hash list, and the root
- * digest folds those hashes in order. Replay distinguishes the two
- * corruption classes a real log sees:
+ * over an in-memory byte image, mirroring an appended file. Every
+ * integer inside a payload is unsigned LEB128, so a journaled tuple
+ * whose key length and value are below 128 costs its key plus two
+ * bytes. Integrity is merkle-style: every record payload is hashed
+ * (wal_payload_hash, eight bytes per step) into a log-segment hash
+ * list, and the root digest folds those hashes in order. Replay
+ * distinguishes the two corruption classes a real log sees:
  *
  *  - a *torn tail* — the crash landed mid-append, so the byte image is
  *    a proper prefix of what the segment list describes. Tolerated:

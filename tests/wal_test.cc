@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -568,6 +569,120 @@ TEST(Wal, AppendFromTuplesMatchesAppendOfKvs)
             EXPECT_TRUE(direct.verify());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The LEB128 payload integers.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+
+/** Tuples whose key lengths and values sit on both sides of the LEB128
+ *  byte boundaries (2^7 and 2^14), one with a key past 255 bytes and
+ *  one with the largest value. */
+KvStream
+boundary_tuples()
+{
+    KvStream tuples;
+    for (std::size_t len : {0, 1, 127, 128, 300, 16383, 16384})
+        tuples.push_back({std::string(len, 'k'), static_cast<Value>(len)});
+    tuples.push_back({"max", kMax32});
+    return tuples;
+}
+
+TEST(Wal, IntegersOnVarintBoundariesRoundTrip)
+{
+    KvStream tuples = boundary_tuples();
+    WalRecord start = start_record(kMax32, 2, false);
+    WalRecord reset;
+    reset.kind = WalRecordKind::kRxReset;
+    reset.task = kMax32;
+    reset.kvs = {{"drain_until", kMax64}};
+    WalRecord data = data_record(kMax32, 127, 128, {});
+    WalRecord submit;
+    submit.kind = WalRecordKind::kSendSubmit;
+    submit.task = 16384;
+    submit.arg0 = 16383;
+    WalRecord checkpoint;  // every scalar at its maximum
+    checkpoint.kind = WalRecordKind::kSeqCheckpoint;
+    checkpoint.task = kMax32;
+    checkpoint.channel = kMax32;
+    checkpoint.seq = kMax32;
+    checkpoint.arg0 = kMax32;
+    checkpoint.arg1 = kMax32;
+    checkpoint.arg2 = kMax32;
+
+    Wal wal("boundaries");
+    wal.append(start);
+    wal.append(reset);
+    wal.append(data, tuples);
+    wal.append(submit, tuples);
+    wal.append(checkpoint);
+    std::vector<WalRecord> want = {start, reset, with_tuples(data, tuples),
+                                   with_tuples(submit, tuples), checkpoint};
+
+    WalReplayStatus st;
+    std::vector<WalRecord> replayed = wal.replay(&st);
+    EXPECT_FALSE(st.torn_tail);
+    EXPECT_FALSE(st.corrupt);
+    EXPECT_EQ(replayed, want);
+    EXPECT_TRUE(wal.verify());
+
+    WalDaemonState state = rebuild_daemon_state(replayed, kW);
+    EXPECT_EQ(state, rebuild_daemon_state(want, kW));
+    const WalRxTaskState& t = state.rx_tasks.at(kMax32);
+    EXPECT_EQ(t.packets_received, 1u);
+    for (const KvTuple& tuple : tuples)
+        EXPECT_EQ(t.local.at(tuple.key), tuple.value) << tuple.key.size();
+    EXPECT_EQ(t.windows.at(127).classify(128), SeenOutcome::kDuplicate);
+    ASSERT_EQ(state.sends.at(16384).size(), 1u);
+    EXPECT_EQ(state.sends.at(16384).front().receiver, 16383u);
+    EXPECT_EQ(state.sends.at(16384).front().stream, tuples);
+    EXPECT_EQ(state.resume_seq.at(kMax32), kMax32);
+}
+
+TEST(Wal, FrameBytesFollowTheVarintWidths)
+{
+    // 8 header bytes, the kind byte, one LEB128 byte per integer below
+    // 2^7, two below 2^14, three below 2^21 and five for 2^32 - 1.
+    auto frame_bytes = [](const WalRecord& r, const KvStream& tuples) {
+        Wal wal("sized");
+        wal.append(r, tuples);
+        return wal.size_bytes();
+    };
+    WalRecord zeros;
+    zeros.kind = WalRecordKind::kSendSubmit;
+    EXPECT_EQ(frame_bytes(zeros, {}), 8u + 1 + 6 + 1);
+    WalRecord maxed = zeros;
+    maxed.task = maxed.channel = maxed.seq = kMax32;
+    maxed.arg0 = maxed.arg1 = maxed.arg2 = kMax32;
+    EXPECT_EQ(frame_bytes(maxed, {}), 8u + 1 + 6 * 5 + 1);
+    for (std::size_t len : {127, 128, 16383, 16384}) {
+        std::size_t width = len < 128 ? 1 : (len < 16384 ? 2 : 3);
+        KvStream one = {{std::string(len, 'k'), static_cast<Value>(len)}};
+        EXPECT_EQ(frame_bytes(zeros, one), 8u + 1 + 6 + 1 + 2 * width + len)
+            << "key length " << len;
+    }
+    WalRecord named = zeros;
+    named.kvs = {{"x", kMax64}};
+    EXPECT_EQ(frame_bytes(named, {}), 8u + 1 + 6 + 1 + 1 + 1 + 10);
+}
+
+TEST(Wal, SubmitCostsItsKeysPlusTwoBytesPerTuple)
+{
+    // A 1-byte key with value 1 costs a key-length byte, the key and a
+    // value byte; fixed-width integers would cost 13 bytes.
+    KvStream stream(10000, KvTuple{"k", 1});
+    WalRecord submit;
+    submit.kind = WalRecordKind::kSendSubmit;
+    submit.task = 1;
+    submit.arg0 = 1;
+    Wal wal("compact");
+    wal.append(submit, stream);
+    EXPECT_LE(wal.size_bytes(), 3 * stream.size() + 32);
+    WalDaemonState state = rebuild_daemon_state(wal.replay(), kW);
+    EXPECT_EQ(state.sends.at(1).front().stream, stream);
 }
 
 // ---------------------------------------------------------------------------

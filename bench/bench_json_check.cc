@@ -8,7 +8,7 @@
  *   experiment   non-empty string
  *   description  string
  *   mode         one of "smoke" | "default" | "full"
- *   params       object
+ *   params       object; exact_runs == runs when either is present
  *   rows         array of objects
  *   notes        array of strings
  *   metrics      object (optional)
@@ -75,6 +75,20 @@ check_file(const std::string& path)
     const Json* params = doc->find("params");
     if (!params || !params->is_object())
         return fail(path, "params must be an object");
+    // A bench that checks its runs against ground truth records the
+    // tally, so an inexact run fails here even if its exit code is lost.
+    const Json* exact_runs = params->find("exact_runs");
+    const Json* runs = params->find("runs");
+    if (exact_runs || runs) {
+        if (!exact_runs || !runs || !exact_runs->is_int() || !runs->is_int())
+            return fail(path, "params.exact_runs and params.runs must be "
+                              "integers, recorded together");
+        if (exact_runs->as_int() != runs->as_int())
+            return fail(path, "params.exact_runs " +
+                                  std::to_string(exact_runs->as_int()) +
+                                  " != params.runs " +
+                                  std::to_string(runs->as_int()));
+    }
 
     const Json* rows = doc->find("rows");
     if (!rows || !rows->is_array())

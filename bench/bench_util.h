@@ -181,6 +181,16 @@ fold(const core::KvStream& stream)
     return truth;
 }
 
+/** The kAdd fold of a task's streams, every sender's together. */
+inline core::AggregateMap
+fold(const std::vector<core::StreamSpec>& streams)
+{
+    core::AggregateMap truth;
+    for (const core::StreamSpec& s : streams)
+        core::aggregate_into(truth, s.stream, core::ReduceOp::kAdd);
+    return truth;
+}
+
 /**
  * Tally of a bench's task runs whose delivered aggregate equals the
  * fold of their input, key by key.
@@ -193,6 +203,13 @@ class ExactRuns
         ++runs_;
         if (r.ok() && r.result == truth)
             ++exact_;
+    }
+
+    /** Add the tally of runs checked elsewhere (another engine job). */
+    void add(const ExactRuns& other)
+    {
+        runs_ += other.runs_;
+        exact_ += other.exact_;
     }
 
     /** Record `exact_runs` and `runs` in the report's params; return the

@@ -7,6 +7,8 @@
  */
 #include <cstdint>
 #include <iostream>
+#include <memory>
+#include <utility>
 
 #include "ask/packet_builder.h"
 #include "bench_util.h"
@@ -19,11 +21,10 @@ namespace {
 using namespace ask;
 
 Samples
-packing_distribution(const core::KeySpace& ks, const core::KvStream& stream)
+packing_distribution(const core::KeySpace& ks, core::KvStream stream)
 {
-    core::PacketBuilder builder(ks);
-    for (const core::KvTuple& t : stream)
-        builder.enqueue(t);
+    core::PacketBuilder builder(
+        ks, std::make_shared<const core::KvStream>(std::move(stream)));
     Samples s;
     while (auto built = builder.next_data())
         s.add(built->valid_tuples);

@@ -16,6 +16,9 @@
  * separately. Flags: --racks N pins the fabric sweep to one rack
  * count; --switches N asks for a total switch budget instead (N-1
  * racks plus the tier; 1 means the classic single switch).
+ *
+ * Every task's delivered aggregate is checked against the fold of its
+ * input (params exact_runs/runs); a difference exits 1.
  */
 #include <cstdint>
 #include <cstdlib>
@@ -39,7 +42,8 @@ using namespace ask;
 constexpr std::uint32_t kHostsPerRack = 2;
 
 double
-ask_per_sender_gbps(std::uint32_t senders, std::uint64_t tuples_per_sender)
+ask_per_sender_gbps(std::uint32_t senders, std::uint64_t tuples_per_sender,
+                    bench::ExactRuns& exact)
 {
     core::ClusterConfig cc;
     cc.topology = core::TopologyBuilder().add_rack(senders + 1).build();
@@ -73,11 +77,14 @@ ask_per_sender_gbps(std::uint32_t senders, std::uint64_t tuples_per_sender)
                                       ks, 2, per_part,
                                       static_cast<std::uint64_t>(p) << 16)});
         }
+        core::AggregateMap truth = bench::fold(streams);
         cluster.submit_task(
             ids[p], 0, std::move(streams),
             {.region_len = cc.ask.copy_size() / parts},
-            [&senders_done](core::AggregateMap, core::TaskReport rep) {
+            [&senders_done, &exact, truth = std::move(truth)](
+                core::AggregateMap result, core::TaskReport rep) {
                 senders_done = std::max(senders_done, rep.senders_done);
+                exact.check({std::move(result), std::move(rep)}, truth);
             });
     }
     cluster.run();
@@ -101,7 +108,8 @@ struct FabricPoint
 };
 
 FabricPoint
-fabric_goodput(std::uint32_t racks, std::uint64_t tuples_per_sender)
+fabric_goodput(std::uint32_t racks, std::uint64_t tuples_per_sender,
+               bench::ExactRuns& exact)
 {
     core::ClusterConfig cc;
     cc.topology = core::TopologyBuilder().racks(racks, kHostsPerRack).build();
@@ -141,11 +149,14 @@ fabric_goodput(std::uint32_t racks, std::uint64_t tuples_per_sender)
                                       ks, 2, per_part,
                                       static_cast<std::uint64_t>(p) << 16)});
         }
+        core::AggregateMap truth = bench::fold(streams);
         cluster.submit_task(
             ids[p], 0, std::move(streams),
             {.region_len = cc.ask.copy_size() / parts},
-            [&senders_done](core::AggregateMap, core::TaskReport rep) {
+            [&senders_done, &exact, truth = std::move(truth)](
+                core::AggregateMap result, core::TaskReport rep) {
                 senders_done = std::max(senders_done, rep.senders_done);
+                exact.check({std::move(result), std::move(rep)}, truth);
             });
     }
     cluster.run();
@@ -242,6 +253,7 @@ main(int argc, char** argv)
     // thread count (held by the sim_parallel_ab ctest's fuzz/bench
     // A/B diffs and measured by the sim_parallel bench).
     sim::ParallelEngine engine;
+    bench::ExactRuns exact;
 
     if (racks_override == 0) {
         bench::banner("Figure 13(b)",
@@ -253,6 +265,7 @@ main(int argc, char** argv)
         const std::vector<std::uint32_t> sender_counts = {1, 2, 4, 8};
         std::vector<double> ask_gbps(sender_counts.size());
         std::vector<baselines::BulkResult> noaggr(sender_counts.size());
+        std::vector<bench::ExactRuns> ask_exact(sender_counts.size());
         std::vector<std::function<void()>> jobs;
         for (std::size_t i = 0; i < sender_counts.size(); ++i) {
             jobs.push_back([&, i] {
@@ -260,11 +273,13 @@ main(int argc, char** argv)
                 spec.num_senders = sender_counts[i];
                 spec.tuples_per_sender = noaggr_tuples;
                 noaggr[i] = baselines::run_noaggr(spec);
-                ask_gbps[i] = ask_per_sender_gbps(sender_counts[i], tuples);
+                ask_gbps[i] =
+                    ask_per_sender_gbps(sender_counts[i], tuples, ask_exact[i]);
             });
         }
         engine.run_isolated(jobs);
         for (std::size_t i = 0; i < sender_counts.size(); ++i) {
+            exact.add(ask_exact[i]);
             std::uint32_t n = sender_counts[i];
             t.row({std::to_string(n), fmt_double(ask_gbps[i], 2),
                    fmt_double(noaggr[i].per_sender_goodput_gbps, 2),
@@ -292,13 +307,17 @@ main(int argc, char** argv)
     ft.header({"racks", "switches", "senders", "goodput (Gbps)",
                "Gbps/sender", "ToR state (bits)", "tier state (bits)"});
     std::vector<FabricPoint> points(rack_counts.size());
+    std::vector<bench::ExactRuns> fabric_exact(rack_counts.size());
     std::vector<std::function<void()>> fabric_jobs;
     for (std::size_t i = 0; i < rack_counts.size(); ++i) {
         fabric_jobs.push_back([&, i] {
-            points[i] = fabric_goodput(rack_counts[i], fabric_tuples);
+            points[i] =
+                fabric_goodput(rack_counts[i], fabric_tuples, fabric_exact[i]);
         });
     }
     engine.run_isolated(fabric_jobs);
+    for (const bench::ExactRuns& e : fabric_exact)
+        exact.add(e);
     for (const FabricPoint& pt : points) {
         ft.row({std::to_string(pt.racks), std::to_string(pt.switches),
                 std::to_string(pt.senders), fmt_double(pt.goodput_gbps, 2),
@@ -320,5 +339,5 @@ main(int argc, char** argv)
         "scales with the whole fabric, and aggregate goodput grows "
         "with sender count because residuals die at the tier instead "
         "of converging on the receiver link");
-    return 0;
+    return exact.finish(report);
 }

@@ -85,8 +85,7 @@ BM_PacketBuilderDrain(benchmark::State& state)
     // Shared once, as the daemon shares a submitted stream.
     auto shared = std::make_shared<const core::KvStream>(std::move(stream));
     for (auto _ : state) {
-        core::PacketBuilder builder(ks);
-        builder.enqueue(shared);
+        core::PacketBuilder builder(ks, shared);
         std::uint64_t packets = 0;
         while (auto built = builder.next_data())
             ++packets;
@@ -109,8 +108,7 @@ BM_PacketBuilderHotFirst(benchmark::State& state)
         zipf.generate(65536, workload::KeyOrder::kHotFirst));
     core::BuiltData built;
     for (auto _ : state) {
-        core::PacketBuilder builder(ks);
-        builder.enqueue(shared);
+        core::PacketBuilder builder(ks, shared);
         std::uint64_t packets = 0;
         while (builder.next_data_into(built))
             ++packets;
@@ -141,10 +139,11 @@ bench_data_frame(const core::AskConfig& cfg, core::ReduceOp op,
                  int tuples, std::uint64_t seed)
 {
     core::KeySpace ks(cfg);
-    core::PacketBuilder builder(ks);
     Rng rng = seeded_rng("micro_hotpaths", seed);
+    auto stream = std::make_shared<core::KvStream>();
     for (int i = 0; i < tuples; ++i)
-        builder.enqueue({u64_key(rng.next_below(4096)), 1});
+        stream->push_back({u64_key(rng.next_below(4096)), 1});
+    core::PacketBuilder builder(ks, std::move(stream));
     auto built = builder.next_data();
 
     core::AskHeader hdr;

@@ -10,7 +10,9 @@
  * digest of every replica's simulated results (goodput bit patterns
  * and completion times, in replica order) must be identical to the
  * 1-thread digest. The digest row is what perf_gate pins — it is
- * machine-independent, unlike the wall clock. The measured speedup is
+ * machine-independent, unlike the wall clock. Every task's delivered
+ * aggregate is also checked against the fold of its input (params
+ * exact_runs/runs); a difference exits 1. The measured speedup is
  * gated only on machines with enough cores (params.speedup_floor /
  * params.speedup_threads; perf_gate skips the floor when
  * params.cores of the fresh run is smaller).
@@ -45,6 +47,8 @@ struct ReplicaResult
     double goodput_gbps = 0.0;
     sim::SimTime senders_done = 0;
     sim::SimTime all_done = 0;
+    /** Its tasks' results against the folds of their inputs. */
+    bench::ExactRuns exact;
 };
 
 /** One full fabric run: every host of `racks` racks streams to host 0
@@ -87,12 +91,15 @@ run_replica(std::uint32_t racks, std::uint64_t tuples_per_sender,
                         (static_cast<std::uint64_t>(replica_index) << 24) +
                             (static_cast<std::uint64_t>(p) << 16))});
         }
+        core::AggregateMap truth = bench::fold(streams);
         cluster.submit_task(
             ids[p], 0, std::move(streams),
             {.region_len = cc.ask.copy_size() / parts},
-            [&r](core::AggregateMap, core::TaskReport rep) {
+            [&r, truth = std::move(truth)](core::AggregateMap result,
+                                           core::TaskReport rep) {
                 r.senders_done = std::max(r.senders_done, rep.senders_done);
                 r.all_done = std::max(r.all_done, rep.finish_time);
+                r.exact.check({std::move(result), std::move(rep)}, truth);
             });
     }
     cluster.run();
@@ -183,6 +190,7 @@ main(int argc, char** argv)
     double wall_ms_1 = 0.0;
     std::uint64_t digest_1 = 0;
     bool all_deterministic = true;
+    bench::ExactRuns exact;
     for (unsigned threads : {1u, 2u, 4u}) {
         sim::SimOptions options;
         options.num_threads = threads;
@@ -201,6 +209,8 @@ main(int argc, char** argv)
         double wall_ms =
             std::chrono::duration<double, std::milli>(end - start).count();
 
+        for (const ReplicaResult& r : results)
+            exact.add(r.exact);
         std::uint64_t d = digest(results);
         if (threads == 1) {
             wall_ms_1 = wall_ms;
@@ -226,9 +236,10 @@ main(int argc, char** argv)
                 "enforces the speedup_floor only when the machine has at "
                 "least speedup_threads cores");
 
+    int exit_code = exact.finish(report);
     if (!all_deterministic) {
         std::cerr << "sim_parallel: NONDETERMINISM across thread counts\n";
         return 1;
     }
-    return 0;
+    return exit_code;
 }

@@ -102,8 +102,8 @@ DataChannel::submit_send(TaskId task, net::NodeId receiver,
     SendJob job;
     job.task = task;
     job.receiver = receiver;
-    job.builder = std::make_unique<PacketBuilder>(daemon_.key_space());
-    job.builder->enqueue(std::move(stream));
+    job.builder =
+        std::make_unique<PacketBuilder>(daemon_.key_space(), std::move(stream));
     job.on_complete = std::move(on_complete);
     job.op = op;
     job.replay = replay;

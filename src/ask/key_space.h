@@ -13,6 +13,7 @@
 #ifndef ASK_ASK_KEY_SPACE_H
 #define ASK_ASK_KEY_SPACE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -172,17 +173,15 @@ inline std::uint32_t
 KeySpace::encode_key_segment(std::string_view key,
                              std::uint32_t seg_index) const
 {
-    // The padded wire form is the key followed by NUL fill, so bytes at
-    // or past key.size() contribute zero.
-    std::uint32_t nb = config_.seg_bytes();
+    // The padded wire form is the key followed by NUL fill, so only the
+    // key's own bytes in this segment contribute.
+    std::size_t nb = config_.seg_bytes();
     std::size_t off = static_cast<std::size_t>(seg_index) * nb;
+    std::size_t end = std::min(key.size(), off + nb);
     std::uint32_t v = 0;
-    for (std::uint32_t i = 0; i < nb; ++i) {
-        if (off + i < key.size()) {
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(key[off + i]))
-                 << (8 * i);
-        }
+    for (std::size_t i = off; i < end; ++i) {
+        v |= static_cast<std::uint32_t>(static_cast<unsigned char>(key[i]))
+             << (8 * (i - off));
     }
     return v;
 }

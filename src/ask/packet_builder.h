@@ -10,21 +10,20 @@
  * leave slots blank, which is exactly the packing-efficiency effect
  * Figure 8(b) measures.
  *
+ * A builder is made from the one stream it sends, which it shares.
  * Each key is placed (classified and partition-hashed) once, at
- * enqueue, and the short and medium queues hold the tuple already
- * encoded: one WireSlot per short tuple, m per medium tuple with the
- * value in the last, so building a packet copies queue heads and never
- * reads a key again. Long tuples are queued by reference: a submitted
- * stream with long keys is shared with the builder, which keeps it
- * alive until the builder dies, and a long tuple enqueued on its own is
- * copied into builder-owned storage.
+ * construction, and each queue holds only the stream indices of its
+ * tuples, so the builder adds 4 bytes per tuple to the stream it
+ * already references. A tuple is encoded into its WireSlots (one for a
+ * short key, m for a medium key with the value in the last) when a
+ * DATA packet takes it; the long and degraded-mode bypass batches copy
+ * tuples straight from the stream.
  */
 #ifndef ASK_ASK_PACKET_BUILDER_H
 #define ASK_ASK_PACKET_BUILDER_H
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -51,21 +50,15 @@ struct BuiltData
 class PacketBuilder
 {
   public:
-    explicit PacketBuilder(const KeySpace& key_space);
-
-    /** Add one tuple to its queue (the builder keeps its own copy). */
-    void enqueue(const KvTuple& tuple);
-
-    /** Add a whole stream. Short and medium tuples are encoded into
-     *  their queues; long ones are queued by reference into the stream,
-     *  which the builder then shares. */
-    void enqueue(std::shared_ptr<const KvStream> stream);
+    /** Queue every tuple of `stream`, which the builder keeps alive. */
+    PacketBuilder(const KeySpace& key_space,
+                  std::shared_ptr<const KvStream> stream);
 
     /** True while any DATA-eligible (short/medium) tuples remain. */
     bool has_data() const { return nonempty_ != 0; }
 
     /** True while long-key tuples remain. */
-    bool has_long() const { return !long_queue_.empty(); }
+    bool has_long() const { return !long_.drained(); }
 
     bool empty() const { return !has_data() && !has_long(); }
 
@@ -100,48 +93,48 @@ class PacketBuilder
     std::optional<std::vector<KvTuple>> next_bypass_batch(
         std::uint32_t max_payload_bytes);
 
-    /** Tuples enqueued so far, by class. */
+    /** Tuples queued at construction, by class. */
     std::uint64_t short_enqueued() const { return short_enqueued_; }
     std::uint64_t medium_enqueued() const { return medium_enqueued_; }
-    std::uint64_t long_enqueued() const { return long_enqueued_; }
+    std::uint64_t long_enqueued() const { return long_.tuples.size(); }
 
   private:
-    /** FIFO of encoded tuples, `width` slots each; popping advances
-     *  `head`, and a drained queue rewinds to reuse its storage. */
-    struct SlotQueue
+    /** FIFO of stream indices; popping advances `head`. */
+    struct IndexQueue
     {
-        std::vector<WireSlot> slots;
+        std::vector<std::uint32_t> tuples;
         std::size_t head = 0;
+
+        bool drained() const { return head == tuples.size(); }
+    };
+
+    /** A LONG_DATA payload being filled. */
+    struct Batch
+    {
+        std::vector<KvTuple> tuples;
+        std::uint32_t bytes = 2;  ///< the tuple-count field
     };
 
     /** Queue index of a placed short or medium key: short slot s is
      *  queue s, medium group g is queue short_aas() + g. */
     std::uint32_t queue_of(const KeyPlace& place) const;
-    /** Slots per tuple in queue q: 1 for a short slot, m for a group. */
-    std::uint32_t width(std::uint32_t q) const;
-    /** Encode `tuple` onto the tail of queue q. */
-    void push(std::uint32_t q, const KvTuple& tuple);
-    /** The head tuple's slots of non-empty queue q, and its removal. */
-    const WireSlot* front(std::uint32_t q) const;
-    void pop(std::uint32_t q);
+    /** Copy head tuples of `queue` into `batch` while it stays within
+     *  `budget` bytes (the first tuple always goes); true when the queue
+     *  drained. */
+    bool fill(IndexQueue& queue, Batch& batch, std::uint32_t budget);
 
     const KeySpace& key_space_;
     const AskConfig& config_;
-
-    /** Streams the long queue points into. */
-    std::vector<std::shared_ptr<const KvStream>> streams_;
-    /** Long tuples enqueued one at a time (a deque never moves them). */
-    std::deque<KvTuple> owned_;
+    std::shared_ptr<const KvStream> stream_;
 
     /** Short-slot queues, then medium-group queues (see queue_of). */
-    std::vector<SlotQueue> queues_;
+    std::vector<IndexQueue> queues_;
     /** Bit q set iff queues_[q] holds a tuple. */
     std::uint64_t nonempty_ = 0;
-    std::deque<const KvTuple*> long_queue_;
+    IndexQueue long_;
 
     std::uint64_t short_enqueued_ = 0;
     std::uint64_t medium_enqueued_ = 0;
-    std::uint64_t long_enqueued_ = 0;
 };
 
 }  // namespace ask::core

@@ -120,7 +120,7 @@ RegisterArray::check_access(std::size_t index)
 {
     ASK_ASSERT(stage_ != nullptr,
                "register array '", name_, "' not placed on a stage");
-    ASK_ASSERT(index < values_.size(),
+    ASK_ASSERT(index < size_,
                "index ", index, " out of range in '", name_, "'");
     Pipeline* pipe = stage_->pipeline();
     std::uint64_t epoch = pipe->pass_epoch();

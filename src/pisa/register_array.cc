@@ -1,6 +1,8 @@
 #include "pisa/register_array.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 
 #include "common/logging.h"
 #include "pisa/pipeline.h"
@@ -12,13 +14,27 @@ RegisterArray::RegisterArray(std::string name, std::size_t num_entries,
                              std::uint32_t width_bits)
     : name_(std::move(name)),
       width_bits_(width_bits),
-      values_(num_entries, 0)
+      size_(num_entries),
+      written_((num_entries + kBlockEntries - 1) / kBlockEntries, 0)
 {
     if (width_bits < 1 || width_bits > 64)
         fail_config("register width must be 1..64 bits: ", name_);
     if (num_entries == 0)
         fail_config("empty register array: ", name_);
     max_value_ = width_bits == 64 ? ~0ULL : ((1ULL << width_bits) - 1);
+    // A task uses only its own region of a switch's SRAM. calloc does not
+    // write memory fresh from the kernel (glibc's own mapping for a large
+    // array, or new heap), so such a page costs host memory on first
+    // write.
+    values_ = static_cast<std::uint64_t*>(
+        std::calloc(size_, sizeof(std::uint64_t)));
+    if (values_ == nullptr)
+        throw std::bad_alloc();
+}
+
+RegisterArray::~RegisterArray()
+{
+    std::free(values_);
 }
 
 void
@@ -31,25 +47,36 @@ RegisterArray::width_overflow(std::uint64_t value) const
 std::uint64_t
 RegisterArray::cp_read(std::size_t index) const
 {
-    ASK_ASSERT(index < values_.size(), "cp_read out of range in '", name_, "'");
-    return values_[index];
+    ASK_ASSERT(index < size_, "cp_read out of range in '", name_, "'");
+    return written_[index / kBlockEntries] != 0 ? values_[index] : 0;
 }
 
 void
 RegisterArray::cp_write(std::size_t index, std::uint64_t value)
 {
-    ASK_ASSERT(index < values_.size(), "cp_write out of range in '", name_, "'");
+    ASK_ASSERT(index < size_, "cp_write out of range in '", name_, "'");
     check_width(value);
     values_[index] = value;
+    written_[index / kBlockEntries] = 1;
 }
 
 void
 RegisterArray::cp_clear(std::size_t first, std::size_t count)
 {
-    ASK_ASSERT(first + count <= values_.size(),
+    ASK_ASSERT(first + count <= size_,
                "cp_clear region out of range in '", name_, "'");
-    std::fill(values_.begin() + static_cast<std::ptrdiff_t>(first),
-              values_.begin() + static_cast<std::ptrdiff_t>(first + count), 0);
+    std::size_t end = first + count;
+    for (std::size_t i = first; i < end;) {
+        std::size_t block = i / kBlockEntries;
+        std::size_t stop = std::min(end, (block + 1) * kBlockEntries);
+        if (written_[block] != 0) {
+            for (std::size_t j = i; j < stop; ++j) {
+                if (values_[j] != 0)
+                    values_[j] = 0;
+            }
+        }
+        i = stop;
+    }
 }
 
 std::size_t
@@ -58,7 +85,7 @@ RegisterArray::sram_bytes() const
     // Entries are bit-packed in SRAM (a 1-bit array of W entries costs
     // W bits, matching the paper's 256 + 256x32 bit = 1056 B per-channel
     // accounting).
-    return (values_.size() * width_bits_ + 7) / 8;
+    return (size_ * width_bits_ + 7) / 8;
 }
 
 }  // namespace ask::pisa

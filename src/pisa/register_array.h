@@ -17,6 +17,7 @@
 #ifndef ASK_PISA_REGISTER_ARRAY_H
 #define ASK_PISA_REGISTER_ARRAY_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,6 +44,10 @@ class RegisterArray
     RegisterArray(std::string name, std::size_t num_entries,
                   std::uint32_t width_bits);
 
+    ~RegisterArray();
+    RegisterArray(const RegisterArray&) = delete;
+    RegisterArray& operator=(const RegisterArray&) = delete;
+
     /**
      * Data-plane read-modify-write of one register during the current
      * pass. `fn` receives the register value by reference and may update
@@ -60,6 +65,7 @@ class RegisterArray
         std::uint64_t& slot = values_[index];
         fn(slot);
         check_width(slot);
+        written_[index / kBlockEntries] = 1;
         return slot;
     }
 
@@ -69,11 +75,14 @@ class RegisterArray
     /** Control-plane write (no pass discipline). */
     void cp_write(std::size_t index, std::uint64_t value);
 
-    /** Control-plane bulk reset of a contiguous region to zero. */
+    /** Control-plane bulk reset of a contiguous region to zero. Writes
+     *  only the registers that hold a value, and reads no block that was
+     *  never written, so clearing a region no packet touched leaves its
+     *  pages unmaterialized. */
     void cp_clear(std::size_t first, std::size_t count);
 
     const std::string& name() const { return name_; }
-    std::size_t size() const { return values_.size(); }
+    std::size_t size() const { return size_; }
     std::uint32_t width_bits() const { return width_bits_; }
 
     /** SRAM footprint in bytes (width rounded up to whole bytes). */
@@ -102,7 +111,16 @@ class RegisterArray
     std::string name_;
     std::uint32_t width_bits_;
     std::uint64_t max_value_;
-    std::vector<std::uint64_t> values_;
+    std::size_t size_;
+    /** calloc'd: a page of a large array costs host memory only once a
+     *  register in it is written. */
+    std::uint64_t* values_ = nullptr;
+    /** Registers per block of `written_`: one 4 KiB page's worth. */
+    static constexpr std::size_t kBlockEntries = 512;
+    /** 1 for a block any register of which was ever written. A block
+     *  never written holds only zeros: the control plane reads and
+     *  clears it without touching its pages, which would map them. */
+    std::vector<std::uint8_t> written_;
 
     Stage* stage_ = nullptr;        ///< set when added to a stage
     std::uint64_t pass_epoch_ = 0;  ///< last pass this array was accessed in

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -100,9 +101,8 @@ class ControllerFanOutTest : public ::testing::Test
                       const KvStream& tuples)
     {
         KeySpace key_space(config_);
-        PacketBuilder builder(key_space);
-        for (const KvTuple& t : tuples)
-            builder.enqueue(t);
+        PacketBuilder builder(key_space,
+                              std::make_shared<const KvStream>(tuples));
         Seq seq = 0;
         while (std::optional<BuiltData> built = builder.next_data()) {
             AskHeader hdr;

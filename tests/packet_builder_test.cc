@@ -1,6 +1,7 @@
 /** Unit tests for sender-side packet construction (§3.2.2). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
@@ -11,6 +12,7 @@
 #include "ask/packet_builder.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "workload/generators.h"
 
 namespace ask::core {
 namespace {
@@ -27,9 +29,10 @@ cfg8()
 }
 
 /**
- * The pointer-queue builder the encoded-slot queues replaced, kept as
- * the reference: queues of tuple references, every key classified and
- * encoded again (from its padded form) for each packet it rides in.
+ * A builder written the plain way, kept as the reference: it copies
+ * each tuple in, queues references to the copies, and classifies and
+ * encodes every key again (from its padded form) for each packet it
+ * rides in.
  */
 class ReferenceBuilder
 {
@@ -159,21 +162,28 @@ class ReferenceBuilder
     Queue long_;
 };
 
+/** A builder over `stream`, which it alone shares. */
+PacketBuilder
+builder_of(const KeySpace& ks, KvStream stream)
+{
+    return PacketBuilder(ks,
+                         std::make_shared<const KvStream>(std::move(stream)));
+}
+
 TEST(PacketBuilder, EmptyBuilderYieldsNothing)
 {
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
+    PacketBuilder b = builder_of(ks, {});
     EXPECT_TRUE(b.empty());
     EXPECT_FALSE(b.next_data().has_value());
     EXPECT_FALSE(b.next_long_batch(1024).has_value());
+    EXPECT_FALSE(b.next_bypass_batch(1024).has_value());
 }
 
 TEST(PacketBuilder, SlotPlacementMatchesPartition)
 {
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
-    KvTuple t{"ab", 5};
-    b.enqueue(t);
+    PacketBuilder b = builder_of(ks, {{"ab", 5}});
     auto built = b.next_data();
     ASSERT_TRUE(built.has_value());
     std::uint32_t slot = ks.short_slot("ab");
@@ -188,9 +198,7 @@ TEST(PacketBuilder, SameKeyAlwaysSameSlot)
     // The single-key-multiple-spot avoidance: the same key across many
     // packets always occupies the same slot.
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
-    for (int i = 0; i < 10; ++i)
-        b.enqueue(KvTuple{"dup", 1});
+    PacketBuilder b = builder_of(ks, KvStream(10, KvTuple{"dup", 1}));
     std::uint32_t slot = ks.short_slot("dup");
     int packets = 0;
     while (auto built = b.next_data()) {
@@ -204,10 +212,7 @@ TEST(PacketBuilder, SameKeyAlwaysSameSlot)
 TEST(PacketBuilder, MediumKeyOccupiesWholeGroup)
 {
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
-    b.enqueue(KvTuple{"yourself"
-                      "",
-                      9});  // 8 bytes: medium
+    PacketBuilder b = builder_of(ks, {{"yourself", 9}});  // 8 bytes: medium
     auto built = b.next_data();
     ASSERT_TRUE(built.has_value());
     std::uint32_t g = ks.medium_group("yourself");
@@ -222,8 +227,7 @@ TEST(PacketBuilder, MediumKeyOccupiesWholeGroup)
 TEST(PacketBuilder, LongKeysBypassDataPath)
 {
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
-    b.enqueue(KvTuple{"a-very-long-key-indeed", 3});
+    PacketBuilder b = builder_of(ks, {{"a-very-long-key-indeed", 3}});
     EXPECT_FALSE(b.has_data());
     EXPECT_TRUE(b.has_long());
     auto batch = b.next_long_batch(1024);
@@ -236,10 +240,8 @@ TEST(PacketBuilder, LongKeysBypassDataPath)
 TEST(PacketBuilder, LongBatchRespectsPayloadBudget)
 {
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
     std::string key(20, 'x');  // 2 + 20 + 4 = 26 bytes per tuple
-    for (int i = 0; i < 10; ++i)
-        b.enqueue(KvTuple{key, 1});
+    PacketBuilder b = builder_of(ks, KvStream(10, KvTuple{key, 1}));
     auto batch = b.next_long_batch(60);  // 2 + 2*26 = 54 <= 60 < 80
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(batch->size(), 2u);
@@ -249,8 +251,7 @@ TEST(PacketBuilder, OversizedLongTupleStillShips)
 {
     // A single tuple larger than the budget must still go (alone).
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
-    b.enqueue(KvTuple{std::string(200, 'y'), 1});
+    PacketBuilder b = builder_of(ks, {{std::string(200, 'y'), 1}});
     auto batch = b.next_long_batch(64);
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(batch->size(), 1u);
@@ -263,10 +264,11 @@ TEST(PacketBuilder, UniformKeysFillPackets)
     AskConfig c = cfg8();
     c.medium_groups = 0;  // all-short config for a clean count
     KeySpace ks(c);
-    PacketBuilder b(ks);
     Rng rng = seeded_rng("packet_builder_test", 4);
+    KvStream stream;
     for (int i = 0; i < 4000; ++i)
-        b.enqueue(KvTuple{u64_key(rng.next_below(100000)), 1});  // short keys
+        stream.push_back(KvTuple{u64_key(rng.next_below(100000)), 1});  // short
+    PacketBuilder b = builder_of(ks, std::move(stream));
 
     int full = 0, total = 0;
     while (auto built = b.next_data()) {
@@ -282,9 +284,7 @@ TEST(PacketBuilder, SkewedKeysLeaveBlanks)
 {
     // All tuples share one key -> every packet carries exactly 1 tuple.
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
-    for (int i = 0; i < 100; ++i)
-        b.enqueue(KvTuple{"hot", 1});
+    PacketBuilder b = builder_of(ks, KvStream(100, KvTuple{"hot", 1}));
     while (auto built = b.next_data())
         EXPECT_EQ(built->valid_tuples, 1u);
 }
@@ -292,10 +292,9 @@ TEST(PacketBuilder, SkewedKeysLeaveBlanks)
 TEST(PacketBuilder, CountsByClass)
 {
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
-    b.enqueue(KvTuple{"ab", 1});        // short
-    b.enqueue(KvTuple{"abcdef", 1});    // medium
-    b.enqueue(KvTuple{std::string(30, 'z'), 1});  // long
+    PacketBuilder b = builder_of(ks, {{"ab", 1},                     // short
+                                      {"abcdef", 1},                 // medium
+                                      {std::string(30, 'z'), 1}});  // long
     EXPECT_EQ(b.short_enqueued(), 1u);
     EXPECT_EQ(b.medium_enqueued(), 1u);
     EXPECT_EQ(b.long_enqueued(), 1u);
@@ -304,11 +303,10 @@ TEST(PacketBuilder, CountsByClass)
 TEST(PacketBuilder, NextDataIntoMatchesNextData)
 {
     // The batched hot-path form (next_data_into, one scratch reused
-    // across a whole drain, fed a shared stream the way the daemon
-    // feeds it) must be bit-identical to the allocating next_data() of
-    // a builder fed tuple by tuple — bitmap, tuple count, and every
-    // slot including the zero-filled blanks — across full, partial, and
-    // blank-heavy packets.
+    // across a whole drain) must be bit-identical to the allocating
+    // next_data() of a builder over the same shared stream — bitmap,
+    // tuple count, and every slot including the zero-filled blanks —
+    // across full, partial, and blank-heavy packets.
     AskConfig c = cfg8();
     KeySpace ks(c);
     Rng rng = seeded_rng("packet_builder_equiv", 21);
@@ -337,14 +335,11 @@ TEST(PacketBuilder, NextDataIntoMatchesNextData)
     };
 
     for (int shape = 0; shape < 3; ++shape) {
-        KvStream stream = make_stream(shape);
-        PacketBuilder ref_builder(ks);
-        PacketBuilder batched(ks);
-        for (const KvTuple& t : stream)
-            ref_builder.enqueue(t);
-        // The builder is the stream's only owner from here on: its
-        // queued long-key references must keep pointing at live tuples.
-        batched.enqueue(std::make_shared<const KvStream>(std::move(stream)));
+        // The builders are the stream's only owners from here on: the
+        // queued indices must keep pointing at live tuples.
+        auto stream = std::make_shared<const KvStream>(make_stream(shape));
+        PacketBuilder ref_builder(ks, stream);
+        PacketBuilder batched(ks, std::move(stream));
 
         BuiltData scratch;
         const WireSlot* scratch_data = nullptr;
@@ -382,17 +377,18 @@ TEST(PacketBuilder, NextDataIntoMatchesNextData)
 TEST(PacketBuilder, DrainsEverythingExactlyOnce)
 {
     KeySpace ks(cfg8());
-    PacketBuilder b(ks);
     Rng rng = seeded_rng("packet_builder_test", 17);
     std::map<std::string, std::uint64_t> truth;
+    KvStream stream;
     for (int i = 0; i < 2000; ++i) {
         std::size_t len = 1 + rng.next_below(12);
         std::string key;
         for (std::size_t j = 0; j < len; ++j)
             key.push_back(static_cast<char>('a' + rng.next_below(26)));
         truth[key] += 1;
-        b.enqueue(KvTuple{key, 1});
+        stream.push_back(KvTuple{key, 1});
     }
+    PacketBuilder b = builder_of(ks, std::move(stream));
 
     std::map<std::string, std::uint64_t> seen;
     while (auto built = b.next_data()) {
@@ -420,14 +416,74 @@ TEST(PacketBuilder, DrainsEverythingExactlyOnce)
     EXPECT_EQ(seen, truth);
 }
 
+/**
+ * Build a PacketBuilder and a ReferenceBuilder over `stream` and drain
+ * them side by side: DATA packets (next_data_into, one scratch) and
+ * long batches at random payload budgets, then, from step `bypass_at`
+ * on, the degraded bypass. Every packet and batch must match. Returns
+ * the number of steps the drain took.
+ */
+int
+expect_same_drain(const KeySpace& ks, KvStream stream, Rng& rng,
+                  int bypass_at)
+{
+    ReferenceBuilder ref(ks);
+    for (const KvTuple& t : stream)
+        ref.enqueue(t);
+    PacketBuilder b = builder_of(ks, std::move(stream));
+    EXPECT_EQ(b.short_enqueued(), ref.shorts);
+    EXPECT_EQ(b.medium_enqueued(), ref.mediums);
+    EXPECT_EQ(b.long_enqueued(), ref.longs);
+
+    BuiltData built;
+    int step = 0;
+    while (!ref.empty()) {
+        EXPECT_FALSE(b.empty()) << "step " << step;
+        if (b.empty())
+            break;
+        std::uint32_t budget = 16 + rng.next_below(80);
+        if (step >= bypass_at) {
+            EXPECT_EQ(b.next_bypass_batch(budget),
+                      ref.next_bypass_batch(budget))
+                << "step " << step;
+        } else if (rng.next_below(4) == 0) {
+            EXPECT_EQ(b.next_long_batch(budget), ref.next_long_batch(budget))
+                << "step " << step;
+        } else {
+            std::optional<BuiltData> want = ref.next_data();
+            bool got = b.next_data_into(built);
+            EXPECT_EQ(got, want.has_value()) << "step " << step;
+            if (want && got) {
+                EXPECT_EQ(built.bitmap, want->bitmap) << "step " << step;
+                EXPECT_EQ(built.valid_tuples, want->valid_tuples);
+                EXPECT_EQ(built.slots.size(), want->slots.size());
+                for (std::size_t i = 0;
+                     i < std::min(built.slots.size(), want->slots.size());
+                     ++i) {
+                    EXPECT_EQ(built.slots[i].seg, want->slots[i].seg)
+                        << "step " << step << " slot " << i;
+                    EXPECT_EQ(built.slots[i].value, want->slots[i].value)
+                        << "step " << step << " slot " << i;
+                }
+            }
+        }
+        ++step;
+    }
+    EXPECT_TRUE(b.empty());
+    EXPECT_FALSE(b.next_data_into(built));
+    EXPECT_FALSE(b.next_long_batch(1024).has_value());
+    EXPECT_FALSE(b.next_bypass_batch(1024).has_value());
+    return step;
+}
+
 TEST(PacketBuilder, MatchesThePointerQueueReference)
 {
-    // The encoded-slot queues against the reference builder on mixed
-    // short, medium and long keys (boundary lengths and repeats
-    // included), fed by two shared streams around single tuples and
-    // drained with interleaved DATA and long batches that switch to the
-    // degraded bypass mid-stream. One config takes the mask partition
-    // (4 short slots, 2 groups), the other the modulo one (3 and 3).
+    // The index queues against the reference builder on random mixes
+    // of short, medium and long keys (boundary lengths and repeats
+    // included), drained with interleaved DATA and long batches that
+    // switch to the degraded bypass mid-stream, or never. One config
+    // takes the mask partition (4 short slots, 2 groups), the other the
+    // modulo one (3 and 3).
     AskConfig pow2 = cfg8();
     AskConfig odd = cfg8();
     odd.num_aas = 12;
@@ -463,57 +519,34 @@ TEST(PacketBuilder, MatchesThePointerQueueReference)
             return stream;
         };
 
-        PacketBuilder b(ks);
-        ReferenceBuilder ref(ks);
-        auto enqueue_stream = [&](KvStream stream) {
-            for (const KvTuple& t : stream)
-                ref.enqueue(t);
-            b.enqueue(std::make_shared<const KvStream>(std::move(stream)));
-        };
-        enqueue_stream(make_stream(400));
-        for (const KvTuple& t : make_stream(40)) {
-            ref.enqueue(t);
-            b.enqueue(t);
-        }
-        enqueue_stream(make_stream(400));
-        EXPECT_EQ(b.short_enqueued(), ref.shorts);
-        EXPECT_EQ(b.medium_enqueued(), ref.mediums);
-        EXPECT_EQ(b.long_enqueued(), ref.longs);
-
-        BuiltData built;
-        int step = 0;
-        while (!ref.empty()) {
-            ASSERT_FALSE(b.empty()) << "step " << step;
-            std::uint32_t budget = 16 + rng.next_below(80);
-            if (step >= 60) {
-                EXPECT_EQ(b.next_bypass_batch(budget),
-                          ref.next_bypass_batch(budget))
-                    << "step " << step;
-            } else if (rng.next_below(4) == 0) {
-                EXPECT_EQ(b.next_long_batch(budget),
-                          ref.next_long_batch(budget))
-                    << "step " << step;
-            } else {
-                std::optional<BuiltData> want = ref.next_data();
-                ASSERT_EQ(b.next_data_into(built), want.has_value())
-                    << "step " << step;
-                if (want) {
-                    EXPECT_EQ(built.bitmap, want->bitmap) << "step " << step;
-                    EXPECT_EQ(built.valid_tuples, want->valid_tuples);
-                    ASSERT_EQ(built.slots.size(), want->slots.size());
-                    for (std::size_t i = 0; i < built.slots.size(); ++i) {
-                        EXPECT_EQ(built.slots[i].seg, want->slots[i].seg)
-                            << "step " << step << " slot " << i;
-                        EXPECT_EQ(built.slots[i].value, want->slots[i].value)
-                            << "step " << step << " slot " << i;
-                    }
-                }
-            }
-            ++step;
-        }
-        EXPECT_TRUE(b.empty());
-        EXPECT_GT(step, 60) << "the drain never reached the bypass switch";
+        EXPECT_GT(expect_same_drain(ks, make_stream(840), rng, 60), 60)
+            << "the drain never reached the bypass switch";
+        expect_same_drain(ks, make_stream(300), rng, 1 << 30);
+        expect_same_drain(ks, make_stream(300), rng, 0);
     }
+}
+
+TEST(PacketBuilder, MatchesTheReferenceOnEdgeStreams)
+{
+    // An empty stream, a long-only one, and a hot-first Zipf stream (the
+    // hottest keys first, so the early packets are nearly blank and the
+    // slot queues run deep): short ranks below 255, medium ranks above.
+    KeySpace ks{AskConfig{}};
+    Rng rng = seeded_rng("packet_builder_edges", 1);
+    EXPECT_EQ(expect_same_drain(ks, {}, rng, 0), 0);
+
+    KvStream longs;
+    for (int i = 0; i < 200; ++i)
+        longs.push_back(KvTuple{std::string(9 + rng.next_below(30), 'k') +
+                                    u64_key(i),
+                                static_cast<Value>(i + 1)});
+    expect_same_drain(ks, longs, rng, 1 << 30);
+    expect_same_drain(ks, longs, rng, 3);
+
+    workload::ZipfGenerator zipf(4096, 1.0, 9, "key");
+    KvStream hot = zipf.generate(20000, workload::KeyOrder::kHotFirst);
+    EXPECT_GT(expect_same_drain(ks, hot, rng, 400), 400);
+    expect_same_drain(ks, hot, rng, 1 << 30);
 }
 
 }  // namespace

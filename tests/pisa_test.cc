@@ -1,6 +1,11 @@
 /** Unit tests for the PISA switch substrate and its enforced limits. */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <fstream>
 #include <string>
 
 #include "ask/switch_program.h"
@@ -112,6 +117,68 @@ TEST(RegisterArray, CpClearRegion)
     EXPECT_EQ(a->cp_read(2), 0u);
     EXPECT_EQ(a->cp_read(4), 0u);
     EXPECT_EQ(a->cp_read(5), 6u);
+
+    // Across page-sized blocks, written and never written: a value in
+    // every 100th register of 2000, cleared from 150 up to 1450.
+    Pipeline big(1, 1 << 16);
+    RegisterArray* b = big.stage(0)->add_register_array("b", 2000, 32);
+    for (std::size_t i = 0; i < 2000; i += 100)
+        b->cp_write(i, i + 1);
+    b->cp_clear(150, 1300);
+    for (std::size_t i = 0; i < 2000; i += 100)
+        EXPECT_EQ(b->cp_read(i), i >= 150 && i < 1450 ? 0u : i + 1) << i;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/** This process's resident set, from /proc/self/statm. */
+std::size_t
+resident_bytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages = 0, resident = 0;
+    statm >> pages >> resident;
+    return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(RegisterArray, UntouchedRegistersCostNoHostMemory)
+{
+    if (kSanitized)
+        GTEST_SKIP() << "sanitizer runtimes touch memory on their own terms";
+    // 8M 64-bit registers (64 MB, above glibc's largest mmap threshold):
+    // reads, one write and a full clear must leave almost all of it
+    // unmaterialized.
+    constexpr std::size_t kEntries = std::size_t{8} << 20;
+    constexpr std::size_t kBound = std::size_t{4} << 20;
+    std::size_t before = resident_bytes();
+    Pipeline p(1, kEntries * sizeof(std::uint64_t));
+    RegisterArray* a = p.stage(0)->add_register_array("big", kEntries, 64);
+    EXPECT_LT(resident_bytes(), before + kBound) << "after construction";
+
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < kEntries; ++i)
+        any |= a->cp_read(i);
+    EXPECT_EQ(any, 0u);
+    EXPECT_LT(resident_bytes(), before + kBound) << "after reading it all";
+
+    p.begin_pass();
+    a->rmw(kEntries / 2, [](std::uint64_t& v) { v = 7; });
+    EXPECT_EQ(a->cp_read(kEntries / 2), 7u);
+    EXPECT_LT(resident_bytes(), before + kBound) << "after one rmw";
+
+    a->cp_clear(0, kEntries);
+    EXPECT_EQ(a->cp_read(kEntries / 2), 0u);
+    EXPECT_LT(resident_bytes(), before + kBound) << "after a full clear";
 }
 
 TEST(RegisterArray, SramFootprint)

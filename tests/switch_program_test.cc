@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -74,9 +75,8 @@ class SwitchProgramTest : public ::testing::Test
     net::Packet
     data_packet(const KvStream& tuples, Seq seq)
     {
-        PacketBuilder builder(key_space_);
-        for (const KvTuple& t : tuples)
-            builder.enqueue(t);
+        PacketBuilder builder(key_space_,
+                              std::make_shared<const KvStream>(tuples));
         auto built = builder.next_data();
         EXPECT_TRUE(built.has_value());
         EXPECT_FALSE(builder.has_data()) << "tuples did not fit one packet";

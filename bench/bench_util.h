@@ -139,8 +139,9 @@ class BenchReport
         doc_.set("metrics", std::move(snapshot));
     }
 
-    /** Emit the JSON file now (idempotent; also runs at destruction). */
-    void write()
+    /** Emit the JSON file now and say so on `log` (idempotent; also
+     *  runs at destruction). */
+    void write(std::ostream& log = std::cout)
     {
         if (written_)
             return;
@@ -155,7 +156,7 @@ class BenchReport
             return;
         }
         out << doc_.dump(2) << "\n";
-        std::cout << "\nwrote " << path << "\n";
+        log << "\nwrote " << path << "\n";
     }
 
   private:

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "ask/cluster.h"
@@ -24,10 +25,11 @@ using namespace ask;
 
 /** Run an ASK/strawman aggregation and return AKV/s. The stream is
  *  split into one task per data channel (each task binds to one
- *  channel, so this is how a single job saturates several cores). */
+ *  channel, so this is how a single job saturates several cores).
+ *  Each task's delivered aggregate is checked against its input. */
 double
 measure_akvs(core::ClusterConfig cc, std::uint64_t tuples,
-             std::uint64_t distinct)
+             std::uint64_t distinct, bench::ExactRuns& exact)
 {
     core::AskCluster cluster(cc);
     std::uint32_t parts = std::min(2 * cc.ask.channels_per_host,
@@ -47,13 +49,16 @@ measure_akvs(core::ClusterConfig cc, std::uint64_t tuples,
     // latency is subtracted.
     sim::SimTime senders_done = 0;
     for (std::uint32_t p = 0; p < parts; ++p) {
+        std::vector<core::StreamSpec> streams = {
+            {1, bench::balanced_uniform_stream(ks, keys_per_slot, per_part,
+                                               p * (keys_per_part + 1))}};
+        core::AggregateMap truth = bench::fold(streams);
         cluster.submit_task(
-            ids[p], 0,
-            {{1, bench::balanced_uniform_stream(ks, keys_per_slot, per_part,
-                                                p * (keys_per_part + 1))}},
-            {.region_len = region},
-            [&senders_done](core::AggregateMap, core::TaskReport rep) {
+            ids[p], 0, std::move(streams), {.region_len = region},
+            [&senders_done, &exact, truth = std::move(truth)](
+                core::AggregateMap result, core::TaskReport rep) {
                 senders_done = std::max(senders_done, rep.senders_done);
+                exact.check({std::move(result), std::move(rep)}, truth);
             });
     }
     cluster.run();
@@ -75,6 +80,7 @@ main(int argc, char** argv)
     std::uint64_t distinct = 1 << 14;
     report.param("tuples", tuples);
     report.param("distinct_keys", distinct);
+    bench::ExactRuns exact;
 
     bench::banner("Figure 3", "single-machine AKV/s: Spark vs strawman INA vs ASK");
 
@@ -98,7 +104,7 @@ main(int argc, char** argv)
     for (std::uint32_t c : {1u, 2u, 4u, 8u, 16u}) {
         core::ClusterConfig cc =
             baselines::strawman_cluster(2, c, static_cast<std::uint32_t>(distinct));
-        double akvs = measure_akvs(cc, tuples / 4, distinct);
+        double akvs = measure_akvs(cc, tuples / 4, distinct, exact);
         if (c == 16)
             straw16 = akvs;
         straw.row({std::to_string(c), fmt_count(akvs),
@@ -125,7 +131,7 @@ main(int argc, char** argv)
         cc.ask.channels_per_host = ch;
         cc.ask.medium_groups = 0;  // 4-byte uniform keys: all AAs short
         cc.ask.swap_threshold_packets = 0;
-        double akvs = measure_akvs(cc, tuples, distinct);
+        double akvs = measure_akvs(cc, tuples, distinct, exact);
         if (ch == 4)
             ask4 = akvs;
         askt.row({std::to_string(ch), fmt_count(akvs),
@@ -139,5 +145,5 @@ main(int argc, char** argv)
     std::cout << "measured ASK(4 dCh)/Spark(4 cores) = "
               << fmt_double(ask4 / net::spark_akvs(4), 0)
               << "x (paper: up to 155x)\n";
-    return 0;
+    return exact.finish(report);
 }

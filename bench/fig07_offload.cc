@@ -7,6 +7,8 @@
  */
 #include <cstdint>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "ask/cluster.h"
 #include "baselines/preaggr.h"
@@ -22,9 +24,10 @@ constexpr std::uint64_t kPaperDistinct = 33554432;     // 256 MB combined
 
 /** ASK JCT for the Figure 7 job, DES-scaled. The job splits into one
  *  aggregation task per data channel, as the map tasks of a real job
- *  would. */
+ *  would. Each task's delivered aggregate is checked against its input. */
 double
-ask_jct_seconds(std::uint32_t channels, std::uint64_t sim_scale)
+ask_jct_seconds(std::uint32_t channels, std::uint64_t sim_scale,
+                bench::ExactRuns& exact)
 {
     core::ClusterConfig cc;
     cc.topology = core::TopologyBuilder().add_rack(2).build();
@@ -43,14 +46,18 @@ ask_jct_seconds(std::uint32_t channels, std::uint64_t sim_scale)
     const core::KeySpace& ks = cluster.daemon(1).key_space();
     sim::SimTime senders_done = 0;
     for (std::uint32_t p = 0; p < parts; ++p) {
+        std::vector<core::StreamSpec> streams = {
+            {1, bench::balanced_uniform_stream(
+                    ks, keys_per_slot, tuples / parts,
+                    static_cast<std::uint64_t>(p) << 24)}};
+        core::AggregateMap truth = bench::fold(streams);
         cluster.submit_task(
-            ids[p], 0,
-            {{1, bench::balanced_uniform_stream(
-                     ks, keys_per_slot, tuples / parts,
-                     static_cast<std::uint64_t>(p) << 24)}},
+            ids[p], 0, std::move(streams),
             {.region_len = cc.ask.copy_size() / parts},
-            [&senders_done](core::AggregateMap, core::TaskReport rep) {
+            [&senders_done, &exact, truth = std::move(truth)](
+                core::AggregateMap result, core::TaskReport rep) {
                 senders_done = std::max(senders_done, rep.senders_done);
+                exact.check({std::move(result), std::move(rep)}, truth);
             });
     }
     cluster.run();
@@ -76,6 +83,7 @@ main(int argc, char** argv)
     std::uint64_t sim_scale = report.smoke() ? 16000 : (full ? 1000 : 4000);
     report.param("sim_scale", sim_scale);
     report.param("paper_tuples", kPaperTuples);
+    bench::ExactRuns exact;
 
     bench::banner("Figure 7",
                   "JCT and CPU: ASK data channels vs PreAggr threads");
@@ -103,7 +111,7 @@ main(int argc, char** argv)
 
     struct AskRef { std::uint32_t ch; const char* paper; };
     for (AskRef ref : {AskRef{1, "~16"}, AskRef{2, "-"}, AskRef{4, "~6"}}) {
-        double jct = ask_jct_seconds(ref.ch, sim_scale);
+        double jct = ask_jct_seconds(ref.ch, sim_scale, exact);
         double cpu = 100.0 * ref.ch / 56.0;
         t.row({"ASK " + std::to_string(ref.ch) + " dCh", fmt_double(jct, 2),
                fmt_double(cpu, 2), ref.paper});
@@ -118,5 +126,5 @@ main(int argc, char** argv)
                 " volume, streaming time rescaled (fixed costs not scaled)");
     report.note("paper CPU: 1.78/3.57/7.14 % for 1/2/4 dCh; PreAggr "
                 "14.3 % @ 8 thr to 100 % @ 56 thr");
-    return 0;
+    return exact.finish(report);
 }

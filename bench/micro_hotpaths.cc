@@ -9,8 +9,10 @@
 
 #include <array>
 #include <cstring>
+#include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ask/cluster.h"
@@ -445,21 +447,33 @@ BM_SimScheduleRun(benchmark::State& state)
 BENCHMARK(BM_SimScheduleRun);
 
 /**
- * The retransmit-timer pattern: each iteration arms a timer 100 us out
- * and an ACK 1 us out, and the ACK cancels the timer long before it is
- * due. Simulated time advances ~1 us per iteration, so ~100 cancelled
- * timers wait in the queue, as behind a sender's RTO timers.
+ * The retransmit-timer pattern with `range(0)` timers kept armed: each
+ * iteration arms a timer and an ACK 1 us out, and the ACK cancels the
+ * oldest armed timer long before it is due, as a sender's ACKs cancel
+ * the timers of its packets in flight. Simulated time advances 1 us per
+ * iteration and timers are armed (range(0) + 100) us out. 1 timer is one
+ * packet in flight, 256 one channel's window, and 12288
+ * fabric8_uniform's measured peak of live events.
  */
 void
 BM_SimArmCancel(benchmark::State& state)
 {
+    const auto armed = static_cast<std::size_t>(state.range(0));
+    const sim::SimTime rto = (state.range(0) + 100) * units::kMicrosecond;
     sim::Simulator s;
     std::uint64_t acks = 0;
+    auto timeout = [&acks] { --acks; };
+    std::vector<sim::EventId> timers(armed);  // a ring, oldest first
+    for (sim::EventId& timer : timers)
+        timer = s.schedule_after(rto, timeout);
+    std::size_t oldest = 0;
     for (auto _ : state) {
-        sim::EventId timer = s.schedule_after(100 * units::kMicrosecond,
-                                              [&acks] { --acks; });
-        s.schedule_after(units::kMicrosecond, [&s, &acks, timer] {
-            s.cancel(timer);
+        sim::EventId acked =
+            std::exchange(timers[oldest], s.schedule_after(rto, timeout));
+        if (++oldest == armed)
+            oldest = 0;
+        s.schedule_after(units::kMicrosecond, [&s, &acks, acked] {
+            s.cancel(acked);
             ++acks;
         });
         s.step();
@@ -467,7 +481,7 @@ BM_SimArmCancel(benchmark::State& state)
     benchmark::DoNotOptimize(acks);
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SimArmCancel);
+BENCHMARK(BM_SimArmCancel)->Arg(1)->Arg(256)->Arg(12288);
 
 /**
  * Network::send from a 16-port switch to one of its hosts, plus running
@@ -645,12 +659,22 @@ BM_WalTaskCycle(benchmark::State& state)
 }
 BENCHMARK(BM_WalTaskCycle);
 
-/** Console reporter that also captures every run into the JSON report. */
-class JsonCaptureReporter : public benchmark::ConsoleReporter
+/**
+ * Hands every call to the display reporter that --benchmark_format and
+ * --benchmark_color ask for, and captures each run into the JSON report.
+ */
+class CaptureReporter : public benchmark::BenchmarkReporter
 {
   public:
-    explicit JsonCaptureReporter(bench::BenchReport& report) : report_(report)
+    CaptureReporter(benchmark::BenchmarkReporter& display,
+                    bench::BenchReport& report)
+        : display_(display), report_(report)
     {
+    }
+
+    bool ReportContext(const Context& context) override
+    {
+        return display_.ReportContext(context);
     }
 
     void ReportRuns(const std::vector<Run>& runs) override
@@ -670,10 +694,13 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter
                 row.set(name, counter.value);
             report_.row_json(std::move(row));
         }
-        ConsoleReporter::ReportRuns(runs);
+        display_.ReportRuns(runs);
     }
 
+    void Finalize() override { display_.Finalize(); }
+
   private:
+    benchmark::BenchmarkReporter& display_;
     bench::BenchReport& report_;
 };
 
@@ -702,8 +729,14 @@ main(int argc, char** argv)
     int bench_argc = static_cast<int>(args.size());
     benchmark::Initialize(&bench_argc, args.data());
 
-    JsonCaptureReporter reporter(report);
+    std::unique_ptr<benchmark::BenchmarkReporter> display(
+        benchmark::CreateDefaultDisplayReporter());
+    CaptureReporter reporter(*display, report);
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
+    // Keep a JSON or CSV table on stdout parseable.
+    bool console =
+        dynamic_cast<benchmark::ConsoleReporter*>(display.get()) != nullptr;
+    report.write(console ? std::cout : std::cerr);
     return 0;
 }

@@ -14,7 +14,7 @@ template <typename Key>
 bool
 earlier(const Key& a, const Key& b)
 {
-    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    return a.time != b.time ? a.time < b.time : a.order < b.order;
 }
 
 }  // namespace
@@ -24,11 +24,12 @@ Simulator::schedule_at(SimTime t, EventFn fn)
 {
     ASK_ASSERT(t >= now_, "cannot schedule an event in the past");
     ASK_ASSERT(static_cast<bool>(fn), "cannot schedule an empty callable");
+    ASK_ASSERT(next_seq_ < kMaxSeq, "event sequence exhausted");
     std::uint32_t i = acquire_slot();
     Slot& s = slot(i);
     s.fn = std::move(fn);
-    heap_push(Key{t, next_seq_++, i, s.gen});
-    ++live_;
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Key{t, (next_seq_++ << kSlotBits) | i});
     return EventId{i, s.gen};
 }
 
@@ -47,9 +48,10 @@ Simulator::cancel(EventId id)
     Slot& s = slot(id.slot_);
     if (s.gen != id.gen_)
         return false;  // fired, cancelled, or the slot has moved on
-    ++s.gen;  // the heap key is now a tombstone
+    ++s.gen;
+    heap_remove(heap_pos_[id.slot_]);
     s.fn.reset();
-    --live_;
+    release_slot(id.slot_);
     return true;
 }
 
@@ -61,9 +63,10 @@ Simulator::acquire_slot()
         free_head_ = slot(i).next_free;
         return i;
     }
-    ASK_ASSERT(num_slots_ < kNoSlot, "event arena exhausted");
+    ASK_ASSERT(num_slots_ < kMaxSlots, "more than 2^24 events pending");
     if ((num_slots_ >> kChunkBits) == chunks_.size())
         chunks_.push_back(std::make_unique<Slot[]>(1u << kChunkBits));
+    heap_pos_.push_back(0);
     return num_slots_++;
 }
 
@@ -75,29 +78,29 @@ Simulator::release_slot(std::uint32_t i)
 }
 
 void
-Simulator::heap_push(const Key& key)
+Simulator::place(std::size_t pos, const Key& key)
 {
-    std::size_t i = heap_.size();
-    heap_.push_back(key);
-    while (i > 0) {
-        std::size_t parent = (i - 1) / kArity;
-        if (!earlier(key, heap_[parent]))
-            break;
-        heap_[i] = heap_[parent];
-        i = parent;
-    }
-    heap_[i] = key;
+    heap_[pos] = key;
+    heap_pos_[slot_of(key)] = static_cast<std::uint32_t>(pos);
 }
 
 void
-Simulator::heap_pop()
+Simulator::sift_up(std::size_t hole, const Key& key)
 {
-    Key last = heap_.back();
-    heap_.pop_back();
+    while (hole > 0) {
+        std::size_t parent = (hole - 1) / kArity;
+        if (!earlier(key, heap_[parent]))
+            break;
+        place(hole, heap_[parent]);
+        hole = parent;
+    }
+    place(hole, key);
+}
+
+void
+Simulator::sift_down(std::size_t hole, const Key& key)
+{
     std::size_t n = heap_.size();
-    if (n == 0)
-        return;
-    std::size_t hole = 0;
     for (;;) {
         std::size_t first = kArity * hole + 1;
         if (first >= n)
@@ -108,43 +111,43 @@ Simulator::heap_pop()
             if (earlier(heap_[c], heap_[best]))
                 best = c;
         }
-        if (!earlier(heap_[best], last))
+        if (!earlier(heap_[best], key))
             break;
-        heap_[hole] = heap_[best];
+        place(hole, heap_[best]);
         hole = best;
     }
-    heap_[hole] = last;
+    place(hole, key);
 }
 
-bool
-Simulator::settle_head()
+void
+Simulator::heap_remove(std::size_t pos)
 {
-    // Drop tombstones off the top, recycling their slots, until the head
-    // is live or the heap is empty.
-    while (!heap_.empty()) {
-        const Key& head = heap_.front();
-        if (slot(head.slot).gen == head.gen)
-            return true;
-        release_slot(head.slot);
-        heap_pop();
-    }
-    return false;
+    // Refill the hole with the last key, which may belong above or
+    // below it.
+    Key last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size())
+        return;
+    if (pos > 0 && earlier(last, heap_[(pos - 1) / kArity]))
+        sift_up(pos, last);
+    else
+        sift_down(pos, last);
 }
 
 void
 Simulator::run_head()
 {
     Key key = heap_.front();
-    heap_pop();
+    heap_remove(0);
     ASK_ASSERT(key.time >= now_, "event queue went backwards");
     now_ = key.time;
     ++executed_;
-    --live_;
-    Slot& s = slot(key.slot);
+    std::uint32_t i = slot_of(key);
+    Slot& s = slot(i);
     ++s.gen;  // fired: the handle no longer cancels anything
     s.fn();
     s.fn.reset();
-    release_slot(key.slot);
+    release_slot(i);
     if (after_event_)
         after_event_(now_);
 }
@@ -152,7 +155,7 @@ Simulator::run_head()
 SimTime
 Simulator::run()
 {
-    while (settle_head())
+    while (!heap_.empty())
         run_head();
     return now_;
 }
@@ -160,7 +163,7 @@ Simulator::run()
 SimTime
 Simulator::run_until(SimTime deadline)
 {
-    while (settle_head() && heap_.front().time <= deadline)
+    while (!heap_.empty() && heap_.front().time <= deadline)
         run_head();
     if (now_ < deadline)
         now_ = deadline;
@@ -170,7 +173,7 @@ Simulator::run_until(SimTime deadline)
 bool
 Simulator::step()
 {
-    if (!settle_head())
+    if (heap_.empty())
         return false;
     run_head();
     return true;

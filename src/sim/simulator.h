@@ -232,7 +232,7 @@ class Simulator
     bool step();
 
     /** Number of events scheduled and neither fired nor cancelled. */
-    std::size_t pending() const { return live_; }
+    std::size_t pending() const { return heap_.size(); }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return executed_; }
@@ -250,24 +250,21 @@ class Simulator
 
   private:
     /**
-     * Heap key. (time, seq) is a strict total order — seq counts
-     * schedule calls — so equal timestamps fire FIFO and any correct
-     * heap pops the same sequence. The key is live while `gen` matches
-     * its slot's generation; fire and cancel bump the generation, so a
-     * cancelled key is a tombstone that is dropped when it surfaces.
+     * Heap key: the event's time, then `seq << kSlotBits | slot`. seq
+     * counts schedule calls, so (time, order) is a strict total order:
+     * equal timestamps fire FIFO and any correct heap pops the same
+     * sequence. At 16 bytes, a node's four children share a 64-byte line.
      */
     struct Key
     {
         SimTime time;
-        std::uint64_t seq;
-        std::uint32_t slot;
-        std::uint32_t gen;
+        std::uint64_t order;
     };
-    static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+    static_assert(sizeof(Key) == 16 && std::is_trivially_copyable_v<Key>);
 
     /** Arena slot: holds one event's callable from schedule until it
-     *  fires or is cancelled. The slot is recycled only once its key has
-     *  left the heap, so no two keys ever name the same slot. */
+     *  fires or is cancelled; both bump `gen`, so the event's handle
+     *  then matches nothing. */
     struct Slot
     {
         EventFn fn;
@@ -277,7 +274,19 @@ class Simulator
 
     static constexpr std::size_t kArity = 4;
     static constexpr std::uint32_t kChunkBits = 8;
+    // The order word packs the schedule sequence above the slot: at most
+    // 2^24 (16.7M) pending events and 2^40 schedule calls.
+    static constexpr std::uint32_t kSlotBits = 24;
+    static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
+    static constexpr std::uint64_t kMaxSeq = std::uint64_t{1}
+                                             << (64 - kSlotBits);
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    static std::uint32_t
+    slot_of(const Key& key)
+    {
+        return static_cast<std::uint32_t>(key.order & (kMaxSlots - 1));
+    }
 
     // Slots live in fixed chunks, so a slot stays put while its own
     // callable runs and schedules more events.
@@ -289,16 +298,17 @@ class Simulator
 
     std::uint32_t acquire_slot();
     void release_slot(std::uint32_t i);
-    void heap_push(const Key& key);
-    void heap_pop();
-    bool settle_head();
+    void place(std::size_t pos, const Key& key);
+    void sift_up(std::size_t hole, const Key& key);
+    void sift_down(std::size_t hole, const Key& key);
+    void heap_remove(std::size_t pos);
     void run_head();
 
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
-    std::size_t live_ = 0;
-    std::vector<Key> heap_;  // 4-ary min-heap on (time, seq)
+    std::vector<Key> heap_;  // 4-ary min-heap on (time, order)
+    std::vector<std::uint32_t> heap_pos_;  // per pending slot: its key's index
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::uint32_t num_slots_ = 0;
     std::uint32_t free_head_ = kNoSlot;

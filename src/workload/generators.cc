@@ -71,23 +71,23 @@ ZipfGenerator::key_of(std::uint64_t rank) const
 core::KvStream
 ZipfGenerator::generate(std::uint64_t n, KeyOrder order, core::Value value)
 {
-    std::vector<std::uint64_t> ranks(n);
-    for (auto& r : ranks)
-        r = sample_rank();
-    switch (order) {
-      case KeyOrder::kShuffled:
-        break;  // draws are already i.i.d.
-      case KeyOrder::kHotFirst:
-        std::sort(ranks.begin(), ranks.end());
-        break;
-      case KeyOrder::kColdFirst:
-        std::sort(ranks.begin(), ranks.end(), std::greater<>());
-        break;
-    }
     core::KvStream out;
     out.reserve(n);
-    for (auto r : ranks)
-        out.push_back({key_of(r), value});
+    if (order == KeyOrder::kShuffled) {
+        for (std::uint64_t i = 0; i < n; ++i)
+            out.push_back({key_of(sample_rank()), value});  // i.i.d. draws
+        return out;
+    }
+    // Rank order: count the draws per rank, then lay each rank's key,
+    // built once, out as often as it was drawn.
+    std::vector<std::uint64_t> draws(distinct_);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ++draws[sample_rank()];
+    for (std::uint64_t k = 0; k < distinct_; ++k) {
+        std::uint64_t r = order == KeyOrder::kHotFirst ? k : distinct_ - 1 - k;
+        if (draws[r] > 0)
+            out.insert(out.end(), draws[r], {key_of(r), value});
+    }
     return out;
 }
 

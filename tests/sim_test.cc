@@ -195,20 +195,112 @@ TEST(Simulator, CancelledEventDoesNotAdvanceClock)
     EXPECT_EQ(s.now(), 10);
 }
 
+TEST(Simulator, CancelHeadLetsTheRestFireInOrder)
+{
+    Simulator s;
+    std::vector<int> order;
+    EventId head = s.schedule_at(5, [&] { order.push_back(0); });
+    for (int i = 1; i <= 6; ++i)
+        s.schedule_at(5 + i, [&order, i] { order.push_back(i); });
+    EXPECT_TRUE(s.cancel(head));
+    EXPECT_EQ(s.pending(), 6u);
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Simulator, CancelLastScheduledKey)
+{
+    Simulator s;
+    std::vector<int> order;
+    // Ascending times: each key stays where it is pushed, so the newest
+    // is the heap's last key and its removal moves nothing.
+    for (int i = 0; i < 6; ++i)
+        s.schedule_at(10 + i, [&order, i] { order.push_back(i); });
+    EventId last = s.schedule_at(16, [&] { order.push_back(6); });
+    EXPECT_TRUE(s.cancel(last));
+    EXPECT_EQ(s.pending(), 6u);
+    s.schedule_at(17, [&] { order.push_back(7); });
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 7}));
+}
+
+TEST(Simulator, CancelMiddleKeyWhoseReplacementSiftsUp)
+{
+    // Scheduled in this order, each key stays where it is pushed, so the
+    // 4-ary heap is [0, 50, 10, 11, 12, 60, 61, 62, 63, 20]: 60 is a
+    // child of 50 and the last key, 20, a child of 10. Cancelling 60
+    // moves 20 into 60's place under 50, so it must sift up. Later keys
+    // keep 20 from being the last key again, which would hide a missed
+    // sift.
+    for (bool cancel_moved : {false, true}) {
+        SCOPED_TRACE(cancel_moved);
+        Simulator s;
+        std::vector<SimTime> order;
+        auto record = [&s, &order] { order.push_back(s.now()); };
+        std::vector<EventId> ids;
+        for (SimTime t : {0, 50, 10, 11, 12, 60, 61, 62, 63, 20})
+            ids.push_back(s.schedule_at(t, record));
+        EXPECT_TRUE(s.cancel(ids[5]));
+        EXPECT_FALSE(s.cancel(ids[5]));
+        for (SimTime t : {70, 71, 72, 73})
+            s.schedule_at(t, record);
+        EXPECT_EQ(s.pending(), 13u);
+        std::vector<SimTime> want = {0,  10, 11, 12, 20, 50, 61,
+                                     62, 63, 70, 71, 72, 73};
+        if (cancel_moved) {
+            // Both keys the sift moved are still found by their handles.
+            EXPECT_TRUE(s.cancel(ids[9]));
+            EXPECT_TRUE(s.cancel(ids[1]));
+            want = {0, 10, 11, 12, 61, 62, 63, 70, 71, 72, 73};
+        }
+        s.run();
+        EXPECT_EQ(order, want);
+    }
+}
+
+TEST(Simulator, CancelNextDueEventFromInsideAnEvent)
+{
+    Simulator s;
+    std::vector<int> order;
+    EventId next;
+    s.schedule_at(10, [&] {
+        order.push_back(0);
+        EXPECT_TRUE(s.cancel(next));  // the head of the queue right now
+        EXPECT_EQ(s.pending(), 2u);
+    });
+    next = s.schedule_at(10, [&] { order.push_back(1); });
+    s.schedule_at(20, [&] { order.push_back(2); });
+    s.schedule_at(30, [&] { order.push_back(3); });
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 3}));
+    EXPECT_EQ(s.now(), 30);
+    EXPECT_EQ(s.executed(), 3u);
+}
+
 /**
  * Differential check of the kernel against a reference std::set keyed on
  * (time, schedule order): random mixes of schedule, cancel (of live,
  * fired, cancelled and recycled handles) and schedule/cancel from inside
- * running events. Many events share a timestamp and few are live at
- * once, so slots are recycled thousands of times, while cancelled far
- * timers keep a backlog of tombstones in the queue.
+ * running events. Many events share a timestamp, so slots are recycled
+ * thousands of times. Far events play retransmit timers that are mostly
+ * cancelled before they are due, so most cancels remove a key from deep
+ * inside the heap; `far_ns` sets how far out they are armed.
  */
 class KernelModel
 {
   public:
-    explicit KernelModel(std::uint64_t seed)
-        : rng_(seeded_rng("sim_test.kernel_differential", seed))
+    explicit KernelModel(std::uint64_t seed, SimTime far_ns = 500)
+        : rng_(seeded_rng("sim_test.kernel_differential", seed)),
+          far_ns_(far_ns)
     {
+    }
+
+    /** Arm `n` far timers before the random mix starts. */
+    void
+    arm_timers(int n)
+    {
+        for (int i = 0; i < n; ++i)
+            schedule_far();
     }
 
     void
@@ -224,6 +316,7 @@ class KernelModel
                 step();
             ASSERT_EQ(sim_.pending(), expected_.size());
             ASSERT_EQ(sim_.executed(), fired_.size());
+            peak_pending_ = std::max(peak_pending_, sim_.pending());
             if (::testing::Test::HasFatalFailure())
                 return;
         }
@@ -239,23 +332,37 @@ class KernelModel
 
     std::size_t fired() const { return fired_.size(); }
 
+    /** Most events pending at once, sampled after every op. */
+    std::size_t peak_pending() const { return peak_pending_; }
+
   private:
     void
     schedule()
     {
         // Near events (0..3 ns) put many events on the same timestamp.
-        // Far ones play retransmit timers: most are cancelled long
-        // before they surface, so tombstones pile up in the queue.
-        bool far = rng_.chance(0.6);
-        SimTime delay = far ? 500 + static_cast<SimTime>(rng_.next_below(500))
-                            : static_cast<SimTime>(rng_.next_below(4));
-        SimTime at = sim_.now() + delay;
+        if (rng_.chance(0.6))
+            schedule_far();
+        else
+            add(sim_.now() + static_cast<SimTime>(rng_.next_below(4)));
+    }
+
+    /** A timer far_ns..2*far_ns out, most likely cancelled before due. */
+    void
+    schedule_far()
+    {
+        auto spread = static_cast<std::uint64_t>(far_ns_);
+        SimTime delay = far_ns_ + static_cast<SimTime>(rng_.next_below(spread));
+        timers_.push_back(add(sim_.now() + delay));
+    }
+
+    std::uint64_t
+    add(SimTime at)
+    {
         std::uint64_t label = handles_.size();
         handles_.push_back(sim_.schedule_at(at, [this, label] { fire(label); }));
         times_.push_back(at);
         expected_.insert({at, label});
-        if (far)
-            timers_.push_back(label);
+        return label;
     }
 
     void
@@ -304,6 +411,8 @@ class KernelModel
     }
 
     Rng rng_;
+    SimTime far_ns_;
+    std::size_t peak_pending_ = 0;
     Simulator sim_;
     std::vector<EventId> handles_;
     std::vector<SimTime> times_;
@@ -324,6 +433,22 @@ TEST(Simulator, MatchesReferenceOrderUnderRandomScheduleAndCancel)
         total_fired += model.fired();
     }
     EXPECT_GT(total_fired, 20000u);
+}
+
+TEST(Simulator, MatchesReferenceOrderWithThousandsOfTimersArmed)
+{
+    // fabric8_uniform's senders keep ~12k retransmit timers armed at
+    // once; armed 1 ms out, these stay pending until the final drain.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(seed);
+        KernelModel model(seed, 1'000'000);
+        model.arm_timers(12288);
+        model.run(20000);
+        if (HasFatalFailure())
+            return;
+        EXPECT_GE(model.peak_pending(), 12288u);
+        EXPECT_GT(model.fired(), 12288u);
+    }
 }
 
 /** Counts how many times an owning instance is destroyed. */

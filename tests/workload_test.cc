@@ -1,8 +1,11 @@
 /** Unit tests for the workload generators and corpus synthesizers. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "ask/key_space.h"
 #include "workload/generators.h"
@@ -73,6 +76,46 @@ TEST(ZipfGenerator, OrderModes)
     for (const auto& t : cold)
         mc.insert(t.key);
     EXPECT_EQ(mh, mc);
+}
+
+/** What generate() returns, built the direct way: draw every rank,
+ *  sort the draws into the order, and build each tuple's key. */
+core::KvStream
+sorted_draws(ZipfGenerator& z, std::uint64_t n, KeyOrder order,
+             core::Value value)
+{
+    std::vector<std::uint64_t> ranks(n);
+    for (auto& r : ranks)
+        r = z.sample_rank();
+    if (order == KeyOrder::kHotFirst)
+        std::sort(ranks.begin(), ranks.end());
+    else if (order == KeyOrder::kColdFirst)
+        std::sort(ranks.begin(), ranks.end(), std::greater<>());
+    core::KvStream out;
+    for (std::uint64_t r : ranks)
+        out.push_back({z.key_of(r), value});
+    return out;
+}
+
+TEST(ZipfGenerator, OrdersMatchSortedDraws)
+{
+    for (std::uint64_t seed : {1, 7, 42, 2024}) {
+        for (KeyOrder order : {KeyOrder::kShuffled, KeyOrder::kHotFirst,
+                               KeyOrder::kColdFirst}) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " order "
+                                            << static_cast<int>(order));
+            ZipfGenerator z(300, 1.0, seed, "k-");
+            ZipfGenerator ref(300, 1.0, seed, "k-");
+            // Two calls: the second continues the same draws.
+            for (std::uint64_t n : {5000, 777})
+                EXPECT_EQ(z.generate(n, order, 3),
+                          sorted_draws(ref, n, order, 3));
+            EXPECT_TRUE(z.generate(0, order).empty());
+            ZipfGenerator one(1, 0.5, seed);
+            EXPECT_EQ(one.generate(10, order),
+                      core::KvStream(10, {one.key_of(0), 1}));
+        }
+    }
 }
 
 TEST(ValueStream, DenseIndexKeys)

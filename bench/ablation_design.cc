@@ -22,7 +22,8 @@ namespace {
 using namespace ask;
 
 double
-switch_fraction(bool shadow, const core::KvStream& stream)
+switch_fraction(bool shadow, const core::KvStream& stream,
+                bench::ExactRuns& exact)
 {
     core::ClusterConfig cc;
     cc.topology = core::TopologyBuilder().add_rack(2).build();
@@ -31,7 +32,8 @@ switch_fraction(bool shadow, const core::KvStream& stream)
     cc.ask.shadow_copies = shadow;
     cc.ask.swap_threshold_packets = shadow ? 256 : 0;
     core::AskCluster cluster(cc);
-    cluster.run_task(1, 0, {{1, stream}}, {.region_len = 32});
+    exact.check(cluster.run_task(1, 0, {{1, stream}}, {.region_len = 32}),
+                bench::fold(stream));
     const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     return 100.0 * static_cast<double>(sw.tuples_aggregated) /
            static_cast<double>(sw.tuples_in);
@@ -90,8 +92,9 @@ main(int argc, char** argv)
     std::cout << "\n2. hot-key prioritization at a 1/8 aggregator/key ratio\n";
     TextTable shadow;
     shadow.header({"shadow copies", "tuples aggregated on switch (%)"});
-    double off_pct = switch_fraction(false, stream);
-    double on_pct = switch_fraction(true, stream);
+    bench::ExactRuns exact;
+    double off_pct = switch_fraction(false, stream, exact);
+    double on_pct = switch_fraction(true, stream, exact);
     shadow.row({"off (FCFS only)", fmt_double(off_pct, 2)});
     shadow.row({"on (periodic swap)", fmt_double(on_pct, 2)});
     shadow.print(std::cout);
@@ -113,5 +116,5 @@ main(int argc, char** argv)
     vec.print(std::cout);
     report.note("paper §2.3: single-tuple packets cap goodput at 9.76 Gbps "
                 "even at a 100 Gbps line rate");
-    return 0;
+    return exact.finish(report);
 }

@@ -207,10 +207,13 @@ class ExactRuns
     }
 
     /** Add the tally of runs checked elsewhere (another engine job). */
-    void add(const ExactRuns& other)
+    void add(const ExactRuns& other) { add(other.runs_, other.exact_); }
+
+    /** Add `runs` runs checked elsewhere, `exact` of them exact. */
+    void add(std::uint64_t runs, std::uint64_t exact)
     {
-        runs_ += other.runs_;
-        exact_ += other.exact_;
+        runs_ += runs;
+        exact_ += exact;
     }
 
     /** Record `exact_runs` and `runs` in the report's params; return the

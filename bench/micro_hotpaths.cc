@@ -114,7 +114,7 @@ BM_PacketBuilderHotFirst(benchmark::State& state)
         std::uint64_t packets = 0;
         while (builder.next_data_into(built))
             ++packets;
-        while (auto batch = builder.next_long_batch(cfg.long_payload_bytes))
+        while (auto batch = builder.next_long_batch(core::kLongPayloadBytes))
             ++packets;
         benchmark::DoNotOptimize(packets);
     }
@@ -403,8 +403,7 @@ BM_LogHistogramObserve(benchmark::State& state)
 }
 BENCHMARK(BM_LogHistogramObserve);
 
-/** One enabled-path trace record (ring write). In builds configured
- *  with -DASK_ENABLE_TRACE=OFF this measures the compiled-out macro. */
+/** One enabled-path trace record (ring write). */
 void
 BM_TraceRecord(benchmark::State& state)
 {
@@ -529,45 +528,45 @@ wal_tuples(std::size_t n, std::uint64_t seed)
     return tuples;
 }
 
-/** A kRxData record for `seq`, without its tuples. */
+/** A kRxData record for `seq` journaling `tuples`. */
 core::WalRecord
-rx_data_record(core::Seq seq)
+rx_data_record(core::Seq seq, core::KvStream tuples)
 {
     core::WalRecord r;
     r.kind = core::WalRecordKind::kRxData;
     r.task = 1;
     r.channel = 3;
     r.seq = seq;
+    r.tuples = std::move(tuples);
     return r;
 }
 
 /** Set the `bytes_per_tuple` counter: the log bytes one append of
- *  `record` journaling `tuples` takes, frame header included, per tuple. */
+ *  `record` takes, frame header included, per journaled tuple. */
 void
-count_bytes_per_tuple(benchmark::State& state, const core::WalRecord& record,
-                      const core::KvStream& tuples)
+count_bytes_per_tuple(benchmark::State& state, const core::WalRecord& record)
 {
     core::Wal wal("sized");
-    wal.append(record, tuples);
+    wal.append(record);
     state.counters["bytes_per_tuple"] =
         static_cast<double>(wal.size_bytes()) /
-        static_cast<double>(tuples.size());
+        static_cast<double>(record.tuples.size());
 }
 
 /**
  * Wal::append of the receiver's per-packet journal record: a kRxData
- * carrying the 8 tuples of one residual DATA packet, journaled from the
- * decoded tuples. The log is cleared, untimed, every 4096 records.
+ * carrying the 8 tuples of one residual DATA packet, which the daemon
+ * decodes straight into the record. The log is cleared, untimed, every
+ * 4096 records.
  */
 void
 BM_WalAppendData(benchmark::State& state)
 {
-    core::KvStream tuples = wal_tuples(8, 6);
+    core::WalRecord r = rx_data_record(0, wal_tuples(8, 6));
     core::Wal wal("bench");
-    core::Seq seq = 0;
     for (auto _ : state) {
-        wal.append(rx_data_record(seq), tuples);
-        if (++seq % 4096 == 0) {
+        wal.append(r);
+        if (++r.seq % 4096 == 0) {
             state.PauseTiming();
             wal.clear();
             state.ResumeTiming();
@@ -575,7 +574,8 @@ BM_WalAppendData(benchmark::State& state)
     }
     benchmark::DoNotOptimize(wal.digest());
     state.SetItemsProcessed(state.iterations());
-    count_bytes_per_tuple(state, rx_data_record(0), tuples);
+    r.seq = 0;
+    count_bytes_per_tuple(state, r);
 }
 BENCHMARK(BM_WalAppendData);
 
@@ -584,21 +584,21 @@ BENCHMARK(BM_WalAppendData);
 void
 BM_WalAppendSubmit(benchmark::State& state)
 {
-    core::KvStream stream = wal_tuples(65536, 7);
     core::WalRecord r;
     r.kind = core::WalRecordKind::kSendSubmit;
     r.task = 1;
     r.arg0 = 2;
+    r.tuples = wal_tuples(65536, 7);
     core::Wal wal("bench");
     for (auto _ : state) {
-        wal.append(r, stream);
+        wal.append(r);
         state.PauseTiming();
         wal.clear();
         state.ResumeTiming();
     }
     benchmark::DoNotOptimize(wal.digest());
     state.SetItemsProcessed(state.iterations() * 65536);
-    count_bytes_per_tuple(state, r, stream);
+    count_bytes_per_tuple(state, r);
 }
 BENCHMARK(BM_WalAppendSubmit)->Unit(benchmark::kMicrosecond);
 
@@ -627,12 +627,11 @@ BENCHMARK(BM_WalPayloadHash)->Arg(64)->Arg(1 << 20);
 void
 BM_WalTaskCycle(benchmark::State& state)
 {
-    core::KvStream tuples = wal_tuples(8, 8);
     core::WalRecord start;
     start.kind = core::WalRecordKind::kRxTaskStart;
     start.task = 1;
     start.arg0 = 2;
-    start.kvs = {{"liveness_ns", 0}, {"start_time", 0}, {"op", 0}};
+    core::WalRecord data = rx_data_record(0, wal_tuples(8, 8));
     core::WalRecord fin;
     fin.kind = core::WalRecordKind::kRxFin;
     fin.task = 1;
@@ -644,8 +643,8 @@ BM_WalTaskCycle(benchmark::State& state)
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         wal.append(start);
-        for (core::Seq seq = 0; seq < 64; ++seq)
-            wal.append(rx_data_record(seq), tuples);
+        for (data.seq = 0; data.seq < 64; ++data.seq)
+            wal.append(data);
         wal.append(fin);
         wal.append(done);
         if (++cycles % 64 == 0) {

@@ -133,6 +133,9 @@ run_ask_backend(const MrJobSpec& spec)
     }
 
     std::vector<bool> done(num_tasks, false);
+    // Each task's streams, every machine's together, folded before they
+    // are submitted: what an exact task delivers.
+    std::vector<core::AggregateMap> truth(num_tasks);
     for (std::uint32_t t = 0; t < num_tasks; ++t) {
         std::uint32_t receiver = t % spec.machines;
         std::vector<core::StreamSpec> streams;
@@ -144,12 +147,20 @@ run_ask_backend(const MrJobSpec& spec)
                                            static_cast<std::uint64_t>(t) *
                                                (distinct + 1));
             streams.push_back({h, gen.generate(per_stream)});
+            core::aggregate_into(truth[t], streams.back().stream,
+                                 cc.ask.op);
         }
-        cluster.submit_task(task_ids[t], receiver, std::move(streams),
-                            {.region_len = region_len},
-                            [&done, t](core::AggregateMap,
-                                       core::TaskReport) { done[t] = true; });
+        cluster.submit_task(
+            task_ids[t], receiver, std::move(streams),
+            {.region_len = region_len},
+            [&done, &truth, &out, t](core::AggregateMap result,
+                                     core::TaskReport report) {
+                done[t] = true;
+                if (report.ok() && result == truth[t])
+                    ++out.exact_tasks;
+            });
     }
+    out.ask_tasks = num_tasks;
     sim::SimTime elapsed = cluster.run();
     for (std::uint32_t t = 0; t < num_tasks; ++t)
         ASK_ASSERT(done[t], "aggregation task ", t, " incomplete");

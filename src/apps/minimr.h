@@ -61,6 +61,10 @@ struct MrJobResult
     /** ASK backend only: tuple/packet absorption at the switch. */
     double switch_tuple_ratio = 0.0;
     double switch_ack_ratio = 0.0;
+    /** ASK backend only: aggregation tasks run, and those whose
+     *  delivered AggregateMap equals the fold of their streams. */
+    std::uint32_t ask_tasks = 0;
+    std::uint32_t exact_tasks = 0;
 };
 
 /** Run one job. */

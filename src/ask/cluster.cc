@@ -89,7 +89,6 @@ AskCluster::AskCluster(const ClusterConfig& config)
 
     MgmtRetryPolicy mgmt_policy;
     mgmt_policy.max_tries = config_.ask.mgmt_max_tries;
-    mgmt_policy.backoff_base_ns = config_.ask.mgmt_backoff_base_ns;
     mgmt_policy.backoff_cap_ns = config_.ask.mgmt_backoff_cap_ns;
     mgmt_ = std::make_unique<MgmtPlane>(simulator_, config_.mgmt_latency_ns,
                                         mgmt_policy);
@@ -102,6 +101,13 @@ AskCluster::AskCluster(const ClusterConfig& config)
         daemons_.push_back(std::make_unique<AskDaemon>(
             config_.ask, cost_model, network_, HostId{h}, tor.node_id(),
             *controller_, *mgmt_, wal, &obs_));
+        // A sender that gives up on a stream (FIN or bypass budget) fails
+        // its task: the receiver would otherwise wait for a FIN that
+        // never comes.
+        daemons_.back()->set_task_failure_handler(
+            [this](TaskId task, TaskStatus status, const std::string& detail) {
+                fail_active_task(task, status, detail);
+            });
         network_.attach(daemons_.back().get());
         network_.connect(daemons_.back()->node_id(), tor.node_id(),
                          config_.link_gbps, config_.link_propagation_ns,
@@ -134,14 +140,13 @@ AskCluster::AskCluster(const ClusterConfig& config)
 
 AskCluster::~AskCluster() = default;
 
-bool
-AskCluster::any_switch_offline() const
+void
+AskCluster::update_mgmt_outage()
 {
-    for (const auto& s : switches_) {
-        if (s->offline())
-            return true;
-    }
-    return false;
+    bool down = controller_down_ || mgmt_outages_open_ > 0;
+    for (const auto& s : switches_)
+        down = down || s->offline();
+    mgmt_->set_outage(down);
 }
 
 void
@@ -305,13 +310,12 @@ AskCluster::arm_chaos(const sim::ChaosPlan& plan)
         sim::ChaosKind::kMgmtOutage,
         [this](const sim::ChaosEvent&) {
             ++chaos_stats_.mgmt_outages;
-            mgmt_->set_outage(true);
+            ++mgmt_outages_open_;
+            update_mgmt_outage();
         },
         [this](const sim::ChaosEvent&) {
-            // The window may overlap a controller crash or a switch
-            // reboot; the endpoint only comes back when nothing else
-            // keeps it dark.
-            mgmt_->set_outage(controller_down_ || any_switch_offline());
+            --mgmt_outages_open_;
+            update_mgmt_outage();
         });
 
     fault_scheduler_->set_handler(
@@ -368,7 +372,7 @@ AskCluster::on_switch_reboot_start(const sim::ChaosEvent& e)
     sw.set_offline(true);
     sw.pipeline().wipe_registers();
     programs_[s.value()]->on_reboot();
-    mgmt_->set_outage(true);
+    update_mgmt_outage();
 }
 
 void
@@ -388,10 +392,9 @@ AskCluster::on_switch_reboot_end(const sim::ChaosEvent& e)
     reset_and_replay();
 
     // (6) The switch CPU is back: management RPCs flow again — unless
-    // the controller process is itself down (or another switch of the
-    // fabric is still mid-reboot), in which case the endpoint stays
-    // dark until everything is up.
-    mgmt_->set_outage(controller_down_ || any_switch_offline());
+    // something else (the controller, another switch, a scripted outage
+    // window) still keeps the endpoint dark.
+    update_mgmt_outage();
 }
 
 void
@@ -431,10 +434,19 @@ void
 AskCluster::abort_active_task(TaskId task, TaskStatus status,
                               const std::string& detail)
 {
+    if (active_tasks_.count(task) == 0)
+        return;
+    ++chaos_stats_.crash_aborted_tasks;
+    fail_active_task(task, status, detail);
+}
+
+void
+AskCluster::fail_active_task(TaskId task, TaskStatus status,
+                             const std::string& detail)
+{
     auto it = active_tasks_.find(task);
     if (it == active_tasks_.end())
         return;
-    ++chaos_stats_.crash_aborted_tasks;
     AskDaemon& receiver = *daemons_[it->second.receiver_host];
     if (!receiver.crashed())
         receiver.fail_receive_task(task, status, detail);
@@ -533,7 +545,7 @@ AskCluster::crash_controller()
     // The controller process hosts the management endpoint: RPCs fail
     // (and retry) until it restarts.
     controller_->crash();
-    mgmt_->set_outage(true);
+    update_mgmt_outage();
 }
 
 void
@@ -560,8 +572,8 @@ AskCluster::restart_controller()
             abort_active_task(task, TaskStatus::kHostCrashed,
                               "controller write-ahead log corrupt");
     }
-    // The endpoint returns — unless a switch is itself mid-reboot.
-    mgmt_->set_outage(any_switch_offline());
+    // The endpoint returns — unless something else keeps it dark.
+    update_mgmt_outage();
 }
 
 void
@@ -620,8 +632,7 @@ AskCluster::reset_and_replay()
     // were wiped MUST still be reset, or the replay would land on top
     // of its journaled partial aggregate.
     std::uint64_t epoch = ++recovery_epoch_;
-    sim::SimTime drain_until =
-        simulator_.now() + config_.ask.recovery_drain_ns;
+    sim::SimTime drain_until = simulator_.now() + kRecoveryDrain;
     for (const auto& [task, info] : active_tasks_) {
         run_on_host(info.receiver_host,
                     [this, task, host = info.receiver_host, drain_until] {

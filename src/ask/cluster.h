@@ -42,6 +42,14 @@
 
 namespace ask::core {
 
+/**
+ * Quiet period after a switch-reboot or sender-crash recovery during
+ * which the receiver drops traffic of restarting tasks: packets
+ * forwarded before the failure must drain from the fabric before the
+ * replay starts, or they would be double-counted.
+ */
+inline constexpr Nanoseconds kRecoveryDrain = 400 * units::kMicrosecond;
+
 /** Cluster-level deployment parameters. */
 struct ClusterConfig
 {
@@ -270,8 +278,10 @@ class AskCluster
         return SwitchId{e.subject % num_switches()};
     }
 
-    /** Any switch of the fabric currently offline (mgmt gating). */
-    bool any_switch_offline() const;
+    /** The management endpoint is dark while the controller is down,
+     *  any switch of the fabric is offline or a scripted outage window
+     *  is open. Every site that changes one of those calls this. */
+    void update_mgmt_outage();
 
     /** The ToR serving `host`. */
     pisa::PisaSwitch& tor_of(std::uint32_t host)
@@ -289,7 +299,13 @@ class AskCluster
      *  call its on_done. */
     void finish_task(TaskId task, AggregateMap result, TaskReport report);
 
-    /** Fail an active task whose durable state is unrecoverable. */
+    /** Fail an active task: its receiver delivers a failed report, or
+     *  this does when the receiver holds no state for it. */
+    void fail_active_task(TaskId task, TaskStatus status,
+                          const std::string& detail);
+
+    /** Fail an active task whose durable state is unrecoverable (counted
+     *  in crash_aborted_tasks). */
     void abort_active_task(TaskId task, TaskStatus status,
                            const std::string& detail);
 
@@ -330,6 +346,8 @@ class AskCluster
     std::unordered_map<std::uint32_t, std::vector<std::function<void()>>>
         pending_on_restart_;
     bool controller_down_ = false;
+    /** Scripted management-outage windows currently open. */
+    std::uint32_t mgmt_outages_open_ = 0;
     ChaosStats chaos_stats_;
     std::unique_ptr<obs::Sampler> sampler_;
 };

@@ -32,10 +32,10 @@ AskConfig::validate() const
         fail_config("max_fin_tries must be positive");
     if (mgmt_max_tries == 0)
         fail_config("mgmt_max_tries must be positive");
-    if (mgmt_backoff_base_ns <= 0 || mgmt_backoff_cap_ns < mgmt_backoff_base_ns)
-        fail_config("management backoff must satisfy 0 < base <= cap");
-    if (recovery_drain_ns < 0 || sender_liveness_timeout_ns < 0)
-        fail_config("robustness timeouts must be non-negative");
+    if (mgmt_backoff_cap_ns <= 0)
+        fail_config("mgmt_backoff_cap_ns must be positive");
+    if (sender_liveness_timeout_ns < 0)
+        fail_config("sender_liveness_timeout_ns must be non-negative");
     if (static_cast<std::uint8_t>(op) >= kNumReduceOps)
         fail_config("unknown reduce op id: ", static_cast<unsigned>(op));
     if (op == ReduceOp::kFloat && part_bits != 32)

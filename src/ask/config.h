@@ -42,8 +42,6 @@ struct AskConfig
     // ---- Reliability (§3.3) ---------------------------------------------
     /** Maximum sliding-window size per data channel, in packets. */
     std::uint32_t window = 256;
-    /** Retransmission timeout (paper: 100 us fine-grained timeout). */
-    Nanoseconds retransmit_timeout_ns = 100 * units::kMicrosecond;
     /** Use the memory-compact W-bit `seen` (true) or the reference
      *  2W-bit variant (false); behaviorally equivalent (§3.3). */
     bool compact_seen = true;
@@ -61,10 +59,6 @@ struct AskConfig
      *  0 disables periodic swapping (copies still split if enabled). */
     std::uint64_t swap_threshold_packets = 4096;
 
-    /** Max LONG_DATA payload bytes per packet (long keys bypass the
-     *  switch, so they are not bound to the slot layout). */
-    std::uint32_t long_payload_bytes = 1024;
-
     // ---- Failure handling and degraded mode -------------------------------
     /** FIN (re)transmissions before the sender gives up on a task and
      *  reports it failed instead of retrying forever. */
@@ -78,28 +72,16 @@ struct AskConfig
      * is dead, and the send job fails. 0 disables the budget.
      */
     std::uint32_t max_data_tries = 25;
-    /** SWAP retransmissions before the receiver stops shadow-copy
-     *  swapping for the task (results stay exact: the final fetch drains
-     *  both copies). */
-    std::uint32_t max_swap_tries = 12;
     /**
      * Receiver-side sender-liveness timeout: a receive task that has not
      * heard from its senders for this long fails with an error instead
      * of waiting forever for FINs that will never come. 0 disables.
      */
     Nanoseconds sender_liveness_timeout_ns = 0;
-    /**
-     * Quiet period after a switch-reboot recovery during which the
-     * receiver drops traffic of restarting tasks: packets forwarded
-     * before the crash must drain from the fabric before the replay
-     * starts, or they would be double-counted.
-     */
-    Nanoseconds recovery_drain_ns = 400 * units::kMicrosecond;
     /** Management RPC attempts before giving up (outage windows). */
     std::uint32_t mgmt_max_tries = 10;
-    /** First management-RPC retry backoff; doubles per retry. */
-    Nanoseconds mgmt_backoff_base_ns = 50 * units::kMicrosecond;
-    /** Upper bound on the management-RPC retry backoff. */
+    /** Upper bound on the management-RPC retry backoff, which starts at
+     *  MgmtRetryPolicy's base and doubles per retry. */
     Nanoseconds mgmt_backoff_cap_ns = 2 * units::kMillisecond;
 
     // ---- Semantics ---------------------------------------------------------

@@ -77,7 +77,7 @@ AskSwitchController::allocate(TaskId task, std::uint32_t len, ReduceOp op)
     r.arg0 = base;
     r.arg1 = len;
     r.arg2 = epoch_slot;
-    r.kvs.emplace_back("op", static_cast<std::uint64_t>(op));
+    r.op = op;
     wal_.append(r);
     apply(r);
     const TaskRegion& region = allocated_.at(base).first;
@@ -114,16 +114,14 @@ AskSwitchController::apply(const WalRecord& r)
 {
     if (r.kind == WalRecordKind::kAlloc) {
         TaskRegion region;
-        region.base = r.arg0;
-        region.len = r.arg1;
-        region.epoch_slot = r.arg2;
-        for (const auto& [key, value] : r.kvs)
-            if (key == "op")
-                region.op = static_cast<ReduceOp>(value);
+        region.base = static_cast<std::uint32_t>(r.arg0);
+        region.len = static_cast<std::uint32_t>(r.arg1);
+        region.epoch_slot = static_cast<std::uint32_t>(r.arg2);
+        region.op = r.op;
         allocated_[region.base] = {region, r.task};
         epoch_slot_used_[region.epoch_slot] = true;
     } else if (r.kind == WalRecordKind::kRelease) {
-        auto it = allocated_.find(r.arg0);
+        auto it = allocated_.find(static_cast<std::uint32_t>(r.arg0));
         if (it != allocated_.end() && it->second.second == r.task) {
             epoch_slot_used_[it->second.first.epoch_slot] = false;
             allocated_.erase(it);

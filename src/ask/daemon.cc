@@ -39,6 +39,16 @@ namespace {
  */
 constexpr Seq kSeqCheckpointInterval = 64;
 
+/** Base retransmission timeout (paper: 100 us fine-grained timeout):
+ *  the floor of the adaptive RTO, a hundredth of its ceiling, and a
+ *  quarter of the FIN and SWAP retry intervals. */
+constexpr Nanoseconds kRetransmitTimeout = 100 * units::kMicrosecond;
+
+/** SWAP transmissions before the receiver stops shadow-copy swapping
+ *  for the task (results stay exact: the final fetch drains both
+ *  copies). */
+constexpr std::uint32_t kMaxSwapTries = 12;
+
 /** The report a receive task delivers: its journaled start time and
  *  counters. The caller stamps the finish time and the outcome. */
 TaskReport
@@ -179,7 +189,7 @@ DataChannel::pump()
         std::vector<std::uint8_t> frame;
         PacketType type;
         if (daemon_.degraded()) {
-            auto batch = job.builder->next_bypass_batch(cfg.long_payload_bytes);
+            auto batch = job.builder->next_bypass_batch(kLongPayloadBytes);
             ASK_ASSERT(batch.has_value(), "builder non-empty but no frames");
             AskHeader hdr;
             hdr.type = PacketType::kLongData;
@@ -205,7 +215,7 @@ DataChannel::pump()
             type = PacketType::kData;
             ++daemon_.stats().data_packets_sent;
         } else {
-            auto batch = job.builder->next_long_batch(cfg.long_payload_bytes);
+            auto batch = job.builder->next_long_batch(kLongPayloadBytes);
             ASK_ASSERT(batch.has_value(), "builder non-empty but no frames");
             AskHeader hdr;
             hdr.type = PacketType::kLongData;
@@ -308,10 +318,9 @@ Nanoseconds
 DataChannel::rto() const
 {
     if (!have_rtt_)
-        return daemon_.config().retransmit_timeout_ns;
+        return kRetransmitTimeout;
     auto est = static_cast<Nanoseconds>(srtt_ns_ + 4.0 * rttvar_ns_);
-    return std::clamp(est, daemon_.config().retransmit_timeout_ns,
-                      100 * daemon_.config().retransmit_timeout_ns);
+    return std::clamp(est, kRetransmitTimeout, 100 * kRetransmitTimeout);
 }
 
 void
@@ -399,7 +408,7 @@ DataChannel::send_fin(const SendJob& job)
 
     // FINs can be lost like anything else; retransmit until FIN_ACK.
     fin_timer_ = daemon_.simulator().schedule_at(
-        ready + 4 * daemon_.config().retransmit_timeout_ns, [this] {
+        ready + 4 * kRetransmitTimeout, [this] {
             fin_timer_ = sim::kInvalidEvent;
             if (fin_outstanding_) {
                 fin_outstanding_ = false;
@@ -663,30 +672,25 @@ AskDaemon::start_receive(TaskId task, std::uint32_t expected_senders,
                           len, controller_.free_aggregators()));
                 return;
             }
-            Nanoseconds liveness = options.sender_liveness_timeout_ns < 0
-                                       ? config_.sender_liveness_timeout_ns
-                                       : options.sender_liveness_timeout_ns;
             WalRecord r;
             r.kind = WalRecordKind::kRxTaskStart;
             r.task = task;
+            r.op = rop;
             r.arg0 = expected_senders;
             r.arg1 =
                 options.swap_policy == TaskOptions::SwapPolicy::kDisabled ? 1
                                                                           : 0;
-            r.kvs.emplace_back("liveness_ns",
-                               static_cast<std::uint64_t>(liveness));
-            r.kvs.emplace_back("start_time",
-                               static_cast<std::uint64_t>(simulator().now()));
-            r.kvs.emplace_back("op", static_cast<std::uint64_t>(rop));
+            r.arg2 = static_cast<std::uint64_t>(simulator().now());
             wal_.append(r);
             ReceiveTask rx;
             rx.id = task;
             rx.state = start_rx_task(r, config_.window);
             rx.on_done = std::move(*done);
+            rx.generation = ++generations_;
             rx.last_activity = simulator().now();
             auto [it, inserted] = rx_tasks_.emplace(task, std::move(rx));
             ASK_ASSERT(inserted, "task ", task, " already receiving here");
-            if (liveness > 0)
+            if (config_.sender_liveness_timeout_ns > 0)
                 arm_liveness(task);
             if (on_ready)
                 on_ready();
@@ -715,10 +719,11 @@ AskDaemon::submit_send(TaskId task, net::NodeId receiver, KvStream stream,
     WalRecord r;
     r.kind = WalRecordKind::kSendSubmit;
     r.task = task;
-    r.arg0 = static_cast<std::uint32_t>(receiver);
-    r.arg1 = static_cast<std::uint32_t>(rop);
-    wal_.append(r, stream);
-    auto shared = std::make_shared<const KvStream>(std::move(stream));
+    r.op = rop;
+    r.arg0 = receiver;
+    r.tuples = std::move(stream);
+    wal_.append(r);
+    auto shared = std::make_shared<const KvStream>(std::move(r.tuples));
     sent_archive_[task].push_back(
         ArchivedSend{receiver, shared, rop, on_complete});
     channel_for_task(task).submit_send(task, receiver, std::move(shared), rop,
@@ -968,17 +973,17 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
         // Decode first, then journal, then apply: the WAL record for a
         // consumed packet must carry exactly the tuples the aggregate
         // absorbs, and must be durable before the absorption.
-        KvStream decoded = hdr.type == PacketType::kData
-                               ? tuples_from_data_frame(pkt.data, hdr.bitmap)
-                               : parse_long_tuples(pkt.data);
         WalRecord r;
         r.kind = WalRecordKind::kRxData;
         r.task = task.id;
         r.channel = hdr.channel_id;
         r.seq = hdr.seq;
-        wal_.append(r, decoded);
-        apply_rx(task.state, r, decoded);
-        std::uint64_t tuples = decoded.size();
+        r.tuples = hdr.type == PacketType::kData
+                       ? tuples_from_data_frame(pkt.data, hdr.bitmap)
+                       : parse_long_tuples(pkt.data);
+        wal_.append(r);
+        apply_rx(task.state, r);
+        std::uint64_t tuples = r.tuples.size();
         stats_.tuples_aggregated_locally += tuples;
         ASK_TRACE(tracer_, simulator().now(), task.id, hdr.channel_id,
                   hdr.seq, obs::TraceStage::kHostAggregate, tuples);
@@ -1053,8 +1058,7 @@ AskDaemon::send_swap(TaskId task_id)
         return;
     ReceiveTask& task = it->second;
 
-    if (config_.max_swap_tries > 0 &&
-        task.swap_tries >= config_.max_swap_tries) {
+    if (task.swap_tries >= kMaxSwapTries) {
         // The swap path is dead (e.g. a blackholed program eats SWAPs).
         // Stop swapping for good: hot-key prioritization is lost but the
         // result stays exact — the finalize fetch drains both copies.
@@ -1078,7 +1082,7 @@ AskDaemon::send_swap(TaskId task_id)
     network_.send(node_id(), switch_node_, std::move(pkt));
 
     task.swap_timer = simulator().schedule_after(
-        4 * config_.retransmit_timeout_ns, [this, task_id] {
+        4 * kRetransmitTimeout, [this, task_id] {
             auto jt = rx_tasks_.find(task_id);
             if (jt != rx_tasks_.end() && jt->second.swap_in_flight) {
                 jt->second.swap_timer = sim::kInvalidEvent;
@@ -1135,8 +1139,6 @@ AskDaemon::complete_swap(ReceiveTask& task)
                 // the swap: the registers it would drain are gone.
                 if (t.generation != gen || !t.swap_in_flight)
                     return;
-                KvStream fetched =
-                    controller_.fetch(task_id, old_copy, /*clear=*/true);
                 // Journal the drained registers with the commit: the
                 // fetch cleared them, so these tuples now exist only in
                 // this process (and, after this append, in the WAL).
@@ -1144,9 +1146,10 @@ AskDaemon::complete_swap(ReceiveTask& task)
                 r.kind = WalRecordKind::kRxSwapCommit;
                 r.task = task_id;
                 r.seq = t.swap_target;
-                wal_.append(r, fetched);
-                apply_rx(t.state, r, fetched);
-                stats_.fetch_tuples += fetched.size();
+                r.tuples = controller_.fetch(task_id, old_copy, /*clear=*/true);
+                wal_.append(r);
+                apply_rx(t.state, r);
+                stats_.fetch_tuples += r.tuples.size();
                 t.packets_since_swap = 0;
                 t.swap_in_flight = false;
                 if (t.finalize_pending)
@@ -1240,7 +1243,7 @@ AskDaemon::finalize(ReceiveTask& task)
                 WalRecord r;
                 r.kind = WalRecordKind::kRxTaskDone;
                 r.task = task_id;
-                r.arg0 = static_cast<std::uint32_t>(TaskStatus::kOk);
+                r.arg0 = static_cast<std::uint64_t>(TaskStatus::kOk);
                 wal_.append(r);
                 TaskDoneFn on_done = std::move(t.on_done);
                 rx_tasks_.erase(it);
@@ -1267,7 +1270,8 @@ AskDaemon::arm_liveness(TaskId task_id)
     if (it == rx_tasks_.end())
         return;
     ReceiveTask& t = it->second;
-    sim::SimTime deadline = t.last_activity + t.state.liveness_timeout;
+    sim::SimTime deadline =
+        t.last_activity + config_.sender_liveness_timeout_ns;
     t.liveness_timer = simulator().schedule_at(deadline, [this, task_id] {
         auto jt = rx_tasks_.find(task_id);
         if (jt == rx_tasks_.end())
@@ -1276,7 +1280,8 @@ AskDaemon::arm_liveness(TaskId task_id)
         t.liveness_timer = sim::kInvalidEvent;
         if (t.finalizing)
             return;  // the result fetch is already under way
-        sim::SimTime deadline = t.last_activity + t.state.liveness_timeout;
+        sim::SimTime deadline =
+            t.last_activity + config_.sender_liveness_timeout_ns;
         if (simulator().now() < deadline) {
             arm_liveness(task_id);  // activity since: re-arm lazily
             return;
@@ -1310,7 +1315,7 @@ AskDaemon::fail_receive_task(TaskId task_id, TaskStatus status,
     WalRecord r;
     r.kind = WalRecordKind::kRxTaskDone;
     r.task = task_id;
-    r.arg0 = static_cast<std::uint32_t>(status);
+    r.arg0 = static_cast<std::uint64_t>(status);
     wal_.append(r);
     TaskDoneFn on_done = std::move(t.on_done);
     rx_tasks_.erase(it);
@@ -1339,12 +1344,12 @@ AskDaemon::prepare_replay(TaskId task_id, sim::SimTime drain_until)
     WalRecord r;
     r.kind = WalRecordKind::kRxReset;
     r.task = task_id;
-    r.kvs.emplace_back("drain_until", static_cast<std::uint64_t>(drain_until));
+    r.arg0 = static_cast<std::uint64_t>(drain_until);
     wal_.append(r);
     // The aggregate, FIN set, swap epoch and counters restart; the
     // windows and the swap policy stay (see apply_rx).
     apply_rx(t.state, r);
-    ++t.generation;  // scheduled fetch/finalize callbacks are now void
+    t.generation = ++generations_;  // void scheduled fetch/finalize
     t.packets_since_swap = 0;
     t.swap_in_flight = false;
     t.swap_target = 0;
@@ -1423,10 +1428,9 @@ AskDaemon::recover_from_wal(
         ReceiveTask rx;
         rx.id = task_id;
         rx.on_done = make_done ? make_done(task_id) : nullptr;
-        // Strictly above anything the dead process handed out (at most
-        // 1 + resets + earlier recoveries): its scheduled swap/finalize
-        // callbacks are void on arrival.
-        rx.generation = 2 + ws.resets + state.recoveries;
+        // The dead process's scheduled swap/finalize callbacks hold
+        // older generations: they are void on arrival.
+        rx.generation = ++generations_;
         rx.last_activity = std::max(now, ws.drain_until);
         rx.state = std::move(ws);
 
@@ -1447,7 +1451,7 @@ AskDaemon::recover_from_wal(
             }
         }
 
-        if (t.state.liveness_timeout > 0)
+        if (config_.sender_liveness_timeout_ns > 0)
             arm_liveness(task_id);
         // The crash may have interrupted the window between the last
         // FIN and the finalize fetch; re-drive it.
@@ -1455,11 +1459,6 @@ AskDaemon::recover_from_wal(
         ++rebuilt;
     }
 
-    // Fencing marker: the NEXT recovery's generations must exceed the
-    // ones this one just handed out.
-    WalRecord marker;
-    marker.kind = WalRecordKind::kHostRecovered;
-    wal_.append(marker);
     warn(name(), ": recovered from WAL: ", rebuilt, " receive task(s), ",
          state.sends.size(), " archived send(s)");
     return rebuilt;

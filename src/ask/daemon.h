@@ -87,9 +87,6 @@ struct TaskOptions
 {
     /** Aggregators per AA per shadow copy; 0 = all free aggregators. */
     std::uint32_t region_len = 0;
-    /** Sender-liveness timeout; < 0 = use the config default, 0 =
-     *  disabled, > 0 = override in nanoseconds. */
-    Nanoseconds sender_liveness_timeout_ns = -1;
     /** Shadow-copy swap policy for this task. */
     enum class SwapPolicy : std::uint8_t
     {
@@ -368,7 +365,8 @@ class AskDaemon : public net::Node
 
     /** Sender-side send jobs that fail permanently (FIN or bypass
      *  retransmission budget exhausted) are reported here with the
-     *  status and a human-readable detail string. */
+     *  status and a human-readable detail string. AskCluster installs
+     *  one that fails the task. */
     void set_task_failure_handler(
         std::function<void(TaskId, TaskStatus, const std::string&)> handler)
     {
@@ -450,9 +448,9 @@ class AskDaemon : public net::Node
     /**
      * The live state a restart would rebuild from this daemon's log:
      * every receive task's durable state and every archived submit, in
-     * the shape rebuild_daemon_state() returns (its resume_seq and
-     * recoveries are left empty). Equal to the fold of the log at every
-     * event boundary while the daemon is up.
+     * the shape rebuild_daemon_state() returns (its resume_seq is left
+     * empty). Equal to the fold of the log at every event boundary
+     * while the daemon is up.
      */
     WalDaemonState durable_state() const;
 
@@ -511,8 +509,9 @@ class AskDaemon : public net::Node
         bool finalize_pending = false;
         bool finalizing = false;
 
-        /** Bumped by prepare_replay/failure: scheduled fetch/finalize
-         *  callbacks from the previous life must not touch the task. */
+        /** A fresh value of the daemon's generation counter at start,
+         *  prepare_replay and recovery: fetch/finalize callbacks
+         *  scheduled in an earlier life must not touch the task. */
         std::uint64_t generation = 0;
         /** Last DATA/FIN arrival (sender-liveness timeout). */
         sim::SimTime last_activity = 0;
@@ -589,6 +588,9 @@ class AskDaemon : public net::Node
     sim::SimTime control_busy_ = 0;
     /** Round-robin cursor for deferred-aggregation work. */
     std::uint64_t bg_round_robin_ = 0;
+    /** Last generation handed to a ReceiveTask. crash() keeps it, so
+     *  every later value voids the events the dead process scheduled. */
+    std::uint64_t generations_ = 0;
 };
 
 }  // namespace ask::core

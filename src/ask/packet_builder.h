@@ -35,6 +35,10 @@
 
 namespace ask::core {
 
+/** Max LONG_DATA payload bytes per packet (long keys bypass the switch,
+ *  so they are not bound to the slot layout). */
+inline constexpr std::uint32_t kLongPayloadBytes = 1024;
+
 /** One DATA packet's worth of slots, before framing. */
 struct BuiltData
 {

@@ -78,54 +78,43 @@ put_kv(char* out, std::string_view key, std::uint64_t value)
 }
 
 std::size_t
-kv_count(const WalRecord& r, const KvStream* tuples)
-{
-    return r.kvs.size() + (tuples != nullptr ? tuples->size() : 0);
-}
-
-/** Payload size of `r` with `tuples` (may be null) after its kvs. */
-std::size_t
-payload_size(const WalRecord& r, const KvStream* tuples)
+payload_size(const WalRecord& r)
 {
     std::size_t n = 1 + varint_size(r.task) + varint_size(r.channel) +
-                    varint_size(r.seq) + varint_size(r.arg0) +
-                    varint_size(r.arg1) + varint_size(r.arg2) +
-                    varint_size(kv_count(r, tuples));
-    for (const auto& [key, value] : r.kvs)
-        n += kv_size(key, value);
-    if (tuples != nullptr)
-        for (const KvTuple& t : *tuples)
-            n += kv_size(t.key, t.value);
+                    varint_size(r.seq) +
+                    varint_size(static_cast<std::uint8_t>(r.op)) +
+                    varint_size(r.arg0) + varint_size(r.arg1) +
+                    varint_size(r.arg2) + varint_size(r.tuples.size());
+    for (const KvTuple& t : r.tuples)
+        n += kv_size(t.key, t.value);
     return n;
 }
 
 /** Write the payload of `r` into `out`, which holds exactly
- *  payload_size(r, tuples) bytes: the kind byte, then as LEB128 the six
- *  scalars and the kv count, then each kv (its kvs, then one per tuple)
- *  as key length, key bytes, value. */
+ *  payload_size(r) bytes: the kind byte, then as LEB128 task, channel,
+ *  seq, op, the three args and the tuple count, then each tuple as key
+ *  length, key bytes, value. */
 void
-encode_into(char* out, const WalRecord& r, const KvStream* tuples)
+encode_into(char* out, const WalRecord& r)
 {
     *out++ = static_cast<char>(r.kind);
     out = put_varint(out, r.task);
     out = put_varint(out, r.channel);
     out = put_varint(out, r.seq);
+    out = put_varint(out, static_cast<std::uint8_t>(r.op));
     out = put_varint(out, r.arg0);
     out = put_varint(out, r.arg1);
     out = put_varint(out, r.arg2);
-    out = put_varint(out, kv_count(r, tuples));
-    for (const auto& [key, value] : r.kvs)
-        out = put_kv(out, key, value);
-    if (tuples != nullptr)
-        for (const KvTuple& t : *tuples)
-            out = put_kv(out, t.key, t.value);
+    out = put_varint(out, r.tuples.size());
+    for (const KvTuple& t : r.tuples)
+        out = put_kv(out, t.key, t.value);
 }
 
 std::string
 encode_record(const WalRecord& r)
 {
-    std::string payload(payload_size(r, nullptr), '\0');
-    encode_into(payload.data(), r, nullptr);
+    std::string payload(payload_size(r), '\0');
+    encode_into(payload.data(), r);
     return payload;
 }
 
@@ -205,51 +194,32 @@ decode_record(std::string_view payload, WalRecord& out)
 {
     Reader rd(payload);
     std::uint8_t kind = 0;
-    std::uint64_t nkvs = 0;
+    std::uint32_t op = 0;
+    std::uint64_t ntuples = 0;
     if (!rd.u8(kind) || !rd.u32(out.task) || !rd.u32(out.channel) ||
-        !rd.u32(out.seq) || !rd.u32(out.arg0) || !rd.u32(out.arg1) ||
-        !rd.u32(out.arg2) || !rd.varint(nkvs)) {
+        !rd.u32(out.seq) || !rd.u32(op) || !rd.varint(out.arg0) ||
+        !rd.varint(out.arg1) || !rd.varint(out.arg2) || !rd.varint(ntuples)) {
         return false;
     }
     if (kind < static_cast<std::uint8_t>(WalRecordKind::kAlloc) ||
-        kind > static_cast<std::uint8_t>(WalRecordKind::kHostRecovered)) {
+        kind > static_cast<std::uint8_t>(WalRecordKind::kRxTaskDone) ||
+        op >= kNumReduceOps) {
         return false;
     }
     out.kind = static_cast<WalRecordKind>(kind);
-    out.kvs.clear();
-    // Every kv takes at least two bytes (key length and value), so the
+    out.op = static_cast<ReduceOp>(op);
+    out.tuples.clear();
+    // Every tuple takes at least two bytes (key length and value), so the
     // bytes left bound what the count may reserve.
-    out.kvs.reserve(std::min<std::uint64_t>(nkvs, rd.left() / 2));
-    for (std::uint64_t i = 0; i < nkvs; ++i) {
+    out.tuples.reserve(std::min<std::uint64_t>(ntuples, rd.left() / 2));
+    for (std::uint64_t i = 0; i < ntuples; ++i) {
         std::uint64_t klen = 0;
-        std::string key;
-        std::uint64_t value = 0;
-        if (!rd.varint(klen) || !rd.str(key, klen) || !rd.varint(value))
+        KvTuple t;
+        if (!rd.varint(klen) || !rd.str(t.key, klen) || !rd.u32(t.value))
             return false;
-        out.kvs.emplace_back(std::move(key), value);
+        out.tuples.push_back(std::move(t));
     }
     return rd.done();
-}
-
-/** A named scalar in a record's kvs (0 when absent). */
-std::uint64_t
-kv_scalar(const WalRecord& r, std::string_view name)
-{
-    for (const auto& [key, value] : r.kvs)
-        if (key == name)
-            return value;
-    return 0;
-}
-
-/** The tuples a replayed record journaled: all of its kvs. */
-KvStream
-journaled_tuples(const WalRecord& r)
-{
-    KvStream tuples;
-    tuples.reserve(r.kvs.size());
-    for (const auto& [key, value] : r.kvs)
-        tuples.push_back({key, static_cast<Value>(value)});
-    return tuples;
 }
 
 }  // namespace
@@ -308,8 +278,6 @@ wal_record_kind_name(WalRecordKind kind)
         return "rx-reset";
       case WalRecordKind::kRxTaskDone:
         return "rx-task-done";
-      case WalRecordKind::kHostRecovered:
-        return "host-recovered";
     }
     return "unknown";
 }
@@ -323,27 +291,15 @@ Wal::Wal(std::string name) : name_(std::move(name))
 void
 Wal::append(const WalRecord& record)
 {
-    append_encoded(record, nullptr);
-}
-
-void
-Wal::append(const WalRecord& record, const KvStream& tuples)
-{
-    append_encoded(record, &tuples);
-}
-
-void
-Wal::append_encoded(const WalRecord& record, const KvStream* tuples)
-{
     // Size the frame once and encode the payload in place at the end of
     // the image; the frame header follows from the payload hash.
-    std::size_t len = payload_size(record, tuples);
+    std::size_t len = payload_size(record);
     ASK_ASSERT(len <= std::numeric_limits<std::uint32_t>::max(), "WAL ",
                name_, ": record of ", len, " bytes overflows its frame");
     std::size_t offset = bytes_.size();
     bytes_.resize(offset + kFrameHeader + len);
     char* frame = bytes_.data() + offset;
-    encode_into(frame + kFrameHeader, record, tuples);
+    encode_into(frame + kFrameHeader, record);
     std::uint64_t h =
         wal_payload_hash(std::string_view(frame + kFrameHeader, len));
     put_u32(put_u32(frame, static_cast<std::uint32_t>(len)),
@@ -528,10 +484,11 @@ Wal::describe() const
         rj.set("task", r.task);
         rj.set("channel", r.channel);
         rj.set("seq", r.seq);
+        rj.set("op", reduce_op_name(r.op));
         rj.set("arg0", r.arg0);
         rj.set("arg1", r.arg1);
         rj.set("arg2", r.arg2);
-        rj.set("kvs", static_cast<std::uint64_t>(r.kvs.size()));
+        rj.set("tuples", static_cast<std::uint64_t>(r.tuples.size()));
         list.push_back(std::move(rj));
     }
     d.set("log", std::move(list));
@@ -587,26 +544,24 @@ WalRxTaskState
 start_rx_task(const WalRecord& start, std::uint32_t window)
 {
     WalRxTaskState t;
-    t.op = static_cast<ReduceOp>(kv_scalar(start, "op"));
-    t.expected_senders = start.arg0;
+    t.expected_senders = static_cast<std::uint32_t>(start.arg0);
     t.swaps_disabled = start.arg1 != 0;
-    t.liveness_timeout =
-        static_cast<Nanoseconds>(kv_scalar(start, "liveness_ns"));
-    t.start_time = static_cast<Nanoseconds>(kv_scalar(start, "start_time"));
+    t.op = start.op;
+    t.start_time = static_cast<Nanoseconds>(start.arg2);
     t.window = window;
     return t;
 }
 
 void
-apply_rx(WalRxTaskState& t, const WalRecord& r, const KvStream& tuples)
+apply_rx(WalRxTaskState& t, const WalRecord& r)
 {
     switch (r.kind) {
       case WalRecordKind::kRxData:
         t.windows.try_emplace(r.channel, t.window).first->second.observe(r.seq);
         // Combine-only: journaled tuples were lifted at the sender.
-        for (const KvTuple& tuple : tuples)
+        for (const KvTuple& tuple : r.tuples)
             accumulate(t.local, tuple.key, tuple.value, t.op);
-        t.tuples_aggregated_locally += tuples.size();
+        t.tuples_aggregated_locally += r.tuples.size();
         ++t.packets_received;
         return;
       case WalRecordKind::kRxFin:
@@ -614,8 +569,8 @@ apply_rx(WalRxTaskState& t, const WalRecord& r, const KvStream& tuples)
         return;
       case WalRecordKind::kRxSwapCommit:
         // Fetched registers are lifted partials: combine only.
-        merge_stream_into(t.local, tuples, t.op);
-        t.tuples_fetched_from_switch += tuples.size();
+        merge_stream_into(t.local, r.tuples, t.op);
+        t.tuples_fetched_from_switch += r.tuples.size();
         t.committed_epoch = r.seq;
         ++t.swaps;
         return;
@@ -631,8 +586,7 @@ apply_rx(WalRxTaskState& t, const WalRecord& r, const KvStream& tuples)
         t.tuples_fetched_from_switch = 0;
         t.packets_received = 0;
         t.swaps = 0;
-        t.drain_until = static_cast<Nanoseconds>(kv_scalar(r, "drain_until"));
-        ++t.resets;
+        t.drain_until = static_cast<Nanoseconds>(r.arg0);
         return;
       default:
         ASK_ASSERT(false, "apply_rx of a ", wal_record_kind_name(r.kind),
@@ -655,12 +609,8 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
           case WalRecordKind::kRxSwapCommit:
           case WalRecordKind::kRxReset: {
             auto it = state.rx_tasks.find(r.task);
-            if (it == state.rx_tasks.end())
-                break;
-            if (r.kind == WalRecordKind::kRxReset)
-                apply_rx(it->second, r);  // its kvs are named scalars
-            else
-                apply_rx(it->second, r, journaled_tuples(r));
+            if (it != state.rx_tasks.end())
+                apply_rx(it->second, r);
             break;
           }
           case WalRecordKind::kRxTaskDone:
@@ -668,7 +618,7 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
             break;
           case WalRecordKind::kSendSubmit:
             state.sends[r.task].push_back(WalSendState{
-                r.arg0, static_cast<ReduceOp>(r.arg1), journaled_tuples(r)});
+                static_cast<std::uint32_t>(r.arg0), r.op, r.tuples});
             break;
           case WalRecordKind::kSendForget:
             state.sends.erase(r.task);
@@ -678,9 +628,6 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
             cur = std::max(cur, r.seq);
             break;
           }
-          case WalRecordKind::kHostRecovered:
-            ++state.recoveries;
-            break;
           case WalRecordKind::kAlloc:
           case WalRecordKind::kRelease:
             break;  // controller journal records; not daemon state
@@ -707,8 +654,6 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
 //    pair folds to nothing.
 //  - kSeqCheckpoint keeps the channel's maximum seq, so a checkpoint
 //    retires the same channel's earlier ones whose seq is <= its own.
-//  - kHostRecovered counts into every later recovery's generations:
-//    never retired.
 
 void
 Wal::retire_by(const WalRecord& record, std::size_t index)
@@ -764,8 +709,6 @@ Wal::retire_by(const WalRecord& record, std::size_t index)
         live.emplace_back(index, record.seq);
         return;
       }
-      case WalRecordKind::kHostRecovered:
-        return;
     }
 }
 

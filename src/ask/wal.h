@@ -33,7 +33,7 @@
  * apply_rx() advances it by one data, fin, swap-commit or reset record.
  * The live daemon appends a record and then applies that same record;
  * rebuild_daemon_state() is the pure fold that applies every record of
- * a log (plus the send archives, seq checkpoints and recovery count).
+ * a log (plus the send archives and seq checkpoints).
  * So a daemon rebuilt from its log equals the live one, and folding the
  * same log twice gives operator==-identical state.
  *
@@ -65,22 +65,23 @@
 
 namespace ask::core {
 
-/** What one WAL record describes. Values are part of the on-log
- *  encoding; append only. "Retired by" names the later record that
- *  makes a record dead (the liveness rule, see Wal). */
+/** What one WAL record describes, and which WalRecord fields it uses
+ *  (task is always the task; unnamed fields stay 0). Values are part of
+ *  the on-log encoding; append only. "Retired by" names the later
+ *  record that makes a record dead (the liveness rule, see Wal). */
 enum class WalRecordKind : std::uint8_t
 {
-    /** Controller: region allocated. task; arg0 = base, arg1 = len,
-     *  arg2 = epoch slot; kvs carry the ReduceOp id as "op". Retired by
-     *  the kRelease of the same task and base. */
+    /** Controller: region allocated. arg0 = base, arg1 = len, arg2 =
+     *  epoch slot, op. Retired by the kRelease of the same task and
+     *  base. */
     kAlloc = 1,
     /** Controller: region released (task completed or aborted). arg0 =
      *  base. Retires its kAlloc and itself. */
     kRelease = 2,
-    /** Sender: stream accepted for transmission. task; arg0 = receiver
-     *  host, arg1 = ReduceOp id; kvs = the stream, already lifted
-     *  (replay cursor source — a replay must not lift again). Retired
-     *  by the task's kSendForget. */
+    /** Sender: stream accepted for transmission. arg0 = receiver node,
+     *  op; tuples = the stream, already lifted (replay cursor source —
+     *  a replay must not lift again). Retired by the task's
+     *  kSendForget. */
     kSendSubmit = 3,
     /** Sender: archived stream dropped (receiver finished the task).
      *  Retires the task's earlier submits and itself. */
@@ -90,32 +91,28 @@ enum class WalRecordKind : std::uint8_t
      *  channel's earlier checkpoints whose seq is <= its own. */
     kSeqCheckpoint = 5,
     /** Receiver: task accepted (start_rx_task). arg0 = expected
-     *  senders, arg1 = 1 if the swap policy is kDisabled; kvs carry
-     *  liveness_ns / start_time / op (the ReduceOp id). Receiver
-     *  records (this and the four below) are retired by the task's
-     *  kRxTaskDone. */
+     *  senders, arg1 = 1 if the swap policy is kDisabled, arg2 = start
+     *  time, op. Receiver records (this and the four below) are retired
+     *  by the task's kRxTaskDone. */
     kRxTaskStart = 6,
     /** Receiver: fresh DATA packet consumed (apply_rx). channel + seq
-     *  are observed into the channel's dedup window; kvs = the decoded
-     *  tuples it contributed. */
+     *  are observed into the channel's dedup window; tuples = the
+     *  decoded tuples it contributed. */
     kRxData = 7,
     /** Receiver: FIN consumed from `channel` (apply_rx). */
     kRxFin = 8,
     /** Receiver: shadow-copy swap committed (apply_rx). seq = new
-     *  epoch; kvs = the aggregates fetched and merged from the retired
-     *  copy. */
+     *  epoch; tuples = the aggregates fetched and merged from the
+     *  retired copy. */
     kRxSwapCommit = 9,
     /** Receiver: task state reset for a post-reboot replay (apply_rx).
-     *  kvs carry the drain deadline. The dedup windows and the swap
-     *  policy survive it. */
+     *  arg0 = the drain deadline. The dedup windows and the swap policy
+     *  survive it. */
     kRxReset = 10,
     /** Receiver: task finished (delivered or failed). arg0 = the
      *  TaskStatus delivered to the tenant. Retires the task's earlier
      *  receiver records and itself. */
     kRxTaskDone = 11,
-    /** Host completed a crash recovery (generation fencing marker).
-     *  Never retired: every later generation counts it. */
-    kHostRecovered = 12,
 };
 
 /**
@@ -129,19 +126,20 @@ std::uint64_t wal_payload_hash(std::string_view payload);
 /** Human-readable record-kind name (logs, WAL inspection). */
 const char* wal_record_kind_name(WalRecordKind kind);
 
-/** One WAL record. Fixed scalar fields cover the common cases; kvs is
- *  the variable-length payload (tuples, fetched aggregates, named
- *  scalars) — a (key, u64 value) list like everything else in ASK. */
+/** One WAL record: the same typed fields for every kind, which uses
+ *  the ones its WalRecordKind comment names. */
 struct WalRecord
 {
     WalRecordKind kind = WalRecordKind::kAlloc;
     TaskId task = 0;
     std::uint32_t channel = 0;
     Seq seq = 0;
-    std::uint32_t arg0 = 0;
-    std::uint32_t arg1 = 0;
-    std::uint32_t arg2 = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> kvs;
+    ReduceOp op = ReduceOp::kAdd;
+    std::uint64_t arg0 = 0;
+    std::uint64_t arg1 = 0;
+    std::uint64_t arg2 = 0;
+    /** The payload: a stream, decoded DATA tuples or fetched aggregates. */
+    KvStream tuples;
 
     bool operator==(const WalRecord&) const = default;
 };
@@ -185,11 +183,6 @@ class Wal
     /** Append one record: frame + payload into the byte image, payload
      *  hash onto the segment list, hash folded into the root digest. */
     void append(const WalRecord& record);
-
-    /** Append `record` with `tuples` journaled after its kvs, encoded
-     *  straight from the tuples: the same bytes as append() of the
-     *  record with one (key, value) kv per tuple. */
-    void append(const WalRecord& record, const KvStream& tuples);
 
     /** Live records: the ones recovery acts on. */
     std::size_t records() const { return live_records_; }
@@ -253,7 +246,6 @@ class Wal
         bool live = true;
     };
 
-    void append_encoded(const WalRecord& record, const KvStream* tuples);
     /** The liveness rule: retire what `record` (segment `index`) makes
      *  dead, then track `record` if a later record can retire it. */
     void retire_by(const WalRecord& record, std::size_t index);
@@ -280,7 +272,7 @@ class Wal
      *  checkpoints by channel (with their seq). */
     std::unordered_map<TaskId, std::vector<std::size_t>> rx_by_task_;
     std::unordered_map<TaskId, std::vector<std::size_t>> submits_by_task_;
-    std::unordered_map<std::uint32_t,
+    std::unordered_map<std::uint64_t,
                        std::vector<std::pair<std::size_t, TaskId>>>
         allocs_by_base_;
     std::unordered_map<std::uint32_t,
@@ -326,8 +318,6 @@ struct WalRxTaskState
     bool swaps_disabled = false;
     /** The task's reduction operator; folds below combine with it. */
     ReduceOp op = ReduceOp::kAdd;
-    /** Sender-liveness timeout; 0 = disabled. */
-    Nanoseconds liveness_timeout = 0;
     Nanoseconds start_time = 0;
     /** The last reset's drain deadline (0 = none): the task drops its
      *  traffic until then. */
@@ -344,8 +334,6 @@ struct WalRxTaskState
     std::uint64_t tuples_fetched_from_switch = 0;
     std::uint64_t packets_received = 0;
     std::uint32_t swaps = 0;
-    /** kRxReset records applied since the start. */
-    std::uint32_t resets = 0;
 
     bool operator==(const WalRxTaskState&) const = default;
 };
@@ -356,12 +344,11 @@ WalRxTaskState start_rx_task(const WalRecord& start, std::uint32_t window);
 
 /**
  * Advance a receive task's durable state by one kRxData, kRxFin,
- * kRxSwapCommit or kRxReset record. `tuples` are the tuples journaled
- * with a kRxData or kRxSwapCommit record. Combine-only: they were
- * lifted before they were journaled.
+ * kRxSwapCommit or kRxReset record. The tuples of a kRxData or
+ * kRxSwapCommit record are combined only: they were lifted before they
+ * were journaled.
  */
-void apply_rx(WalRxTaskState& state, const WalRecord& record,
-              const KvStream& tuples = {});
+void apply_rx(WalRxTaskState& state, const WalRecord& record);
 
 /** One archived submit (a replay cursor). */
 struct WalSendState
@@ -385,8 +372,6 @@ struct WalDaemonState
     std::map<TaskId, std::vector<WalSendState>> sends;
     /** Per-local-channel resume seq (max checkpoint). */
     std::map<std::uint32_t, Seq> resume_seq;
-    /** Completed recoveries recorded in the log. */
-    std::uint32_t recoveries = 0;
 
     bool operator==(const WalDaemonState&) const = default;
 };

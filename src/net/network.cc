@@ -97,18 +97,6 @@ Network::send(NodeId from, NodeId to, Packet pkt)
     }
 }
 
-sim::SimTime
-Network::tx_free_at(NodeId from, NodeId to) const
-{
-    return edge(from, to).link->busy_until();
-}
-
-FaultModel&
-Network::fault_model(NodeId from, NodeId to)
-{
-    return *edge(from, to).faults;
-}
-
 void
 Network::set_cable_override(NodeId a, NodeId b, const FaultSpec& spec)
 {

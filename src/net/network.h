@@ -83,13 +83,6 @@ class Network
      */
     void send(NodeId from, NodeId to, Packet pkt);
 
-    /** Earliest time the (from -> to) wire is free; for sender pacing. */
-    sim::SimTime tx_free_at(NodeId from, NodeId to) const;
-
-    /** The fault model of the directed (from -> to) wire. Chaos
-     *  episodes use this to install/clear FaultSpec overrides. */
-    FaultModel& fault_model(NodeId from, NodeId to);
-
     /** Override both directions of the (a <-> b) cable (blackout or
      *  burst-loss window); `clear_cable_override` restores both. */
     void set_cable_override(NodeId a, NodeId b, const FaultSpec& spec);

@@ -8,10 +8,7 @@
  * seq 4182?" becomes one chain() call.
  *
  * Cost model: recording is a branch plus a ring-slot write; when the
- * tracer is disabled (the default) it is a single predictable branch,
- * and when the build compiles tracing out (`ASK_ENABLE_TRACE=OFF` /
- * `ASK_TRACE_ENABLED == 0`) the ASK_TRACE() macro vanishes entirely, so
- * instrumented hot paths carry no code at all.
+ * tracer is disabled (the default) it is a single predictable branch.
  */
 #ifndef ASK_OBS_TRACE_H
 #define ASK_OBS_TRACE_H
@@ -22,12 +19,6 @@
 #include <vector>
 
 #include "obs/json.h"
-
-// Builds define ASK_TRACE_ENABLED=1 (CMake option ASK_ENABLE_TRACE,
-// default ON). Without it the macro below compiles to nothing.
-#ifndef ASK_TRACE_ENABLED
-#define ASK_TRACE_ENABLED 0
-#endif
 
 namespace ask::obs {
 
@@ -135,20 +126,11 @@ class PacketTracer
 
 }  // namespace ask::obs
 
-/**
- * Record a span through a `PacketTracer*` that may be null. Compiled
- * out entirely when ASK_TRACE_ENABLED is 0.
- */
-#if ASK_TRACE_ENABLED
+/** Record a span through a `PacketTracer*` that may be null. */
 #define ASK_TRACE(tracer, ...)                   \
     do {                                         \
         if ((tracer) != nullptr)                 \
             (tracer)->record(__VA_ARGS__);       \
     } while (0)
-#else
-#define ASK_TRACE(tracer, ...) \
-    do {                       \
-    } while (0)
-#endif
 
 #endif  // ASK_OBS_TRACE_H

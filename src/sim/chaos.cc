@@ -133,31 +133,13 @@ FaultScheduler::set_handler(ChaosKind kind, Handler on_start, Handler on_end)
     handlers_[kind] = Handlers{std::move(on_start), std::move(on_end)};
 }
 
-std::uint64_t
-FaultScheduler::events_fired(ChaosKind kind) const
-{
-    auto it = fired_by_kind_.find(kind);
-    return it == fired_by_kind_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-FaultScheduler::unhandled_events(ChaosKind kind) const
-{
-    auto it = unhandled_by_kind_.find(kind);
-    return it == unhandled_by_kind_.end() ? 0 : it->second;
-}
-
 void
 FaultScheduler::arm(const ChaosPlan& plan)
 {
     for (const ChaosEvent& e : plan.events) {
         simulator_.schedule_at(e.at, [this, e] {
-            ++events_fired_;
-            ++fired_by_kind_[e.kind];
             auto it = handlers_.find(e.kind);
             if (it == handlers_.end()) {
-                ++unhandled_events_;
-                ++unhandled_by_kind_[e.kind];
                 warn("chaos: ", chaos_kind_name(e.kind), " episode at ",
                      e.at, " fired with no handler registered");
                 if (unhandled_hook_)

@@ -140,9 +140,9 @@ class FaultScheduler
 
     /**
      * Register the start (and optional end) handler for one kind.
-     * Events of a kind with no handler are counted but otherwise
-     * ignored, so a plan can be armed against a deployment that only
-     * models some failure domains.
+     * Events of a kind with no handler are warned about, passed to the
+     * unhandled hook and otherwise ignored, so a plan can be armed
+     * against a deployment that only models some failure domains.
      */
     void set_handler(ChaosKind kind, Handler on_start,
                      Handler on_end = nullptr);
@@ -150,23 +150,10 @@ class FaultScheduler
     /** Schedule every event of `plan`. May be called more than once. */
     void arm(const ChaosPlan& plan);
 
-    /** Episodes whose start fired so far. */
-    std::uint64_t events_fired() const { return events_fired_; }
-
-    /** Episodes of `kind` whose start fired so far. */
-    std::uint64_t events_fired(ChaosKind kind) const;
-
-    /** Episodes that fired with no handler registered for their kind.
-     *  A nonzero count means the deployment armed a plan it only
-     *  partially models — fine for a bare network sim, a wiring bug in
-     *  a full cluster. */
-    std::uint64_t unhandled_events() const { return unhandled_events_; }
-
-    /** Unhandled episodes of one kind. */
-    std::uint64_t unhandled_events(ChaosKind kind) const;
-
-    /** Invoked (if set) whenever an episode fires unhandled, so the
-     *  deployment can surface the gap in its own stats. */
+    /** Invoked (if set) whenever an episode fires with no handler
+     *  registered for its kind, so the deployment can count the gap in
+     *  its own stats: fine for a bare network sim, a wiring bug in a
+     *  full cluster. */
     void
     set_unhandled_hook(Handler hook)
     {
@@ -183,10 +170,6 @@ class FaultScheduler
     Simulator& simulator_;
     std::map<ChaosKind, Handlers> handlers_;
     Handler unhandled_hook_;
-    std::uint64_t events_fired_ = 0;
-    std::uint64_t unhandled_events_ = 0;
-    std::map<ChaosKind, std::uint64_t> fired_by_kind_;
-    std::map<ChaosKind, std::uint64_t> unhandled_by_kind_;
 };
 
 }  // namespace ask::sim

@@ -219,7 +219,6 @@ first_difference(const core::WalRxTaskState& a,
         {"expected_senders", a.expected_senders == b.expected_senders},
         {"swaps_disabled", a.swaps_disabled == b.swaps_disabled},
         {"op", a.op == b.op},
-        {"liveness_timeout", a.liveness_timeout == b.liveness_timeout},
         {"start_time", a.start_time == b.start_time},
         {"drain_until", a.drain_until == b.drain_until},
         {"window", a.window == b.window},
@@ -233,7 +232,6 @@ first_difference(const core::WalRxTaskState& a,
          a.tuples_fetched_from_switch == b.tuples_fetched_from_switch},
         {"packets_received", a.packets_received == b.packets_received},
         {"swaps", a.swaps == b.swaps},
-        {"resets", a.resets == b.resets},
     };
     for (const auto& [name, same] : members)
         if (!same)

@@ -253,8 +253,6 @@ TEST(Trace, RingOverwritesOldestAndFiltersTasks)
     EXPECT_EQ(spans.back().seq, 11u);
 }
 
-#if ASK_TRACE_ENABLED
-
 ClusterConfig
 trace_config()
 {
@@ -339,15 +337,6 @@ TEST(Trace, ChainReconstructionThroughLossAndReboot)
     }
     EXPECT_GT(chains_checked, 10u);
 }
-
-#else  // !ASK_TRACE_ENABLED
-
-TEST(Trace, ChainReconstructionThroughLossAndReboot)
-{
-    GTEST_SKIP() << "tracing compiled out (ASK_ENABLE_TRACE=OFF)";
-}
-
-#endif
 
 }  // namespace
 }  // namespace ask::core

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -28,15 +29,14 @@ namespace {
 constexpr std::uint32_t kW = 16;
 
 WalRecord
-data_record(TaskId task, std::uint32_t channel, Seq seq,
-            std::vector<std::pair<std::string, std::uint64_t>> kvs)
+data_record(TaskId task, std::uint32_t channel, Seq seq, KvStream tuples)
 {
     WalRecord r;
     r.kind = WalRecordKind::kRxData;
     r.task = task;
     r.channel = channel;
     r.seq = seq;
-    r.kvs = std::move(kvs);
+    r.tuples = std::move(tuples);
     return r;
 }
 
@@ -48,7 +48,7 @@ start_record(TaskId task, std::uint32_t senders, bool swaps_disabled)
     r.task = task;
     r.arg0 = senders;
     r.arg1 = swaps_disabled ? 1 : 0;
-    r.kvs = {{"liveness_ns", 0}, {"start_time", 100}};
+    r.arg2 = 100;  // start time
     return r;
 }
 
@@ -194,7 +194,8 @@ TEST(Wal, EveryFlippedPayloadByteIsCaught)
     submit.kind = WalRecordKind::kSendSubmit;
     submit.task = 9;
     submit.arg0 = 1;
-    wal.append(submit, KvStream{{"k", 3}, {"a-longer-key-than-a-word", 7}});
+    submit.tuples = {{"k", 3}, {"a-longer-key-than-a-word", 7}};
+    wal.append(submit);
     frame_ends.push_back(wal.size_bytes());
     WalRecord checkpoint;
     checkpoint.kind = WalRecordKind::kSeqCheckpoint;
@@ -344,10 +345,10 @@ TEST(WalRebuild, SubmitsStaySeparateAndForgetRemovesThem)
     WalRecord s1;
     s1.kind = WalRecordKind::kSendSubmit;
     s1.task = 5;
-    s1.arg0 = 2;  // receiver host
-    s1.kvs = {{"x", 1}, {"y", 2}};
+    s1.arg0 = 2;  // receiver node
+    s1.tuples = {{"x", 1}, {"y", 2}};
     WalRecord s2 = s1;
-    s2.kvs = {{"z", 3}};
+    s2.tuples = {{"z", 3}};
 
     // One archived send per submit, in log order, as the live archive
     // keeps them.
@@ -376,7 +377,7 @@ TEST(WalRebuild, ResetWipesProgressButKeepsObservedSeqs)
     WalRecord reset;
     reset.kind = WalRecordKind::kRxReset;
     reset.task = 1;
-    reset.kvs = {{"drain_until", 5000}};
+    reset.arg0 = 5000;  // drain deadline
     log.push_back(reset);
     log.push_back(data_record(1, 0, 2, {{"b", 7}}));
 
@@ -391,25 +392,6 @@ TEST(WalRebuild, ResetWipesProgressButKeepsObservedSeqs)
         EXPECT_EQ(t.windows.at(0).classify(seq), SeenOutcome::kDuplicate)
             << "seq " << seq;
     EXPECT_EQ(t.drain_until, 5000);
-    // One reset, no recoveries: recovery hands out generation 2 + 1.
-    EXPECT_EQ(t.resets, 1u);
-    EXPECT_EQ(state.recoveries, 0u);
-}
-
-TEST(WalRebuild, GenerationOvershootsEveryPreCrashHandout)
-{
-    std::vector<WalRecord> log;
-    WalRecord recovered;
-    recovered.kind = WalRecordKind::kHostRecovered;
-    log.push_back(recovered);
-    log.push_back(recovered);  // host crashed twice before
-    log.push_back(start_record(9, 1, true));
-
-    WalDaemonState state = rebuild_daemon_state(log, kW);
-    // Recovery hands out generation 2 + 0 resets + 2 recoveries.
-    EXPECT_EQ(state.rx_tasks.at(9).resets, 0u);
-    EXPECT_EQ(state.recoveries, 2u);
-    EXPECT_TRUE(state.rx_tasks.at(9).swaps_disabled);
 }
 
 TEST(WalRebuild, ResumeSeqIsTheMaxCheckpoint)
@@ -432,12 +414,12 @@ TEST(WalRebuild, ResumeSeqIsTheMaxCheckpoint)
 
 TEST(WalRebuild, FoldHonorsTheAggregationOp)
 {
-    // The start record's "op" kv pins the task's operator.
+    // The start record's op pins the task's operator.
     for (auto [op, want] : {std::pair{ReduceOp::kAdd, 12u},
                             std::pair{ReduceOp::kMax, 9u},
                             std::pair{ReduceOp::kMin, 3u}}) {
         WalRecord start = start_record(1, 1, false);
-        start.kvs.emplace_back("op", static_cast<std::uint64_t>(op));
+        start.op = op;
         WalDaemonState state = rebuild_daemon_state(
             {start, data_record(1, 0, 0, {{"a", 9}}),
              data_record(1, 0, 1, {{"a", 3}})},
@@ -448,10 +430,10 @@ TEST(WalRebuild, FoldHonorsTheAggregationOp)
     }
 }
 
-TEST(WalRebuild, PerTaskOpKvOverridesTheDefault)
+TEST(WalRebuild, StartRecordOpOverridesTheDefault)
 {
-    // Without an "op" kv a task folds with kAdd; a journaled one
-    // overrides that, and an explicit 0 is kAdd.
+    // A record's op defaults to kAdd; the start record's op overrides
+    // it, and the data records' own (default) op does not matter.
     std::vector<WalRecord> log = {start_record(1, 1, false),
                                   data_record(1, 0, 0, {{"a", 9}}),
                                   data_record(1, 0, 1, {{"a", 3}})};
@@ -459,33 +441,27 @@ TEST(WalRebuild, PerTaskOpKvOverridesTheDefault)
     EXPECT_EQ(state.rx_tasks.at(1).op, ReduceOp::kAdd);
     EXPECT_EQ(state.rx_tasks.at(1).local.at("a"), 12u);
 
-    log[0].kvs.emplace_back("op", static_cast<std::uint64_t>(ReduceOp::kMax));
+    log[0].op = ReduceOp::kMax;
     state = rebuild_daemon_state(log, kW);
     EXPECT_EQ(state.rx_tasks.at(1).op, ReduceOp::kMax);
     EXPECT_EQ(state.rx_tasks.at(1).local.at("a"), 9u);
-
-    log[0].kvs.back().second = 0;
-    state = rebuild_daemon_state(log, kW);
-    EXPECT_EQ(state.rx_tasks.at(1).op, ReduceOp::kAdd);
-    EXPECT_EQ(state.rx_tasks.at(1).local.at("a"), 12u);
-    static_assert(static_cast<std::uint64_t>(ReduceOp::kAdd) == 0);
 }
 
 TEST(WalRebuild, SendSubmitRestoresItsOp)
 {
-    // The archived stream is journalled already lifted; arg1 carries the
-    // op so replay_task re-submits without a second lift, under the
+    // The archived stream is journalled already lifted; the record's op
+    // lets replay_task re-submit without a second lift, under the
     // operator the application chose.
     WalRecord s;
     s.kind = WalRecordKind::kSendSubmit;
     s.task = 5;
-    s.arg0 = 2;  // receiver host
-    s.arg1 = static_cast<std::uint32_t>(ReduceOp::kCount);
-    s.kvs = {{"x", 1}};
+    s.arg0 = 2;  // receiver node
+    s.op = ReduceOp::kCount;
+    s.tuples = {{"x", 1}};
     WalDaemonState state = rebuild_daemon_state({s}, kW);
     EXPECT_EQ(state.sends.at(5).front().op, ReduceOp::kCount);
 
-    s.arg1 = 0;
+    s.op = ReduceOp::kAdd;
     state = rebuild_daemon_state({s}, kW);
     EXPECT_EQ(state.sends.at(5).front().op, ReduceOp::kAdd);
 }
@@ -514,7 +490,7 @@ TEST(WalRebuild, SwapCommitMergesFetchedAggregates)
     swap.kind = WalRecordKind::kRxSwapCommit;
     swap.task = 1;
     swap.seq = 2;  // new epoch
-    swap.kvs = {{"a", 10}, {"c", 4}};
+    swap.tuples = {{"a", 10}, {"c", 4}};
     log.push_back(swap);
 
     WalDaemonState state = rebuild_daemon_state(log, kW);
@@ -524,51 +500,6 @@ TEST(WalRebuild, SwapCommitMergesFetchedAggregates)
     EXPECT_EQ(t.committed_epoch, 2u);
     EXPECT_EQ(t.swaps, 1u);
     EXPECT_EQ(t.tuples_fetched_from_switch, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Journaling straight from tuples.
-// ---------------------------------------------------------------------------
-
-/** `record` with one (key, value) kv per tuple appended to its kvs. */
-WalRecord
-with_tuples(WalRecord record, const KvStream& tuples)
-{
-    for (const KvTuple& t : tuples)
-        record.kvs.emplace_back(t.key, static_cast<std::uint64_t>(t.value));
-    return record;
-}
-
-TEST(Wal, AppendFromTuplesMatchesAppendOfKvs)
-{
-    WalRecord submit;
-    submit.kind = WalRecordKind::kSendSubmit;
-    submit.task = 3;
-    submit.arg0 = 1;
-    submit.arg1 = static_cast<std::uint32_t>(ReduceOp::kMax);
-    WalRecord reset;  // named scalars ahead of the tuples
-    reset.kind = WalRecordKind::kRxReset;
-    reset.task = 3;
-    reset.kvs = {{"drain_until", 77}};
-
-    const std::vector<KvStream> streams = {
-        {},
-        {{"k", 0xFFFFFFFFu}},
-        {{std::string(300, 'L'), 5}, {"", 1}, {std::string(17, 'm'), 9}},
-    };
-    for (const WalRecord& base : {submit, reset}) {
-        for (const KvStream& tuples : streams) {
-            Wal direct("direct");
-            Wal copied("copied");
-            direct.append(base, tuples);
-            copied.append(with_tuples(base, tuples));
-            EXPECT_EQ(direct.size_bytes(), copied.size_bytes());
-            EXPECT_EQ(direct.segment_hashes(), copied.segment_hashes());
-            EXPECT_EQ(direct.digest(), copied.digest());
-            EXPECT_EQ(direct.replay(), copied.replay());
-            EXPECT_TRUE(direct.verify());
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -591,6 +522,90 @@ boundary_tuples()
     return tuples;
 }
 
+/** Unsigned integers on both sides of the LEB128 byte boundaries, up to
+ *  the largest u64. */
+const std::vector<std::uint64_t> kBoundaries = {
+    0,       1,       127,    128,
+    16383,   16384,   2097151, 2097152,
+    kMax32,  std::uint64_t{kMax32} + 1, kMax64 >> 1, kMax64};
+
+TEST(Wal, EveryKindRoundTripsWithBoundaryArgsAndEveryOp)
+{
+    // Each record goes into its own log behind a large live submit of
+    // another task, so records that retire themselves (a done, a
+    // forget) stay in the image for the replay to return.
+    WalRecord anchor;
+    anchor.kind = WalRecordKind::kSendSubmit;
+    anchor.task = 1000;
+    anchor.tuples = {{std::string(4096, 'a'), 1}};
+    constexpr auto kLastKind =
+        static_cast<std::uint8_t>(WalRecordKind::kRxTaskDone);
+    std::size_t n = 0;
+    for (std::uint8_t kind = 1; kind <= kLastKind; ++kind) {
+        for (std::uint8_t op = 0; op < kNumReduceOps; ++op) {
+            for (std::size_t i = 0; i < kBoundaries.size(); ++i) {
+                WalRecord r;
+                r.kind = static_cast<WalRecordKind>(kind);
+                r.task = static_cast<TaskId>(kBoundaries[i] & kMax32);
+                r.channel = 3;
+                r.seq = kMax32;
+                r.op = static_cast<ReduceOp>(op);
+                r.arg0 = kBoundaries[i];
+                r.arg1 = kBoundaries[(i + 1) % kBoundaries.size()];
+                r.arg2 = kBoundaries[(i + 2) % kBoundaries.size()];
+                if (i % 2 == 0)
+                    r.tuples = {{"k", kMax32}, {"", 0}};
+                Wal wal("kinds");
+                wal.append(anchor);
+                wal.append(r);
+                EXPECT_EQ(wal.replay(), (std::vector<WalRecord>{anchor, r}))
+                    << wal_record_kind_name(r.kind) << " op " << int(op)
+                    << " arg0 " << r.arg0;
+                EXPECT_TRUE(wal.verify());
+                ++n;
+            }
+        }
+    }
+    EXPECT_EQ(n, kLastKind * kNumReduceOps * kBoundaries.size());
+}
+
+/** A log that does not re-verify itself at each append even under
+ *  ASK_WAL_PARANOID=1, which would panic at the append of a record that
+ *  does not decode before any replay could report it. */
+Wal
+unchecked_wal(const std::string& name)
+{
+    const char* env = std::getenv("ASK_WAL_PARANOID");
+    std::optional<std::string> saved;
+    if (env != nullptr)
+        saved = env;
+    ::unsetenv("ASK_WAL_PARANOID");
+    Wal wal(name);
+    if (saved)
+        ::setenv("ASK_WAL_PARANOID", saved->c_str(), 1);
+    return wal;
+}
+
+TEST(Wal, UnknownOpReplaysAsCorrupt)
+{
+    // The encoder writes any op id; the decoder bounds it to a known
+    // ReduceOp, so a record with an unknown one is a malformed payload.
+    Wal wal = unchecked_wal("bad-op");
+    wal.append(start_record(1, 1, false));
+    WalRecord bad = start_record(2, 1, false);
+    bad.op = static_cast<ReduceOp>(kNumReduceOps);
+    wal.append(bad);
+
+    WalReplayStatus st;
+    std::vector<WalRecord> replayed = wal.replay(&st);
+    EXPECT_TRUE(st.corrupt);
+    EXPECT_FALSE(st.torn_tail);
+    ASSERT_EQ(replayed.size(), 1u);  // the record before it
+    EXPECT_EQ(replayed[0], start_record(1, 1, false));
+    EXPECT_THROW(wal.replay(), StateError);
+    EXPECT_FALSE(wal.verify());
+}
+
 TEST(Wal, IntegersOnVarintBoundariesRoundTrip)
 {
     KvStream tuples = boundary_tuples();
@@ -598,29 +613,27 @@ TEST(Wal, IntegersOnVarintBoundariesRoundTrip)
     WalRecord reset;
     reset.kind = WalRecordKind::kRxReset;
     reset.task = kMax32;
-    reset.kvs = {{"drain_until", kMax64}};
-    WalRecord data = data_record(kMax32, 127, 128, {});
+    reset.arg0 = kMax64;
+    WalRecord data = data_record(kMax32, 127, 128, tuples);
     WalRecord submit;
     submit.kind = WalRecordKind::kSendSubmit;
     submit.task = 16384;
     submit.arg0 = 16383;
+    submit.tuples = tuples;
     WalRecord checkpoint;  // every scalar at its maximum
     checkpoint.kind = WalRecordKind::kSeqCheckpoint;
     checkpoint.task = kMax32;
     checkpoint.channel = kMax32;
     checkpoint.seq = kMax32;
-    checkpoint.arg0 = kMax32;
-    checkpoint.arg1 = kMax32;
-    checkpoint.arg2 = kMax32;
+    checkpoint.op = static_cast<ReduceOp>(kNumReduceOps - 1);
+    checkpoint.arg0 = kMax64;
+    checkpoint.arg1 = kMax64;
+    checkpoint.arg2 = kMax64;
+    std::vector<WalRecord> want = {start, reset, data, submit, checkpoint};
 
     Wal wal("boundaries");
-    wal.append(start);
-    wal.append(reset);
-    wal.append(data, tuples);
-    wal.append(submit, tuples);
-    wal.append(checkpoint);
-    std::vector<WalRecord> want = {start, reset, with_tuples(data, tuples),
-                                   with_tuples(submit, tuples), checkpoint};
+    for (const WalRecord& r : want)
+        wal.append(r);
 
     WalReplayStatus st;
     std::vector<WalRecord> replayed = wal.replay(&st);
@@ -633,6 +646,7 @@ TEST(Wal, IntegersOnVarintBoundariesRoundTrip)
     EXPECT_EQ(state, rebuild_daemon_state(want, kW));
     const WalRxTaskState& t = state.rx_tasks.at(kMax32);
     EXPECT_EQ(t.packets_received, 1u);
+    EXPECT_EQ(t.drain_until, static_cast<Nanoseconds>(kMax64));
     for (const KvTuple& tuple : tuples)
         EXPECT_EQ(t.local.at(tuple.key), tuple.value) << tuple.key.size();
     EXPECT_EQ(t.windows.at(127).classify(128), SeenOutcome::kDuplicate);
@@ -645,28 +659,28 @@ TEST(Wal, IntegersOnVarintBoundariesRoundTrip)
 TEST(Wal, FrameBytesFollowTheVarintWidths)
 {
     // 8 header bytes, the kind byte, one LEB128 byte per integer below
-    // 2^7, two below 2^14, three below 2^21 and five for 2^32 - 1.
-    auto frame_bytes = [](const WalRecord& r, const KvStream& tuples) {
+    // 2^7, two below 2^14, three below 2^21, five for 2^32 - 1 and ten
+    // for 2^64 - 1.
+    auto frame_bytes = [](const WalRecord& r) {
         Wal wal("sized");
-        wal.append(r, tuples);
+        wal.append(r);
         return wal.size_bytes();
     };
     WalRecord zeros;
     zeros.kind = WalRecordKind::kSendSubmit;
-    EXPECT_EQ(frame_bytes(zeros, {}), 8u + 1 + 6 + 1);
+    EXPECT_EQ(frame_bytes(zeros), 8u + 1 + 7 + 1);
     WalRecord maxed = zeros;
     maxed.task = maxed.channel = maxed.seq = kMax32;
-    maxed.arg0 = maxed.arg1 = maxed.arg2 = kMax32;
-    EXPECT_EQ(frame_bytes(maxed, {}), 8u + 1 + 6 * 5 + 1);
+    maxed.op = ReduceOp::kFloat;
+    maxed.arg0 = maxed.arg1 = maxed.arg2 = kMax64;
+    EXPECT_EQ(frame_bytes(maxed), 8u + 1 + 3 * 5 + 1 + 3 * 10 + 1);
     for (std::size_t len : {127, 128, 16383, 16384}) {
         std::size_t width = len < 128 ? 1 : (len < 16384 ? 2 : 3);
-        KvStream one = {{std::string(len, 'k'), static_cast<Value>(len)}};
-        EXPECT_EQ(frame_bytes(zeros, one), 8u + 1 + 6 + 1 + 2 * width + len)
+        WalRecord one = zeros;
+        one.tuples = {{std::string(len, 'k'), static_cast<Value>(len)}};
+        EXPECT_EQ(frame_bytes(one), 8u + 1 + 7 + 1 + 2 * width + len)
             << "key length " << len;
     }
-    WalRecord named = zeros;
-    named.kvs = {{"x", kMax64}};
-    EXPECT_EQ(frame_bytes(named, {}), 8u + 1 + 6 + 1 + 1 + 1 + 10);
 }
 
 TEST(Wal, SubmitCostsItsKeysPlusTwoBytesPerTuple)
@@ -678,8 +692,9 @@ TEST(Wal, SubmitCostsItsKeysPlusTwoBytesPerTuple)
     submit.kind = WalRecordKind::kSendSubmit;
     submit.task = 1;
     submit.arg0 = 1;
+    submit.tuples = stream;
     Wal wal("compact");
-    wal.append(submit, stream);
+    wal.append(submit);
     EXPECT_LE(wal.size_bytes(), 3 * stream.size() + 32);
     WalDaemonState state = rebuild_daemon_state(wal.replay(), kW);
     EXPECT_EQ(state.sends.at(1).front().stream, stream);
@@ -734,11 +749,10 @@ reference_live(const std::vector<WalRecord>& all)
 TEST(WalCompaction, SeededDifferentialAgainstTheFullLog)
 {
     // Random daemon logs — receiver lifecycles, submits and forgets,
-    // checkpoints that may go backwards, recovery markers, and task ids
-    // reused after they finish — appended half through append(record)
-    // and half straight from tuples. After every append the compacted
-    // log must fold to the state of the full record list, verify, and
-    // hold less than twice the bytes of the records still live.
+    // checkpoints that may go backwards, and task ids reused after they
+    // finish. After every append the compacted log must fold to the
+    // state of the full record list, verify, and hold less than twice
+    // the bytes of the records still live.
     std::size_t compactions = 0;
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         Rng rng = seeded_rng("wal_compaction_differential", seed);
@@ -759,7 +773,6 @@ TEST(WalCompaction, SeededDifferentialAgainstTheFullLog)
             WalRecord r;
             r.task = static_cast<TaskId>(1 + rng.next_below(3));
             r.channel = static_cast<std::uint32_t>(rng.next_below(3));
-            KvStream tuples;
             std::uint64_t pick = rng.next_below(100);
             if (pick < 10) {
                 r = start_record(r.task, 1 + rng.next_below(2),
@@ -767,37 +780,31 @@ TEST(WalCompaction, SeededDifferentialAgainstTheFullLog)
             } else if (pick < 45) {
                 r.kind = WalRecordKind::kRxData;
                 r.seq = static_cast<Seq>(step);
-                tuples = random_tuples();
+                r.tuples = random_tuples();
             } else if (pick < 52) {
                 r.kind = WalRecordKind::kRxFin;
             } else if (pick < 57) {
                 r.kind = WalRecordKind::kRxSwapCommit;
                 r.seq = static_cast<Seq>(1 + rng.next_below(4));
-                tuples = random_tuples();
+                r.tuples = random_tuples();
             } else if (pick < 60) {
                 r.kind = WalRecordKind::kRxReset;
-                r.kvs = {{"drain_until", static_cast<std::uint64_t>(step)}};
+                r.arg0 = static_cast<std::uint64_t>(step);
             } else if (pick < 68) {
                 r.kind = WalRecordKind::kRxTaskDone;
             } else if (pick < 76) {
                 r.kind = WalRecordKind::kSendSubmit;
-                r.arg0 = static_cast<std::uint32_t>(rng.next_below(4));
-                tuples = random_tuples();
+                r.arg0 = rng.next_below(4);
+                r.tuples = random_tuples();
             } else if (pick < 81) {
                 r.kind = WalRecordKind::kSendForget;
-            } else if (pick < 98) {
+            } else {
                 r.kind = WalRecordKind::kSeqCheckpoint;
                 r.seq = static_cast<Seq>(64 * rng.next_below(8));
-            } else {
-                r = WalRecord{};
-                r.kind = WalRecordKind::kHostRecovered;
             }
 
-            if (rng.next_below(2) == 0)
-                wal.append(r, tuples);
-            else
-                wal.append(with_tuples(r, tuples));
-            all.push_back(with_tuples(r, tuples));
+            wal.append(r);
+            all.push_back(r);
             Wal alone("alone");
             alone.append(all.back());
             frame_bytes.push_back(alone.size_bytes());

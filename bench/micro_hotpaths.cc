@@ -32,6 +32,7 @@
 #include "pisa/pisa_switch.h"
 #include "sim/simulator.h"
 #include "workload/generators.h"
+#include "workload/text_corpus.h"
 
 namespace {
 
@@ -389,6 +390,35 @@ BM_ZipfSample(benchmark::State& state)
 }
 
 BENCHMARK(BM_ZipfSample);
+
+/** A yelp-profile corpus built each iteration: 400,000 spellings, made
+ *  unique in rank order, and the sampler over their frequencies. */
+void
+BM_TextCorpusBuild(benchmark::State& state)
+{
+    for (auto _ : state) {
+        workload::TextCorpus corpus(workload::yelp_profile(), 5);
+        benchmark::DoNotOptimize(corpus.word(0));
+    }
+}
+BENCHMARK(BM_TextCorpusBuild)->Unit(benchmark::kMillisecond);
+
+/** A fabric of 8 racks of 2 hosts under a tier switch (nine switches
+ *  of 32 AAs), built and destroyed each iteration: every iteration but
+ *  the first builds a later cluster of the process. */
+void
+BM_ClusterBuild(benchmark::State& state)
+{
+    core::ClusterConfig cc;
+    cc.topology = core::TopologyBuilder().racks(8, 2).build();
+    cc.ask.max_hosts = cc.topology->num_hosts();
+    cc.ask.medium_groups = 0;
+    for (auto _ : state) {
+        core::AskCluster cluster(cc);
+        benchmark::DoNotOptimize(&cluster);
+    }
+}
+BENCHMARK(BM_ClusterBuild)->Unit(benchmark::kMillisecond);
 
 void
 BM_LogHistogramObserve(benchmark::State& state)

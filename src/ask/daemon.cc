@@ -709,10 +709,13 @@ AskDaemon::submit_send(TaskId task, net::NodeId receiver, KvStream stream,
     // Lift every observation into the reduction monoid exactly once,
     // here at the source. For kCount the value becomes 1; every site
     // downstream — switch merge, receiver fold, WAL replay — then
-    // combines already-lifted partials and must never lift again.
+    // combines already-lifted partials and must never lift again. Every
+    // other op lifts by the identity, so only kCount walks the stream.
     ReduceOp rop = op.value_or(config_.op);
-    for (auto& t : stream)
-        t.value = reduce_lift(rop, t.value);
+    if (rop == ReduceOp::kCount) {
+        for (auto& t : stream)
+            t.value = reduce_lift(rop, t.value);
+    }
     // Archive the stream for replay: a switch reboot wipes the partial
     // aggregate, and exactness then requires re-sending from the source.
     // The archive and the channel's builder share this one copy.

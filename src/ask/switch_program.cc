@@ -387,40 +387,41 @@ AskSwitchProgram::read_region(TaskId task, std::uint32_t copy, bool clear)
     ASK_ASSERT(copy == 0 || (config_.shadow_copies && copy == 1),
                "invalid shadow copy index");
 
-    std::uint32_t off = copy * config_.copy_size();
+    std::size_t first = copy * config_.copy_size() + r->base;
     KvStream out;
 
-    // Short-key AAs: one aggregator holds one whole tuple.
+    // Short-key AAs: one aggregator holds one whole tuple. The scans
+    // visit only nonzero registers; a zero kPart is no key.
     for (std::uint32_t i = 0; i < config_.short_aas(); ++i) {
-        for (std::uint32_t idx = r->base; idx < r->base + r->len; ++idx) {
-            std::uint64_t word = aas_[i]->cp_read(off + idx);
+        aas_[i]->cp_scan(first, r->len, [&](std::size_t, std::uint64_t word) {
             std::uint32_t k = kpart(config_.part_bits, word);
             if (k != 0) {
                 out.push_back(KvTuple{
                     KeySpace::unpad(key_space_.decode_segment(k)),
                     vpart(config_.part_bits, word)});
             }
-        }
+        });
     }
 
-    // Medium-key groups: m adjacent AAs share one key at a unified index.
+    // Medium-key groups: m adjacent AAs share one key at a unified index,
+    // held wherever the group's first AA holds a key segment.
     for (std::uint32_t g = 0; g < config_.medium_groups; ++g) {
         std::uint32_t mb = config_.medium_base(g);
-        for (std::uint32_t idx = r->base; idx < r->base + r->len; ++idx) {
-            std::uint64_t first = aas_[mb]->cp_read(off + idx);
-            if (kpart(config_.part_bits, first) != 0) {
-                std::string padded;
-                Value value = 0;
-                for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
-                    std::uint64_t word = aas_[mb + j]->cp_read(off + idx);
-                    padded += key_space_.decode_segment(
-                        kpart(config_.part_bits, word));
-                    if (j + 1 == config_.medium_segments)
-                        value = vpart(config_.part_bits, word);
-                }
-                out.push_back(KvTuple{KeySpace::unpad(padded), value});
+        aas_[mb]->cp_scan(first, r->len, [&](std::size_t idx,
+                                             std::uint64_t lead) {
+            if (kpart(config_.part_bits, lead) == 0)
+                return;
+            std::string padded;
+            Value value = 0;
+            for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
+                std::uint64_t word = j == 0 ? lead : aas_[mb + j]->cp_read(idx);
+                padded += key_space_.decode_segment(
+                    kpart(config_.part_bits, word));
+                if (j + 1 == config_.medium_segments)
+                    value = vpart(config_.part_bits, word);
             }
-        }
+            out.push_back(KvTuple{KeySpace::unpad(padded), value});
+        });
     }
     if (clear)
         clear_copy(*r, copy);

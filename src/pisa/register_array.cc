@@ -1,10 +1,9 @@
 #include "pisa/register_array.h"
 
-#include <algorithm>
-#include <cstdlib>
+#include <sys/mman.h>
+
 #include <new>
 
-#include "common/logging.h"
 #include "pisa/pipeline.h"
 #include "pisa/stage.h"
 
@@ -22,19 +21,22 @@ RegisterArray::RegisterArray(std::string name, std::size_t num_entries,
     if (num_entries == 0)
         fail_config("empty register array: ", name_);
     max_value_ = width_bits == 64 ? ~0ULL : ((1ULL << width_bits) - 1);
-    // A task uses only its own region of a switch's SRAM. calloc does not
-    // write memory fresh from the kernel (glibc's own mapping for a large
-    // array, or new heap), so such a page costs host memory on first
-    // write.
-    values_ = static_cast<std::uint64_t*>(
-        std::calloc(size_, sizeof(std::uint64_t)));
-    if (values_ == nullptr)
+    // A task uses only its own region of a switch's SRAM. A fresh
+    // anonymous mapping is untouched zero pages, so a page costs host
+    // memory on first write, in every cluster a process builds. calloc
+    // gave that only until the first large block was freed: glibc then
+    // raises its mmap threshold, serves later arrays from the heap and
+    // zeroes reused chunks by hand.
+    void* p = mmap(nullptr, size_ * sizeof(std::uint64_t),
+                   PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
         throw std::bad_alloc();
+    values_ = static_cast<std::uint64_t*>(p);
 }
 
 RegisterArray::~RegisterArray()
 {
-    std::free(values_);
+    munmap(values_, size_ * sizeof(std::uint64_t));
 }
 
 void
@@ -63,20 +65,8 @@ RegisterArray::cp_write(std::size_t index, std::uint64_t value)
 void
 RegisterArray::cp_clear(std::size_t first, std::size_t count)
 {
-    ASK_ASSERT(first + count <= size_,
-               "cp_clear region out of range in '", name_, "'");
-    std::size_t end = first + count;
-    for (std::size_t i = first; i < end;) {
-        std::size_t block = i / kBlockEntries;
-        std::size_t stop = std::min(end, (block + 1) * kBlockEntries);
-        if (written_[block] != 0) {
-            for (std::size_t j = i; j < stop; ++j) {
-                if (values_[j] != 0)
-                    values_[j] = 0;
-            }
-        }
-        i = stop;
-    }
+    cp_scan(first, count,
+            [this](std::size_t i, std::uint64_t) { values_[i] = 0; });
 }
 
 std::size_t

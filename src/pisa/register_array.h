@@ -17,10 +17,13 @@
 #ifndef ASK_PISA_REGISTER_ARRAY_H
 #define ASK_PISA_REGISTER_ARRAY_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/logging.h"
 
 namespace ask::pisa {
 
@@ -81,6 +84,32 @@ class RegisterArray
      *  pages unmaterialized. */
     void cp_clear(std::size_t first, std::size_t count);
 
+    /**
+     * Control-plane scan of registers [first, first + count): calls
+     * `fn(index, value)` for every register holding a nonzero value, in
+     * index order. Blocks never written hold only zeros and are skipped
+     * unread, so the scan costs what was written, not the region's size.
+     */
+    template <typename Fn>
+    void
+    cp_scan(std::size_t first, std::size_t count, Fn&& fn) const
+    {
+        ASK_ASSERT(first + count <= size_, "register region out of range in '",
+                   name_, "'");
+        const std::size_t end = first + count;
+        for (std::size_t i = first; i < end;) {
+            std::size_t block = i / kBlockEntries;
+            std::size_t stop = std::min(end, (block + 1) * kBlockEntries);
+            if (written_[block] != 0) {
+                for (; i < stop; ++i) {
+                    if (values_[i] != 0)
+                        fn(i, values_[i]);
+                }
+            }
+            i = stop;
+        }
+    }
+
     const std::string& name() const { return name_; }
     std::size_t size() const { return size_; }
     std::uint32_t width_bits() const { return width_bits_; }
@@ -112,8 +141,8 @@ class RegisterArray
     std::uint32_t width_bits_;
     std::uint64_t max_value_;
     std::size_t size_;
-    /** calloc'd: a page of a large array costs host memory only once a
-     *  register in it is written. */
+    /** The array's own anonymous mapping: a page costs host memory only
+     *  once a register in it is written. */
     std::uint64_t* values_ = nullptr;
     /** Registers per block of `written_`: one 4 KiB page's worth. */
     static constexpr std::size_t kBlockEntries = 512;

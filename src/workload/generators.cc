@@ -1,7 +1,7 @@
 #include "workload/generators.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -35,31 +35,45 @@ UniformGenerator::generate(std::uint64_t n, core::Value value)
     return out;
 }
 
+ZipfSampler::ZipfSampler(std::uint64_t distinct, double alpha)
+    : cdf_(distinct), guide_(distinct), scale_(static_cast<double>(distinct))
+{
+    ASK_ASSERT(distinct > 0, "vocabulary must be non-empty");
+    ASK_ASSERT(distinct <= std::numeric_limits<std::uint32_t>::max(),
+               "vocabulary beyond 2^32 ranks");
+    double acc = 0.0;
+    for (std::uint64_t r = 0; r < distinct; ++r) {
+        acc += 1.0 / std::pow(static_cast<double>(r + 1), alpha);
+        cdf_[r] = acc;
+    }
+    for (auto& c : cdf_)
+        c /= acc;
+    // The last entry is acc / acc == 1 > every u and every j / D, so
+    // neither this sweep nor a draw's forward steps run off the end.
+    std::uint32_t r = 0;
+    for (std::uint64_t j = 0; j < distinct; ++j) {
+        double u = static_cast<double>(j) / scale_;
+        while (cdf_[r] < u)
+            ++r;
+        guide_[j] = r;
+    }
+}
+
 ZipfGenerator::ZipfGenerator(std::uint64_t distinct_keys, double alpha,
                              std::uint64_t seed, std::string key_prefix)
     : distinct_(distinct_keys),
       alpha_(alpha),
       rng_(seed),
-      prefix_(std::move(key_prefix))
+      prefix_(std::move(key_prefix)),
+      sampler_(distinct_keys, alpha)
 {
-    ASK_ASSERT(distinct_keys > 0, "vocabulary must be non-empty");
     ASK_ASSERT(alpha >= 0.0, "zipf exponent must be non-negative");
-    cdf_.resize(distinct_);
-    double acc = 0.0;
-    for (std::uint64_t r = 0; r < distinct_; ++r) {
-        acc += 1.0 / std::pow(static_cast<double>(r + 1), alpha_);
-        cdf_[r] = acc;
-    }
-    for (auto& c : cdf_)
-        c /= acc;
 }
 
 std::uint64_t
 ZipfGenerator::sample_rank()
 {
-    double u = rng_.next_double();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::uint64_t>(it - cdf_.begin());
+    return sampler_.rank(rng_.next_double());
 }
 
 core::Key

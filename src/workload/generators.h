@@ -8,6 +8,8 @@
 #ifndef ASK_WORKLOAD_GENERATORS_H
 #define ASK_WORKLOAD_GENERATORS_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,9 +58,46 @@ class UniformGenerator
 };
 
 /**
+ * Exact inverse-CDF sampling of Zipf ranks: the weight of rank r is
+ * 1/(r+1)^alpha over D ranks. rank(u) returns the first rank whose CDF
+ * entry is >= u, the rank std::lower_bound over cdf() returns. A guide
+ * table of D entries holds that rank for each u = j/D; a draw starts at
+ * guide[floor(u*D)] and steps back or forward to the exact rank. The
+ * steps cross only CDF entries inside u's 1/D slice of [0, 1), and D
+ * entries spread over D slices, so a draw takes under one step on
+ * average where a binary search over the CDF takes log2(D).
+ */
+class ZipfSampler
+{
+  public:
+    ZipfSampler(std::uint64_t distinct, double alpha);
+
+    /** The rank of a uniform draw `u` in [0, 1). */
+    std::uint64_t
+    rank(double u) const
+    {
+        std::size_t i = guide_[std::min(
+            static_cast<std::size_t>(u * scale_), guide_.size() - 1)];
+        while (i > 0 && cdf_[i - 1] >= u)
+            --i;
+        while (cdf_[i] < u)
+            ++i;
+        return i;
+    }
+
+    /** The normalized CDF: entry r is the probability of ranks 0..r;
+     *  the last entry is 1. */
+    const std::vector<double>& cdf() const { return cdf_; }
+
+  private:
+    std::vector<double> cdf_;
+    std::vector<std::uint32_t> guide_;
+    double scale_;  ///< D, the guide table's size
+};
+
+/**
  * Zipf-distributed keys: frequency of the rank-r key is proportional to
- * 1/(r+1)^alpha. Sampling uses an inverted CDF table (exact, O(log D)
- * per draw).
+ * 1/(r+1)^alpha, drawn by a ZipfSampler.
  */
 class ZipfGenerator
 {
@@ -87,7 +126,7 @@ class ZipfGenerator
     double alpha_;
     Rng rng_;
     std::string prefix_;
-    std::vector<double> cdf_;
+    ZipfSampler sampler_;
 };
 
 /**

@@ -1,8 +1,8 @@
 #include "workload/text_corpus.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -74,26 +74,21 @@ all_corpus_profiles()
 }
 
 TextCorpus::TextCorpus(const CorpusProfile& profile, std::uint64_t seed)
-    : profile_(profile), rng_(seed)
+    : profile_(profile),
+      rng_(seed),
+      sampler_(profile_.vocabulary, profile_.zipf_alpha)
 {
-    ASK_ASSERT(profile_.vocabulary > 0, "empty vocabulary");
-
-    // Frequency CDF (Zipf over ranks).
-    cdf_.resize(profile_.vocabulary);
-    double acc = 0.0;
-    for (std::uint64_t r = 0; r < profile_.vocabulary; ++r) {
-        acc += 1.0 / std::pow(static_cast<double>(r + 1), profile_.zipf_alpha);
-        cdf_[r] = acc;
-    }
-    for (auto& c : cdf_)
-        c /= acc;
-
     // Materialize deterministic spellings in rank order; collisions are
-    // resolved by extending the word, so spellings are unique.
+    // resolved by extending the word, so spellings are unique. `spelled`
+    // is an open-addressing set of the spellings so far, at most half
+    // full: each slot holds 1 + the rank of a word in `words_`, or 0.
     words_.reserve(profile_.vocabulary);
-    std::unordered_set<core::Key> used;
-    used.reserve(profile_.vocabulary * 2);
+    const std::size_t mask = std::bit_ceil(2 * profile_.vocabulary) - 1;
+    std::vector<std::uint32_t> spelled(mask + 1, 0);
     std::uint64_t spell_state = mix64(seed ^ fnv1a64(profile_.name));
+    auto letter = [&spell_state] {
+        return static_cast<char>('a' + split_mix64(spell_state) % 26);
+    };
     for (std::uint64_t r = 0; r < profile_.vocabulary; ++r) {
         // Rank-dependent mean length (Zipf's law of abbreviation).
         double mu = profile_.base_len +
@@ -110,9 +105,17 @@ TextCorpus::TextCorpus(const CorpusProfile& profile, std::uint64_t seed)
         core::Key w;
         w.reserve(static_cast<std::size_t>(len));
         for (std::int64_t i = 0; i < len; ++i)
-            w.push_back(static_cast<char>('a' + split_mix64(spell_state) % 26));
-        while (!used.insert(w).second)
-            w.push_back(static_cast<char>('a' + split_mix64(spell_state) % 26));
+            w.push_back(letter());
+        std::size_t slot = mix64(fnv1a64(w)) & mask;
+        while (spelled[slot] != 0) {
+            if (words_[spelled[slot] - 1] == w) {
+                w.push_back(letter());
+                slot = mix64(fnv1a64(w)) & mask;
+            } else {
+                slot = (slot + 1) & mask;
+            }
+        }
+        spelled[slot] = static_cast<std::uint32_t>(words_.size() + 1);
         words_.push_back(std::move(w));
     }
 }
@@ -129,11 +132,8 @@ TextCorpus::generate(std::uint64_t n)
 {
     core::KvStream out;
     out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        double u = rng_.next_double();
-        auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-        out.push_back({words_[static_cast<std::size_t>(it - cdf_.begin())], 1});
-    }
+    for (std::uint64_t i = 0; i < n; ++i)
+        out.push_back({words_[sampler_.rank(rng_.next_double())], 1});
     return out;
 }
 

@@ -22,6 +22,7 @@
 
 #include "ask/types.h"
 #include "common/random.h"
+#include "workload/generators.h"
 
 namespace ask::workload {
 
@@ -52,7 +53,8 @@ std::vector<CorpusProfile> all_corpus_profiles();
  * Generates word-count streams from a CorpusProfile. Each word of the
  * vocabulary has a deterministic spelling (lowercase letters, length
  * drawn from the rank-dependent model), so the same profile+seed always
- * yields the same trace.
+ * yields the same trace. The constructor spells the whole vocabulary in
+ * rank order, and generate() draws ranks with a ZipfSampler.
  */
 class TextCorpus
 {
@@ -70,8 +72,8 @@ class TextCorpus
   private:
     CorpusProfile profile_;
     Rng rng_;
-    std::vector<double> cdf_;
-    std::vector<core::Key> words_;  ///< lazily materialized spellings
+    ZipfSampler sampler_;
+    std::vector<core::Key> words_;  ///< spellings, indexed by rank
 };
 
 }  // namespace ask::workload

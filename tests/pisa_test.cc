@@ -5,8 +5,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ask/switch_program.h"
 #include "common/logging.h"
@@ -129,6 +132,45 @@ TEST(RegisterArray, CpClearRegion)
         EXPECT_EQ(b->cp_read(i), i >= 150 && i < 1450 ? 0u : i + 1) << i;
 }
 
+TEST(RegisterArray, ScanVisitsTheNonzeroRegistersInOrder)
+{
+    // Six blocks of 512 registers, the last one partial: values at block
+    // edges, a block cleared back to zero, a register written and then
+    // zeroed, a block never written, and one data-plane write.
+    constexpr std::size_t kEntries = 2600;
+    Pipeline p(1, 1 << 16);
+    RegisterArray* a = p.stage(0)->add_register_array("a", kEntries, 32);
+    for (std::size_t i : {0, 511, 512, 700, 1023, 1100, 1535, 2559, 2599})
+        a->cp_write(i, i + 1);
+    a->cp_clear(1024, 512);
+    a->cp_write(700, 0);
+    p.begin_pass();
+    a->rmw(2048, [](std::uint64_t& v) { v = 9; });
+
+    const std::size_t edges[] = {0,    1,    511,  512,  513,  1023, 1024,
+                                 1535, 1536, 2047, 2048, 2559, 2560, 2599,
+                                 2600};
+    for (std::size_t first : edges) {
+        for (std::size_t end : edges) {
+            if (end < first)
+                continue;
+            std::vector<std::pair<std::size_t, std::uint64_t>> want, got;
+            for (std::size_t i = first; i < end; ++i) {
+                if (a->cp_read(i) != 0)
+                    want.emplace_back(i, a->cp_read(i));
+            }
+            a->cp_scan(first, end - first,
+                       [&](std::size_t i, std::uint64_t v) {
+                           got.emplace_back(i, v);
+                       });
+            EXPECT_EQ(got, want) << "[" << first << ", " << end << ")";
+        }
+    }
+    std::size_t visited = 0;
+    a->cp_scan(0, kEntries, [&](std::size_t, std::uint64_t) { ++visited; });
+    EXPECT_EQ(visited, 7u);  // 0, 511, 512, 1023, 2048, 2559 and 2599
+}
+
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr bool kSanitized = true;
 #elif defined(__has_feature)
@@ -141,14 +183,16 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-/** This process's resident set, from /proc/self/statm. */
+/** This process's anonymous resident set (resident minus file-backed
+ *  pages), from /proc/self/statm: code faulting in, 64 KiB at a time,
+ *  does not count. */
 std::size_t
 resident_bytes()
 {
     std::ifstream statm("/proc/self/statm");
-    std::size_t pages = 0, resident = 0;
-    statm >> pages >> resident;
-    return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    std::size_t pages = 0, resident = 0, file = 0;
+    statm >> pages >> resident >> file;
+    return (resident - file) * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
 }
 
 TEST(RegisterArray, UntouchedRegistersCostNoHostMemory)
@@ -179,6 +223,45 @@ TEST(RegisterArray, UntouchedRegistersCostNoHostMemory)
     a->cp_clear(0, kEntries);
     EXPECT_EQ(a->cp_read(kEntries / 2), 0u);
     EXPECT_LT(resident_bytes(), before + kBound) << "after a full clear";
+}
+
+TEST(RegisterArray, LaterArraysStartOnUntouchedZeroPages)
+{
+    if (kSanitized)
+        GTEST_SKIP() << "sanitizer runtimes touch memory on their own terms";
+    // A process builds cluster after cluster. Once a block above
+    // glibc's mmap threshold is freed, glibc raises the threshold to the
+    // block's size and serves smaller blocks from the heap, where calloc
+    // clears a reused chunk by hand. A switch array built after another
+    // was destroyed must still read zero and cost host memory only where
+    // written.
+    constexpr std::size_t kEntries = 32768;  // 256 KiB: one paper-sized AA
+    constexpr std::size_t kBound = 64 << 10;
+    {
+        Pipeline first(1, 4 * kEntries * sizeof(std::uint64_t));
+        first.stage(0)->add_register_array("first", 4 * kEntries, 64);
+    }
+    // A free, never-touched heap block larger than the array: where a
+    // heap allocator places it and calloc would clear it.
+    void* volatile spare = std::malloc(2 * kEntries * sizeof(std::uint64_t));
+    std::free(spare);
+
+    std::size_t before = resident_bytes();
+    Pipeline p(1, kEntries * sizeof(std::uint64_t));
+    RegisterArray* a = p.stage(0)->add_register_array("later", kEntries, 64);
+    EXPECT_LT(resident_bytes(), before + kBound) << "after construction";
+
+    std::uint64_t any = 0;
+    for (std::size_t i = 0; i < kEntries; ++i)
+        any |= a->cp_read(i);
+    EXPECT_EQ(any, 0u);
+
+    // One write maps one page (registers 4,608 to 5,119), whose other
+    // registers read zero.
+    a->cp_write(5000, 7);
+    for (std::size_t i = 4608; i < 5120; ++i)
+        EXPECT_EQ(a->cp_read(i), i == 5000 ? 7u : 0u) << i;
+    EXPECT_LT(resident_bytes(), before + kBound) << "after one write";
 }
 
 TEST(RegisterArray, SramFootprint)

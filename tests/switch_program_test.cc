@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -52,10 +53,10 @@ test_config()
 class SwitchProgramTest : public ::testing::Test
 {
   protected:
-    SwitchProgramTest()
+    explicit SwitchProgramTest(AskConfig config = test_config())
         : network_(simulator_),
           sw_(network_, 16, pisa::kDefaultStageSramBytes),
-          config_(test_config()),
+          config_(config),
           program_(config_, sw_),
           controller_({&program_}, wal_),
           key_space_(config_)
@@ -621,6 +622,133 @@ TEST_F(SwitchProgramTest, SwapRedirectsWritesToOtherCopy)
     ASSERT_EQ(copy1.size(), 1u);
     EXPECT_EQ(copy0[0].value, 1u);
     EXPECT_EQ(copy1[0].value, 9u);
+}
+
+/** The fixture on arrays wide enough that a task's region spans several
+ *  512-register blocks of every AA, in each shadow copy. */
+class WideRegionTest : public SwitchProgramTest
+{
+  protected:
+    WideRegionTest() : SwitchProgramTest(wide_config()) {}
+
+    static AskConfig
+    wide_config()
+    {
+        AskConfig c = test_config();
+        c.aggregators_per_aa = 4096;  // 2,048 per shadow copy
+        return c;
+    }
+
+    /** read_region as the per-register loop it replaced: a cp_read of
+     *  every register of the region, in every AA. */
+    KvStream
+    read_region_by_register(std::uint32_t copy)
+    {
+        auto aa = [&](std::uint32_t i) {
+            return sw_.pipeline().find_array("aa_" + std::to_string(i));
+        };
+        const std::uint32_t bits = config_.part_bits;
+        auto kpart = [&](std::uint64_t w) {
+            return static_cast<std::uint32_t>(w >> bits);
+        };
+        auto vpart = [&](std::uint64_t w) {
+            return static_cast<Value>(w & ((1ULL << bits) - 1));
+        };
+        const std::uint32_t off = copy * config_.copy_size();
+        KvStream out;
+        for (std::uint32_t i = 0; i < config_.short_aas(); ++i) {
+            for (std::uint32_t idx = region_.base;
+                 idx < region_.base + region_.len; ++idx) {
+                std::uint64_t w = aa(i)->cp_read(off + idx);
+                if (kpart(w) != 0)
+                    out.push_back({KeySpace::unpad(
+                                       key_space_.decode_segment(kpart(w))),
+                                   vpart(w)});
+            }
+        }
+        for (std::uint32_t g = 0; g < config_.medium_groups; ++g) {
+            std::uint32_t mb = config_.medium_base(g);
+            for (std::uint32_t idx = region_.base;
+                 idx < region_.base + region_.len; ++idx) {
+                if (kpart(aa(mb)->cp_read(off + idx)) == 0)
+                    continue;
+                std::string padded;
+                Value value = 0;
+                for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
+                    std::uint64_t w = aa(mb + j)->cp_read(off + idx);
+                    padded += key_space_.decode_segment(kpart(w));
+                    value = vpart(w);
+                }
+                out.push_back({KeySpace::unpad(padded), value});
+            }
+        }
+        return out;
+    }
+
+    /** A random lower-case key of `min_len`..`max_len` letters. */
+    static Key
+    random_key(Rng& rng, std::size_t min_len, std::size_t max_len)
+    {
+        Key key(min_len + rng.next_below(max_len - min_len + 1), 'a');
+        for (auto& ch : key)
+            ch = static_cast<char>('a' + rng.next_below(26));
+        return key;
+    }
+};
+
+TEST_F(WideRegionTest, ReadRegionMatchesPerRegisterReads)
+{
+    // A region at [700, 1700) of each copy: it starts and ends inside
+    // a block, and copy 1 sits 2,048 registers further on.
+    controller_.release(kTask);
+    ASSERT_TRUE(controller_.allocate(kTask + 1, 700).has_value());
+    region_ = *controller_.allocate(kTask, 1000);
+    ASSERT_EQ(region_.base, 700u);
+
+    Rng rng = seeded_rng("wide_region", 1);
+    Seq seq = 0;
+    // One short and one medium key per packet: they take different
+    // slots, so every packet fits.
+    auto send_keys = [&](int packets) {
+        for (int p = 0; p < packets; ++p) {
+            Key short_key = random_key(rng, 1, 4);
+            Key medium_key = random_key(rng, 5, 8);
+            ASSERT_EQ(key_space_.classify(short_key), KeyClass::kShort);
+            ASSERT_EQ(key_space_.classify(medium_key), KeyClass::kMedium);
+            inject(data_packet(
+                {{short_key, static_cast<Value>(1 + rng.next_below(100))},
+                 {medium_key, static_cast<Value>(1 + rng.next_below(100))}},
+                seq++));
+        }
+    };
+    send_keys(150);
+
+    AskHeader swap;
+    swap.type = PacketType::kSwap;
+    swap.task_id = kTask;
+    swap.seq = 1;
+    network_.send(receiver_.node_id(), sw_.node_id(),
+                  make_control_packet(receiver_.node_id(),
+                                      receiver_.node_id(), swap));
+    simulator_.run();
+    ASSERT_EQ(program_.current_epoch(kTask), 1u);
+    send_keys(150);
+
+    for (std::uint32_t copy = 0; copy < 2; ++copy) {
+        SCOPED_TRACE(testing::Message() << "copy " << copy);
+        KvStream want = read_region_by_register(copy);
+        std::size_t shorts = 0, mediums = 0;
+        for (const auto& kv : want) {
+            KeyClass c = key_space_.classify(kv.key);
+            shorts += c == KeyClass::kShort;
+            mediums += c == KeyClass::kMedium;
+        }
+        EXPECT_GT(shorts, 100u);
+        EXPECT_GT(mediums, 100u);
+        EXPECT_EQ(program_.read_region(kTask, copy, /*clear=*/false), want);
+        EXPECT_EQ(program_.read_region(kTask, copy, /*clear=*/true), want);
+        EXPECT_TRUE(program_.read_region(kTask, copy, false).empty());
+    }
 }
 
 TEST_F(SwitchProgramTest, DuplicateSwapIsIdempotent)

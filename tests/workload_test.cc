@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "ask/key_space.h"
+#include "common/hash.h"
+#include "common/random.h"
 #include "workload/generators.h"
 #include "workload/models.h"
 #include "workload/text_corpus.h"
@@ -114,6 +118,126 @@ TEST(ZipfGenerator, OrdersMatchSortedDraws)
             ZipfGenerator one(1, 0.5, seed);
             EXPECT_EQ(one.generate(10, order),
                       core::KvStream(10, {one.key_of(0), 1}));
+        }
+    }
+}
+
+/** lower_bound's rank for `u`, checked against the sampler's. */
+void
+expect_exact_rank(const ZipfSampler& s, double u)
+{
+    const auto& cdf = s.cdf();
+    auto want = static_cast<std::uint64_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    ASSERT_EQ(s.rank(u), want) << "u " << std::hexfloat << u;
+}
+
+TEST(ZipfSampler, MatchesBinarySearchOverTheCdf)
+{
+    const double below_one = std::nextafter(1.0, 0.0);
+    for (std::uint64_t distinct : {1, 2, 3, 8192, 65536}) {
+        for (double alpha : {0.0, 1.0, 1.04, 40.0}) {
+            SCOPED_TRACE(testing::Message()
+                         << "distinct " << distinct << " alpha " << alpha);
+            ZipfSampler s(distinct, alpha);
+            const auto& cdf = s.cdf();
+            ASSERT_EQ(cdf.size(), distinct);
+            ASSERT_EQ(cdf.back(), 1.0);
+            if (alpha == 40.0 && distinct >= 3) {
+                // Past rank 1 the weights vanish beside 1: the tail
+                // entries compare equal, and a draw must find the first.
+                ASSERT_EQ(cdf[1], cdf.back());
+            }
+            expect_exact_rank(s, 0.0);
+            expect_exact_rank(s, below_one);
+            for (double c : cdf) {
+                expect_exact_rank(s, c);
+                expect_exact_rank(s, std::nextafter(c, 0.0));
+            }
+            Rng rng = seeded_rng(
+                "zipf_sampler",
+                distinct * 10000 + static_cast<std::uint64_t>(alpha * 100));
+            for (int i = 0; i < 1000000; ++i)
+                expect_exact_rank(s, rng.next_double());
+        }
+    }
+}
+
+/** Folds a key and a value into a running digest. */
+std::uint64_t
+fold_digest(std::uint64_t h, const core::Key& key, core::Value value)
+{
+    return mix64(mix64(h ^ fnv1a64(key)) ^ value);
+}
+
+std::uint64_t
+stream_digest(const core::KvStream& stream)
+{
+    std::uint64_t h = stream.size();
+    for (const auto& t : stream)
+        h = fold_digest(h, t.key, t.value);
+    return h;
+}
+
+TEST(ZipfGenerator, StreamsMatchGoldenDigests)
+{
+    // Recorded from the binary-search sampler this generator used
+    // before its guide table: the draws must not change.
+    struct Case
+    {
+        KeyOrder order;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {{KeyOrder::kShuffled, 0xe2e5eed67000c814ULL},
+                          {KeyOrder::kHotFirst, 0x799494db9bf7a375ULL},
+                          {KeyOrder::kColdFirst, 0x71a1bf6f9113ce43ULL}};
+    for (const Case& c : cases) {
+        SCOPED_TRACE(testing::Message() << "order "
+                                        << static_cast<int>(c.order));
+        ZipfGenerator z(8192, 1.0, 4);
+        ZipfGenerator wide(65536, 1.04, 5, "k-");
+        std::uint64_t d = stream_digest(z.generate(200000, c.order)) ^
+                          stream_digest(wide.generate(100000, c.order, 3));
+        EXPECT_EQ(d, c.digest) << std::hex << "0x" << d;
+    }
+}
+
+TEST(TextCorpus, VocabularyAndStreamsMatchGoldenDigests)
+{
+    // Recorded from the corpus built with a node-based set of spellings
+    // and a binary-search sampler: neither may change a word or a draw.
+    struct Case
+    {
+        std::uint64_t seed;
+        std::uint64_t vocabulary;
+        std::uint64_t stream;
+    };
+    const std::map<std::string, std::vector<Case>> golden = {
+        {"yelp",
+         {{5, 0x969d5ba09d2efafbULL, 0x68b18e4417b254e5ULL},
+          {2024, 0xe41706497ecacb90ULL, 0xb13ed6661db28a03ULL}}},
+        {"NG",
+         {{5, 0x9915b4802d8772d6ULL, 0x0e5b635c4346c083ULL},
+          {2024, 0xb6c59f84396660f2ULL, 0xbf42265041b9878dULL}}},
+        {"BAC",
+         {{5, 0xb8a9b7f0f72feed9ULL, 0xad055f8386d30444ULL},
+          {2024, 0x9cfc30f8cbb16e46ULL, 0x46d8900363ffbab4ULL}}},
+        {"LMDB",
+         {{5, 0x53b88a13ad568bf6ULL, 0xd835f99541774637ULL},
+          {2024, 0x809d21e35082c0b2ULL, 0xae42e087a86fce72ULL}}},
+    };
+    for (const CorpusProfile& p : all_corpus_profiles()) {
+        ASSERT_EQ(golden.count(p.name), 1u) << p.name;
+        for (const Case& c : golden.at(p.name)) {
+            SCOPED_TRACE(testing::Message() << p.name << " seed " << c.seed);
+            TextCorpus corpus(p, c.seed);
+            std::uint64_t vocabulary = p.vocabulary;
+            for (std::uint64_t r = 0; r < p.vocabulary; ++r)
+                vocabulary = fold_digest(vocabulary, corpus.word(r), 0);
+            std::uint64_t stream = stream_digest(corpus.generate(10000));
+            EXPECT_EQ(vocabulary, c.vocabulary)
+                << std::hex << "0x" << vocabulary;
+            EXPECT_EQ(stream, c.stream) << std::hex << "0x" << stream;
         }
     }
 }

@@ -47,7 +47,7 @@ seen_sram_per_channel(bool compact)
     pisa::PisaSwitch sw(network);
     core::AskConfig cfg;
     cfg.compact_seen = compact;
-    core::AskSwitchProgram program(cfg, sw);
+    core::AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
     std::size_t bytes = 0;
     for (const char* name : {"seen", "seen_even", "seen_odd"}) {
         if (auto* arr = sw.pipeline().find_array(name))

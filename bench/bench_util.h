@@ -235,58 +235,6 @@ class ExactRuns
 };
 
 /**
- * Pick `count` task ids whose hash-based channel assignment
- * (core::task_channel_index, what AskDaemon::channel_for_task uses) is
- * balanced for *several* sender hosts at once (each host hashes tasks
- * with its own salt, so an id set that is even on one host can be
- * skewed on another). Greedy search over candidate ids; balance is
- * within +-ceil(count/channels) per host. `slack` loosens the
- * per-channel cap by that many extra tasks: exact simultaneous balance
- * becomes infeasible as the host set grows (every candidate must land
- * on an under-full channel of *every* host at once), so large fabrics
- * trade a little skew for a solution.
- */
-inline std::vector<std::uint32_t>
-balanced_task_ids_multi(const std::vector<std::uint32_t>& hosts,
-                        std::uint32_t channels, std::uint32_t count,
-                        std::uint32_t slack = 0)
-{
-    std::vector<std::uint32_t> ids;
-    std::vector<std::vector<std::uint32_t>> load(
-        hosts.size(), std::vector<std::uint32_t>(channels, 0));
-    std::uint32_t cap = (count + channels - 1) / channels + slack;
-    for (std::uint32_t candidate = 1;
-         ids.size() < count && candidate < 20000000; ++candidate) {
-        bool ok = true;
-        for (std::size_t h = 0; h < hosts.size() && ok; ++h) {
-            ok = load[h][core::task_channel_index(
-                     candidate, core::HostId{hosts[h]}, channels)] < cap;
-        }
-        if (!ok)
-            continue;
-        for (std::size_t h = 0; h < hosts.size(); ++h) {
-            ++load[h][core::task_channel_index(
-                candidate, core::HostId{hosts[h]}, channels)];
-        }
-        ids.push_back(candidate);
-    }
-    return ids;
-}
-
-/**
- * Pick `count` task ids whose channel assignment on `sender_host` is
- * perfectly balanced over `channels` data channels. Benches splitting
- * one logical job into per-channel tasks use this so a small task count
- * doesn't skew per-core utilization.
- */
-inline std::vector<std::uint32_t>
-balanced_task_ids(std::uint32_t sender_host, std::uint32_t channels,
-                  std::uint32_t count)
-{
-    return balanced_task_ids_multi({sender_host}, channels, count);
-}
-
-/**
  * Build a key-value stream whose keys are spread *exactly evenly* over
  * the short-key payload slots (keys_per_slot keys in each of the
  * config's short AAs) and whose arrivals cycle the slots round-robin,

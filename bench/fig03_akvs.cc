@@ -40,7 +40,7 @@ measure_akvs(core::ClusterConfig cc, std::uint64_t tuples,
 
     // Task ids chosen so the sender's hash load balancing is even.
     std::vector<std::uint32_t> ids =
-        bench::balanced_task_ids(1, cc.ask.channels_per_host, parts);
+        core::balanced_task_ids({1}, cc.ask.channels_per_host, parts);
     const core::KeySpace& ks = cluster.daemon(1).key_space();
     std::uint32_t keys_per_slot = std::max<std::uint64_t>(
         1, keys_per_part / cc.ask.short_aas());

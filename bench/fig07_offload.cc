@@ -39,7 +39,7 @@ ask_jct_seconds(std::uint32_t channels, std::uint64_t sim_scale,
     std::uint64_t tuples = kPaperTuples / sim_scale;
     std::uint64_t distinct = kPaperDistinct / sim_scale;
     std::uint32_t parts = 2 * channels;
-    auto ids = bench::balanced_task_ids(1, channels, parts);
+    auto ids = core::balanced_task_ids({1}, channels, parts);
     std::uint32_t keys_per_slot = static_cast<std::uint32_t>(
         std::max<std::uint64_t>(1,
                                 distinct / parts / cc.ask.short_aas()));

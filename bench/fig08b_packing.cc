@@ -20,14 +20,29 @@ namespace {
 
 using namespace ask;
 
+/** Valid tuples of every DATA frame built from `stream`, counted from
+ *  its bitmap as the switch counts them: one per short slot bit, one per
+ *  medium group. The LONG_DATA frames, which follow the last DATA frame,
+ *  carry no slots. */
 Samples
 packing_distribution(const core::KeySpace& ks, core::KvStream stream)
 {
+    const core::AskConfig& cfg = ks.config();
     core::PacketBuilder builder(
         ks, std::make_shared<const core::KvStream>(std::move(stream)));
     Samples s;
-    while (auto built = builder.next_data())
-        s.add(built->valid_tuples);
+    while (!builder.empty()) {
+        core::AskHeader hdr;
+        builder.next_frame(hdr, /*bypass=*/false);
+        if (hdr.type != core::PacketType::kData)
+            break;
+        std::uint32_t valid = 0;
+        for (std::uint32_t i = 0; i < cfg.short_aas(); ++i)
+            valid += (hdr.bitmap >> i) & 1;
+        for (std::uint32_t g = 0; g < cfg.medium_groups; ++g)
+            valid += (hdr.bitmap >> cfg.medium_base(g)) & 1;
+        s.add(valid);
+    }
     return s;
 }
 

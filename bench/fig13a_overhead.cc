@@ -42,7 +42,7 @@ ask_rates(std::uint32_t channels, std::uint64_t tuples,
     // One task per channel (balanced ids) so the sender saturates all
     // its cores, as the paper's bulk-transfer job does.
     std::uint32_t parts = channels;
-    auto ids = bench::balanced_task_ids(1, channels, parts);
+    auto ids = core::balanced_task_ids({1}, channels, parts);
     std::uint64_t per_part = tuples / parts;
     const core::KeySpace& ks = cluster.daemon(1).key_space();
     sim::SimTime senders_done = 0;

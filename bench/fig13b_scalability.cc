@@ -54,11 +54,11 @@ ask_per_sender_gbps(std::uint32_t senders, std::uint64_t tuples_per_sender,
     // Split the job into several tasks so every sender exercises all of
     // its data channels; every task has a stream from every sender.
     std::uint32_t parts = 2 * cc.ask.channels_per_host;
-    std::vector<std::uint32_t> sender_hosts;
+    std::vector<core::HostId> sender_hosts;
     for (std::uint32_t s = 1; s <= senders; ++s)
         sender_hosts.push_back(s);
-    auto ids = bench::balanced_task_ids_multi(
-        sender_hosts, cc.ask.channels_per_host, parts);
+    auto ids = core::balanced_task_ids(sender_hosts, cc.ask.channels_per_host,
+                                       parts);
     ASK_ASSERT(ids.size() == parts, "could not balance task ids");
     std::uint64_t per_part = tuples_per_sender / parts;
     sim::SimTime senders_done = 0;
@@ -127,7 +127,7 @@ fabric_goodput(std::uint32_t racks, std::uint64_t tuples_per_sender,
     // residuals die at the tier, so each sender's edge link — not the
     // receiver's — stays the limiting resource.
     std::uint32_t parts = 2 * cc.ask.channels_per_host;
-    std::vector<std::uint32_t> sender_hosts;
+    std::vector<core::HostId> sender_hosts;
     for (std::uint32_t s = 1; s <= pt.senders; ++s)
         sender_hosts.push_back(s);
     // Exact simultaneous channel balance over many hosts may be
@@ -136,14 +136,14 @@ fabric_goodput(std::uint32_t racks, std::uint64_t tuples_per_sender,
     // so a one-task skew costs little.
     std::vector<std::uint32_t> ids;
     for (std::uint32_t slack = 0; ids.size() != parts && slack <= 3; ++slack)
-        ids = bench::balanced_task_ids_multi(
-            sender_hosts, cc.ask.channels_per_host, parts, slack);
+        ids = core::balanced_task_ids(sender_hosts, cc.ask.channels_per_host,
+                                      parts, slack);
     ASK_ASSERT(ids.size() == parts, "could not balance task ids");
     std::uint64_t per_part = tuples_per_sender / parts;
     sim::SimTime senders_done = 0;
     for (std::uint32_t p = 0; p < parts; ++p) {
         std::vector<core::StreamSpec> streams;
-        for (std::uint32_t s : sender_hosts) {
+        for (core::HostId s : sender_hosts) {
             const core::KeySpace& ks = cluster.daemon(s).key_space();
             streams.push_back({s, bench::balanced_uniform_stream(
                                       ks, 2, per_part,

@@ -89,9 +89,10 @@ BM_PacketBuilderDrain(benchmark::State& state)
     auto shared = std::make_shared<const core::KvStream>(std::move(stream));
     for (auto _ : state) {
         core::PacketBuilder builder(ks, shared);
+        core::AskHeader hdr;
         std::uint64_t packets = 0;
-        while (auto built = builder.next_data())
-            ++packets;
+        for (; !builder.empty(); ++packets)
+            benchmark::DoNotOptimize(builder.next_frame(hdr, false));
         benchmark::DoNotOptimize(packets);
     }
     state.SetItemsProcessed(state.iterations() * 4096);
@@ -109,14 +110,12 @@ BM_PacketBuilderHotFirst(benchmark::State& state)
     workload::ZipfGenerator zipf(1 << 16, 1.0, 9);
     auto shared = std::make_shared<const core::KvStream>(
         zipf.generate(65536, workload::KeyOrder::kHotFirst));
-    core::BuiltData built;
     for (auto _ : state) {
         core::PacketBuilder builder(ks, shared);
+        core::AskHeader hdr;
         std::uint64_t packets = 0;
-        while (builder.next_data_into(built))
-            ++packets;
-        while (auto batch = builder.next_long_batch(core::kLongPayloadBytes))
-            ++packets;
+        for (; !builder.empty(); ++packets)
+            benchmark::DoNotOptimize(builder.next_frame(hdr, false));
         benchmark::DoNotOptimize(packets);
     }
     state.SetItemsProcessed(state.iterations() * 65536);
@@ -147,18 +146,11 @@ bench_data_frame(const core::AskConfig& cfg, core::ReduceOp op,
     for (int i = 0; i < tuples; ++i)
         stream->push_back({u64_key(rng.next_below(4096)), 1});
     core::PacketBuilder builder(ks, std::move(stream));
-    auto built = builder.next_data();
-
     core::AskHeader hdr;
-    hdr.type = core::PacketType::kData;
     hdr.channel_id = 0;
     hdr.task_id = 1;
     hdr.op = op;
-    hdr.num_slots = static_cast<std::uint8_t>(cfg.num_aas);
-    hdr.bitmap = built->bitmap;
-    auto frame = core::make_frame(hdr, cfg.payload_bytes());
-    core::write_slots(frame, built->bitmap, cfg.num_aas, built->slots.data());
-    return frame;
+    return builder.next_frame(hdr, /*bypass=*/false);
 }
 
 /** Stamp `seq` into a frame built by bench_data_frame. */
@@ -178,7 +170,7 @@ switch_pass_bench(benchmark::State& state, core::ReduceOp op)
     net::Network network(simulator);
     pisa::PisaSwitch sw(network);
     core::AskConfig cfg = switch_bench_config();
-    core::AskSwitchProgram program(cfg, sw);
+    core::AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
     core::Wal wal("controller");
     core::AskSwitchController controller({&program}, wal);
     controller.allocate(1, 1024, op);
@@ -250,7 +242,7 @@ BM_SwitchReceive(benchmark::State& state)
     network.connect(sw.node_id(), sender.node_id(), 100.0, 500);
     network.connect(sw.node_id(), receiver.node_id(), 100.0, 500);
     core::AskConfig cfg = switch_bench_config();
-    core::AskSwitchProgram program(cfg, sw);
+    core::AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
     core::Wal wal("controller");
     core::AskSwitchController controller({&program}, wal);
     controller.allocate(1, 1024, core::ReduceOp::kAdd);

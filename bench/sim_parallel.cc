@@ -68,20 +68,20 @@ run_replica(std::uint32_t racks, std::uint64_t tuples_per_sender,
 
     std::uint32_t senders = cc.topology->num_hosts() - 1;
     std::uint32_t parts = 2 * cc.ask.channels_per_host;
-    std::vector<std::uint32_t> sender_hosts;
+    std::vector<core::HostId> sender_hosts;
     for (std::uint32_t s = 1; s <= senders; ++s)
         sender_hosts.push_back(s);
     std::vector<std::uint32_t> ids;
     for (std::uint32_t slack = 0; ids.size() != parts && slack <= 3; ++slack)
-        ids = bench::balanced_task_ids_multi(
-            sender_hosts, cc.ask.channels_per_host, parts, slack);
+        ids = core::balanced_task_ids(sender_hosts, cc.ask.channels_per_host,
+                                      parts, slack);
     ASK_ASSERT(ids.size() == parts, "could not balance task ids");
 
     std::uint64_t per_part = tuples_per_sender / parts;
     ReplicaResult r;
     for (std::uint32_t p = 0; p < parts; ++p) {
         std::vector<core::StreamSpec> streams;
-        for (std::uint32_t s : sender_hosts) {
+        for (core::HostId s : sender_hosts) {
             const core::KeySpace& ks = cluster.daemon(s).key_space();
             // Distinct key offsets per replica: replicas must be
             // independent simulations, not bit-copies of one another.

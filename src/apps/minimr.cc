@@ -104,33 +104,13 @@ run_ask_backend(const MrJobSpec& spec)
     // is even (a scheduler would spread 96 reduce partitions similarly;
     // with the scaled-down task count, an unlucky hash would otherwise
     // leave whole cores idle).
-    std::vector<std::uint32_t> task_ids;
-    {
-        std::vector<std::vector<std::uint32_t>> load(
-            spec.machines,
-            std::vector<std::uint32_t>(spec.ask_channels, 0));
-        std::uint32_t cap =
-            (num_tasks + spec.ask_channels - 1) / spec.ask_channels;
-        for (std::uint32_t candidate = 1;
-             task_ids.size() < num_tasks && candidate < 10000000;
-             ++candidate) {
-            bool ok = true;
-            for (std::uint32_t h = 0; h < spec.machines && ok; ++h) {
-                ok = load[h][core::task_channel_index(
-                         candidate, core::HostId{h}, spec.ask_channels)] <
-                     cap;
-            }
-            if (!ok)
-                continue;
-            for (std::uint32_t h = 0; h < spec.machines; ++h) {
-                ++load[h][core::task_channel_index(
-                    candidate, core::HostId{h}, spec.ask_channels)];
-            }
-            task_ids.push_back(candidate);
-        }
-        ASK_ASSERT(task_ids.size() == num_tasks,
-                   "could not balance shuffle task ids");
-    }
+    std::vector<core::HostId> machines;
+    for (std::uint32_t h = 0; h < spec.machines; ++h)
+        machines.push_back(h);
+    std::vector<core::TaskId> task_ids =
+        core::balanced_task_ids(machines, spec.ask_channels, num_tasks);
+    ASK_ASSERT(task_ids.size() == num_tasks,
+               "could not balance shuffle task ids");
 
     std::vector<bool> done(num_tasks, false);
     // Each task's streams, every machine's together, folded before they

@@ -128,7 +128,7 @@ measure_float_gradient_accuracy(const TrainSpec& spec,
     cc.ask.max_hosts = spec.workers;
     cc.link_gbps = spec.link_gbps;
 
-    const std::uint32_t frac = cc.ask.float_frac_bits;
+    const std::uint32_t frac = core::kFloatFracBits;
     core::AskCluster cluster(cc);
 
     // Build every worker's encoded gradient shard, and alongside it the

@@ -41,8 +41,6 @@ AskConfig::validate() const
     if (op == ReduceOp::kFloat && part_bits != 32)
         fail_config("kFloat fixed-point reduction requires 32-bit vParts "
                     "(part_bits == 32), got ", part_bits);
-    if (float_frac_bits == 0 || float_frac_bits > 31)
-        fail_config("float_frac_bits must be 1..31: ", float_frac_bits);
 }
 
 }  // namespace ask::core

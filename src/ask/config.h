@@ -88,17 +88,14 @@ struct AskConfig
     /** Default reduction operator; a task may override it per-task via
      *  TaskOptions::op. kFloat requires part_bits == 32. */
     ReduceOp op = ReduceOp::kAdd;
-    /** Fractional bits of the kFloat fixed-point encoding (Q-format
-     *  two's complement, see float_encode()). Must be 1..31. */
-    std::uint32_t float_frac_bits = 16;
 
     // ---- Derived quantities ------------------------------------------------
-    /** Bytes of one payload slot: key segment + value. */
-    std::uint32_t slot_bytes() const { return part_bits / 8 * 2; }
     /** Key-segment bytes (n bits). */
     std::uint32_t seg_bytes() const { return part_bits / 8; }
-    /** Fixed data payload size of a DATA packet. */
-    std::uint32_t payload_bytes() const { return num_aas * slot_bytes(); }
+    /** Fixed data payload size of a DATA packet: num_aas 8-byte slots,
+     *  each a 4-byte key-segment field and a 4-byte value field (16-bit
+     *  parts ride in their low halves). */
+    std::uint32_t payload_bytes() const { return num_aas * 8; }
     /** AAs dedicated to medium keys. */
     std::uint32_t medium_aas() const { return medium_segments * medium_groups; }
     /** AAs serving short keys. */

@@ -29,6 +29,29 @@ task_status_name(TaskStatus status)
     return "?";
 }
 
+std::vector<TaskId>
+balanced_task_ids(const std::vector<HostId>& hosts, std::uint32_t channels,
+                  std::uint32_t count, std::uint32_t slack)
+{
+    std::vector<TaskId> ids;
+    std::vector<std::vector<std::uint32_t>> load(
+        hosts.size(), std::vector<std::uint32_t>(channels, 0));
+    std::uint32_t cap = (count + channels - 1) / channels + slack;
+    for (TaskId candidate = 1; ids.size() < count && candidate < 20000000;
+         ++candidate) {
+        bool ok = true;
+        for (std::size_t h = 0; h < hosts.size() && ok; ++h)
+            ok = load[h][task_channel_index(candidate, hosts[h], channels)] <
+                 cap;
+        if (!ok)
+            continue;
+        for (std::size_t h = 0; h < hosts.size(); ++h)
+            ++load[h][task_channel_index(candidate, hosts[h], channels)];
+        ids.push_back(candidate);
+    }
+    return ids;
+}
+
 namespace {
 
 /**
@@ -183,50 +206,17 @@ DataChannel::pump()
             return;
         }
 
-        // Build the next frame: DATA first, then LONG_DATA batches. A
-        // degraded daemon routes everything — short and medium keys
-        // included — through the bypass path in LONG framing.
-        std::vector<std::uint8_t> frame;
-        PacketType type;
-        if (daemon_.degraded()) {
-            auto batch = job.builder->next_bypass_batch(kLongPayloadBytes);
-            ASK_ASSERT(batch.has_value(), "builder non-empty but no frames");
-            AskHeader hdr;
-            hdr.type = PacketType::kLongData;
-            hdr.op = job.op;
-            hdr.channel_id = global_id();
-            hdr.task_id = job.task;
-            hdr.seq = next_seq_;
-            frame = make_long_frame(hdr, *batch);
-            type = PacketType::kLongData;
-            ++daemon_.stats().long_packets_sent;
-        } else if (job.builder->next_data_into(built_scratch_)) {
-            AskHeader hdr;
-            hdr.type = PacketType::kData;
-            hdr.op = job.op;
-            hdr.num_slots = static_cast<std::uint8_t>(cfg.num_aas);
-            hdr.channel_id = global_id();
-            hdr.task_id = job.task;
-            hdr.seq = next_seq_;
-            hdr.bitmap = built_scratch_.bitmap;
-            frame = make_frame(hdr, cfg.payload_bytes());
-            write_slots(frame, built_scratch_.bitmap, cfg.num_aas,
-                        built_scratch_.slots.data());
-            type = PacketType::kData;
-            ++daemon_.stats().data_packets_sent;
-        } else {
-            auto batch = job.builder->next_long_batch(kLongPayloadBytes);
-            ASK_ASSERT(batch.has_value(), "builder non-empty but no frames");
-            AskHeader hdr;
-            hdr.type = PacketType::kLongData;
-            hdr.op = job.op;
-            hdr.channel_id = global_id();
-            hdr.task_id = job.task;
-            hdr.seq = next_seq_;
-            frame = make_long_frame(hdr, *batch);
-            type = PacketType::kLongData;
-            ++daemon_.stats().long_packets_sent;
-        }
+        // Build the next frame. A degraded daemon routes every tuple
+        // (short and medium keys included) through the bypass path.
+        AskHeader hdr;
+        hdr.op = job.op;
+        hdr.channel_id = global_id();
+        hdr.task_id = job.task;
+        hdr.seq = next_seq_;
+        std::vector<std::uint8_t> frame =
+            job.builder->next_frame(hdr, daemon_.degraded());
+        ++(hdr.type == PacketType::kData ? daemon_.stats().data_packets_sent
+                                         : daemon_.stats().long_packets_sent);
 
         // Durability: promise the next K sequence numbers to the WAL
         // before using the first of them. On the checkpoint boundary the
@@ -246,7 +236,8 @@ DataChannel::pump()
                   job.replay ? obs::kTraceFlagReplay : std::uint8_t{0});
         auto [it, inserted] =
             in_flight_.emplace(seq, InFlight{std::move(frame), job.receiver,
-                                             sim::kInvalidEvent, 0, 0, type});
+                                             sim::kInvalidEvent, 0, 0,
+                                             hdr.type});
         ASK_ASSERT(inserted, "duplicate in-flight seq");
         (void)it;
         transmit(seq, /*is_retransmit=*/false);
@@ -547,7 +538,8 @@ DataChannel::finish_conversion(Seq seq, AskSwitchProgram::ProbeResult probe)
     // Re-issue under the ORIGINAL sequence number: the receiver window
     // dedups DATA and LONG_DATA uniformly per (channel, seq), so if the
     // forwarded original did reach the receiver, this copy is ignored.
-    KvStream tuples = daemon_.tuples_from_data_frame(entry.frame, unconsumed);
+    KvStream tuples =
+        tuples_from_data_frame(daemon_.key_space(), entry.frame, unconsumed);
     AskHeader lh;
     lh.type = PacketType::kLongData;
     lh.op = hdr->op;
@@ -797,37 +789,6 @@ AskDaemon::enter_degraded_mode(const std::string& reason)
         ch->convert_in_flight_to_bypass();
 }
 
-KvStream
-AskDaemon::tuples_from_data_frame(const std::vector<std::uint8_t>& frame,
-                                  std::uint64_t mask) const
-{
-    KvStream out;
-    for (std::uint32_t i = 0; i < config_.short_aas(); ++i) {
-        if (!(mask & (1ULL << i)))
-            continue;
-        WireSlot slot = read_slot(frame, i);
-        out.push_back(KvTuple{
-            KeySpace::unpad(key_space_.decode_segment(slot.seg)), slot.value});
-    }
-    for (std::uint32_t g = 0; g < config_.medium_groups; ++g) {
-        std::uint32_t mb = config_.medium_base(g);
-        if (!(mask & (1ULL << mb)))
-            continue;
-        std::string padded;
-        Value value = 0;
-        for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
-            ASK_ASSERT(mask & (1ULL << (mb + j)),
-                       "medium group bitmap must be all-or-nothing");
-            WireSlot slot = read_slot(frame, mb + j);
-            padded += key_space_.decode_segment(slot.seg);
-            if (j + 1 == config_.medium_segments)
-                value = slot.value;
-        }
-        out.push_back(KvTuple{KeySpace::unpad(padded), value});
-    }
-    return out;
-}
-
 void
 AskDaemon::receive(net::Packet pkt)
 {
@@ -982,7 +943,8 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
         r.channel = hdr.channel_id;
         r.seq = hdr.seq;
         r.tuples = hdr.type == PacketType::kData
-                       ? tuples_from_data_frame(pkt.data, hdr.bitmap)
+                       ? tuples_from_data_frame(key_space_, pkt.data,
+                                                hdr.bitmap)
                        : parse_long_tuples(pkt.data);
         wal_.append(r);
         apply_rx(task.state, r);

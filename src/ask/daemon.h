@@ -269,9 +269,6 @@ class DataChannel
     std::uint64_t busy_ns_ = 0;
 
     std::deque<SendJob> jobs_;
-    /** Per-channel DATA-build scratch: pump() drains whole streams
-     *  through it, so packetization allocates nothing per packet. */
-    BuiltData built_scratch_;
     Seq next_seq_ = 0;
     std::map<Seq, InFlight> in_flight_;
     /** Congestion window (paper §7: a congestion-control window runs
@@ -309,6 +306,20 @@ task_channel_index(TaskId task, HostId host, std::uint32_t channels)
     return static_cast<std::uint32_t>(mix64(task ^ mix64(host.value() + 1)) %
                                       channels);
 }
+
+/**
+ * `count` task ids, searched upward from 1, whose channel assignment
+ * (task_channel_index) is balanced on every host of `hosts` at once: at
+ * most ceil(count / channels) + `slack` tasks per local channel. Each
+ * host salts the hash with its own identity, so an id set even on one
+ * host can be skewed on another, and exact balance over many hosts may
+ * be infeasible: fewer than `count` ids come back when the search runs
+ * out, and a caller can retry with more slack.
+ */
+std::vector<TaskId> balanced_task_ids(const std::vector<HostId>& hosts,
+                                      std::uint32_t channels,
+                                      std::uint32_t count,
+                                      std::uint32_t slack = 0);
 
 /** The per-host daemon. */
 class AskDaemon : public net::Node
@@ -538,13 +549,6 @@ class AskDaemon : public net::Node
     void arm_liveness(TaskId task_id);
     void notify_task_failure(TaskId task, TaskStatus status,
                              const std::string& reason);
-
-    /** Decode the tuples of a DATA frame whose slot bit is in `mask`:
-     *  the frame's bitmap at the receiver, the unconsumed slots in a
-     *  degraded-mode conversion to a bypass frame. A medium group's
-     *  bits are all set or all clear. */
-    KvStream tuples_from_data_frame(const std::vector<std::uint8_t>& frame,
-                                    std::uint64_t mask) const;
 
     /** One archived submit_send (kept until forget_task for replay).
      *  The stream is the one the channel's packet builder reads. */

@@ -40,72 +40,19 @@ KeySpace::short_slot(const Key& key) const
     return bucket(hash64_premixed(key, part_seed_mixed_), config_.short_aas());
 }
 
-std::uint32_t
-KeySpace::medium_group(const Key& key) const
-{
-    ASK_ASSERT(classify(key) == KeyClass::kMedium, "not a medium key");
-    return bucket(hash64_premixed(key, part_seed_mixed_),
-                  config_.medium_groups);
-}
-
-std::string
-KeySpace::padded(const Key& key) const
-{
-    KeyClass cls = classify(key);
-    ASK_ASSERT(cls != KeyClass::kLong, "long keys have no padded wire form");
-    std::size_t width = cls == KeyClass::kShort
-                            ? config_.seg_bytes()
-                            : config_.max_medium_key_bytes();
-    std::string out = key;
-    out.resize(width, '\0');
-    return out;
-}
-
 Key
-KeySpace::unpad(std::string_view padded)
+KeySpace::decode_key(std::span<const std::uint32_t> segs) const
 {
-    std::size_t end = padded.size();
-    while (end > 0 && padded[end - 1] == '\0')
+    std::size_t nb = config_.seg_bytes();
+    Key key(segs.size() * nb, '\0');
+    for (std::size_t j = 0; j < segs.size(); ++j)
+        decode_segment_into(segs[j], key.data() + j * nb);
+    // Keys hold no NUL (check_key), so every trailing NUL is padding.
+    std::size_t end = key.size();
+    while (end > 0 && key[end - 1] == '\0')
         --end;
-    return Key(padded.substr(0, end));
+    key.resize(end);
+    return key;
 }
-
-std::uint32_t
-KeySpace::encode_segment(std::string_view padded_key,
-                         std::uint32_t seg_index) const
-{
-    std::uint32_t nb = config_.seg_bytes();
-    std::size_t off = static_cast<std::size_t>(seg_index) * nb;
-    ASK_ASSERT(off + nb <= padded_key.size(), "segment out of range");
-    std::uint32_t v = 0;
-    for (std::uint32_t i = 0; i < nb; ++i) {
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(padded_key[off + i]))
-             << (8 * i);
-    }
-    return v;
-}
-
-std::string
-KeySpace::decode_segment(std::uint32_t seg) const
-{
-    std::string out(config_.seg_bytes(), '\0');
-    decode_segment_into(seg, out.data());
-    return out;
-}
-
-
-std::vector<std::uint32_t>
-KeySpace::segments(const Key& key) const
-{
-    std::string p = padded(key);
-    std::uint32_t count =
-        static_cast<std::uint32_t>(p.size() / config_.seg_bytes());
-    std::vector<std::uint32_t> segs(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        segs[i] = encode_segment(p, i);
-    return segs;
-}
-
 
 }  // namespace ask::core

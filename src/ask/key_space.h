@@ -15,9 +15,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "ask/config.h"
 #include "ask/types.h"
@@ -59,64 +59,45 @@ class KeySpace
 
     /**
      * Validate, classify and partition-hash a key in one call, the
-     * sender's per-tuple entry point: {classify(key), short_slot(key)}
-     * for a short key, {classify(key), medium_group(key)} for a medium
-     * one, {kLong, 0} for a long one. Throws StateError like classify().
+     * sender's per-tuple entry point: {kShort, short_slot(key)} for a
+     * short key, {kMedium, g} for a medium one, which occupies payload
+     * slots [medium_base(g), medium_base(g) + m), and {kLong, 0} for a
+     * long one. Throws StateError like classify().
      */
     KeyPlace place(const Key& key) const;
 
     /** Subspace (== AA index == payload slot) of a *short* key. */
     std::uint32_t short_slot(const Key& key) const;
 
-    /** Medium group index g of a *medium* key; the key occupies payload
-     *  slots [medium_base(g), medium_base(g) + m). */
-    std::uint32_t medium_group(const Key& key) const;
-
     /**
-     * Wire segments of a key: the key NUL-padded to the class width and
-     * cut into n-bit chunks (1 chunk for short keys, m for medium).
-     * Each segment is returned as a little-endian integer of seg_bytes().
-     */
-    std::vector<std::uint32_t> segments(const Key& key) const;
-
-    /** Padded wire form of the key (the bytes the switch hashes). */
-    std::string padded(const Key& key) const;
-
-    /** Recover the application key from its padded wire form. */
-    static Key unpad(std::string_view padded);
-
-    /** Encode one segment from padded bytes [offset, offset+seg_bytes). */
-    std::uint32_t encode_segment(std::string_view padded_key,
-                                 std::uint32_t seg_index) const;
-
-    /** Decode a segment integer back into seg_bytes() raw bytes. */
-    std::string decode_segment(std::uint32_t seg) const;
-
-    /**
-     * Decode a segment integer into `out` (which must hold seg_bytes()):
-     * the allocation-free form of decode_segment() for the data-plane
-     * hot path, byte-identical to it.
-     */
-    void decode_segment_into(std::uint32_t seg, char* out) const;
-
-    /**
-     * Wire segment `seg_index` taken directly from the unpadded key:
-     * equivalent to encode_segment(padded(key), seg_index) without
-     * materializing the padded string.
+     * Wire segment `seg_index` of a key: bytes [seg_index * seg_bytes(),
+     * (seg_index + 1) * seg_bytes()) of the key NUL-padded to its class
+     * width (one segment for a short key, m for a medium one), as a
+     * little-endian integer.
      */
     std::uint32_t encode_key_segment(std::string_view key,
                                      std::uint32_t seg_index) const;
 
+    /** Decode a segment integer into `out`, which must hold seg_bytes(). */
+    void decode_segment_into(std::uint32_t seg, char* out) const;
+
+    /**
+     * The key whose wire segments are `segs`, in slot order (one for a
+     * short key, m for a medium one): their bytes with the NUL padding
+     * stripped. The inverse of encode_key_segment().
+     */
+    Key decode_key(std::span<const std::uint32_t> segs) const;
+
     /** Aggregator index (within one shadow copy of size `copy_len`) that
-     *  the switch addresses this key to. `padded_key` is the wire form. */
+     *  the switch addresses this key to. `padded_key` is the wire form:
+     *  the bytes of the key's segments, NUL padding included. */
     std::uint32_t aggregator_index(std::string_view padded_key,
                                    std::uint32_t copy_len) const;
 
     /**
      * Aggregator index of a *short* key given its wire segment: hashes
-     * the decoded bytes from a stack buffer, so it returns exactly
-     * aggregator_index(decode_segment(seg), copy_len) without the
-     * per-tuple string allocation.
+     * the segment's seg_bytes() padded bytes from a stack buffer, without
+     * a per-tuple string allocation.
      */
     std::uint32_t short_aggregator_index(std::uint32_t seg,
                                          std::uint32_t copy_len) const;

@@ -44,8 +44,6 @@ PacketBuilder::PacketBuilder(const KeySpace& key_space,
         queues_[q].tuples.reserve(counts[q]);
         if (counts[q] != 0)
             nonempty_ |= 1ULL << q;
-        (q < config_.short_aas() ? short_enqueued_ : medium_enqueued_) +=
-            counts[q];
     }
     long_.tuples.reserve(counts[kLongQueue]);
     for (std::size_t i = 0; i < tuples.size(); ++i) {
@@ -69,26 +67,24 @@ PacketBuilder::queue_of(const KeyPlace& place) const
     return kLongQueue;
 }
 
-std::optional<BuiltData>
-PacketBuilder::next_data()
+std::vector<std::uint8_t>
+PacketBuilder::next_frame(AskHeader& hdr, bool bypass)
 {
-    BuiltData out;
-    if (!next_data_into(out))
-        return std::nullopt;
-    return out;
+    ASK_ASSERT(!empty(), "next_frame of a drained builder");
+    return !bypass && nonempty_ != 0 ? data_frame(hdr)
+                                     : long_frame(hdr, bypass);
 }
 
-bool
-PacketBuilder::next_data_into(BuiltData& out)
+std::vector<std::uint8_t>
+PacketBuilder::data_frame(AskHeader& hdr)
 {
-    if (!has_data())
-        return false;
+    hdr.type = PacketType::kData;
+    hdr.num_slots = static_cast<std::uint8_t>(config_.num_aas);
+    hdr.bitmap = 0;
+    std::vector<std::uint8_t> frame = make_frame(hdr, config_.payload_bytes());
 
-    out.slots.assign(config_.num_aas, WireSlot{});
-    out.bitmap = 0;
-    out.valid_tuples = 0;
-
-    // One head from every non-empty queue, encoded into its slots.
+    // One head from every non-empty queue, encoded into its slots; blank
+    // slots keep make_frame's zero fill (they are transmitted).
     const KvStream& tuples = *stream_;
     std::uint32_t shorts = config_.short_aas();
     std::uint32_t m = config_.medium_segments;
@@ -97,18 +93,19 @@ PacketBuilder::next_data_into(BuiltData& out)
         IndexQueue& queue = queues_[q];
         const KvTuple& t = tuples[queue.tuples[queue.head]];
         if (q < shorts) {
-            out.slots[q] =
-                WireSlot{key_space_.encode_key_segment(t.key, 0), t.value};
-            out.bitmap |= 1ULL << q;
+            write_slot(frame, q,
+                       WireSlot{key_space_.encode_key_segment(t.key, 0),
+                                t.value});
+            hdr.bitmap |= 1ULL << q;
         } else {
             // The value rides in the group's last slot; the others carry 0.
             std::uint32_t mb = config_.medium_base(q - shorts);
             for (std::uint32_t j = 0; j < m; ++j) {
-                out.slots[mb + j] =
-                    WireSlot{key_space_.encode_key_segment(t.key, j),
-                             j + 1 == m ? t.value : 0};
+                write_slot(frame, mb + j,
+                           WireSlot{key_space_.encode_key_segment(t.key, j),
+                                    j + 1 == m ? t.value : 0});
             }
-            out.bitmap |= ((1ULL << m) - 1) << mb;
+            hdr.bitmap |= ((1ULL << m) - 1) << mb;
         }
         if (++queue.head == queue.tuples.size()) {
             nonempty_ &= ~(1ULL << q);
@@ -120,21 +117,38 @@ PacketBuilder::next_data_into(BuiltData& out)
                                          queue.tuples.size() - 1);
             __builtin_prefetch(&tuples[queue.tuples[ahead]]);
         }
-        ++out.valid_tuples;
     }
+    rewrite_bitmap(frame, hdr.bitmap);
+    return frame;
+}
 
-    ASK_ASSERT(out.bitmap != 0, "built an empty DATA packet");
-    return true;
+std::vector<std::uint8_t>
+PacketBuilder::long_frame(AskHeader& hdr, bool bypass)
+{
+    // The long queue, then (bypassing) the slot queues in index order,
+    // up to the first tuple that does not fit.
+    Batch batch;
+    if (fill(long_, batch) && bypass) {
+        for (std::uint32_t q = 0; q < queues_.size(); ++q) {
+            if (!fill(queues_[q], batch))
+                break;
+            nonempty_ &= ~(1ULL << q);
+        }
+    }
+    hdr.type = PacketType::kLongData;
+    hdr.num_slots = 0;
+    hdr.bitmap = 0;
+    return make_long_frame(hdr, batch.tuples);
 }
 
 bool
-PacketBuilder::fill(IndexQueue& queue, Batch& batch, std::uint32_t budget)
+PacketBuilder::fill(IndexQueue& queue, Batch& batch)
 {
     const KvStream& tuples = *stream_;
     for (; !queue.drained(); ++queue.head) {
         const KvTuple& t = tuples[queue.tuples[queue.head]];
         std::uint32_t need = 2 + static_cast<std::uint32_t>(t.key.size()) + 4;
-        if (!batch.tuples.empty() && batch.bytes + need > budget)
+        if (!batch.tuples.empty() && batch.bytes + need > kLongPayloadBytes)
             return false;
         batch.bytes += need;
         batch.tuples.push_back(t);
@@ -142,32 +156,36 @@ PacketBuilder::fill(IndexQueue& queue, Batch& batch, std::uint32_t budget)
     return true;
 }
 
-std::optional<std::vector<KvTuple>>
-PacketBuilder::next_long_batch(std::uint32_t max_payload_bytes)
+KvStream
+tuples_from_data_frame(const KeySpace& key_space,
+                       const std::vector<std::uint8_t>& frame,
+                       std::uint64_t mask)
 {
-    if (!has_long())
-        return std::nullopt;
-    Batch batch;
-    fill(long_, batch, max_payload_bytes);
-    return std::move(batch.tuples);
-}
-
-std::optional<std::vector<KvTuple>>
-PacketBuilder::next_bypass_batch(std::uint32_t max_payload_bytes)
-{
-    if (empty())
-        return std::nullopt;
-    // The long queue, then the slot queues in index order (short slots
-    // before medium groups), up to the first tuple that does not fit.
-    Batch batch;
-    if (fill(long_, batch, max_payload_bytes)) {
-        for (std::uint32_t q = 0; q < queues_.size(); ++q) {
-            if (!fill(queues_[q], batch, max_payload_bytes))
-                break;
-            nonempty_ &= ~(1ULL << q);
-        }
+    const AskConfig& config = key_space.config();
+    KvStream out;
+    for (std::uint32_t i = 0; i < config.short_aas(); ++i) {
+        if (!(mask & (1ULL << i)))
+            continue;
+        WireSlot slot = read_slot(frame, i);
+        out.push_back(KvTuple{key_space.decode_key({&slot.seg, 1}), slot.value});
     }
-    return std::move(batch.tuples);
+    std::uint32_t m = config.medium_segments;
+    std::array<std::uint32_t, 64> segs{};  // m <= num_aas <= 64
+    for (std::uint32_t g = 0; g < config.medium_groups; ++g) {
+        std::uint32_t mb = config.medium_base(g);
+        if (!(mask & (1ULL << mb)))
+            continue;
+        Value value = 0;
+        for (std::uint32_t j = 0; j < m; ++j) {
+            ASK_ASSERT(mask & (1ULL << (mb + j)),
+                       "medium group bitmap must be all-or-nothing");
+            WireSlot slot = read_slot(frame, mb + j);
+            segs[j] = slot.seg;
+            value = slot.value;  // the group's last slot carries it
+        }
+        out.push_back(KvTuple{key_space.decode_key({segs.data(), m}), value});
+    }
+    return out;
 }
 
 }  // namespace ask::core

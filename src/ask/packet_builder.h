@@ -14,10 +14,11 @@
  * Each key is placed (classified and partition-hashed) once, at
  * construction, and each queue holds only the stream indices of its
  * tuples, so the builder adds 4 bytes per tuple to the stream it
- * already references. A tuple is encoded into its WireSlots (one for a
- * short key, m for a medium key with the value in the last) when a
- * DATA packet takes it; the long and degraded-mode bypass batches copy
- * tuples straight from the stream.
+ * already references. The builder hands out finished frames: a DATA
+ * frame's slots are encoded straight into the frame bytes when the
+ * frame takes their tuples (one slot for a short key, m for a medium
+ * key with the value in the last), and a LONG_DATA frame serializes
+ * tuples copied from the stream.
  */
 #ifndef ASK_ASK_PACKET_BUILDER_H
 #define ASK_ASK_PACKET_BUILDER_H
@@ -25,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "ask/config.h"
@@ -39,18 +39,7 @@ namespace ask::core {
  *  so they are not bound to the slot layout). */
 inline constexpr std::uint32_t kLongPayloadBytes = 1024;
 
-/** One DATA packet's worth of slots, before framing. */
-struct BuiltData
-{
-    /** All num_aas slots; blanks are zero-filled (they are transmitted). */
-    std::vector<WireSlot> slots;
-    /** Slot-occupancy bitmap. */
-    std::uint64_t bitmap = 0;
-    /** Distinct tuples carried (a medium tuple counts once). */
-    std::uint32_t valid_tuples = 0;
-};
-
-/** Builds the outgoing packet sequence for one task's stream. */
+/** Builds the outgoing frame sequence for one task's stream. */
 class PacketBuilder
 {
   public:
@@ -58,49 +47,23 @@ class PacketBuilder
     PacketBuilder(const KeySpace& key_space,
                   std::shared_ptr<const KvStream> stream);
 
-    /** True while any DATA-eligible (short/medium) tuples remain. */
-    bool has_data() const { return nonempty_ != 0; }
-
-    /** True while long-key tuples remain. */
-    bool has_long() const { return !long_.drained(); }
-
-    bool empty() const { return !has_data() && !has_long(); }
+    /** True once every tuple has gone into a frame. */
+    bool empty() const { return nonempty_ == 0 && long_.drained(); }
 
     /**
-     * Build the next DATA packet: pops at most one tuple per slot queue.
-     * std::nullopt when no short/medium tuples remain.
+     * The next frame of the stream, under `hdr`'s op, channel, task and
+     * seq; the builder sets `hdr`'s type, num_slots and bitmap to the
+     * frame's. The builder must not be empty().
+     *
+     * Normally: a DATA frame taking the head of every non-empty slot
+     * queue while any remain, then LONG_DATA frames of the long-key
+     * queue. With `bypass` (a degraded sender routes every tuple around
+     * the switch): LONG_DATA frames of the long queue first, then of the
+     * slot queues in index order (short slots before medium groups). A
+     * LONG_DATA frame takes tuples in that order while its payload stays
+     * within kLongPayloadBytes, and always takes at least one.
      */
-    std::optional<BuiltData> next_data();
-
-    /**
-     * Scratch-reusing form of next_data() for the send hot path: fills
-     * `out` (reusing its slot vector's capacity, so a caller draining a
-     * stream into the same BuiltData allocates nothing per packet) and
-     * returns true, or returns false when no short/medium tuples remain.
-     * Produces bit-identical packets to next_data().
-     */
-    bool next_data_into(BuiltData& out);
-
-    /**
-     * Pop the next batch of long-key tuples whose serialized size fits
-     * `max_payload_bytes`. std::nullopt when none remain.
-     */
-    std::optional<std::vector<KvTuple>> next_long_batch(
-        std::uint32_t max_payload_bytes);
-
-    /**
-     * Degraded mode: pop the next batch of tuples of ANY class for the
-     * host-only bypass path — the long queue first, then the
-     * short/medium slot queues. Same wire format and size accounting as
-     * next_long_batch. std::nullopt when the builder is empty.
-     */
-    std::optional<std::vector<KvTuple>> next_bypass_batch(
-        std::uint32_t max_payload_bytes);
-
-    /** Tuples queued at construction, by class. */
-    std::uint64_t short_enqueued() const { return short_enqueued_; }
-    std::uint64_t medium_enqueued() const { return medium_enqueued_; }
-    std::uint64_t long_enqueued() const { return long_.tuples.size(); }
+    std::vector<std::uint8_t> next_frame(AskHeader& hdr, bool bypass);
 
   private:
     /** FIFO of stream indices; popping advances `head`. */
@@ -122,10 +85,12 @@ class PacketBuilder
     /** Queue index of a placed short or medium key: short slot s is
      *  queue s, medium group g is queue short_aas() + g. */
     std::uint32_t queue_of(const KeyPlace& place) const;
+    std::vector<std::uint8_t> data_frame(AskHeader& hdr);
+    std::vector<std::uint8_t> long_frame(AskHeader& hdr, bool bypass);
     /** Copy head tuples of `queue` into `batch` while it stays within
-     *  `budget` bytes (the first tuple always goes); true when the queue
-     *  drained. */
-    bool fill(IndexQueue& queue, Batch& batch, std::uint32_t budget);
+     *  kLongPayloadBytes (the first tuple always goes); true when the
+     *  queue drained. */
+    bool fill(IndexQueue& queue, Batch& batch);
 
     const KeySpace& key_space_;
     const AskConfig& config_;
@@ -136,10 +101,17 @@ class PacketBuilder
     /** Bit q set iff queues_[q] holds a tuple. */
     std::uint64_t nonempty_ = 0;
     IndexQueue long_;
-
-    std::uint64_t short_enqueued_ = 0;
-    std::uint64_t medium_enqueued_ = 0;
 };
+
+/**
+ * Decode the tuples of a DATA frame whose slot bit is in `mask`: the
+ * frame's bitmap at the receiver, the unconsumed slots in a
+ * degraded-mode conversion to a bypass frame. A medium group's bits are
+ * all set or all clear. The inverse of PacketBuilder's DATA encoding.
+ */
+KvStream tuples_from_data_frame(const KeySpace& key_space,
+                                const std::vector<std::uint8_t>& frame,
+                                std::uint64_t mask);
 
 }  // namespace ask::core
 

@@ -1,5 +1,6 @@
 #include "ask/switch_program.h"
 
+#include <array>
 #include <bit>
 #include <cstdlib>
 #include <string_view>
@@ -33,12 +34,6 @@ vpart(std::uint32_t part_bits, std::uint64_t word)
 }
 
 }  // namespace
-
-pisa::verify::AccessPlan
-AskSwitchProgram::make_access_plan(const AskConfig& config)
-{
-    return make_access_plan(config, config.max_channels());
-}
 
 pisa::verify::AccessPlan
 AskSwitchProgram::make_access_plan(const AskConfig& config,
@@ -199,13 +194,6 @@ AskSwitchProgram::make_access_plan(const AskConfig& config,
     plan.passes.push_back(std::move(forward));
 
     return plan;
-}
-
-AskSwitchProgram::AskSwitchProgram(const AskConfig& config,
-                                   pisa::PisaSwitch& sw)
-    : AskSwitchProgram(config, sw, 0,
-                       static_cast<ChannelId>(config.max_channels()))
-{
 }
 
 AskSwitchProgram::AskSwitchProgram(const AskConfig& config,
@@ -396,31 +384,30 @@ AskSwitchProgram::read_region(TaskId task, std::uint32_t copy, bool clear)
         aas_[i]->cp_scan(first, r->len, [&](std::size_t, std::uint64_t word) {
             std::uint32_t k = kpart(config_.part_bits, word);
             if (k != 0) {
-                out.push_back(KvTuple{
-                    KeySpace::unpad(key_space_.decode_segment(k)),
-                    vpart(config_.part_bits, word)});
+                out.push_back(KvTuple{key_space_.decode_key({&k, 1}),
+                                      vpart(config_.part_bits, word)});
             }
         });
     }
 
     // Medium-key groups: m adjacent AAs share one key at a unified index,
     // held wherever the group's first AA holds a key segment.
+    std::uint32_t m = config_.medium_segments;
+    std::array<std::uint32_t, 64> segs{};  // m <= num_aas <= 64
     for (std::uint32_t g = 0; g < config_.medium_groups; ++g) {
         std::uint32_t mb = config_.medium_base(g);
         aas_[mb]->cp_scan(first, r->len, [&](std::size_t idx,
                                              std::uint64_t lead) {
             if (kpart(config_.part_bits, lead) == 0)
                 return;
-            std::string padded;
             Value value = 0;
-            for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
+            for (std::uint32_t j = 0; j < m; ++j) {
                 std::uint64_t word = j == 0 ? lead : aas_[mb + j]->cp_read(idx);
-                padded += key_space_.decode_segment(
-                    kpart(config_.part_bits, word));
-                if (j + 1 == config_.medium_segments)
-                    value = vpart(config_.part_bits, word);
+                segs[j] = kpart(config_.part_bits, word);
+                value = vpart(config_.part_bits, word);  // the last AA's
             }
-            out.push_back(KvTuple{KeySpace::unpad(padded), value});
+            out.push_back(KvTuple{key_space_.decode_key({segs.data(), m}),
+                                  value});
         });
     }
     if (clear)

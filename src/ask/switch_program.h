@@ -71,21 +71,17 @@ class AskSwitchProgram : public pisa::SwitchProgram
      * count, arrays per stage, SRAM, access discipline on any path):
      * illegal programs never install.
      *
+     * Reliability state (max_seq, seen, pkt_state) is provisioned for
+     * the channel range [lo, hi) only: a rack's ToR carries state for
+     * its own hosts' channels, not the whole cluster's, which is what
+     * keeps per-switch state bounded by rack size as racks are added
+     * (paper §7). Channels outside the range are not local: their
+     * DATA/LONG_DATA traffic is plain-forwarded toward the receiver.
+     * A single switch provisions [0, max_channels()).
+     *
      * With the environment variable ASK_VERIFY_ACCESSES set (to
      * anything but "0"), the runtime cross-check is armed at install
      * (see enable_access_verification()).
-     */
-    AskSwitchProgram(const AskConfig& config, pisa::PisaSwitch& sw);
-
-    /**
-     * Sharded variant: provision reliability state (max_seq, seen,
-     * pkt_state) for the channel range [lo, hi) only — a rack's ToR
-     * carries state for its own hosts' channels, not the whole
-     * cluster's, which is what keeps per-switch state bounded by rack
-     * size as racks are added (paper §7). Channels outside the range
-     * are not local: their DATA/LONG_DATA traffic is plain-forwarded
-     * toward the receiver. AskCluster builds every switch this way;
-     * the constructor above is exactly [0, max_channels()).
      */
     AskSwitchProgram(const AskConfig& config, pisa::PisaSwitch& sw,
                      ChannelId lo, ChannelId hi);
@@ -93,16 +89,14 @@ class AskSwitchProgram : public pisa::SwitchProgram
     ~AskSwitchProgram() override;
 
     /**
-     * The declarative access plan for `config`: every register array
-     * (name, stage, shape) plus the guarded branch structure of every
-     * packet-kind pass. This is the exact layout the constructor
-     * declares, the object the verifier proves PISA-legality over, and
-     * the oracle the runtime cross-check replays — one source of truth.
+     * The declarative access plan for `config`, with the
+     * channel-indexed reliability arrays sized for `num_channels`
+     * provisioned channels: every register array (name, stage, shape)
+     * plus the guarded branch structure of every packet-kind pass. This
+     * is the exact layout the constructor declares, the object the
+     * verifier proves PISA-legality over, and the oracle the runtime
+     * cross-check replays — one source of truth.
      */
-    static pisa::verify::AccessPlan make_access_plan(const AskConfig& config);
-
-    /** Same plan with the channel-indexed reliability arrays sized for
-     *  `num_channels` provisioned channels (fabric ToRs). */
     static pisa::verify::AccessPlan make_access_plan(const AskConfig& config,
                                                      std::uint32_t
                                                          num_channels);

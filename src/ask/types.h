@@ -118,8 +118,8 @@ using Seq = std::uint32_t;
  *  - kCount: lift = v |-> 1,  combine = add — partial counts from
  *            different shards add, so the switch ALU stays a sum.
  *  - kFloat: fixed-point gradients. Values are Q-format two's
- *            complement (AskConfig::float_frac_bits fractional bits,
- *            see float_encode()); combine is the same wrapping 32-bit
+ *            complement (kFloatFracBits fractional bits, see
+ *            float_encode()); combine is the same wrapping 32-bit
  *            add, which handles negatives for free. Requires 32-bit
  *            vParts (part_bits == 32).
  *
@@ -200,6 +200,9 @@ apply_op(ReduceOp op, Value acc, Value v)
 }
 
 // ---- fixed-point float encoding (kFloat) ---------------------------------
+
+/** Fractional bits of the kFloat encoding that hosts use: Q16.16. */
+inline constexpr std::uint32_t kFloatFracBits = 16;
 
 /** Encode a real number as Q-format two's complement with `frac_bits`
  *  fractional bits (round to nearest, saturating at the int32 range).

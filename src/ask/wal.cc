@@ -383,13 +383,29 @@ Wal::replay(WalReplayStatus* status) const
 {
     WalReplayStatus local;
     WalReplayStatus& st = status != nullptr ? *status : local;
+    std::vector<WalRecord> records = replay_all(st, status == nullptr);
+    // A damaged image yields its verified prefix whole: the record that
+    // retired an earlier one may be the one the damage cut off.
+    if (st.corrupt || st.torn_tail)
+        return records;
+    std::vector<WalRecord> live;
+    live.reserve(live_records_);
+    for (std::size_t i = 0; i < records.size(); ++i)
+        if (segments_[i].live)
+            live.push_back(std::move(records[i]));
+    return live;
+}
+
+std::vector<WalRecord>
+Wal::replay_all(WalReplayStatus& st, bool throw_on_corrupt) const
+{
     st = WalReplayStatus{};
     std::vector<WalRecord> records;
 
     std::size_t off = 0;
     auto corrupt_at = [&](const char* what) {
         st.corrupt = true;
-        if (status == nullptr)
+        if (throw_on_corrupt)
             fail_state("WAL ", name_, ": corrupt record at byte ", off, " (",
                        what, ")");
     };
@@ -436,7 +452,7 @@ bool
 Wal::verify() const
 {
     WalReplayStatus st;
-    std::vector<WalRecord> records = replay(&st);
+    std::vector<WalRecord> records = replay_all(st, false);
     if (st.corrupt || st.torn_tail || st.records != record_hashes_.size())
         return false;
     std::uint64_t root = 0;
@@ -471,7 +487,7 @@ Wal::describe() const
     d.set("size_bytes", static_cast<std::uint64_t>(bytes_.size()));
     d.set("digest", std::to_string(digest_));
     WalReplayStatus st;
-    std::vector<WalRecord> records = replay(&st);
+    std::vector<WalRecord> records = replay_all(st, false);
     d.set("torn_tail", st.torn_tail);
     d.set("corrupt", st.corrupt);
     obs::Json list = obs::Json::array();

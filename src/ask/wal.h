@@ -147,7 +147,8 @@ struct WalRecord
 /** Outcome of a replay() pass over the byte image. */
 struct WalReplayStatus
 {
-    /** Records successfully parsed and hash-verified. */
+    /** Frames successfully parsed and hash-verified, retired records
+     *  not yet compacted away included. */
     std::size_t records = 0;
     /** The image ends mid-record (crash during append). Tolerated. */
     bool torn_tail = false;
@@ -201,12 +202,16 @@ class Wal
     }
 
     /**
-     * Parse and hash-verify the byte image against the segment list.
-     * A torn tail yields the verified prefix with status->torn_tail
-     * set. Corruption either sets status->corrupt (when `status` is
-     * non-null; the verified prefix before the damage is returned) or
-     * throws StateError (when `status` is null). Retired records not
-     * yet compacted away are returned too; the folds ignore them.
+     * Parse and hash-verify the byte image against the segment list,
+     * and return what recovery acts on. An image that verifies whole
+     * yields the live records, in order: records() of them. A torn tail
+     * yields the verified prefix with status->torn_tail set. Corruption
+     * either sets status->corrupt (when `status` is non-null; the
+     * verified prefix before the damage is returned) or throws
+     * StateError (when `status` is null). A damaged image's prefix
+     * comes back whole, retired records included, since the record
+     * that retired one may be the one the damage cut off; a fold gives
+     * a retired record no effect once it applies the retiring one.
      */
     std::vector<WalRecord> replay(WalReplayStatus* status = nullptr) const;
 
@@ -245,6 +250,12 @@ class Wal
         std::size_t bytes = 0;  ///< frame header + payload
         bool live = true;
     };
+
+    /** Parse and hash-verify every frame of the image, retired ones
+     *  included, into `st`; on corruption, throw StateError when
+     *  `throw_on_corrupt`. */
+    std::vector<WalRecord> replay_all(WalReplayStatus& st,
+                                      bool throw_on_corrupt) const;
 
     /** The liveness rule: retire what `record` (segment `index`) makes
      *  dead, then track `record` if a later record can retire it. */

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <type_traits>
 
 #include "common/logging.h"
 
@@ -11,15 +10,11 @@ namespace ask::core {
 namespace {
 
 constexpr std::uint32_t kHeaderOffset = net::kIpHeaderBytes;
-constexpr std::uint32_t kPayloadOffset = kHeaderOffset + kAskHeaderBytes;
 
 // Wire integers are little-endian: on a little-endian host each one is a
 // single memcpy load or store, and a payload slot is a WireSlot's bytes.
 static_assert(std::endian::native == std::endian::little,
               "wire integers are stored and loaded with memcpy");
-static_assert(sizeof(WireSlot) == 8 &&
-                  std::is_trivially_copyable_v<WireSlot>,
-              "a payload slot is a WireSlot's 8 bytes");
 
 void
 put_u16(std::vector<std::uint8_t>& b, std::size_t off, std::uint16_t v)
@@ -111,16 +106,6 @@ rewrite_bitmap(std::vector<std::uint8_t>& data, std::uint64_t bitmap)
     put_u64(data, kHeaderOffset + 12, bitmap);
 }
 
-void
-write_slot(std::vector<std::uint8_t>& data, std::uint32_t i,
-           const WireSlot& slot)
-{
-    std::size_t off = kPayloadOffset + static_cast<std::size_t>(i) * 8;
-    ASK_ASSERT(off + 8 <= data.size(), "slot ", i, " beyond payload");
-    put_u32(data, off, slot.seg);
-    put_u32(data, off + 4, slot.value);
-}
-
 WireSlot
 read_slot(const std::vector<std::uint8_t>& data, std::uint32_t i)
 {
@@ -129,48 +114,24 @@ read_slot(const std::vector<std::uint8_t>& data, std::uint32_t i)
     return WireSlot{get_u32(data, off), get_u32(data, off + 4)};
 }
 
-namespace {
-
-/** Bits of `bitmap` naming real slots, bounds-checked once against the
- *  payload (same per-slot guarantee read_slot/write_slot give). */
-std::uint64_t
-occupied_slots(std::uint64_t bitmap, std::uint32_t num_slots,
-               std::size_t frame_bytes)
-{
-    std::uint64_t used =
-        bitmap & (num_slots >= 64 ? ~0ULL : ((1ULL << num_slots) - 1));
-    if (used != 0) {
-        auto hi = static_cast<std::uint32_t>(63 - std::countl_zero(used));
-        ASK_ASSERT(kPayloadOffset + (static_cast<std::size_t>(hi) + 1) * 8 <=
-                       frame_bytes,
-                   "slot ", hi, " beyond payload");
-    }
-    return used;
-}
-
-}  // namespace
-
 void
 read_slots(const std::vector<std::uint8_t>& data, std::uint64_t bitmap,
            std::uint32_t num_slots, WireSlot* out)
 {
-    std::uint64_t rest = occupied_slots(bitmap, num_slots, data.size());
+    // The bits naming real slots, bounds-checked once against the
+    // payload (the per-slot guarantee read_slot gives).
+    std::uint64_t rest =
+        bitmap & (num_slots >= 64 ? ~0ULL : ((1ULL << num_slots) - 1));
+    if (rest != 0) {
+        auto hi = static_cast<std::uint32_t>(63 - std::countl_zero(rest));
+        ASK_ASSERT(kPayloadOffset + (static_cast<std::size_t>(hi) + 1) * 8 <=
+                       data.size(),
+                   "slot ", hi, " beyond payload");
+    }
     for (; rest != 0; rest &= rest - 1) {
         auto i = static_cast<std::uint32_t>(std::countr_zero(rest));
         std::size_t off = kPayloadOffset + static_cast<std::size_t>(i) * 8;
         std::memcpy(&out[i], data.data() + off, sizeof(WireSlot));
-    }
-}
-
-void
-write_slots(std::vector<std::uint8_t>& data, std::uint64_t bitmap,
-            std::uint32_t num_slots, const WireSlot* slots)
-{
-    std::uint64_t rest = occupied_slots(bitmap, num_slots, data.size());
-    for (; rest != 0; rest &= rest - 1) {
-        auto i = static_cast<std::uint32_t>(std::countr_zero(rest));
-        std::size_t off = kPayloadOffset + static_cast<std::size_t>(i) * 8;
-        std::memcpy(data.data() + off, &slots[i], sizeof(WireSlot));
     }
 }
 

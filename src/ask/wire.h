@@ -27,16 +27,23 @@
 #define ASK_ASK_WIRE_H
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "ask/types.h"
+#include "common/logging.h"
 #include "net/packet.h"
 
 namespace ask::core {
 
 /** Serialized size of the ASK header (paper's 20-byte INA header). */
 constexpr std::uint32_t kAskHeaderBytes = 20;
+
+/** Where a frame's payload starts: after the modeled IP header and the
+ *  ASK header. */
+constexpr std::uint32_t kPayloadOffset = net::kIpHeaderBytes + kAskHeaderBytes;
 
 /** ASK packet types. */
 enum class PacketType : std::uint8_t
@@ -71,6 +78,8 @@ struct WireSlot
     std::uint32_t seg = 0;
     Value value = 0;
 };
+static_assert(sizeof(WireSlot) == 8 && std::is_trivially_copyable_v<WireSlot>,
+              "a payload slot is a WireSlot's 8 bytes");
 
 /** Serialize a header (plus the modeled IP header) into a fresh buffer
  *  with room for `payload_bytes` of payload. */
@@ -85,9 +94,16 @@ std::optional<AskHeader> parse_header(const std::vector<std::uint8_t>& data);
 /** Rewrite the bitmap field of an already-serialized frame in place. */
 void rewrite_bitmap(std::vector<std::uint8_t>& data, std::uint64_t bitmap);
 
-/** Write slot `i` of a DATA frame. */
-void write_slot(std::vector<std::uint8_t>& data, std::uint32_t i,
-                const WireSlot& slot);
+/** Write slot `i` of a DATA frame (inline: the sender writes every
+ *  occupied slot of every DATA frame through it). */
+inline void
+write_slot(std::vector<std::uint8_t>& data, std::uint32_t i,
+           const WireSlot& slot)
+{
+    std::size_t off = kPayloadOffset + static_cast<std::size_t>(i) * 8;
+    ASK_ASSERT(off + 8 <= data.size(), "slot ", i, " beyond payload");
+    std::memcpy(data.data() + off, &slot, sizeof(slot));
+}
 
 /** Read slot `i` of a DATA frame. */
 WireSlot read_slot(const std::vector<std::uint8_t>& data, std::uint32_t i);
@@ -96,15 +112,10 @@ WireSlot read_slot(const std::vector<std::uint8_t>& data, std::uint32_t i);
  * Batch-read every slot named by `bitmap` into `out` (an array of at
  * least `num_slots` entries; slots whose bit is clear are left
  * untouched). One bounds check and one pass over the payload instead of
- * a per-slot call — the receive-side counterpart of write_slots().
+ * a per-slot call.
  */
 void read_slots(const std::vector<std::uint8_t>& data, std::uint64_t bitmap,
                 std::uint32_t num_slots, WireSlot* out);
-
-/** Batch-write every slot named by `bitmap` from `slots` into a DATA
- *  frame in one pass (the send-side counterpart of read_slots()). */
-void write_slots(std::vector<std::uint8_t>& data, std::uint64_t bitmap,
-                 std::uint32_t num_slots, const WireSlot* slots);
 
 /** Serialize LONG_DATA tuples after the header of `data`. */
 std::vector<std::uint8_t> make_long_frame(const AskHeader& hdr,

@@ -119,8 +119,8 @@ report(const core::AskConfig& config, std::size_t stages, std::size_t sram,
         std::cout << "configuration invalid: " << e.what() << "\n";
         return 1;
     }
-    pisa::verify::AccessPlan plan =
-        core::AskSwitchProgram::make_access_plan(config);
+    pisa::verify::AccessPlan plan = core::AskSwitchProgram::make_access_plan(
+        config, config.max_channels());
 
     std::cout << "program: " << plan.program << "\n";
     std::cout << "configuration: " << describe_config(config) << "\n\n";
@@ -190,7 +190,8 @@ install_succeeds(const core::AskConfig& config, std::size_t stages,
     pisa::PisaSwitch sw(network, stages, sram);
     network.attach(&sw);
     try {
-        core::AskSwitchProgram program(config, sw);
+        core::AskSwitchProgram program(
+            config, sw, 0, static_cast<core::ChannelId>(config.max_channels()));
         return true;
     } catch (const ConfigError& e) {
         *error = e.what();
@@ -239,7 +240,8 @@ sweep()
                             try {
                                 config.validate();
                                 auto plan = core::AskSwitchProgram::
-                                    make_access_plan(config);
+                                    make_access_plan(config,
+                                                     config.max_channels());
                                 static_ok =
                                     pisa::verify::verify(
                                         plan,

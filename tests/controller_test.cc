@@ -103,21 +103,16 @@ class ControllerFanOutTest : public ::testing::Test
         KeySpace key_space(config_);
         PacketBuilder builder(key_space,
                               std::make_shared<const KvStream>(tuples));
-        Seq seq = 0;
-        while (std::optional<BuiltData> built = builder.next_data()) {
+        for (Seq seq = 0; !builder.empty(); ++seq) {
             AskHeader hdr;
-            hdr.type = PacketType::kData;
-            hdr.num_slots = static_cast<std::uint8_t>(config_.num_aas);
             hdr.channel_id = channel;
             hdr.task_id = task;
-            hdr.seq = seq++;
-            hdr.bitmap = built->bitmap;
+            hdr.seq = seq;
             net::Packet pkt;
             pkt.src = sender_.node_id();
             pkt.dst = sender_.node_id();
-            pkt.data = make_frame(hdr, config_.payload_bytes());
-            write_slots(pkt.data, built->bitmap, config_.num_aas,
-                        built->slots.data());
+            pkt.data = builder.next_frame(hdr, /*bypass=*/false);
+            ASSERT_EQ(hdr.type, PacketType::kData) << "a long key";
             network_.send(sender_.node_id(), pisa_switch(s).node_id(),
                           std::move(pkt));
         }

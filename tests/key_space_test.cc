@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "ask/key_space.h"
 #include "common/hash.h"
@@ -21,6 +22,20 @@ small_config()
     c.medium_groups = 2;
     c.medium_segments = 2;
     return c;  // 4 short AAs, 2 groups x 2 AAs
+}
+
+/** The wire segments of a short or medium key: one for a short key, m
+ *  for a medium one. */
+std::vector<std::uint32_t>
+segments_of(const KeySpace& ks, const Key& key)
+{
+    std::uint32_t n = ks.classify(key) == KeyClass::kShort
+                          ? 1
+                          : ks.config().medium_segments;
+    std::vector<std::uint32_t> segs;
+    for (std::uint32_t j = 0; j < n; ++j)
+        segs.push_back(ks.encode_key_segment(key, j));
+    return segs;
 }
 
 TEST(KeySpace, ClassifiesByLength)
@@ -73,31 +88,49 @@ TEST(KeySpace, ShortSlotsRoughlyUniform)
 
 TEST(KeySpace, PaddedAndUnpadRoundTrip)
 {
+    // The wire form is the key NUL-padded to its class width, in
+    // little-endian segments; decode_key strips the padding again.
     KeySpace ks(small_config());
-    EXPECT_EQ(ks.padded("ab").size(), 4u);
-    EXPECT_EQ(ks.padded("abcde").size(), 8u);
-    EXPECT_EQ(KeySpace::unpad(ks.padded("ab")), "ab");
-    EXPECT_EQ(KeySpace::unpad(ks.padded("abcde")), "abcde");
-    EXPECT_EQ(KeySpace::unpad(ks.padded("abcdefgh")), "abcdefgh");
+    EXPECT_EQ(ks.encode_key_segment("ab", 0), 0x6261u);       // "ab\0\0"
+    EXPECT_EQ(ks.encode_key_segment("abcde", 0), 0x64636261u);  // "abcd"
+    EXPECT_EQ(ks.encode_key_segment("abcde", 1), 0x65u);        // "e\0\0\0"
+    std::uint32_t ab = 0x6261;
+    EXPECT_EQ(ks.decode_key({&ab, 1}), "ab");
+    std::vector<std::uint32_t> abcde = {0x64636261, 0x65};
+    EXPECT_EQ(ks.decode_key(abcde), "abcde");
+    EXPECT_EQ(ks.decode_key(segments_of(ks, "abcdefgh")), "abcdefgh");
 }
 
 TEST(KeySpace, SegmentsRoundTripThroughDecode)
 {
-    KeySpace ks(small_config());
-    for (const char* key : {"x", "ab", "abcd", "abcde", "abcdefgh"}) {
-        auto segs = ks.segments(key);
-        std::string rebuilt;
-        for (auto s : segs)
-            rebuilt += ks.decode_segment(s);
-        EXPECT_EQ(KeySpace::unpad(rebuilt), key);
+    // Every short and medium length on both part widths, boundaries
+    // included, decodes back to the key from its wire segments.
+    AskConfig narrow = small_config();
+    narrow.part_bits = 16;  // 2-byte segments: medium keys are 3..4 bytes
+    for (const AskConfig& c : {small_config(), narrow}) {
+        KeySpace ks(c);
+        for (std::uint32_t len = 1; len <= c.max_medium_key_bytes(); ++len) {
+            Key key(len, 'a');
+            for (std::uint32_t i = 0; i < len; ++i)
+                key[i] = static_cast<char>('a' + (i * 7 + len) % 26);
+            EXPECT_EQ(ks.decode_key(segments_of(ks, key)), key)
+                << "part_bits " << c.part_bits << " key " << key;
+        }
     }
 }
 
 TEST(KeySpace, SegmentCountMatchesClass)
 {
+    // A short key fills one segment; nothing of it reaches a second. A
+    // medium key needs all m: its first segment alone decodes to a
+    // strict prefix.
     KeySpace ks(small_config());
-    EXPECT_EQ(ks.segments("ab").size(), 1u);
-    EXPECT_EQ(ks.segments("abcdef").size(), 2u);
+    EXPECT_EQ(segments_of(ks, "ab").size(), 1u);
+    EXPECT_EQ(ks.encode_key_segment("abcd", 1), 0u);
+    std::vector<std::uint32_t> segs = segments_of(ks, "abcdef");
+    ASSERT_EQ(segs.size(), 2u);
+    EXPECT_EQ(ks.decode_key({segs.data(), 1}), "abcd");
+    EXPECT_EQ(ks.decode_key(segs), "abcdef");
 }
 
 TEST(KeySpace, SegmentsOfRealKeysAreNonZero)
@@ -109,7 +142,7 @@ TEST(KeySpace, SegmentsOfRealKeysAreNonZero)
         std::string k = u64_key(static_cast<std::uint64_t>(i) * 2654435761u);
         if (ks.classify(k) == KeyClass::kLong)
             continue;
-        for (auto seg : ks.segments(k))
+        for (auto seg : segments_of(ks, k))
             ASSERT_NE(seg, 0u) << "zero segment for key index " << i;
     }
 }
@@ -117,7 +150,7 @@ TEST(KeySpace, SegmentsOfRealKeysAreNonZero)
 TEST(KeySpace, AggregatorIndexInRangeAndStable)
 {
     KeySpace ks(small_config());
-    std::string p = ks.padded("word");
+    std::string p = "word";  // a whole 4-byte segment: its own wire form
     std::uint32_t i1 = ks.aggregator_index(p, 32);
     std::uint32_t i2 = ks.aggregator_index(p, 32);
     EXPECT_EQ(i1, i2);
@@ -127,8 +160,10 @@ TEST(KeySpace, AggregatorIndexInRangeAndStable)
 TEST(KeySpace, MediumGroupStable)
 {
     KeySpace ks(small_config());
-    EXPECT_EQ(ks.medium_group("abcdef"), ks.medium_group("abcdef"));
-    EXPECT_LT(ks.medium_group("abcdef"), 2u);
+    KeyPlace p = ks.place("abcdef");
+    EXPECT_EQ(p.cls, KeyClass::kMedium);
+    EXPECT_EQ(p.index, ks.place("abcdef").index);
+    EXPECT_LT(p.index, 2u);
 }
 
 TEST(KeySpace, PartitionAndAddressingAreIndependent)
@@ -144,7 +179,8 @@ TEST(KeySpace, PartitionAndAddressingAreIndependent)
         if (ks.classify(k) != KeyClass::kShort)
             continue;
         std::uint32_t slot = ks.short_slot(k);
-        std::uint32_t idx = ks.aggregator_index(ks.padded(k), 16);
+        std::uint32_t idx =
+            ks.short_aggregator_index(ks.encode_key_segment(k, 0), 16);
         ++index_by_slot[slot][idx];
     }
     // Within each slot, indices should cover most of [0,16).
@@ -210,10 +246,10 @@ TEST(KeySpace, RejectsNulBytesWithTypedError)
 
 TEST(KeySpace, PlaceMatchesClassifyAndPartition)
 {
-    // place() is classify() plus short_slot()/medium_group() in one
-    // call. The small config's 4 short slots and 2 groups take the
-    // mask reduction, 5 and 3 take the modulo one; both must agree
-    // with the partition hash taken mod n.
+    // place() is classify() plus the partition hash in one call: the
+    // short slot or the medium group. The small config's 4 short slots
+    // and 2 groups take the mask reduction, 5 and 3 take the modulo
+    // one; both must agree with the partition hash taken mod n.
     AskConfig odd = small_config();
     odd.num_aas = 11;
     odd.medium_groups = 3;  // 5 short AAs, 3 groups x 2 AAs
@@ -237,7 +273,6 @@ TEST(KeySpace, PlaceMatchesClassifyAndPartition)
                 EXPECT_EQ(p.index, h % c.short_aas()) << key;
                 break;
               case KeyClass::kMedium:
-                EXPECT_EQ(p.index, ks.medium_group(key)) << key;
                 EXPECT_EQ(p.index, h % c.medium_groups) << key;
                 break;
               case KeyClass::kLong:

@@ -2,14 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ask/packet_builder.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "workload/generators.h"
@@ -30,9 +32,10 @@ cfg8()
 
 /**
  * A builder written the plain way, kept as the reference: it copies
- * each tuple in, queues references to the copies, and classifies and
- * encodes every key again (from its padded form) for each packet it
- * rides in.
+ * each tuple in, queues references to the copies, and for each frame
+ * pads every key it takes to its class width, cuts the padded bytes
+ * into little-endian segments, fills a whole slot array and then frames
+ * it.
  */
 class ReferenceBuilder
 {
@@ -47,106 +50,99 @@ class ReferenceBuilder
     enqueue(const KvTuple& t)
     {
         owned_.push_back(t);
+        std::uint64_t h = hash64(t.key, hash_seeds::kKeyPartition);
         switch (ks_.classify(t.key)) {
           case KeyClass::kShort:
-            short_[ks_.short_slot(t.key)].push_back(&owned_.back());
-            ++shorts;
+            short_[h % cfg_.short_aas()].push_back(&owned_.back());
             return;
           case KeyClass::kMedium:
-            medium_[ks_.medium_group(t.key)].push_back(&owned_.back());
-            ++mediums;
+            medium_[h % cfg_.medium_groups].push_back(&owned_.back());
             return;
           case KeyClass::kLong:
             long_.push_back(&owned_.back());
-            ++longs;
             return;
         }
     }
 
-    std::optional<BuiltData>
-    next_data()
+    std::vector<std::uint8_t>
+    next_frame(AskHeader hdr, bool bypass)
     {
-        BuiltData out;
-        out.slots.assign(cfg_.num_aas, WireSlot{});
-        for (std::uint32_t i = 0; i < cfg_.short_aas(); ++i)
-            if (!short_[i].empty())
-                put(out, short_[i], i, 1);
-        for (std::uint32_t g = 0; g < cfg_.medium_groups; ++g)
-            if (!medium_[g].empty())
-                put(out, medium_[g], cfg_.medium_base(g), cfg_.medium_segments);
-        if (out.valid_tuples == 0)
-            return std::nullopt;
-        return out;
-    }
-
-    std::optional<std::vector<KvTuple>>
-    next_long_batch(std::uint32_t budget)
-    {
-        if (long_.empty())
-            return std::nullopt;
-        std::vector<KvTuple> batch;
-        std::uint32_t bytes = 2;
-        take(long_, batch, bytes, budget);
-        return batch;
-    }
-
-    std::optional<std::vector<KvTuple>>
-    next_bypass_batch(std::uint32_t budget)
-    {
-        if (empty())
-            return std::nullopt;
-        std::vector<KvTuple> batch;
-        std::uint32_t bytes = 2;
-        if (take(long_, batch, bytes, budget)) {
-            for (auto& q : short_)
-                if (!take(q, batch, bytes, budget))
-                    break;
-            for (auto& q : medium_)
-                if (!take(q, batch, bytes, budget))
-                    break;
+        if (!bypass && !(drained(short_) && drained(medium_))) {
+            std::vector<WireSlot> slots(cfg_.num_aas);
+            hdr.type = PacketType::kData;
+            hdr.num_slots = static_cast<std::uint8_t>(cfg_.num_aas);
+            hdr.bitmap = 0;
+            for (std::uint32_t i = 0; i < cfg_.short_aas(); ++i)
+                if (!short_[i].empty())
+                    put(slots, hdr.bitmap, short_[i], i, 1);
+            for (std::uint32_t g = 0; g < cfg_.medium_groups; ++g)
+                if (!medium_[g].empty())
+                    put(slots, hdr.bitmap, medium_[g], cfg_.medium_base(g),
+                        cfg_.medium_segments);
+            std::vector<std::uint8_t> frame =
+                make_frame(hdr, cfg_.num_aas * 8);
+            for (std::uint32_t i = 0; i < cfg_.num_aas; ++i)
+                write_slot(frame, i, slots[i]);
+            return frame;
         }
-        return batch;
+        std::vector<KvTuple> batch;
+        std::uint32_t bytes = 2;
+        if (take(long_, batch, bytes) && bypass) {
+            bool fits = true;
+            for (Queue& q : short_)
+                fits = fits && take(q, batch, bytes);
+            for (Queue& q : medium_)
+                fits = fits && take(q, batch, bytes);
+        }
+        return make_long_frame(hdr, batch);
     }
 
     bool
     empty() const
     {
-        auto drained = [](const std::vector<Queue>& qs) {
-            for (const Queue& q : qs)
-                if (!q.empty())
-                    return false;
-            return true;
-        };
         return long_.empty() && drained(short_) && drained(medium_);
     }
-
-    std::uint64_t shorts = 0, mediums = 0, longs = 0;
 
   private:
     using Queue = std::deque<const KvTuple*>;
 
+    static bool
+    drained(const std::vector<Queue>& qs)
+    {
+        for (const Queue& q : qs)
+            if (!q.empty())
+                return false;
+        return true;
+    }
+
     void
-    put(BuiltData& out, Queue& q, std::uint32_t base, std::uint32_t width)
+    put(std::vector<WireSlot>& slots, std::uint64_t& bitmap, Queue& q,
+        std::uint32_t base, std::uint32_t width)
     {
         const KvTuple& t = *q.front();
-        std::string padded = ks_.padded(t.key);
+        std::string padded = t.key;
+        padded.resize(static_cast<std::size_t>(width) * cfg_.seg_bytes(),
+                      '\0');
         for (std::uint32_t j = 0; j < width; ++j) {
-            out.slots[base + j] = WireSlot{ks_.encode_segment(padded, j),
-                                           j + 1 == width ? t.value : 0};
-            out.bitmap |= 1ULL << (base + j);
+            std::uint32_t seg = 0;
+            for (std::uint32_t b = 0; b < cfg_.seg_bytes(); ++b) {
+                seg |= static_cast<std::uint32_t>(static_cast<unsigned char>(
+                           padded[j * cfg_.seg_bytes() + b]))
+                       << (8 * b);
+            }
+            slots[base + j] = WireSlot{seg, j + 1 == width ? t.value : 0};
+            bitmap |= 1ULL << (base + j);
         }
-        ++out.valid_tuples;
         q.pop_front();
     }
 
     static bool
-    take(Queue& q, std::vector<KvTuple>& batch, std::uint32_t& bytes,
-         std::uint32_t budget)
+    take(Queue& q, std::vector<KvTuple>& batch, std::uint32_t& bytes)
     {
         while (!q.empty()) {
             std::uint32_t need =
                 2 + static_cast<std::uint32_t>(q.front()->key.size()) + 4;
-            if (!batch.empty() && bytes + need > budget)
+            if (!batch.empty() && bytes + need > kLongPayloadBytes)
                 return false;
             bytes += need;
             batch.push_back(*q.front());
@@ -170,27 +166,59 @@ builder_of(const KeySpace& ks, KvStream stream)
                          std::make_shared<const KvStream>(std::move(stream)));
 }
 
+/** Whether `frame` starts with the header bytes `hdr` serializes to. */
+bool
+framed_under(const std::vector<std::uint8_t>& frame, const AskHeader& hdr)
+{
+    std::vector<std::uint8_t> head = make_frame(hdr, 0);
+    return frame.size() >= head.size() &&
+           std::equal(head.begin(), head.end(), frame.begin());
+}
+
+/** Distinct tuples a DATA bitmap carries: one per short slot bit, one
+ *  per medium group. */
+std::uint32_t
+valid_tuples(const AskConfig& c, std::uint64_t bitmap)
+{
+    std::uint32_t n = 0;
+    for (std::uint32_t i = 0; i < c.short_aas(); ++i)
+        n += (bitmap >> i) & 1;
+    for (std::uint32_t g = 0; g < c.medium_groups; ++g)
+        n += (bitmap >> c.medium_base(g)) & 1;
+    return n;
+}
+
 TEST(PacketBuilder, EmptyBuilderYieldsNothing)
 {
     KeySpace ks(cfg8());
     PacketBuilder b = builder_of(ks, {});
     EXPECT_TRUE(b.empty());
-    EXPECT_FALSE(b.next_data().has_value());
-    EXPECT_FALSE(b.next_long_batch(1024).has_value());
-    EXPECT_FALSE(b.next_bypass_batch(1024).has_value());
 }
 
 TEST(PacketBuilder, SlotPlacementMatchesPartition)
 {
     KeySpace ks(cfg8());
     PacketBuilder b = builder_of(ks, {{"ab", 5}});
-    auto built = b.next_data();
-    ASSERT_TRUE(built.has_value());
+    AskHeader hdr;
+    hdr.task_id = 9;
+    hdr.seq = 4;
+    std::vector<std::uint8_t> frame = b.next_frame(hdr, false);
+    EXPECT_TRUE(b.empty());
     std::uint32_t slot = ks.short_slot("ab");
-    EXPECT_EQ(built->bitmap, 1ULL << slot);
-    EXPECT_EQ(built->valid_tuples, 1u);
-    EXPECT_EQ(built->slots[slot].value, 5u);
-    EXPECT_EQ(built->slots[slot].seg, ks.encode_segment(ks.padded("ab"), 0));
+    EXPECT_EQ(hdr.type, PacketType::kData);
+    EXPECT_EQ(hdr.bitmap, 1ULL << slot);
+    EXPECT_TRUE(framed_under(frame, hdr));
+    ASSERT_EQ(frame.size(), 40u + cfg8().payload_bytes());
+    WireSlot ws = read_slot(frame, slot);
+    EXPECT_EQ(ws.value, 5u);
+    EXPECT_EQ(ws.seg, ks.encode_key_segment("ab", 0));
+    // Blank slots are transmitted zero-filled.
+    for (std::uint32_t i = 0; i < cfg8().num_aas; ++i) {
+        if (i != slot) {
+            EXPECT_EQ(read_slot(frame, i).seg, 0u) << i;
+            EXPECT_EQ(read_slot(frame, i).value, 0u) << i;
+        }
+    }
 }
 
 TEST(PacketBuilder, SameKeyAlwaysSameSlot)
@@ -201,9 +229,9 @@ TEST(PacketBuilder, SameKeyAlwaysSameSlot)
     PacketBuilder b = builder_of(ks, KvStream(10, KvTuple{"dup", 1}));
     std::uint32_t slot = ks.short_slot("dup");
     int packets = 0;
-    while (auto built = b.next_data()) {
-        EXPECT_EQ(built->bitmap, 1ULL << slot);
-        ++packets;
+    for (AskHeader hdr; !b.empty(); ++packets) {
+        b.next_frame(hdr, false);
+        EXPECT_EQ(hdr.bitmap, 1ULL << slot);
     }
     // One tuple per packet: the slot queue drains one head per packet.
     EXPECT_EQ(packets, 10);
@@ -213,48 +241,57 @@ TEST(PacketBuilder, MediumKeyOccupiesWholeGroup)
 {
     KeySpace ks(cfg8());
     PacketBuilder b = builder_of(ks, {{"yourself", 9}});  // 8 bytes: medium
-    auto built = b.next_data();
-    ASSERT_TRUE(built.has_value());
-    std::uint32_t g = ks.medium_group("yourself");
-    std::uint32_t mb = cfg8().medium_base(g);
-    EXPECT_EQ(built->bitmap, (1ULL << mb) | (1ULL << (mb + 1)));
-    EXPECT_EQ(built->valid_tuples, 1u);
+    AskHeader hdr;
+    std::vector<std::uint8_t> frame = b.next_frame(hdr, false);
+    KeyPlace place = ks.place("yourself");
+    ASSERT_EQ(place.cls, KeyClass::kMedium);
+    std::uint32_t mb = cfg8().medium_base(place.index);
+    EXPECT_EQ(hdr.bitmap, (1ULL << mb) | (1ULL << (mb + 1)));
+    EXPECT_EQ(valid_tuples(cfg8(), hdr.bitmap), 1u);
     // Value rides in the last segment's slot; earlier slots carry 0.
-    EXPECT_EQ(built->slots[mb].value, 0u);
-    EXPECT_EQ(built->slots[mb + 1].value, 9u);
+    EXPECT_EQ(read_slot(frame, mb).value, 0u);
+    EXPECT_EQ(read_slot(frame, mb + 1).value, 9u);
 }
 
 TEST(PacketBuilder, LongKeysBypassDataPath)
 {
     KeySpace ks(cfg8());
     PacketBuilder b = builder_of(ks, {{"a-very-long-key-indeed", 3}});
-    EXPECT_FALSE(b.has_data());
-    EXPECT_TRUE(b.has_long());
-    auto batch = b.next_long_batch(1024);
-    ASSERT_TRUE(batch.has_value());
-    ASSERT_EQ(batch->size(), 1u);
-    EXPECT_EQ((*batch)[0].key, "a-very-long-key-indeed");
+    AskHeader hdr;
+    hdr.op = ReduceOp::kMax;
+    std::vector<std::uint8_t> frame = b.next_frame(hdr, false);
+    EXPECT_EQ(hdr.type, PacketType::kLongData);
+    EXPECT_TRUE(framed_under(frame, hdr));
+    EXPECT_EQ(parse_long_tuples(frame),
+              (KvStream{{"a-very-long-key-indeed", 3}}));
     EXPECT_TRUE(b.empty());
 }
 
 TEST(PacketBuilder, LongBatchRespectsPayloadBudget)
 {
+    // 2 + 200 + 4 = 206 bytes per tuple: four fit kLongPayloadBytes
+    // (2 + 4 * 206 = 826), a fifth would not (1,032).
     KeySpace ks(cfg8());
-    std::string key(20, 'x');  // 2 + 20 + 4 = 26 bytes per tuple
+    std::string key(200, 'x');
     PacketBuilder b = builder_of(ks, KvStream(10, KvTuple{key, 1}));
-    auto batch = b.next_long_batch(60);  // 2 + 2*26 = 54 <= 60 < 80
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->size(), 2u);
+    std::vector<std::size_t> sizes;
+    for (AskHeader hdr; !b.empty();)
+        sizes.push_back(parse_long_tuples(b.next_frame(hdr, false)).size());
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{4, 4, 2}));
 }
 
 TEST(PacketBuilder, OversizedLongTupleStillShips)
 {
     // A single tuple larger than the budget must still go (alone).
     KeySpace ks(cfg8());
-    PacketBuilder b = builder_of(ks, {{std::string(200, 'y'), 1}});
-    auto batch = b.next_long_batch(64);
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->size(), 1u);
+    std::string key(2 * kLongPayloadBytes, 'y');
+    PacketBuilder b = builder_of(ks, {{key, 1}, {key, 2}});
+    AskHeader hdr;
+    EXPECT_EQ(parse_long_tuples(b.next_frame(hdr, false)),
+              (KvStream{{key, 1}}));
+    EXPECT_EQ(parse_long_tuples(b.next_frame(hdr, false)),
+              (KvStream{{key, 2}}));
+    EXPECT_TRUE(b.empty());
 }
 
 TEST(PacketBuilder, UniformKeysFillPackets)
@@ -271,9 +308,10 @@ TEST(PacketBuilder, UniformKeysFillPackets)
     PacketBuilder b = builder_of(ks, std::move(stream));
 
     int full = 0, total = 0;
-    while (auto built = b.next_data()) {
-        ++total;
-        if (built->valid_tuples == c.num_aas)
+    for (AskHeader hdr; !b.empty(); ++total) {
+        b.next_frame(hdr, false);
+        if (static_cast<std::uint32_t>(std::popcount(hdr.bitmap)) ==
+            c.num_aas)
             ++full;
     }
     EXPECT_GT(total, 0);
@@ -285,93 +323,29 @@ TEST(PacketBuilder, SkewedKeysLeaveBlanks)
     // All tuples share one key -> every packet carries exactly 1 tuple.
     KeySpace ks(cfg8());
     PacketBuilder b = builder_of(ks, KvStream(100, KvTuple{"hot", 1}));
-    while (auto built = b.next_data())
-        EXPECT_EQ(built->valid_tuples, 1u);
+    for (AskHeader hdr; !b.empty();) {
+        b.next_frame(hdr, false);
+        EXPECT_EQ(valid_tuples(cfg8(), hdr.bitmap), 1u);
+    }
 }
 
 TEST(PacketBuilder, CountsByClass)
 {
+    // A short and a medium key share the first DATA frame; the long key
+    // follows in a LONG_DATA frame.
     KeySpace ks(cfg8());
-    PacketBuilder b = builder_of(ks, {{"ab", 1},                     // short
-                                      {"abcdef", 1},                 // medium
-                                      {std::string(30, 'z'), 1}});  // long
-    EXPECT_EQ(b.short_enqueued(), 1u);
-    EXPECT_EQ(b.medium_enqueued(), 1u);
-    EXPECT_EQ(b.long_enqueued(), 1u);
-}
-
-TEST(PacketBuilder, NextDataIntoMatchesNextData)
-{
-    // The batched hot-path form (next_data_into, one scratch reused
-    // across a whole drain) must be bit-identical to the allocating
-    // next_data() of a builder over the same shared stream — bitmap,
-    // tuple count, and every slot including the zero-filled blanks —
-    // across full, partial, and blank-heavy packets.
-    AskConfig c = cfg8();
-    KeySpace ks(c);
-    Rng rng = seeded_rng("packet_builder_equiv", 21);
-
-    auto make_stream = [&](int shape) {
-        KvStream stream;
-        for (int i = 0; i < 600; ++i) {
-            std::string key;
-            switch (shape) {
-            case 0:  // many distinct short keys: early packets full
-                key = u64_key(rng.next_below(100000));
-                break;
-            case 1:  // one hot key: every packet one tuple, rest blank
-                key = "hot";
-                break;
-            default:  // mixed lengths incl. medium and long
-                key.resize(1 + rng.next_below(12));
-                for (auto& ch : key)
-                    ch = static_cast<char>('a' + rng.next_below(26));
-                break;
-            }
-            stream.push_back(
-                KvTuple{key, static_cast<Value>(1 + rng.next_below(1000))});
-        }
-        return stream;
-    };
-
-    for (int shape = 0; shape < 3; ++shape) {
-        // The builders are the stream's only owners from here on: the
-        // queued indices must keep pointing at live tuples.
-        auto stream = std::make_shared<const KvStream>(make_stream(shape));
-        PacketBuilder ref_builder(ks, stream);
-        PacketBuilder batched(ks, std::move(stream));
-
-        BuiltData scratch;
-        const WireSlot* scratch_data = nullptr;
-        int packets = 0;
-        for (;;) {
-            std::optional<BuiltData> ref = ref_builder.next_data();
-            bool got = batched.next_data_into(scratch);
-            ASSERT_EQ(ref.has_value(), got) << "shape " << shape;
-            if (!ref)
-                break;
-            EXPECT_EQ(scratch.bitmap, ref->bitmap);
-            EXPECT_EQ(scratch.valid_tuples, ref->valid_tuples);
-            ASSERT_EQ(scratch.slots.size(), ref->slots.size());
-            for (std::size_t i = 0; i < ref->slots.size(); ++i) {
-                EXPECT_EQ(scratch.slots[i].seg, ref->slots[i].seg)
-                    << "shape " << shape << " packet " << packets
-                    << " slot " << i;
-                EXPECT_EQ(scratch.slots[i].value, ref->slots[i].value)
-                    << "shape " << shape << " packet " << packets
-                    << " slot " << i;
-            }
-            // The scratch really is reused: no reallocation after the
-            // first packet sizes it.
-            if (packets == 0)
-                scratch_data = scratch.slots.data();
-            else
-                EXPECT_EQ(scratch.slots.data(), scratch_data);
-            ++packets;
-        }
-        EXPECT_GT(packets, 0) << "shape " << shape;
-        EXPECT_TRUE(batched.has_long() == ref_builder.has_long());
-    }
+    std::string long_key(30, 'z');
+    PacketBuilder b = builder_of(ks, {{"ab", 1},          // short
+                                      {"abcdef", 1},      // medium
+                                      {long_key, 1}});    // long
+    AskHeader hdr;
+    b.next_frame(hdr, false);
+    EXPECT_EQ(hdr.type, PacketType::kData);
+    EXPECT_EQ(std::popcount(hdr.bitmap), 3);  // one short slot, one group
+    EXPECT_EQ(valid_tuples(cfg8(), hdr.bitmap), 2u);
+    EXPECT_EQ(parse_long_tuples(b.next_frame(hdr, false)),
+              (KvStream{{long_key, 1}}));
+    EXPECT_TRUE(b.empty());
 }
 
 TEST(PacketBuilder, DrainsEverythingExactlyOnce)
@@ -391,37 +365,90 @@ TEST(PacketBuilder, DrainsEverythingExactlyOnce)
     PacketBuilder b = builder_of(ks, std::move(stream));
 
     std::map<std::string, std::uint64_t> seen;
-    while (auto built = b.next_data()) {
-        for (std::uint32_t i = 0; i < cfg8().short_aas(); ++i) {
-            if (built->bitmap & (1ULL << i)) {
-                seen[KeySpace::unpad(ks.decode_segment(built->slots[i].seg))] +=
-                    built->slots[i].value;
-            }
-        }
-        for (std::uint32_t g = 0; g < cfg8().medium_groups; ++g) {
-            std::uint32_t mb = cfg8().medium_base(g);
-            if (built->bitmap & (1ULL << mb)) {
-                std::string padded = ks.decode_segment(built->slots[mb].seg) +
-                                     ks.decode_segment(built->slots[mb + 1].seg);
-                seen[KeySpace::unpad(padded)] += built->slots[mb + 1].value;
-            }
-        }
-    }
-    while (auto batch = b.next_long_batch(1024)) {
-        for (const auto& t : *batch)
+    for (AskHeader hdr; !b.empty();) {
+        std::vector<std::uint8_t> frame = b.next_frame(hdr, false);
+        KvStream tuples = hdr.type == PacketType::kData
+                              ? tuples_from_data_frame(ks, frame, hdr.bitmap)
+                              : parse_long_tuples(frame);
+        for (const KvTuple& t : tuples)
             seen[t.key] += t.value;
-        if (!b.has_long())
-            break;
     }
     EXPECT_EQ(seen, truth);
 }
 
+TEST(PacketBuilder, FramesRoundTripThroughTheReceiverDecode)
+{
+    // Random short, medium and long keys on both part widths, with and
+    // without medium groups, drained plainly or degraded from a random
+    // frame on: DATA frames decode through the receiver's decode and
+    // LONG_DATA frames through parse_long_tuples. Every tuple carries a
+    // distinct value, so the decoded tuples must be the stream's exactly
+    // once each, and they fold to the stream's fold.
+    for (std::uint32_t part_bits : {16u, 32u}) {
+        for (std::uint32_t groups : {0u, 8u}) {
+            for (bool bypass : {false, true}) {
+                AskConfig c;
+                c.part_bits = part_bits;
+                c.medium_groups = groups;
+                KeySpace ks(c);
+                Rng rng = seeded_rng("packet_builder_round_trip",
+                                     part_bits + groups + (bypass ? 1 : 0));
+                std::uint32_t longest = c.max_medium_key_bytes() + 6;
+                KvStream stream;
+                for (std::uint32_t i = 0; i < 3000; ++i) {
+                    // Few letters, so keys repeat across tuples.
+                    std::string key(1 + rng.next_below(longest), 'a');
+                    for (char& ch : key)
+                        ch = static_cast<char>('a' + rng.next_below(3));
+                    stream.push_back(KvTuple{key, i + 1});
+                }
+                std::uint64_t switch_at = bypass ? rng.next_below(40) : ~0ULL;
+
+                PacketBuilder b(ks, std::make_shared<const KvStream>(stream));
+                KvStream decoded;
+                int data_frames = 0;
+                for (std::uint64_t n = 0; !b.empty(); ++n) {
+                    AskHeader hdr;
+                    std::vector<std::uint8_t> frame =
+                        b.next_frame(hdr, n >= switch_at);
+                    ASSERT_TRUE(framed_under(frame, hdr));
+                    KvStream tuples;
+                    if (hdr.type == PacketType::kData) {
+                        ++data_frames;
+                        EXPECT_EQ(frame.size(), 40u + c.payload_bytes());
+                        tuples = tuples_from_data_frame(ks, frame, hdr.bitmap);
+                    } else {
+                        tuples = parse_long_tuples(frame);
+                    }
+                    decoded.insert(decoded.end(), tuples.begin(), tuples.end());
+                }
+                EXPECT_GT(data_frames, 0);
+
+                auto by_value = [](const KvTuple& x, const KvTuple& y) {
+                    return x.value < y.value;
+                };
+                std::vector<KvTuple> sorted = decoded;
+                std::sort(sorted.begin(), sorted.end(), by_value);
+                EXPECT_EQ(sorted, stream)
+                    << "part_bits " << part_bits << " groups " << groups
+                    << " bypass " << bypass;
+                AggregateMap want, got;
+                for (const KvTuple& t : stream)
+                    accumulate(want, t.key, t.value, ReduceOp::kAdd);
+                for (const KvTuple& t : decoded)
+                    accumulate(got, t.key, t.value, ReduceOp::kAdd);
+                EXPECT_EQ(got, want);
+            }
+        }
+    }
+}
+
 /**
  * Build a PacketBuilder and a ReferenceBuilder over `stream` and drain
- * them side by side: DATA packets (next_data_into, one scratch) and
- * long batches at random payload budgets, then, from step `bypass_at`
- * on, the degraded bypass. Every packet and batch must match. Returns
- * the number of steps the drain took.
+ * them side by side under random header fields, from step `bypass_at`
+ * on as a degraded sender. Every frame must match byte for byte, and
+ * the builder's header must be the frame's. Returns the number of
+ * frames the drain took.
  */
 int
 expect_same_drain(const KeySpace& ks, KvStream stream, Rng& rng,
@@ -431,48 +458,24 @@ expect_same_drain(const KeySpace& ks, KvStream stream, Rng& rng,
     for (const KvTuple& t : stream)
         ref.enqueue(t);
     PacketBuilder b = builder_of(ks, std::move(stream));
-    EXPECT_EQ(b.short_enqueued(), ref.shorts);
-    EXPECT_EQ(b.medium_enqueued(), ref.mediums);
-    EXPECT_EQ(b.long_enqueued(), ref.longs);
 
-    BuiltData built;
     int step = 0;
     while (!ref.empty()) {
         EXPECT_FALSE(b.empty()) << "step " << step;
         if (b.empty())
             break;
-        std::uint32_t budget = 16 + rng.next_below(80);
-        if (step >= bypass_at) {
-            EXPECT_EQ(b.next_bypass_batch(budget),
-                      ref.next_bypass_batch(budget))
-                << "step " << step;
-        } else if (rng.next_below(4) == 0) {
-            EXPECT_EQ(b.next_long_batch(budget), ref.next_long_batch(budget))
-                << "step " << step;
-        } else {
-            std::optional<BuiltData> want = ref.next_data();
-            bool got = b.next_data_into(built);
-            EXPECT_EQ(got, want.has_value()) << "step " << step;
-            if (want && got) {
-                EXPECT_EQ(built.bitmap, want->bitmap) << "step " << step;
-                EXPECT_EQ(built.valid_tuples, want->valid_tuples);
-                EXPECT_EQ(built.slots.size(), want->slots.size());
-                for (std::size_t i = 0;
-                     i < std::min(built.slots.size(), want->slots.size());
-                     ++i) {
-                    EXPECT_EQ(built.slots[i].seg, want->slots[i].seg)
-                        << "step " << step << " slot " << i;
-                    EXPECT_EQ(built.slots[i].value, want->slots[i].value)
-                        << "step " << step << " slot " << i;
-                }
-            }
-        }
+        AskHeader hdr;
+        hdr.op = static_cast<ReduceOp>(rng.next_below(kNumReduceOps));
+        hdr.channel_id = static_cast<ChannelId>(rng.next_below(1 << 16));
+        hdr.task_id = static_cast<TaskId>(rng.next_u64());
+        hdr.seq = static_cast<Seq>(rng.next_u64());
+        std::vector<std::uint8_t> want = ref.next_frame(hdr, step >= bypass_at);
+        std::vector<std::uint8_t> got = b.next_frame(hdr, step >= bypass_at);
+        EXPECT_EQ(got, want) << "step " << step;
+        EXPECT_TRUE(framed_under(got, hdr)) << "step " << step;
         ++step;
     }
     EXPECT_TRUE(b.empty());
-    EXPECT_FALSE(b.next_data_into(built));
-    EXPECT_FALSE(b.next_long_batch(1024).has_value());
-    EXPECT_FALSE(b.next_bypass_batch(1024).has_value());
     return step;
 }
 
@@ -480,10 +483,10 @@ TEST(PacketBuilder, MatchesThePointerQueueReference)
 {
     // The index queues against the reference builder on random mixes
     // of short, medium and long keys (boundary lengths and repeats
-    // included), drained with interleaved DATA and long batches that
-    // switch to the degraded bypass mid-stream, or never. One config
-    // takes the mask partition (4 short slots, 2 groups), the other the
-    // modulo one (3 and 3).
+    // included), drained with DATA frames, then LONG_DATA frames, and
+    // switched to the degraded bypass mid-stream, from the start or
+    // never. One config takes the mask partition (4 short slots, 2
+    // groups), the other the modulo one (3 and 3) with 16-bit parts.
     AskConfig pow2 = cfg8();
     AskConfig odd = cfg8();
     odd.num_aas = 12;

@@ -400,8 +400,9 @@ TEST(AskProgramLimits, TooFewStagesRejected)
     net::Network network(simulator);
     PisaSwitch sw(network, /*num_stages=*/4, 1 << 20);
     network.attach(&sw);
+    core::AskConfig ask = small_ask_config();
     expect_config_error(
-        [&] { core::AskSwitchProgram program(small_ask_config(), sw); },
+        [&] { core::AskSwitchProgram program(ask, sw, 0, ask.max_channels()); },
         "stages");
     // The verifier rejected before declaring anything: the pipeline is
     // untouched and usable for another attempt.
@@ -420,8 +421,9 @@ TEST(AskProgramLimits, SramOverflowRejected)
     network.attach(&sw);
     core::AskConfig ask = small_ask_config();
     ask.aggregators_per_aa = 1 << 20;
-    expect_config_error([&] { core::AskSwitchProgram program(ask, sw); },
-                        "SRAM exhausted");
+    expect_config_error(
+        [&] { core::AskSwitchProgram program(ask, sw, 0, ask.max_channels()); },
+        "SRAM exhausted");
     for (std::size_t s = 0; s < sw.pipeline().num_stages(); ++s)
         EXPECT_EQ(sw.pipeline().stage(s)->array_count(), 0u);
 }
@@ -439,7 +441,7 @@ TEST(AskProgramLimits, FourArraysPerStageRespected)
     core::AskConfig ask = small_ask_config();
     ask.num_aas = 32;
     ask.medium_groups = 8;
-    core::AskSwitchProgram program(ask, sw);
+    core::AskSwitchProgram program(ask, sw, 0, ask.max_channels());
     for (std::size_t s = 0; s < sw.pipeline().num_stages(); ++s)
         EXPECT_LE(sw.pipeline().stage(s)->array_count(), 4u)
             << "stage " << s;
@@ -456,8 +458,9 @@ TEST(AskProgramLimits, IllegalConfigRejected)
     core::AskConfig ask = small_ask_config();
     ask.num_aas = 4;
     ask.medium_groups = 3;  // 3*2 medium AAs > 4 total
-    expect_config_error([&] { core::AskSwitchProgram program(ask, sw); },
-                        "exceed");
+    expect_config_error(
+        [&] { core::AskSwitchProgram program(ask, sw, 0, ask.max_channels()); },
+        "exceed");
 }
 
 }  // namespace

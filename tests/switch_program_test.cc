@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "ask/controller.h"
@@ -57,7 +58,7 @@ class SwitchProgramTest : public ::testing::Test
         : network_(simulator_),
           sw_(network_, 16, pisa::kDefaultStageSramBytes),
           config_(config),
-          program_(config_, sw_),
+          program_(config_, sw_, 0, config_.max_channels()),
           controller_({&program_}, wal_),
           key_space_(config_)
     {
@@ -78,27 +79,17 @@ class SwitchProgramTest : public ::testing::Test
     {
         PacketBuilder builder(key_space_,
                               std::make_shared<const KvStream>(tuples));
-        auto built = builder.next_data();
-        EXPECT_TRUE(built.has_value());
-        EXPECT_FALSE(builder.has_data()) << "tuples did not fit one packet";
-
         AskHeader hdr;
-        hdr.type = PacketType::kData;
-        hdr.num_slots = static_cast<std::uint8_t>(config_.num_aas);
         hdr.op = op_;
         hdr.channel_id = kChannel;
         hdr.task_id = kTask;
         hdr.seq = seq;
-        hdr.bitmap = built->bitmap;
-
         net::Packet pkt;
         pkt.src = sender_.node_id();
         pkt.dst = receiver_.node_id();
-        pkt.data = make_frame(hdr, config_.payload_bytes());
-        for (std::uint32_t i = 0; i < config_.num_aas; ++i) {
-            if (built->bitmap & (1ULL << i))
-                write_slot(pkt.data, i, built->slots[i]);
-        }
+        pkt.data = builder.next_frame(hdr, /*bypass=*/false);
+        EXPECT_EQ(hdr.type, PacketType::kData);
+        EXPECT_TRUE(builder.empty()) << "tuples did not fit one packet";
         return pkt;
     }
 
@@ -198,7 +189,7 @@ TEST_F(SwitchProgramTest, CollisionForwardsWithUpdatedBitmap)
     std::uint32_t slot = key_space_.short_slot(k2);
     EXPECT_EQ(hdr->bitmap, 1ULL << slot);
     WireSlot ws = read_slot(receiver_.received[0].data, slot);
-    EXPECT_EQ(KeySpace::unpad(key_space_.decode_segment(ws.seg)), k2);
+    EXPECT_EQ(key_space_.decode_key({&ws.seg, 1}), k2);
     EXPECT_EQ(ws.value, 9u);
     EXPECT_TRUE(sender_.received.empty());
     EXPECT_EQ(program_.stats().tuples_collided, 1u);
@@ -303,7 +294,7 @@ TEST_F(SwitchProgramTest, MediumKeySegmentsAreNotConfusable)
             Key k = prefix + std::to_string(i);
             k.resize(8, 'z');
             if (key_space_.classify(k) == KeyClass::kMedium &&
-                key_space_.medium_group(k) == group)
+                key_space_.place(k).index == group)
                 return k;
         }
         ADD_FAILURE() << "no key found in group";
@@ -317,7 +308,7 @@ TEST_F(SwitchProgramTest, MediumKeySegmentsAreNotConfusable)
         Key c = x.substr(0, 4) + std::to_string(i);
         c.resize(8, 'Q');
         if (c != x && key_space_.classify(c) == KeyClass::kMedium &&
-            key_space_.medium_group(c) == 0)
+            key_space_.place(c).index == 0)
             chimera = c;
     }
     ASSERT_FALSE(chimera.empty());
@@ -392,7 +383,7 @@ TEST_F(SwitchProgramTest, BatchedPassMatchesPerTupleReference)
                     short_keys[s] = key;
                     tuples.push_back({key, val});
                 } else if (key_space_.classify(key) == KeyClass::kMedium) {
-                    std::uint32_t g = key_space_.medium_group(key);
+                    std::uint32_t g = key_space_.place(key).index;
                     if (group_used[g])
                         continue;
                     group_used[g] = true;
@@ -425,7 +416,8 @@ TEST_F(SwitchProgramTest, BatchedPassMatchesPerTupleReference)
                 accumulate(expect_agg, key, ws.value, op);
             }
             for (const auto& [group, key] : medium_keys) {
-                std::string padded = key_space_.padded(key);
+                std::string padded = key;
+                padded.resize(config_.max_medium_key_bytes(), '\0');
                 std::uint64_t idx =
                     region_.base +
                     key_space_.aggregator_index(padded, region_.len);
@@ -436,14 +428,14 @@ TEST_F(SwitchProgramTest, BatchedPassMatchesPerTupleReference)
                 bool match = true;
                 for (std::uint32_t j = 0; j < m; ++j) {
                     if (regs[{mb + j, idx}].first !=
-                        key_space_.encode_segment(padded, j))
+                        key_space_.encode_key_segment(key, j))
                         match = false;
                 }
                 Value val = read_slot(pkt.data, mb + m - 1).value;
                 if (blank) {
                     for (std::uint32_t j = 0; j < m; ++j) {
                         regs[{mb + j, idx}] = {
-                            key_space_.encode_segment(padded, j),
+                            key_space_.encode_key_segment(key, j),
                             j + 1 == m ? val : 0};
                     }
                 } else if (match) {
@@ -496,7 +488,7 @@ TEST_F(SwitchProgramTest, PerOpSwitchMergeMatchesHostFold)
     // increasing across ops — the seen window is per channel, not per
     // task, so it survives the release/reallocate cycles.
     Seq seq = 0;
-    const std::uint32_t frac = config_.float_frac_bits;
+    const std::uint32_t frac = kFloatFracBits;
     for (ReduceOp op : {ReduceOp::kAdd, ReduceOp::kMax, ReduceOp::kMin,
                         ReduceOp::kCount, ReduceOp::kFloat}) {
         controller_.release(kTask);
@@ -565,7 +557,7 @@ TEST(SwitchController, UndeclaredOpRejectedBeforeAllocation)
     pisa::PisaSwitch sw(network, 16, pisa::kDefaultStageSramBytes);
     AskConfig cfg = test_config();
     cfg.part_bits = 16;
-    AskSwitchProgram program(cfg, sw);
+    AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
     Wal wal("controller");
     AskSwitchController ctl({&program}, wal);
 
@@ -583,7 +575,7 @@ TEST(SwitchController, UnknownOpIdRejectedAtInstall)
     net::Network network(simulator);
     pisa::PisaSwitch sw(network, 16, pisa::kDefaultStageSramBytes);
     AskConfig cfg = test_config();
-    AskSwitchProgram program(cfg, sw);
+    AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
 
     TaskRegion region;
     region.len = 4;
@@ -660,10 +652,9 @@ class WideRegionTest : public SwitchProgramTest
             for (std::uint32_t idx = region_.base;
                  idx < region_.base + region_.len; ++idx) {
                 std::uint64_t w = aa(i)->cp_read(off + idx);
-                if (kpart(w) != 0)
-                    out.push_back({KeySpace::unpad(
-                                       key_space_.decode_segment(kpart(w))),
-                                   vpart(w)});
+                std::uint32_t k = kpart(w);
+                if (k != 0)
+                    out.push_back({key_space_.decode_key({&k, 1}), vpart(w)});
             }
         }
         for (std::uint32_t g = 0; g < config_.medium_groups; ++g) {
@@ -672,14 +663,14 @@ class WideRegionTest : public SwitchProgramTest
                  idx < region_.base + region_.len; ++idx) {
                 if (kpart(aa(mb)->cp_read(off + idx)) == 0)
                     continue;
-                std::string padded;
+                std::vector<std::uint32_t> segs;
                 Value value = 0;
                 for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
                     std::uint64_t w = aa(mb + j)->cp_read(off + idx);
-                    padded += key_space_.decode_segment(kpart(w));
+                    segs.push_back(kpart(w));
                     value = vpart(w);
                 }
-                out.push_back({KeySpace::unpad(padded), value});
+                out.push_back({key_space_.decode_key(segs), value});
             }
         }
         return out;
@@ -846,7 +837,7 @@ TEST(SwitchProgramConfig, PaperDefaultsFitDefaultPipeline)
     net::Network network(simulator);
     pisa::PisaSwitch sw(network);
     AskConfig cfg;  // 32 AAs x 32768 aggregators, W=256, 256 channels
-    AskSwitchProgram program(cfg, sw);
+    AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
 
     // Reliability state per data channel (paper §3.3): 256-bit seen +
     // 256 x 32-bit PktState = 1056 bytes.
@@ -870,7 +861,7 @@ TEST(SwitchProgramConfig, PlainSeenVariantAlsoFits)
     pisa::PisaSwitch sw(network);
     AskConfig cfg;
     cfg.compact_seen = false;
-    AskSwitchProgram program(cfg, sw);
+    AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
     EXPECT_NE(sw.pipeline().find_array("seen_even"), nullptr);
     EXPECT_NE(sw.pipeline().find_array("seen_odd"), nullptr);
     EXPECT_EQ(sw.pipeline().find_array("seen"), nullptr);
@@ -884,7 +875,7 @@ TEST(SwitchProgramConfig, ProvisionsExactlyItsChannelRange)
     pisa::PisaSwitch full_sw(network, 16, pisa::kDefaultStageSramBytes);
     AskConfig cfg = test_config();  // 4 hosts x 2 channels
     AskSwitchProgram shard(cfg, shard_sw, 2, 6);
-    AskSwitchProgram full(cfg, full_sw);
+    AskSwitchProgram full(cfg, full_sw, 0, cfg.max_channels());
 
     EXPECT_EQ(shard.provisioned_lo(), 2u);
     EXPECT_EQ(shard.provisioned_hi(), 6u);
@@ -908,7 +899,7 @@ TEST(SwitchController, AllocateReleaseReuse)
     net::Network network(simulator);
     pisa::PisaSwitch sw(network, 16, pisa::kDefaultStageSramBytes);
     AskConfig cfg = test_config();
-    AskSwitchProgram program(cfg, sw);
+    AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
     Wal wal("controller");
     AskSwitchController ctl({&program}, wal);
 

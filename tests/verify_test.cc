@@ -51,7 +51,8 @@ TEST(AccessPlanVerify, DefaultConfigIsLegal)
 {
     core::AskConfig config;  // paper default: 32 AAs
     config.validate();
-    AccessPlan plan = core::AskSwitchProgram::make_access_plan(config);
+    AccessPlan plan = core::AskSwitchProgram::make_access_plan(
+        config, config.max_channels());
     VerifyResult result = verify(plan, default_budget());
     EXPECT_TRUE(result.ok()) << result.describe();
     EXPECT_GT(result.paths_checked, 0u);
@@ -63,7 +64,8 @@ TEST(AccessPlanVerify, BothSeenVariantsAreLegal)
         core::AskConfig config;
         config.compact_seen = compact;
         config.validate();
-        AccessPlan plan = core::AskSwitchProgram::make_access_plan(config);
+        AccessPlan plan = core::AskSwitchProgram::make_access_plan(
+            config, config.max_channels());
         VerifyResult result = verify(plan, default_budget());
         EXPECT_TRUE(result.ok())
             << "compact_seen=" << compact << ": " << result.describe();
@@ -75,7 +77,8 @@ TEST(AccessPlanVerify, ShadowCopiesOffIsLegal)
     core::AskConfig config;
     config.shadow_copies = false;
     config.validate();
-    AccessPlan plan = core::AskSwitchProgram::make_access_plan(config);
+    AccessPlan plan = core::AskSwitchProgram::make_access_plan(
+        config, config.max_channels());
     VerifyResult result = verify(plan, default_budget());
     EXPECT_TRUE(result.ok()) << result.describe();
 }
@@ -87,7 +90,8 @@ TEST(AccessPlanVerify, ReduceOpsDeclaredPerPartBits)
     // declaration gap is what install-time binding rejects against.
     core::AskConfig config;
     config.validate();
-    AccessPlan plan = core::AskSwitchProgram::make_access_plan(config);
+    AccessPlan plan = core::AskSwitchProgram::make_access_plan(
+        config, config.max_channels());
     EXPECT_EQ(plan.reduce_ops.size(), 5u);
     ASSERT_NE(plan.find_reduce_op(4), nullptr);
     EXPECT_EQ(plan.find_reduce_op(4)->name, "float");
@@ -96,7 +100,8 @@ TEST(AccessPlanVerify, ReduceOpsDeclaredPerPartBits)
     core::AskConfig narrow;
     narrow.part_bits = 16;
     narrow.validate();
-    AccessPlan p16 = core::AskSwitchProgram::make_access_plan(narrow);
+    AccessPlan p16 = core::AskSwitchProgram::make_access_plan(
+        narrow, narrow.max_channels());
     EXPECT_EQ(p16.reduce_ops.size(), 4u);
     EXPECT_EQ(p16.find_reduce_op(4), nullptr);
     for (std::uint8_t id = 0; id < 4; ++id)
@@ -109,7 +114,8 @@ TEST(AccessPlanVerify, MalformedReduceOpDeclarationsRejected)
 {
     core::AskConfig config;
     config.validate();
-    const AccessPlan base = core::AskSwitchProgram::make_access_plan(config);
+    const AccessPlan base = core::AskSwitchProgram::make_access_plan(
+        config, config.max_channels());
 
     auto expect_rejected = [&](ReduceOpDecl decl, const char* why) {
         AccessPlan plan = base;
@@ -133,7 +139,7 @@ TEST(AccessPlanVerify, PlanMatchesInstalledPlacement)
     PisaSwitch sw(network, kDefaultStagesPerPipeline, kDefaultStageSramBytes);
     network.attach(&sw);
     core::AskConfig config;
-    core::AskSwitchProgram program(config, sw);
+    core::AskSwitchProgram program(config, sw, 0, config.max_channels());
 
     const AccessPlan& plan = program.access_plan();
     std::size_t declared = 0;
@@ -355,8 +361,8 @@ TEST(AccessOracle, AcceptsEveryAskDataPassVariant)
 {
     core::AskConfig config;  // compact seen, shadow copies on
     config.validate();
-    AccessOracle oracle(
-        core::AskSwitchProgram::make_access_plan(config));
+    AccessOracle oracle(core::AskSwitchProgram::make_access_plan(
+        config, config.max_channels()));
 
     auto accepts = [&](const std::vector<std::string>& seq) {
         oracle.begin_pass();
@@ -388,8 +394,8 @@ TEST(AccessOracle, PlainSeenParityOrders)
     core::AskConfig config;
     config.compact_seen = false;
     config.validate();
-    AccessOracle oracle(
-        core::AskSwitchProgram::make_access_plan(config));
+    AccessOracle oracle(core::AskSwitchProgram::make_access_plan(
+        config, config.max_channels()));
 
     auto accepts = [&](const std::vector<std::string>& seq) {
         oracle.begin_pass();
@@ -410,8 +416,8 @@ TEST(AccessOracle, DiagnosticListsThePassLog)
 {
     core::AskConfig config;
     config.validate();
-    AccessOracle oracle(
-        core::AskSwitchProgram::make_access_plan(config));
+    AccessOracle oracle(core::AskSwitchProgram::make_access_plan(
+        config, config.max_channels()));
     oracle.begin_pass();
     EXPECT_TRUE(oracle.on_access("max_seq", nullptr));
     std::string diag;
@@ -425,8 +431,8 @@ TEST(AccessOracle, CountsPassesAndAccesses)
 {
     core::AskConfig config;
     config.validate();
-    AccessOracle oracle(
-        core::AskSwitchProgram::make_access_plan(config));
+    AccessOracle oracle(core::AskSwitchProgram::make_access_plan(
+        config, config.max_channels()));
     oracle.begin_pass();
     oracle.on_access("max_seq", nullptr);
     oracle.begin_pass();
@@ -447,7 +453,7 @@ TEST(AccessOracle, ArmedProgramProcessesTraffic)
     PisaSwitch sw(network, kDefaultStagesPerPipeline, kDefaultStageSramBytes);
     network.attach(&sw);
     core::AskConfig config;
-    core::AskSwitchProgram program(config, sw);
+    core::AskSwitchProgram program(config, sw, 0, config.max_channels());
     program.enable_access_verification();
     ASSERT_NE(program.access_oracle(), nullptr);
     EXPECT_EQ(sw.pipeline().access_oracle(), program.access_oracle());

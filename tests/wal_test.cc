@@ -532,8 +532,10 @@ const std::vector<std::uint64_t> kBoundaries = {
 TEST(Wal, EveryKindRoundTripsWithBoundaryArgsAndEveryOp)
 {
     // Each record goes into its own log behind a large live submit of
-    // another task, so records that retire themselves (a done, a
-    // forget) stay in the image for the replay to return.
+    // another task, which keeps the image from compacting, and in front
+    // of a torn copy of that submit. The replay of a torn image is its
+    // verified prefix whole, so records that retire themselves (a done,
+    // a forget) come back too.
     WalRecord anchor;
     anchor.kind = WalRecordKind::kSendSubmit;
     anchor.task = 1000;
@@ -558,10 +560,13 @@ TEST(Wal, EveryKindRoundTripsWithBoundaryArgsAndEveryOp)
                 Wal wal("kinds");
                 wal.append(anchor);
                 wal.append(r);
+                EXPECT_TRUE(wal.verify());
+                EXPECT_EQ(wal.replay().size(), wal.records());
+                wal.append(anchor);
+                wal.truncate_tail(1);
                 EXPECT_EQ(wal.replay(), (std::vector<WalRecord>{anchor, r}))
                     << wal_record_kind_name(r.kind) << " op " << int(op)
                     << " arg0 " << r.arg0;
-                EXPECT_TRUE(wal.verify());
                 ++n;
             }
         }
@@ -810,19 +815,22 @@ TEST(WalCompaction, SeededDifferentialAgainstTheFullLog)
             frame_bytes.push_back(alone.size_bytes());
 
             ASSERT_TRUE(wal.verify()) << "seed " << seed << " step " << step;
-            ASSERT_EQ(rebuild_daemon_state(wal.replay(), kW),
+            std::vector<WalRecord> replayed = wal.replay();
+            ASSERT_EQ(rebuild_daemon_state(replayed, kW),
                       rebuild_daemon_state(all, kW))
                 << "seed " << seed << " step " << step;
             std::vector<bool> live = reference_live(all);
-            std::size_t live_records = 0;
+            std::vector<WalRecord> live_log;
             std::size_t live_bytes = 0;
             for (std::size_t i = 0; i < all.size(); ++i) {
                 if (live[i]) {
-                    ++live_records;
+                    live_log.push_back(all[i]);
                     live_bytes += frame_bytes[i];
                 }
             }
-            ASSERT_EQ(wal.records(), live_records)
+            ASSERT_EQ(replayed, live_log)
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(wal.records(), live_log.size())
                 << "seed " << seed << " step " << step;
             if (live_bytes == 0)
                 ASSERT_EQ(wal.size_bytes(), 0u);
@@ -876,6 +884,41 @@ TEST(WalCompaction, DoneRetiresTheTaskAndCompacts)
     EXPECT_EQ(d.find("log")->size(), 3u);
 }
 
+TEST(WalCompaction, TearInsideADoneStillRebuildsTheTask)
+{
+    // Task 1's done record retires the task's receive records, but a
+    // crash tore it before any compaction: the replay must still return
+    // those records, or recovery would lose a task its log never
+    // finished. A large live submit of another task keeps the image from
+    // compacting at the done.
+    Wal wal("torn-done");
+    WalRecord anchor;
+    anchor.kind = WalRecordKind::kSendSubmit;
+    anchor.task = 1000;
+    anchor.tuples = {{std::string(4096, 'a'), 1}};
+    wal.append(anchor);
+    wal.append(start_record(1, 1, false));
+    wal.append(data_record(1, 0, 0, {{"a", 1}, {"b", 2}}));
+    WalDaemonState before_done = rebuild_daemon_state(wal.replay(), kW);
+    ASSERT_EQ(before_done.rx_tasks.count(1), 1u);
+
+    WalRecord done;
+    done.kind = WalRecordKind::kRxTaskDone;
+    done.task = 1;
+    wal.append(done);
+    EXPECT_EQ(wal.compactions(), 0u);
+    EXPECT_EQ(wal.records(), 1u);
+    EXPECT_EQ(wal.replay().size(), 1u);
+
+    wal.truncate_tail(1);
+    WalReplayStatus st;
+    std::vector<WalRecord> replayed = wal.replay(&st);
+    EXPECT_TRUE(st.torn_tail);
+    EXPECT_FALSE(st.corrupt);
+    EXPECT_EQ(replayed.size(), 3u);
+    EXPECT_EQ(rebuild_daemon_state(replayed, kW), before_done);
+}
+
 TEST(WalCompaction, TornTailOnACompactedImage)
 {
     Wal wal = compacted_log();
@@ -924,7 +967,7 @@ TEST(WalCompaction, ControllerRecoversTheSameRegions)
     cfg.max_hosts = 4;
     cfg.channels_per_host = 2;
     cfg.max_tasks = 4;
-    AskSwitchProgram program(cfg, sw);
+    AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
     WalStore store;
     Wal& wal = store.controller_wal();
     AskSwitchController ctl({&program}, wal);

@@ -1,8 +1,8 @@
 /**
  * Ablation — the design choices DESIGN.md calls out:
  *  1. Compact W-bit `seen` vs the reference 2W-bit design: switch SRAM
- *     per data channel (paper §3.3 claims 50 % savings) and end-to-end
- *     equivalence under loss.
+ *     per data channel (paper §3.3 claims 50 % savings). The switch runs
+ *     the compact window; the reference footprint is PlainSeen's.
  *  2. Shadow copies on/off at a fixed aggregator budget (the Fig. 9
  *     mechanism, summarized at one operating point).
  *  3. Vectorization degree: goodput at 1 vs 32 tuples/packet (the
@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "ask/cluster.h"
+#include "ask/seen_window.h"
 #include "bench_util.h"
 #include "net/cost_model.h"
 #include "pisa/pisa_switch.h"
@@ -39,21 +40,17 @@ switch_fraction(bool shadow, const core::KvStream& stream,
            static_cast<double>(sw.tuples_in);
 }
 
+/** SRAM per data channel of the switch's `seen` array. */
 std::size_t
-seen_sram_per_channel(bool compact)
+seen_sram_per_channel()
 {
     sim::Simulator simulator;
     net::Network network(simulator);
     pisa::PisaSwitch sw(network);
     core::AskConfig cfg;
-    cfg.compact_seen = compact;
     core::AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
-    std::size_t bytes = 0;
-    for (const char* name : {"seen", "seen_even", "seen_odd"}) {
-        if (auto* arr = sw.pipeline().find_array(name))
-            bytes += arr->sram_bytes();
-    }
-    return bytes / cfg.max_channels();
+    return sw.pipeline().find_array("seen")->sram_bytes() /
+           cfg.max_channels();
 }
 
 }  // namespace
@@ -72,8 +69,9 @@ main(int argc, char** argv)
     // 1. seen SRAM.
     TextTable seen;
     seen.header({"seen design", "SRAM/channel (bytes)"});
-    std::size_t compact_bytes = seen_sram_per_channel(true);
-    std::size_t reference_bytes = seen_sram_per_channel(false);
+    std::size_t compact_bytes = seen_sram_per_channel();
+    std::size_t reference_bytes =
+        core::PlainSeen(core::AskConfig{}.window).state_bits() / 8;
     seen.row({"compact (W bits)", std::to_string(compact_bytes)});
     seen.row({"reference (2W bits)", std::to_string(reference_bytes)});
     std::cout << "\n1. receive-window state (W = 256)\n";

@@ -87,11 +87,7 @@ AskCluster::AskCluster(const ClusterConfig& config)
     controller_ =
         std::make_unique<AskSwitchController>(std::move(progs), controller_wal);
 
-    MgmtRetryPolicy mgmt_policy;
-    mgmt_policy.max_tries = config_.ask.mgmt_max_tries;
-    mgmt_policy.backoff_cap_ns = config_.ask.mgmt_backoff_cap_ns;
-    mgmt_ = std::make_unique<MgmtPlane>(simulator_, config_.mgmt_latency_ns,
-                                        mgmt_policy);
+    mgmt_ = std::make_unique<MgmtPlane>(simulator_, config_.mgmt_latency_ns);
 
     net::CostModel cost_model(config_.cost);
     for (std::uint32_t h = 0; h < topo_.num_hosts(); ++h) {

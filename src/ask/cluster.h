@@ -115,8 +115,8 @@ class AskCluster
      * Submit an aggregation task: `receiver_host` runs the receiver,
      * each StreamSpec's host streams its tuples. `on_done` fires at
      * completion (simulated time). Call run() to execute. Per-task
-     * knobs (region length, liveness timeout, swap policy, tracing)
-     * travel in `options`: `{.region_len = 32}`.
+     * knobs (region length, swap policy, reduce op) travel in
+     * `options`: `{.region_len = 32}`.
      *
      * In a multi-switch fabric, shadow-copy swaps are forced to
      * SwapPolicy::kDisabled: a swap epoch would have to flip atomically
@@ -191,9 +191,8 @@ class AskCluster
 
     // ---- observability ----------------------------------------------------
 
-    /** The cluster-wide packet tracer. Disabled by default; enable
-     *  globally (`tracer().set_enabled(true)`) or per task
-     *  (TaskOptions::trace). */
+    /** The cluster-wide packet tracer. Disabled by default; enable it
+     *  with `tracer().set_enabled(true)`. */
     obs::PacketTracer& tracer() { return obs_.tracer; }
 
     /**

@@ -28,12 +28,6 @@ AskConfig::validate() const
         fail_config("channels_per_host must be positive");
     if (max_hosts == 0)
         fail_config("max_hosts must be positive");
-    if (max_fin_tries == 0)
-        fail_config("max_fin_tries must be positive");
-    if (mgmt_max_tries == 0)
-        fail_config("mgmt_max_tries must be positive");
-    if (mgmt_backoff_cap_ns <= 0)
-        fail_config("mgmt_backoff_cap_ns must be positive");
     if (sender_liveness_timeout_ns < 0)
         fail_config("sender_liveness_timeout_ns must be non-negative");
     if (static_cast<std::uint8_t>(op) >= kNumReduceOps)

@@ -42,9 +42,6 @@ struct AskConfig
     // ---- Reliability (§3.3) ---------------------------------------------
     /** Maximum sliding-window size per data channel, in packets. */
     std::uint32_t window = 256;
-    /** Use the memory-compact W-bit `seen` (true) or the reference
-     *  2W-bit variant (false); behaviorally equivalent (§3.3). */
-    bool compact_seen = true;
 
     // ---- Hosts -----------------------------------------------------------
     /** Data channels per host daemon (paper default: 4). */
@@ -60,9 +57,6 @@ struct AskConfig
     std::uint64_t swap_threshold_packets = 4096;
 
     // ---- Failure handling and degraded mode -------------------------------
-    /** FIN (re)transmissions before the sender gives up on a task and
-     *  reports it failed instead of retrying forever. */
-    std::uint32_t max_fin_tries = 1000;
     /**
      * Retransmission budget per data packet. A DATA packet exhausting it
      * means the switch aggregation path is persistently unresponsive:
@@ -78,11 +72,6 @@ struct AskConfig
      * of waiting forever for FINs that will never come. 0 disables.
      */
     Nanoseconds sender_liveness_timeout_ns = 0;
-    /** Management RPC attempts before giving up (outage windows). */
-    std::uint32_t mgmt_max_tries = 10;
-    /** Upper bound on the management-RPC retry backoff, which starts at
-     *  MgmtRetryPolicy's base and doubles per retry. */
-    Nanoseconds mgmt_backoff_cap_ns = 2 * units::kMillisecond;
 
     // ---- Semantics ---------------------------------------------------------
     /** Default reduction operator; a task may override it per-task via

@@ -72,6 +72,10 @@ constexpr Nanoseconds kRetransmitTimeout = 100 * units::kMicrosecond;
  *  copies). */
 constexpr std::uint32_t kMaxSwapTries = 12;
 
+/** FIN (re)transmissions before the sender gives up on a task and
+ *  reports it failed instead of retrying forever. */
+constexpr std::uint32_t kMaxFinTries = 1000;
+
 /** The report a receive task delivers: its journaled start time and
  *  counters. The caller stamps the finish time and the outcome. */
 TaskReport
@@ -370,7 +374,7 @@ DataChannel::send_fin(const SendJob& job)
 {
     fin_outstanding_ = true;
     ++fin_tries_;
-    if (fin_tries_ > daemon_.config().max_fin_tries) {
+    if (fin_tries_ > kMaxFinTries) {
         // The receiver is unreachable for good: fail the job through the
         // task-failure handler instead of aborting the whole process.
         ++daemon_.chaos_.fin_giveups;
@@ -625,8 +629,6 @@ AskDaemon::start_receive(TaskId task, std::uint32_t expected_senders,
     // application as a failed TaskReport, never as a silent hang.
     if (rx_tasks_.count(task) != 0)
         fail_state("task ", task, " already receiving on host ", host_index_);
-    if (tracer_ != nullptr && options.trace)
-        tracer_->trace_task(task);
     auto done = std::make_shared<TaskDoneFn>(std::move(on_done));
     sim::SimTime requested_at = simulator().now();
     auto fail = [this, done, requested_at](TaskStatus status,

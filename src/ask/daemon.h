@@ -81,7 +81,7 @@ const char* task_status_name(TaskStatus status);
 /**
  * Per-task knobs for AskCluster::submit_task / run_task and
  * AskDaemon::start_receive. Aggregate-initializable:
- * `{.region_len = 32, .trace = true}`.
+ * `{.region_len = 32, .op = ReduceOp::kMax}`.
  */
 struct TaskOptions
 {
@@ -94,8 +94,6 @@ struct TaskOptions
         kDisabled,  ///< never swap; finalize drains both copies
     };
     SwapPolicy swap_policy = SwapPolicy::kAuto;
-    /** Opt this task into packet-lifecycle tracing. */
-    bool trace = false;
     /** Reduction operator for this task; nullopt = AskConfig::op. The
      *  resolved op must be declared by every switch program's access
      *  plan (kFloat needs part_bits == 32) or submission throws

@@ -7,6 +7,16 @@
 
 namespace ask::core {
 
+namespace {
+
+/** Attempts per RPC before it is abandoned (outage windows). */
+constexpr std::uint32_t kMgmtMaxTries = 10;
+/** The retry backoff starts here and doubles per retry, up to the cap. */
+constexpr Nanoseconds kMgmtBackoffBase = 50 * units::kMicrosecond;
+constexpr Nanoseconds kMgmtBackoffCap = 2 * units::kMillisecond;
+
+}  // namespace
+
 void
 MgmtPlane::call(std::function<void()> op, std::function<void()> on_give_up)
 {
@@ -29,7 +39,7 @@ MgmtPlane::attempt(std::uint32_t tries_so_far, std::function<void()> op,
             // The reply window fell inside an outage: this attempt is a
             // timeout. Retry with capped exponential backoff.
             ++chaos_.mgmt_retries;
-            if (tries >= policy_.max_tries) {
+            if (tries >= kMgmtMaxTries) {
                 ++chaos_.mgmt_giveups;
                 warn("mgmt RPC abandoned after ", tries, " attempts");
                 if (on_give_up)
@@ -38,8 +48,7 @@ MgmtPlane::attempt(std::uint32_t tries_so_far, std::function<void()> op,
             }
             std::uint32_t shift = std::min(tries - 1, 20u);
             Nanoseconds backoff =
-                std::min(policy_.backoff_base_ns << shift,
-                         policy_.backoff_cap_ns);
+                std::min(kMgmtBackoffBase << shift, kMgmtBackoffCap);
             simulator_.schedule_after(
                 backoff, [this, tries, op = std::move(op),
                           on_give_up = std::move(on_give_up)]() mutable {

@@ -25,23 +25,12 @@
 
 namespace ask::core {
 
-/** Retry policy for management RPCs (from AskConfig). */
-struct MgmtRetryPolicy
-{
-    std::uint32_t max_tries = 10;
-    Nanoseconds backoff_base_ns = 50 * units::kMicrosecond;
-    Nanoseconds backoff_cap_ns = 2 * units::kMillisecond;
-};
-
 /** The shared management network + controller RPC endpoint. */
 class MgmtPlane
 {
   public:
-    MgmtPlane(sim::Simulator& simulator, Nanoseconds base_latency_ns,
-              MgmtRetryPolicy policy = {})
-        : simulator_(simulator),
-          base_latency_ns_(base_latency_ns),
-          policy_(policy)
+    MgmtPlane(sim::Simulator& simulator, Nanoseconds base_latency_ns)
+        : simulator_(simulator), base_latency_ns_(base_latency_ns)
     {
     }
 
@@ -62,7 +51,7 @@ class MgmtPlane
      * Issue one RPC. After the round-trip latency, `op` runs — unless
      * the plane is in an outage window when the reply would arrive, in
      * which case the attempt counts as timed out and is retried after a
-     * capped exponential backoff. After max_tries failed attempts,
+     * capped exponential backoff. After 10 failed attempts,
      * `on_give_up` (if provided) runs instead and the RPC is abandoned.
      */
     void call(std::function<void()> op,
@@ -76,7 +65,6 @@ class MgmtPlane
 
     sim::Simulator& simulator_;
     Nanoseconds base_latency_ns_;
-    MgmtRetryPolicy policy_;
     bool down_ = false;
     Nanoseconds extra_delay_ns_ = 0;
     ChaosStats chaos_;

@@ -6,18 +6,6 @@
 
 namespace ask::core {
 
-namespace {
-
-/** True when `s` falls before the window (max_seq - W, max_seq]. */
-bool
-is_stale(Seq s, Seq max_seq, std::uint32_t window)
-{
-    return static_cast<std::uint64_t>(s) + window <=
-           static_cast<std::uint64_t>(max_seq);
-}
-
-}  // namespace
-
 PlainSeen::PlainSeen(std::uint32_t window)
     : window_(window), bits_(2 * static_cast<std::size_t>(window), 0)
 {
@@ -99,19 +87,9 @@ CompactSeen::observe(Seq s)
     }
     if (is_stale(s, max_seq_, window_))
         return SeenOutcome::kStale;
-
-    // Fused set_bit/clr_bitc, branch-light: an even segment (parity 0)
-    // returns the previous bit and sets it — the set bit doubles as the
-    // pre-cleared state ("1 == unseen") for the following odd segment
-    // (cases 1-2 of §3.3). An odd segment (parity 1) returns the
-    // complement and clears it — the cleared bit pre-initializes the
-    // next even segment (cases 3-4). Both reduce to one XOR against the
-    // segment parity and an unconditional store of its complement.
-    std::uint8_t parity = (s / window_) & 1;
-    std::uint8_t& bit = bits_[s % window_];
-    std::uint8_t observed = bit ^ parity;
-    bit = parity ^ 1;
-    return observed != 0 ? SeenOutcome::kDuplicate : SeenOutcome::kFresh;
+    return seen_rule::observe(bits_[s % window_], s, window_)
+               ? SeenOutcome::kDuplicate
+               : SeenOutcome::kFresh;
 }
 
 void
@@ -125,16 +103,10 @@ CompactSeen::wipe()
 void
 CompactSeen::repair(Seq next_seq)
 {
-    // Mirror of AskSwitchProgram::fence_channel: a fresh packet in an
-    // even segment expects bit == 0 (set_bit), in an odd segment
-    // bit == 1 (clr_bitc), so the parity of the one admitted window
-    // must be pre-set — a wiped 0 in an odd segment would be misread
-    // as "already observed" and falsely dedup a fresh packet.
-    for (std::uint64_t seq = next_seq;
-         seq < static_cast<std::uint64_t>(next_seq) + window_; ++seq) {
-        std::uint32_t q = static_cast<std::uint32_t>(seq / window_);
-        bits_[seq % window_] = q % 2 == 1 ? 1 : 0;
-    }
+    seen_rule::fence(next_seq, window_,
+                     [&](std::size_t slot, std::uint8_t bit) {
+                         bits_[slot] = bit;
+                     });
     max_seq_ = next_seq + window_ - 1;
     any_ = true;
 }

@@ -7,10 +7,16 @@
  *  - PlainSeen: the reference design. A 2W-bit circular array `seen`;
  *    each packet records its bit (Eq. 6) and clears the bit one window
  *    ahead for a future packet (Eq. 7).
- *  - CompactSeen: the memory-compact design. W bits; packet sequences
- *    are split into alternating even/odd segments of size W, and a single
- *    atomic set_bit / clr_bitc instruction per packet performs record,
- *    lookup, and future-initialization at once (Eq. 8, cases 1-4).
+ *  - CompactSeen: the memory-compact design the switch runs. W bits;
+ *    packet sequences are split into alternating even/odd segments of
+ *    size W, and a single atomic set_bit / clr_bitc instruction per
+ *    packet performs record, lookup, and future-initialization at once
+ *    (Eq. 8, cases 1-4).
+ *
+ * The compact rule is written once, in the `seen_rule` functions below:
+ * CompactSeen applies it to its bits and AskSwitchProgram to its `seen`
+ * registers, so the model checker and the fuzzer's equivalence probe
+ * exercise the code the data plane runs.
  *
  * Both also track max_seq to reject stale packets from before the
  * current window (the corner case of §3.3). A property test
@@ -41,6 +47,64 @@ enum class SeenOutcome : std::uint8_t
     kStale,      ///< older than the window: drop entirely
 };
 
+/** True when `s` falls before the window (max_seq - W, max_seq]. */
+inline bool
+is_stale(Seq s, std::uint64_t max_seq, std::uint32_t window)
+{
+    return static_cast<std::uint64_t>(s) + window <= max_seq;
+}
+
+/**
+ * The compact window's rule (Eq. 8). Sequence s owns bit s mod W, and
+ * its segment parity (s / W) & 1 is the value of that bit that means
+ * "unseen": an even segment records by setting the bit (set_bit), an
+ * odd one by clearing it (clr_bitc), and either store pre-initializes
+ * the slot for the next segment.
+ */
+namespace seen_rule {
+
+/** The value of s's bit that reads "not yet observed". */
+inline std::uint8_t
+unseen(std::uint64_t s, std::uint32_t window)
+{
+    return static_cast<std::uint8_t>((s / window) & 1);
+}
+
+/** Whether `bit` says s was already observed (a read-only probe). */
+inline bool
+observed(std::uint64_t bit, std::uint64_t s, std::uint32_t window)
+{
+    return bit != unseen(s, window);
+}
+
+/** One arrival of s: classify it against its bit, then store the
+ *  complement of the parity (branch-light: one compare, one store). */
+template <typename Bit>
+inline bool
+observe(Bit& bit, std::uint64_t s, std::uint32_t window)
+{
+    bool seen = observed(bit, s, window);
+    bit = static_cast<Bit>(unseen(s, window) ^ 1);
+    return seen;
+}
+
+/**
+ * A fence at next_seq: pre-set the bit of every sequence the fence
+ * admits, [next_seq, next_seq + W), to its unseen value through
+ * `set(slot, bit)`. A wiped bit reads 0, which an odd segment would
+ * misread as "already observed" and falsely dedup a fresh packet.
+ */
+template <typename SetBit>
+inline void
+fence(Seq next_seq, std::uint32_t window, SetBit&& set)
+{
+    for (std::uint64_t s = next_seq;
+         s < static_cast<std::uint64_t>(next_seq) + window; ++s)
+        set(static_cast<std::size_t>(s % window), unseen(s, window));
+}
+
+}  // namespace seen_rule
+
 /**
  * Control-plane snapshot of one receive window: the automaton-extraction
  * hook the semantic model checker (src/pisa/model/) reads. The same
@@ -48,11 +112,6 @@ enum class SeenOutcome : std::uint8_t
  * state-space exploration, and the fuzzer's reachability probe builds
  * one from live registers (AskSwitchProgram::extract_seen) to check the
  * observed state against the model's proved invariants.
- *
- * The plain layout covers both in-tree plain implementations: PlainSeen's
- * 2W-bit ring (slot = s mod 2W) and the switch's split seen_even/seen_odd
- * arrays are index-isomorphic, since s mod 2W = (⌊s/W⌋ mod 2)·W + s mod W
- * — the even array is slots [0, W), the odd array slots [W, 2W).
  */
 struct SeenSnapshot
 {
@@ -118,7 +177,7 @@ class PlainSeen
     bool any_ = false;
 };
 
-/** The memory-compact W-bit receive window. */
+/** The memory-compact W-bit receive window: seen_rule on W bits. */
 class CompactSeen
 {
   public:
@@ -131,15 +190,13 @@ class CompactSeen
     void wipe();
 
     /**
-     * Recovery model of AskSwitchProgram::fence_channel for the compact
-     * design: fence max_seq at next_seq + W - 1 and pre-set the parity
-     * of the one admitted window — a wiped bit reads 0, which an odd
-     * segment's clr_bitc would misread as "already observed".
+     * Recovery model of AskSwitchProgram::fence_channel: fence max_seq
+     * at next_seq + W - 1 and pre-set the parity of the one admitted
+     * window (seen_rule::fence).
      */
     void repair(Seq next_seq);
 
     std::uint32_t window() const { return window_; }
-    std::size_t state_bits() const { return bits_.size(); }
 
     /** Automaton-extraction hook for the model checker / probes. */
     SeenSnapshot snapshot() const;

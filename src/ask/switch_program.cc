@@ -53,12 +53,7 @@ AskSwitchProgram::make_access_plan(const AskConfig& config,
     // ---- declarations: the layout the constructor installs ------------
 
     plan.arrays.push_back({"max_seq", 0, channels, 32});
-    if (config.compact_seen) {
-        plan.arrays.push_back({"seen", 1, channels * w, 1});
-    } else {
-        plan.arrays.push_back({"seen_even", 1, channels * w, 1});
-        plan.arrays.push_back({"seen_odd", 1, channels * w, 1});
-    }
+    plan.arrays.push_back({"seen", 1, channels * w, 1});
     plan.arrays.push_back({"swap_epoch", 1, config.max_tasks, 32});
     for (std::uint32_t i = 0; i < config.num_aas; ++i) {
         plan.arrays.push_back({"aa_" + std::to_string(i), 2 + i / 4,
@@ -87,30 +82,14 @@ AskSwitchProgram::make_access_plan(const AskConfig& config,
     // ---- shared fragments ---------------------------------------------
 
     // Receive window (stage 1), branched on the sequence segment parity
-    // (a header-only predicate). The compact variant flips one bit's
-    // meaning per segment; the plain variant records in one array and
-    // clears one window ahead in the other, in parity order.
+    // (a header-only predicate), which flips the one bit's meaning per
+    // segment.
     auto seen_steps = [&]() -> v::Step {
-        if (config.compact_seen) {
-            return v::branch(
-                {"segment parity (seq/W)", {}},
-                {{"even-segment", {{v::access("seen", AccessKind::kRmw)}}},
-                 {"odd-segment", {{v::access("seen", AccessKind::kRmw)}}}});
-        }
         return v::branch(
             {"segment parity (seq/W)", {}},
-            {{"even-segment",
-              {{v::access("seen_even", AccessKind::kRmw),
-                v::access("seen_odd", AccessKind::kRmw)}}},
-             {"odd-segment",
-              {{v::access("seen_odd", AccessKind::kRmw),
-                v::access("seen_even", AccessKind::kRmw)}}}});
+            {{"even-segment", {{v::access("seen", AccessKind::kRmw)}}},
+             {"odd-segment", {{v::access("seen", AccessKind::kRmw)}}}});
     };
-
-    std::vector<std::string> seen_deps =
-        config.compact_seen
-            ? std::vector<std::string>{"seen"}
-            : std::vector<std::string>{"seen_even", "seen_odd"};
 
     // The aggregator arrays: each access is predicated on its slot bit
     // in the packet's bitmap (header-only), so any subset may run —
@@ -148,7 +127,7 @@ AskSwitchProgram::make_access_plan(const AskConfig& config,
             "swap_epoch", AccessKind::kRead, {"copy indicator needed", {}}));
     }
     task_arm.steps.push_back(
-        v::branch({"first appearance (per seen)", seen_deps},
+        v::branch({"first appearance (per seen)", {"seen"}},
                   {{"duplicate", {}}, {"first-appearance", first_arm}}));
 
     // Fresh arm of the DATA pass: record the window, maybe aggregate,
@@ -161,7 +140,7 @@ AskSwitchProgram::make_access_plan(const AskConfig& config,
         v::branch({"aggregation table: task known", {}},
                   {{"unknown-task", {}}, {"task-bound", task_arm}}));
     fresh_arm.steps.push_back(
-        v::access("pkt_state", AccessKind::kRmw, seen_deps));
+        v::access("pkt_state", AccessKind::kRmw, {"seen"}));
 
     // ---- passes ---------------------------------------------------------
 
@@ -252,10 +231,6 @@ AskSwitchProgram::AskSwitchProgram(const AskConfig& config,
             max_seq_ = arr;
         else if (d.name == "seen")
             seen_ = arr;
-        else if (d.name == "seen_even")
-            seen_even_ = arr;
-        else if (d.name == "seen_odd")
-            seen_odd_ = arr;
         else if (d.name == "swap_epoch")
             swap_epoch_ = arr;
         else if (d.name == "pkt_state")
@@ -343,7 +318,6 @@ AskSwitchProgram::reliability_state_bits() const
     std::uint64_t bits = 0;
     for (const auto& d : plan_.arrays) {
         if (d.name == "max_seq" || d.name == "seen" ||
-            d.name == "seen_even" || d.name == "seen_odd" ||
             d.name == "pkt_state") {
             bits += static_cast<std::uint64_t>(d.entries) * d.width_bits;
         }
@@ -449,19 +423,9 @@ AskSwitchProgram::fence_channel(ChannelId channel, Seq next_seq)
                        static_cast<std::uint64_t>(next_seq) + w - 1);
 
     std::size_t base = chan_index(channel) * w;
-    if (config_.compact_seen) {
-        // A fresh packet in an even segment expects bit==0 (set_bit),
-        // in an odd segment bit==1 (clr_bitc). Pre-set the parity for
-        // the one window the fence admits.
-        for (std::uint64_t seq = next_seq;
-             seq < static_cast<std::uint64_t>(next_seq) + w; ++seq) {
-            std::uint64_t q = seq / w;
-            seen_->cp_write(base + seq % w, q % 2 == 1 ? 1 : 0);
-        }
-    } else {
-        seen_even_->cp_clear(base, w);
-        seen_odd_->cp_clear(base, w);
-    }
+    seen_rule::fence(next_seq, w, [&](std::size_t slot, std::uint8_t bit) {
+        seen_->cp_write(base + slot, bit);
+    });
     pkt_state_->cp_clear(base, w);
 }
 
@@ -473,27 +437,16 @@ AskSwitchProgram::extract_seen(ChannelId channel) const
     std::size_t base = chan_index(channel) * w;
 
     SeenSnapshot snap;
-    snap.compact = config_.compact_seen;
+    snap.compact = true;
     snap.window = w;
     snap.max_seq = static_cast<Seq>(max_seq_->cp_read(chan_index(channel)));
     // The registers have no "never observed" flag: a freshly installed
     // channel reads all-zero, which satisfies every snapshot invariant,
     // so the snapshot is reported as live unconditionally.
     snap.any = true;
-    if (config_.compact_seen) {
-        snap.bits.resize(w);
-        for (std::uint32_t i = 0; i < w; ++i)
-            snap.bits[i] =
-                static_cast<std::uint8_t>(seen_->cp_read(base + i));
-    } else {
-        snap.bits.resize(2 * static_cast<std::size_t>(w));
-        for (std::uint32_t i = 0; i < w; ++i) {
-            snap.bits[i] =
-                static_cast<std::uint8_t>(seen_even_->cp_read(base + i));
-            snap.bits[w + i] =
-                static_cast<std::uint8_t>(seen_odd_->cp_read(base + i));
-        }
-    }
+    snap.bits.resize(w);
+    for (std::uint32_t i = 0; i < w; ++i)
+        snap.bits[i] = static_cast<std::uint8_t>(seen_->cp_read(base + i));
     return snap;
 }
 
@@ -504,18 +457,11 @@ AskSwitchProgram::probe_packet(ChannelId channel, Seq seq) const
     std::uint32_t w = config_.window;
     ProbeResult out;
 
-    std::uint64_t max = max_seq_->cp_read(chan_index(channel));
-    if (static_cast<std::uint64_t>(seq) + w <= max)
+    if (is_stale(seq, max_seq_->cp_read(chan_index(channel)), w))
         return out;  // outside the live window: report not-observed
 
     std::size_t idx = chan_index(channel) * w + seq % w;
-    if (config_.compact_seen) {
-        std::uint64_t bit = seen_->cp_read(idx);
-        out.observed = (seq / w) % 2 == 0 ? bit != 0 : bit == 0;
-    } else {
-        bool even = (seq / w) % 2 == 0;
-        out.observed = (even ? seen_even_ : seen_odd_)->cp_read(idx) != 0;
-    }
+    out.observed = seen_rule::observed(seen_->cp_read(idx), seq, w);
     if (out.observed)
         out.remaining = pkt_state_->cp_read(idx);
     return out;
@@ -534,36 +480,16 @@ AskSwitchProgram::check_window(ChannelId channel, Seq seq)
             if (seq > v)
                 v = seq;
         });
-    if (static_cast<std::uint64_t>(seq) + w <= max_after) {
+    if (is_stale(seq, max_after, w)) {
         verdict.stale = true;
         return verdict;
     }
 
-    // Stage 1: the receive window.
-    std::uint32_t r = seq % w;
-    std::size_t idx = chan_index(channel) * w + r;
-    if (config_.compact_seen) {
-        // Branch-light fused set_bit/clr_bitc: an even segment returns
-        // the previous bit and sets it, an odd segment returns the
-        // complement and clears it — both collapse to one XOR against
-        // the segment parity and an unconditional store.
-        std::uint64_t parity = (seq / w) & 1;
-        seen_->rmw(idx, [&](std::uint64_t& b) {
-            verdict.observed = (b ^ parity) != 0;
-            b = parity ^ 1;
-        });
-    } else {
-        // Reference design: 2W bits as two arrays; record in one segment
-        // array, clear the slot one window ahead in the other.
-        bool even = (seq / w) % 2 == 0;
-        pisa::RegisterArray* rec = even ? seen_even_ : seen_odd_;
-        pisa::RegisterArray* clr = even ? seen_odd_ : seen_even_;
-        rec->rmw(idx, [&](std::uint64_t& b) {
-            verdict.observed = b != 0;
-            b = 1;
-        });
-        clr->rmw(idx, [&](std::uint64_t& b) { b = 0; });
-    }
+    // Stage 1: the receive window, one fused set_bit/clr_bitc.
+    std::size_t idx = chan_index(channel) * w + seq % w;
+    seen_->rmw(idx, [&](std::uint64_t& b) {
+        verdict.observed = seen_rule::observe(b, seq, w);
+    });
     return verdict;
 }
 

@@ -6,8 +6,9 @@
  * Register-array placement (default 32-AA configuration):
  *
  *   stage 0 : max_seq     (per channel, 32b)       - stale-packet boundary
- *   stage 1 : seen        (per channel, W or 2x W bits) + swap_epoch
- *             (per task slot, 32b; copy indicator = epoch parity)
+ *   stage 1 : seen        (per channel, W bits: the compact window of
+ *             seen_window.h) + swap_epoch (per task slot, 32b; copy
+ *             indicator = epoch parity)
  *   stage 2+: aa_0..aa_{N-1}, four per stage, 2n-bit registers holding
  *             kPart|vPart, both shadow copies in one array
  *   last    : pkt_state   (per channel x window, N-bit bitmaps)
@@ -15,10 +16,6 @@
  * Dependencies flow strictly forward: max_seq gates seen, seen gates the
  * aggregator accesses, and the final bitmap feeds pkt_state — so the
  * program is expressible on a real Tofino pipeline.
- *
- * In the non-compact variant, `seen` is two one-bit arrays (even/odd
- * sequence segments); Eq. (6)'s record and Eq. (7)'s clear-ahead then
- * touch different arrays, keeping the single-access-per-array rule.
  */
 #ifndef ASK_ASK_SWITCH_PROGRAM_H
 #define ASK_ASK_SWITCH_PROGRAM_H
@@ -210,12 +207,10 @@ class AskSwitchProgram : public pisa::SwitchProgram
 
     /**
      * Automaton-extraction hook: control-plane read of one channel's
-     * live receive-window registers as a SeenSnapshot — the same shape
-     * the semantic model checker (src/pisa/model/) explores, so the
-     * fuzzer's reachability probe can evaluate the model's proved
-     * invariants directly on switch state. For the plain design the
-     * snapshot concatenates seen_even (slots [0, W)) and seen_odd
-     * (slots [W, 2W)), matching SeenSnapshot's ring indexing.
+     * live receive-window registers as a compact SeenSnapshot — the
+     * same shape the semantic model checker (src/pisa/model/) explores,
+     * so the fuzzer's reachability probe can evaluate the model's
+     * proved invariants directly on switch state.
      */
     SeenSnapshot extract_seen(ChannelId channel) const;
 
@@ -297,9 +292,7 @@ class AskSwitchProgram : public pisa::SwitchProgram
 
     // Register arrays (owned by the pipeline's stages).
     pisa::RegisterArray* max_seq_ = nullptr;
-    pisa::RegisterArray* seen_ = nullptr;       ///< compact variant
-    pisa::RegisterArray* seen_even_ = nullptr;  ///< plain variant
-    pisa::RegisterArray* seen_odd_ = nullptr;   ///< plain variant
+    pisa::RegisterArray* seen_ = nullptr;
     pisa::RegisterArray* swap_epoch_ = nullptr;
     std::vector<pisa::RegisterArray*> aas_;
     pisa::RegisterArray* pkt_state_ = nullptr;

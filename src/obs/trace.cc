@@ -51,12 +51,6 @@ PacketTracer::PacketTracer(std::size_t capacity)
 }
 
 void
-PacketTracer::trace_task(std::uint32_t task)
-{
-    traced_tasks_.insert(task);
-}
-
-void
 PacketTracer::clear()
 {
     head_ = 0;

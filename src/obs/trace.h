@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/json.h"
@@ -62,10 +61,10 @@ struct TraceSpan
 };
 
 /**
- * The ring-buffered tracer. Spans are recorded for a task when the
- * tracer is globally enabled or the task was opted in (TaskOptions
- * trace = true); the ring overwrites the oldest spans once full, so a
- * long run keeps the most recent `capacity` events.
+ * The ring-buffered tracer. Spans are recorded while the tracer is
+ * enabled, for every task (a reader after one task's spans filters on
+ * their `task` field); the ring overwrites the oldest spans once full,
+ * so a long run keeps the most recent `capacity` events.
  */
 class PacketTracer
 {
@@ -76,20 +75,12 @@ class PacketTracer
     void set_enabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
 
-    /** Opt one task in (TaskOptions::trace). */
-    void trace_task(std::uint32_t task);
-    bool tracing(std::uint32_t task) const
-    {
-        return enabled_ || (!traced_tasks_.empty() &&
-                            traced_tasks_.count(task) != 0);
-    }
-
     void
     record(std::int64_t t_ns, std::uint32_t task, std::uint32_t channel,
            std::uint32_t seq, TraceStage stage, std::uint64_t aux = 0,
            std::uint8_t flags = 0)
     {
-        if (!tracing(task))
+        if (!enabled_)
             return;
         TraceSpan& s = ring_[head_];
         s = TraceSpan{t_ns, task, channel, seq, stage, aux, flags};
@@ -118,7 +109,6 @@ class PacketTracer
 
   private:
     bool enabled_ = false;
-    std::unordered_set<std::uint32_t> traced_tasks_;
     std::vector<TraceSpan> ring_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;

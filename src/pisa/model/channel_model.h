@@ -5,8 +5,9 @@
  *
  * The automaton is extracted from the real components, not re-modeled:
  * the switch window state IS a core::PlainSeen plus a core::CompactSeen
- * (the production classes), advanced through their public observe /
- * wipe / repair API exactly as AskSwitchProgram drives its registers;
+ * (the reference design and the one the switch runs: CompactSeen and
+ * AskSwitchProgram's registers share the seen_rule functions), advanced
+ * through their public observe / wipe / repair API;
  * value flow uses core::reduce_lift / apply_op (the production
  * algebra); and the recovery events replay AskCluster's choreography
  * verbatim (abort senders -> clear regions -> fence at the cursor ->

@@ -17,9 +17,10 @@
  *     ask_fuzz --json out.json      # write the ask-fuzz/v1 report
  *
  * The report is byte-deterministic for a given (--seed, --count,
- * --crash-heavy): CI runs the smoke campaigns twice and diffs the
- * bytes. A --crash-heavy failure replays with
- * `--crash-heavy --replay SEED` — the flag is part of the replay key.
+ * --crash-heavy): CI byte-compares the smoke campaigns' reports with
+ * the goldens under src/testing/golden/. A --crash-heavy failure
+ * replays with `--crash-heavy --replay SEED` — the flag is part of the
+ * replay key.
  */
 #include <cstdint>
 #include <cstdlib>

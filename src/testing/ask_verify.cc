@@ -8,7 +8,7 @@
  *
  *     ask_verify                           # paper-default configuration
  *     ask_verify --num-aas 8 --window 16   # a smaller deployment
- *     ask_verify --plain-seen --no-shadow  # the reference variants
+ *     ask_verify --no-shadow               # shadow copies off
  *     ask_verify --stages 4                # watch the verifier reject
  *
  * Sweep mode cross-checks the verifier against the actual install path
@@ -61,7 +61,7 @@ usage(const char* argv0)
         << "usage: " << argv0
         << " [--num-aas N] [--aggregators N] [--window N] [--hosts N]\n"
            "       [--medium-groups N] [--medium-segments N] [--tasks N]\n"
-           "       [--plain-seen] [--no-shadow] [--stages N] [--sram BYTES]\n"
+           "       [--no-shadow] [--stages N] [--sram BYTES]\n"
            "       [--paths] [--sweep]\n"
            "       [--model] [--model-json PATH] [--model-payloads N]\n"
            "       [--model-window N] [--model-racks N]\n"
@@ -88,7 +88,6 @@ describe_config(const core::AskConfig& config)
         << " aggregators=" << config.aggregators_per_aa
         << " window=" << config.window
         << " medium_groups=" << config.medium_groups
-        << " compact_seen=" << (config.compact_seen ? 1 : 0)
         << " shadow=" << (config.shadow_copies ? 1 : 0)
         << " hosts=" << config.max_hosts;
     return oss.str();
@@ -218,59 +217,56 @@ sweep()
         for (std::uint32_t window : windows) {
             for (std::uint32_t aggs : aggregators) {
                 for (std::size_t stages : stage_counts) {
-                    for (int compact = 0; compact < 2; ++compact) {
-                        for (int shadow = 0; shadow < 2; ++shadow) {
-                            core::AskConfig config;
-                            config.num_aas = aas;
-                            config.window = window;
-                            config.aggregators_per_aa = aggs;
-                            config.compact_seen = compact == 1;
-                            config.shadow_copies = shadow == 1;
-                            config.max_hosts = 4;
-                            // Keep medium groups feasible on tiny AA
-                            // counts; the point is layout, not keys.
-                            if (config.medium_aas() >= aas)
-                                config.medium_groups = aas / 4;
-                            ++points;
+                    for (int shadow = 0; shadow < 2; ++shadow) {
+                        core::AskConfig config;
+                        config.num_aas = aas;
+                        config.window = window;
+                        config.aggregators_per_aa = aggs;
+                        config.shadow_copies = shadow == 1;
+                        config.max_hosts = 4;
+                        // Keep medium groups feasible on tiny AA
+                        // counts; the point is layout, not keys.
+                        if (config.medium_aas() >= aas)
+                            config.medium_groups = aas / 4;
+                        ++points;
 
-                            // The static verdict (configuration errors
-                            // count as rejects: validate() runs before
-                            // the verifier on the install path too).
-                            bool static_ok = false;
-                            try {
-                                config.validate();
-                                auto plan = core::AskSwitchProgram::
-                                    make_access_plan(config,
-                                                     config.max_channels());
-                                static_ok =
-                                    pisa::verify::verify(
-                                        plan,
-                                        make_budget(
-                                            stages,
-                                            pisa::kDefaultStageSramBytes))
-                                        .ok();
-                            } catch (const ConfigError&) {
-                                static_ok = false;
-                            }
+                        // The static verdict (configuration errors
+                        // count as rejects: validate() runs before
+                        // the verifier on the install path too).
+                        bool static_ok = false;
+                        try {
+                            config.validate();
+                            auto plan = core::AskSwitchProgram::
+                                make_access_plan(config,
+                                                 config.max_channels());
+                            static_ok =
+                                pisa::verify::verify(
+                                    plan,
+                                    make_budget(
+                                        stages,
+                                        pisa::kDefaultStageSramBytes))
+                                    .ok();
+                        } catch (const ConfigError&) {
+                            static_ok = false;
+                        }
 
-                            std::string error;
-                            bool install_ok = install_succeeds(
-                                config, stages,
-                                pisa::kDefaultStageSramBytes, &error);
-                            if (!install_ok)
-                                ++rejects;
-                            if (static_ok != install_ok) {
-                                ++disagreements;
-                                std::cout
-                                    << "DISAGREEMENT: " << describe_config(config)
-                                    << " stages=" << stages << ": verifier says "
-                                    << (static_ok ? "legal" : "illegal")
-                                    << " but install "
-                                    << (install_ok
-                                            ? "succeeded"
-                                            : "threw: " + error)
-                                    << "\n";
-                            }
+                        std::string error;
+                        bool install_ok = install_succeeds(
+                            config, stages,
+                            pisa::kDefaultStageSramBytes, &error);
+                        if (!install_ok)
+                            ++rejects;
+                        if (static_ok != install_ok) {
+                            ++disagreements;
+                            std::cout
+                                << "DISAGREEMENT: " << describe_config(config)
+                                << " stages=" << stages << ": verifier says "
+                                << (static_ok ? "legal" : "illegal")
+                                << " but install "
+                                << (install_ok
+                                        ? "succeeded"
+                                        : "threw: " + error)
+                                << "\n";
                         }
                     }
                 }
@@ -385,8 +381,6 @@ main(int argc, char** argv)
         else if (std::strcmp(argv[i], "--tasks") == 0)
             config.max_tasks =
                 static_cast<std::uint32_t>(parse_u64(argv[0], value()));
-        else if (std::strcmp(argv[i], "--plain-seen") == 0)
-            config.compact_seen = false;
         else if (std::strcmp(argv[i], "--no-shadow") == 0)
             config.shadow_copies = false;
         else if (std::strcmp(argv[i], "--stages") == 0)

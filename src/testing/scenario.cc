@@ -206,7 +206,6 @@ ScenarioSpec::describe() const
     d.set("aggregators_per_aa", cluster.ask.aggregators_per_aa);
     d.set("window", cluster.ask.window);
     d.set("channels_per_host", cluster.ask.channels_per_host);
-    d.set("compact_seen", cluster.ask.compact_seen);
     d.set("shadow_copies", cluster.ask.shadow_copies);
     d.set("swap_threshold", cluster.ask.swap_threshold_packets);
     d.set("op", static_cast<std::uint32_t>(cluster.ask.op));
@@ -272,7 +271,7 @@ generate_scenario(std::uint64_t seed, const ScenarioTuning& tuning)
     cc.ask.aggregators_per_aa =
         static_cast<std::uint32_t>(64u << rng.next_below(3));  // 64..256
     cc.ask.window = static_cast<std::uint32_t>(8u << rng.next_below(3));
-    cc.ask.compact_seen = rng.chance(0.5);
+    (void)rng.chance(0.5);  // unused; dropping it would shift every later draw
     cc.ask.shadow_copies = rng.chance(0.8);
     cc.ask.channels_per_host = static_cast<std::uint32_t>(1u
                                                           << rng.next_below(3));

@@ -309,11 +309,7 @@ TEST(Chaos, MgmtOutageIsRiddenOutByRetries)
 
 TEST(Chaos, PermanentMgmtOutageFailsSetupWithClearError)
 {
-    ClusterConfig cc = base_config();
-    cc.ask.mgmt_max_tries = 4;
-    cc.ask.mgmt_backoff_cap_ns = 100 * kMicrosecond;
-
-    AskCluster cluster(cc);
+    AskCluster cluster(base_config());
     sim::ChaosPlan plan;
     plan.mgmt_outage(0, 3600UL * units::kSecond);
     cluster.arm_chaos(plan);
@@ -453,13 +449,13 @@ TEST(Chaos, DeadSenderFailsReceiverByLivenessTimeout)
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: the FIN retransmission budget is configurable and failing
-// it reports the task instead of retrying forever.
+// The FIN retransmission budget: exhausting it reports the task failed
+// instead of retrying forever.
 // ---------------------------------------------------------------------------
 
 /** What a task whose receiver's cable is dark from the start ends with,
- *  under a FIN budget of 5 and a receiver liveness timeout of
- *  `liveness` (0 = none). */
+ *  under the FIN budget and a receiver liveness timeout of `liveness`
+ *  (0 = none). */
 struct FinGiveup
 {
     bool done = false;
@@ -471,7 +467,6 @@ FinGiveup
 run_fin_giveup(Nanoseconds liveness)
 {
     ClusterConfig cc = base_config();
-    cc.ask.max_fin_tries = 5;
     cc.ask.sender_liveness_timeout_ns = liveness;
     AskCluster cluster(cc);
 
@@ -501,9 +496,9 @@ run_fin_giveup(Nanoseconds liveness)
 
 TEST(Chaos, FinBudgetFailsSenderWhenReceiverIsGone)
 {
-    // The sender gives up on its FIN before the receiver's liveness
-    // timeout, and its give-up fails the task.
-    FinGiveup r = run_fin_giveup(20 * kMillisecond);
+    // The sender gives up on its FIN (1,000 tries, ~0.4 s) before the
+    // receiver's liveness timeout, and its give-up fails the task.
+    FinGiveup r = run_fin_giveup(2 * units::kSecond);
     ASSERT_TRUE(r.done);
     EXPECT_EQ(r.report.status, TaskStatus::kSendBudgetExhausted)
         << r.report.detail;

@@ -7,8 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -240,17 +242,28 @@ TEST(BenchJson, GoldenSchema)
 TEST(Trace, RingOverwritesOldestAndFiltersTasks)
 {
     obs::PacketTracer tracer(/*capacity=*/8);
-    tracer.trace_task(1);
+    tracer.record(0, /*task=*/1, /*channel=*/0, 0,
+                  obs::TraceStage::kTx);  // disabled: not recorded
+    EXPECT_EQ(tracer.size(), 0u);
+
+    tracer.set_enabled(true);
     for (std::uint32_t seq = 0; seq < 12; ++seq)
         tracer.record(seq, /*task=*/1, /*channel=*/0, seq,
                       obs::TraceStage::kTx);
-    tracer.record(99, /*task=*/2, /*channel=*/0, 99,
-                  obs::TraceStage::kTx);  // not traced
+    tracer.record(99, /*task=*/2, /*channel=*/0, 99, obs::TraceStage::kTx);
     EXPECT_EQ(tracer.size(), 8u);
     std::vector<obs::TraceSpan> spans = tracer.spans();
     ASSERT_EQ(spans.size(), 8u);
-    EXPECT_EQ(spans.front().seq, 4u);  // oldest four overwritten
-    EXPECT_EQ(spans.back().seq, 11u);
+    EXPECT_EQ(spans.front().seq, 5u);  // oldest five overwritten
+    EXPECT_EQ(spans.back().seq, 99u);
+
+    // One task's spans: filter on their task field.
+    std::vector<obs::TraceSpan> task1;
+    std::copy_if(spans.begin(), spans.end(), std::back_inserter(task1),
+                 [](const obs::TraceSpan& s) { return s.task == 1; });
+    ASSERT_EQ(task1.size(), 7u);
+    EXPECT_EQ(task1.front().seq, 5u);
+    EXPECT_EQ(task1.back().seq, 11u);
 }
 
 ClusterConfig
@@ -290,9 +303,9 @@ TEST(Trace, ChainReconstructionThroughLossAndReboot)
     sim::ChaosPlan plan;
     plan.switch_reboot(undisturbed / 2, 200 * kMicrosecond);
     cluster.arm_chaos(plan);
+    cluster.tracer().set_enabled(true);  // the cluster runs only this task
 
-    TaskResult r = cluster.run_task(7, 0, streams,
-                                    {.region_len = 32, .trace = true});
+    TaskResult r = cluster.run_task(7, 0, streams, {.region_len = 32});
     ASSERT_TRUE(r.ok()) << r.report.detail;
 
     std::vector<obs::TraceSpan> spans = cluster.tracer().spans();

@@ -1,8 +1,8 @@
 /**
  * Robustness and configuration-sweep tests: the exactly-once invariant
- * across window sizes, AA counts, channel counts, seen-design variants,
- * aggregation operators, and protocol edge cases (FIN retries, roaming
- * duplicates, value wraparound, FIFO job ordering).
+ * across window sizes, AA counts, channel counts, mid-task switch
+ * reboots, aggregation operators, and protocol edge cases (FIN retries,
+ * roaming duplicates, value wraparound, FIFO job ordering).
  */
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "sim/chaos.h"
 #include "workload/generators.h"
 #include "workload/text_corpus.h"
 
@@ -47,10 +48,12 @@ truth_of(const std::vector<StreamSpec>& streams, ReduceOp op)
 }
 
 // ---------------------------------------------------------------------------
-// Sweep: window size x seen design x loss, exactness must hold.
+// Sweep: window size x a mid-task switch reboot x loss, exactness must
+// hold. The reboot wipes the window registers, and fence_channel's parity
+// pre-set (seen_rule::fence) must keep the rest of the task exact.
 // ---------------------------------------------------------------------------
 
-using SweepParam = std::tuple<std::uint32_t /*window*/, bool /*compact*/,
+using SweepParam = std::tuple<std::uint32_t /*window*/, bool /*reboot*/,
                               double /*loss*/>;
 
 class ReliabilitySweep : public ::testing::TestWithParam<SweepParam>
@@ -59,7 +62,7 @@ class ReliabilitySweep : public ::testing::TestWithParam<SweepParam>
 
 TEST_P(ReliabilitySweep, ExactUnderFaults)
 {
-    auto [window, compact, loss] = GetParam();
+    auto [window, reboot, loss] = GetParam();
     ClusterConfig cc;
     cc.topology = TopologyBuilder().add_rack(3).build();
     cc.ask.max_hosts = 3;
@@ -67,20 +70,33 @@ TEST_P(ReliabilitySweep, ExactUnderFaults)
     cc.ask.aggregators_per_aa = 128;
     cc.ask.medium_groups = 2;
     cc.ask.window = window;
-    cc.ask.compact_seen = compact;
     cc.ask.swap_threshold_packets = 32;
     cc.faults = net::FaultSpec::lossy(loss, loss / 2, 0.1);
-    cc.seed = window * 7 + (compact ? 1 : 0) + 1;
-    AskCluster cluster(cc);
+    cc.seed = window * 7 + (reboot ? 1 : 0) + 1;
 
     Rng rng = seeded_rng("robustness_test", cc.seed);
     std::vector<StreamSpec> streams{{1, mixed_stream(rng, 400, 60)},
                                     {2, mixed_stream(rng, 400, 60)}};
     AggregateMap truth = truth_of(streams, ReduceOp::kAdd);
+
+    sim::SimTime mid = 0;  // the reboot hits the undisturbed run's middle
+    if (reboot) {
+        AskCluster dry(cc);
+        TaskResult d = dry.run_task(1, 0, streams);
+        ASSERT_TRUE(d.ok()) << d.report.detail;
+        mid = d.report.finish_time / 2;
+    }
+    AskCluster cluster(cc);
+    if (reboot) {
+        sim::ChaosPlan plan;
+        plan.switch_reboot(mid, 100 * units::kMicrosecond);
+        cluster.arm_chaos(plan);
+    }
     TaskResult r = cluster.run_task(1, 0, streams);
-    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r.ok()) << r.report.detail;
     EXPECT_EQ(r.result, truth)
-        << "W=" << window << " compact=" << compact << " loss=" << loss;
+        << "W=" << window << " reboot=" << reboot << " loss=" << loss;
+    EXPECT_EQ(cluster.chaos_stats().switch_reboots, reboot ? 1u : 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

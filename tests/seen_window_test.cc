@@ -37,7 +37,7 @@ TEST(CompactSeen, UsesHalfTheState)
     PlainSeen p(256);
     CompactSeen c(256);
     EXPECT_EQ(p.state_bits(), 512u);
-    EXPECT_EQ(c.state_bits(), 256u);
+    EXPECT_EQ(c.snapshot().bits.size(), 256u);
 }
 
 TEST(CompactSeen, SegmentBoundaryCases)

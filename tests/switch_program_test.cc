@@ -18,6 +18,7 @@
 #include "ask/controller.h"
 #include "ask/packet_builder.h"
 #include "common/random.h"
+#include "ask/seen_window.h"
 #include "ask/switch_program.h"
 #include "ask/wire.h"
 #include "net/network.h"
@@ -831,6 +832,123 @@ TEST_F(SwitchProgramTest, ReleaseClearsRegionAndEpoch)
     EXPECT_EQ(program_.current_epoch(kTask), 0u);
 }
 
+/**
+ * The switch's window registers against the model-checked CompactSeen,
+ * arrival by arrival. One program with the access oracle armed and one
+ * provisioned channel, and a CompactSeen beside it, get the same
+ * in-contract trace (drawn like the fuzzer's probe_seen_models): mostly
+ * fresh seqs, re-deliveries inside the window, and now and then a
+ * register wipe healed by fence_channel on the switch and repair on the
+ * class. Frames alternate at random between DATA and LONG_DATA. After
+ * every arrival the switch's verdict, its extracted window and its
+ * per-seq probe must all equal the class's.
+ */
+void
+expect_registers_match_compact_window(std::uint32_t window)
+{
+    sim::Simulator simulator;
+    net::Network network(simulator);
+    pisa::PisaSwitch sw(network, 16, pisa::kDefaultStageSramBytes);
+    SinkNode sender;
+    SinkNode receiver;
+    network.attach(&sw);
+    network.attach(&sender);
+    network.attach(&receiver);
+    network.connect(sender.node_id(), sw.node_id(), 100.0, 10);
+    network.connect(receiver.node_id(), sw.node_id(), 100.0, 10);
+
+    AskConfig cfg = test_config();
+    cfg.window = window;
+    constexpr ChannelId kCh = 3;
+    AskSwitchProgram program(cfg, sw, kCh, kCh + 1);
+    program.enable_access_verification();
+    CompactSeen model(window);
+
+    // The switch's verdict, read from the counters the arrival moved.
+    auto arrive = [&](Seq s, bool long_frame) {
+        AskHeader hdr;
+        hdr.channel_id = kCh;
+        hdr.task_id = 1;
+        hdr.seq = s;
+        net::Packet pkt;
+        pkt.src = sender.node_id();
+        pkt.dst = receiver.node_id();
+        if (long_frame) {
+            pkt.data = make_long_frame(hdr, {{"a-long-key-over-8-bytes", 1}});
+        } else {
+            hdr.type = PacketType::kData;
+            hdr.bitmap = 1;
+            pkt.data = make_frame(hdr, cfg.payload_bytes());
+            write_slot(pkt.data, 0, WireSlot{0x61, 1});
+        }
+        SwitchAggStats before = program.stats();
+        network.send(sender.node_id(), sw.node_id(), std::move(pkt));
+        simulator.run();
+        if (program.stats().stale_dropped != before.stale_dropped)
+            return SeenOutcome::kStale;
+        if (program.stats().duplicates != before.duplicates)
+            return SeenOutcome::kDuplicate;
+        return SeenOutcome::kFresh;
+    };
+
+    Rng rng = seeded_rng("switch_window", window);
+    Seq issued = 0;
+    bool started = false;
+    std::size_t fences = 0;
+    std::size_t stale = 0;
+    std::size_t duplicates = 0;
+    for (int step = 0; step < 2000; ++step) {
+        Seq s;
+        double roll = rng.next_double();
+        if (!started || roll < 0.7) {
+            s = started ? ++issued : issued;
+            started = true;
+        } else if (roll < 0.95) {
+            auto back = static_cast<Seq>(rng.next_below(window));
+            s = issued > back ? issued - back : 0;
+        } else {
+            sw.pipeline().wipe_registers();
+            model.wipe();
+            issued += 1;
+            program.fence_channel(kCh, issued);
+            model.repair(issued);
+            s = issued;
+            ++fences;
+        }
+        SeenOutcome got = arrive(s, rng.chance(0.5));
+        SeenOutcome want = model.observe(s);
+        ASSERT_EQ(got, want) << "W=" << window << " step " << step
+                             << " seq " << s;
+        stale += want == SeenOutcome::kStale;
+        duplicates += want == SeenOutcome::kDuplicate;
+
+        SeenSnapshot regs = program.extract_seen(kCh);
+        SeenSnapshot snap = model.snapshot();
+        ASSERT_EQ(regs.bits, snap.bits) << "W=" << window << " step " << step;
+        ASSERT_EQ(regs.max_seq, snap.max_seq)
+            << "W=" << window << " step " << step;
+
+        Seq lo = snap.max_seq >= window ? snap.max_seq - window + 1 : 0;
+        for (Seq q = lo; q <= snap.max_seq; ++q) {
+            CompactSeen copy = model;
+            ASSERT_EQ(program.probe_packet(kCh, q).observed,
+                      copy.observe(q) == SeenOutcome::kDuplicate)
+                << "W=" << window << " step " << step << " probe seq " << q;
+        }
+    }
+    // The trace reached every verdict and at least one fence.
+    EXPECT_GT(fences, 0u);
+    EXPECT_GT(stale, 0u);
+    EXPECT_GT(duplicates, 0u);
+    EXPECT_GT(program.access_oracle()->passes(), 0u);
+}
+
+TEST(SwitchWindow, RegistersMatchCompactSeenArrivalByArrival)
+{
+    expect_registers_match_compact_window(8);
+    expect_registers_match_compact_window(16);
+}
+
 TEST(SwitchProgramConfig, PaperDefaultsFitDefaultPipeline)
 {
     sim::Simulator simulator;
@@ -852,19 +970,6 @@ TEST(SwitchProgramConfig, PaperDefaultsFitDefaultPipeline)
     // Total SRAM fits the 16-stage budget with room to spare.
     EXPECT_LE(sw.pipeline().sram_used_bytes(),
               sw.pipeline().sram_budget_bytes());
-}
-
-TEST(SwitchProgramConfig, PlainSeenVariantAlsoFits)
-{
-    sim::Simulator simulator;
-    net::Network network(simulator);
-    pisa::PisaSwitch sw(network);
-    AskConfig cfg;
-    cfg.compact_seen = false;
-    AskSwitchProgram program(cfg, sw, 0, cfg.max_channels());
-    EXPECT_NE(sw.pipeline().find_array("seen_even"), nullptr);
-    EXPECT_NE(sw.pipeline().find_array("seen_odd"), nullptr);
-    EXPECT_EQ(sw.pipeline().find_array("seen"), nullptr);
 }
 
 TEST(SwitchProgramConfig, ProvisionsExactlyItsChannelRange)

@@ -58,20 +58,6 @@ TEST(AccessPlanVerify, DefaultConfigIsLegal)
     EXPECT_GT(result.paths_checked, 0u);
 }
 
-TEST(AccessPlanVerify, BothSeenVariantsAreLegal)
-{
-    for (bool compact : {true, false}) {
-        core::AskConfig config;
-        config.compact_seen = compact;
-        config.validate();
-        AccessPlan plan = core::AskSwitchProgram::make_access_plan(
-            config, config.max_channels());
-        VerifyResult result = verify(plan, default_budget());
-        EXPECT_TRUE(result.ok())
-            << "compact_seen=" << compact << ": " << result.describe();
-    }
-}
-
 TEST(AccessPlanVerify, ShadowCopiesOffIsLegal)
 {
     core::AskConfig config;
@@ -359,7 +345,7 @@ TEST(AccessPlanVerify, StagePastPipelineEndRejected)
 
 TEST(AccessOracle, AcceptsEveryAskDataPassVariant)
 {
-    core::AskConfig config;  // compact seen, shadow copies on
+    core::AskConfig config;  // shadow copies on
     config.validate();
     AccessOracle oracle(core::AskSwitchProgram::make_access_plan(
         config, config.max_channels()));
@@ -391,11 +377,32 @@ TEST(AccessOracle, AcceptsEveryAskDataPassVariant)
 
 TEST(AccessOracle, PlainSeenParityOrders)
 {
-    core::AskConfig config;
-    config.compact_seen = false;
-    config.validate();
-    AccessOracle oracle(core::AskSwitchProgram::make_access_plan(
-        config, config.max_channels()));
+    // PlainSeen's 2W-bit ring as a PISA program would have to lay it
+    // out: two W-bit halves on one stage, so Eq. (6)'s record and
+    // Eq. (7)'s clear-ahead touch different arrays. The segment parity
+    // picks the order, so the two branch arms reach the same two arrays
+    // in opposite orders.
+    AccessPlan plan;
+    plan.program = "plain-seen";
+    plan.arrays.push_back({"max_seq", 0, 4, 32});
+    plan.arrays.push_back({"ring_lo", 1, 64, 1});
+    plan.arrays.push_back({"ring_hi", 1, 64, 1});
+    plan.arrays.push_back({"pkt_state", 2, 64, 8});
+    PassPlan data;
+    data.name = "data";
+    data.body.steps.push_back(access("max_seq", AccessKind::kRmw));
+    data.body.steps.push_back(branch(
+        {"segment parity (seq/W)", {}},
+        {{"even-segment", {{access("ring_lo", AccessKind::kRmw),
+                            access("ring_hi", AccessKind::kRmw)}}},
+         {"odd-segment", {{access("ring_hi", AccessKind::kRmw),
+                           access("ring_lo", AccessKind::kRmw)}}}}));
+    data.body.steps.push_back(
+        access("pkt_state", AccessKind::kRmw, {"ring_lo", "ring_hi"}));
+    plan.passes.push_back(std::move(data));
+    VerifyResult result = verify(plan, default_budget());
+    ASSERT_TRUE(result.ok()) << result.describe();
+    AccessOracle oracle(plan);
 
     auto accepts = [&](const std::vector<std::string>& seq) {
         oracle.begin_pass();
@@ -407,9 +414,11 @@ TEST(AccessOracle, PlainSeenParityOrders)
     };
 
     // Record-then-clear runs in parity order: either array may lead.
-    EXPECT_TRUE(accepts({"max_seq", "seen_even", "seen_odd", "pkt_state"}));
-    EXPECT_TRUE(accepts({"max_seq", "seen_odd", "seen_even", "pkt_state"}));
-    EXPECT_FALSE(accepts({"max_seq", "seen_even", "seen_even"}));
+    EXPECT_TRUE(accepts({"max_seq", "ring_lo", "ring_hi", "pkt_state"}));
+    EXPECT_TRUE(accepts({"max_seq", "ring_hi", "ring_lo", "pkt_state"}));
+    EXPECT_FALSE(accepts({"max_seq", "ring_lo", "ring_lo"}));
+    EXPECT_FALSE(accepts({"max_seq", "ring_lo", "pkt_state"}))
+        << "skipping the clear-ahead must die";
 }
 
 TEST(AccessOracle, DiagnosticListsThePassLog)

@@ -442,11 +442,13 @@ BM_TraceRecord(benchmark::State& state)
 BENCHMARK(BM_TraceRecord);
 
 /**
- * Event-kernel schedule + pop at a steady depth of 4096 live events:
- * each iteration schedules one event up to 1 us ahead and runs the
- * earliest. Each event carries a 56-byte capture, the size of the
+ * Event-kernel schedule + pop at a steady depth of `range(0)` live
+ * events: each iteration schedules one event up to 1 us ahead and runs
+ * the earliest. Each event carries a 56-byte capture, the size of the
  * Packet-carrying lambdas that Network::send, switch egress and
- * DataChannel::transmit schedule.
+ * DataChannel::transmit schedule. 64 is near the shallow queues of
+ * zipf_hotkey_swap and wordcount_lossy_tasks (44 and 111 pending at a
+ * pop on average), 4096 near fabric8_uniform's deep one.
  */
 void
 BM_SimScheduleRun(benchmark::State& state)
@@ -456,7 +458,7 @@ BM_SimScheduleRun(benchmark::State& state)
     std::array<std::uint64_t, 6> payload{};
     std::uint64_t sum = 0;
     auto event = [&sum, payload] { sum += payload[0] + 1; };
-    for (int i = 0; i < 4096; ++i)
+    for (std::int64_t i = 0; i < state.range(0); ++i)
         s.schedule_after(static_cast<sim::SimTime>(rng.next_below(1000)), event);
     for (auto _ : state) {
         s.schedule_after(static_cast<sim::SimTime>(rng.next_below(1000)), event);
@@ -465,7 +467,7 @@ BM_SimScheduleRun(benchmark::State& state)
     benchmark::DoNotOptimize(sum);
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SimScheduleRun);
+BENCHMARK(BM_SimScheduleRun)->Arg(64)->Arg(4096);
 
 /**
  * The retransmit-timer pattern with `range(0)` timers kept armed: each

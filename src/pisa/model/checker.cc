@@ -1,10 +1,12 @@
 #include "pisa/model/checker.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/string_util.h"
 #include "pisa/model/channel_model.h"
 #include "pisa/model/routing_model.h"
+#include "sim/engine.h"
 
 namespace ask::pisa::model {
 
@@ -156,33 +158,50 @@ run_model_check(const ModelCheckOptions& options)
 {
     ModelReport report;
     report.options = options;
+    // Each run explores its own automaton, so the runs are independent
+    // jobs on the engine pool; each writes its own slot of report.runs,
+    // which keeps the report's order whatever the thread count.
+    std::vector<std::function<void()>> jobs;
+    auto add = [&jobs, &report](std::function<ModelRunReport()> run) {
+        jobs.push_back([&report, i = jobs.size(), run = std::move(run)] {
+            report.runs[i] = run();
+        });
+    };
 
     // Clean verification: the three algebra shapes (plain merge, lifted
     // merge, idempotent merge) over the channel automaton...
     for (core::ReduceOp op : {core::ReduceOp::kAdd, core::ReduceOp::kCount,
                               core::ReduceOp::kMax})
-        report.runs.push_back(run_channel(options, op, Mutation::kNone));
+        add([&options, op] {
+            return run_channel(options, op, Mutation::kNone);
+        });
     // ...and every fabric size over the routing automaton.
     for (std::uint32_t racks = 1; racks <= options.racks; ++racks)
-        report.runs.push_back(run_routing(options, racks, Mutation::kNone));
-
-    if (!options.mutants)
-        return report;
+        add([&options, racks] {
+            return run_routing(options, racks, Mutation::kNone);
+        });
 
     // The mutation harness. Each defect is explored under the config
     // designed to expose it: kDoubleLiftCount needs the lifted algebra
     // (under kAdd a re-lift is the identity), the routing defects need
     // a fabric with a tier switch.
-    for (Mutation m : all_mutations()) {
-        if (mutation_is_routing(m)) {
-            report.runs.push_back(run_routing(options, 2, m));
-        } else {
-            core::ReduceOp op = m == Mutation::kDoubleLiftCount
-                                    ? core::ReduceOp::kCount
-                                    : core::ReduceOp::kAdd;
-            report.runs.push_back(run_channel(options, op, m));
+    if (options.mutants) {
+        for (Mutation m : all_mutations()) {
+            if (mutation_is_routing(m)) {
+                add([&options, m] { return run_routing(options, 2, m); });
+            } else {
+                core::ReduceOp op = m == Mutation::kDoubleLiftCount
+                                        ? core::ReduceOp::kCount
+                                        : core::ReduceOp::kAdd;
+                add([&options, op, m] {
+                    return run_channel(options, op, m);
+                });
+            }
         }
     }
+
+    report.runs.resize(jobs.size());
+    sim::ParallelEngine().run_isolated(jobs);
     return report;
 }
 

@@ -15,10 +15,14 @@
  *    expose it, and each MUST yield a counterexample trace (a mutant
  *    the checker cannot see would mean the properties are too weak).
  *
+ * The runs are independent jobs on a sim::ParallelEngine (threads from
+ * ASK_SIM_THREADS) and land in the report in the order above.
+ *
  * The report serializes under the byte-stable `ask-model/v1` schema:
  * exploration is deterministic (see explorer.h), key order is fixed by
  * obs::Json insertion order, and no clock, RNG, or host identity is
- * consulted — two runs with equal options produce byte-equal JSON.
+ * consulted — two runs with equal options produce byte-equal JSON, at
+ * any thread count.
  */
 #ifndef ASK_PISA_MODEL_CHECKER_H
 #define ASK_PISA_MODEL_CHECKER_H

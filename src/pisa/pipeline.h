@@ -111,10 +111,11 @@ class Pipeline
     verify::AccessOracle* oracle_ = nullptr;  ///< borrowed, may be null
 };
 
-// RegisterArray::check_access guards every data-plane rmw, so it must
-// inline into the switch program's per-packet loop — but it walks
+// RegisterArray::check_access guards every data-plane rmw. It walks
 // array -> stage -> pipeline, so its body needs the two classes above and
-// lives here rather than in register_array.h.
+// lives here rather than in register_array.h; `inline` only lets this
+// header define it. The compiler is free not to inline it into a call
+// site, and the switch program's calls are not inlined today.
 inline void
 RegisterArray::check_access(std::size_t index)
 {

@@ -7,6 +7,12 @@
  * throughput/latency figures are computed from simulated time. The kernel
  * is single-threaded and fully deterministic: events at the same timestamp
  * fire in scheduling order.
+ *
+ * Most events are due within a microsecond (a link hop, a switch pass),
+ * and most of the rest are retransmit timers that are cancelled before
+ * they are due. So events due within a fixed horizon sit on a timing
+ * wheel of one-nanosecond FIFO buckets, where schedule, pop and cancel
+ * are O(1), and only later events go into a 4-ary heap.
  */
 #ifndef ASK_SIM_SIMULATOR_H
 #define ASK_SIM_SIMULATOR_H
@@ -188,6 +194,12 @@ class EventFn
 /**
  * The event-driven simulator.
  *
+ * An event due less than kHorizon ns after now() is appended to the
+ * wheel bucket of its timestamp; a later one goes into the heap. Both
+ * keep (time, schedule order) order, and each step fires the earlier
+ * of the first wheel event and the heap's root, so events fire in the
+ * same order whichever structure holds them.
+ *
  * Typical use:
  * @code
  *   Simulator s;
@@ -197,8 +209,15 @@ class EventFn
  */
 class Simulator
 {
+    static constexpr std::uint32_t kWheelBits = 12;
+
   public:
-    Simulator() = default;
+    /** Events due less than this many ns after now() go on the wheel.
+     *  A constant; EXPERIMENTS.md "Near events on a timing wheel" gives
+     *  the measurements behind it. */
+    static constexpr SimTime kHorizon = SimTime{1} << kWheelBits;
+
+    Simulator();
 
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
@@ -232,7 +251,7 @@ class Simulator
     bool step();
 
     /** Number of events scheduled and neither fired nor cancelled. */
-    std::size_t pending() const { return heap_.size(); }
+    std::size_t pending() const { return heap_.size() + wheel_size_; }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return executed_; }
@@ -251,9 +270,10 @@ class Simulator
   private:
     /**
      * Heap key: the event's time, then `seq << kSlotBits | slot`. seq
-     * counts schedule calls, so (time, order) is a strict total order:
-     * equal timestamps fire FIFO and any correct heap pops the same
-     * sequence. At 16 bytes, a node's four children share a 64-byte line.
+     * counts heap pushes, so (time, order) is a strict total order among
+     * heap events: equal timestamps fire FIFO and any correct heap pops
+     * the same sequence. At 16 bytes, a node's four children share a
+     * 64-byte line.
      */
     struct Key
     {
@@ -272,15 +292,50 @@ class Simulator
         std::uint32_t next_free = 0;
     };
 
+    /** A wheel bucket: the first and last slot of its FIFO. Valid only
+     *  while the bucket's occupancy bit is set. */
+    struct Bucket
+    {
+        std::uint32_t head;
+        std::uint32_t tail;
+    };
+
+    /** A wheel event's neighbours in its bucket; `prev` is read only
+     *  when the event is not the bucket's head. */
+    struct Link
+    {
+        std::uint32_t prev;
+        std::uint32_t next;
+    };
+
+    /** The next event to fire: its time, and its wheel bucket or
+     *  kFromHeap. */
+    struct Next
+    {
+        SimTime time;
+        std::uint32_t bucket;
+    };
+
     static constexpr std::size_t kArity = 4;
     static constexpr std::uint32_t kChunkBits = 8;
-    // The order word packs the schedule sequence above the slot: at most
-    // 2^24 (16.7M) pending events and 2^40 schedule calls.
+    // The order word packs the heap sequence above the slot: at most
+    // 2^24 (16.7M) pending events and 2^40 heap pushes.
     static constexpr std::uint32_t kSlotBits = 24;
     static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
     static constexpr std::uint64_t kMaxSeq = std::uint64_t{1}
                                              << (64 - kSlotBits);
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    // One bucket per nanosecond of the horizon. Every wheel event is due
+    // in [now, now + kHorizon), so no two timestamps share a bucket.
+    static constexpr std::uint32_t kBuckets = 1u << kWheelBits;
+    static constexpr std::uint32_t kBucketMask = kBuckets - 1;
+    static constexpr std::uint32_t kWords = kBuckets / 64;
+    static_assert(kWords <= 64, "one summary word covers the wheel");
+    static constexpr std::uint32_t kFromHeap = kBuckets;
+    // where_ of a wheel event: this bit, or'ed with its bucket.
+    static constexpr std::uint32_t kOnWheel = 1u << 31;
+    static_assert(kBuckets < kOnWheel && kMaxSlots < kOnWheel);
 
     static std::uint32_t
     slot_of(const Key& key)
@@ -302,13 +357,25 @@ class Simulator
     void sift_up(std::size_t hole, const Key& key);
     void sift_down(std::size_t hole, const Key& key);
     void heap_remove(std::size_t pos);
-    void run_head();
+    void wheel_push(std::uint32_t i, SimTime t);
+    void wheel_unlink(std::uint32_t i, std::uint32_t b);
+    std::uint32_t first_occupied(std::uint32_t b) const;
+    Next peek() const;
+    void fire(const Next& next);
 
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
     std::vector<Key> heap_;  // 4-ary min-heap on (time, order)
-    std::vector<std::uint32_t> heap_pos_;  // per pending slot: its key's index
+    // Per pending slot: its key's heap index, or kOnWheel | its bucket.
+    std::vector<std::uint32_t> where_;
+    std::vector<Link> links_;  // per wheel slot: its bucket neighbours
+    std::unique_ptr<Bucket[]> buckets_;
+    // Bit b of occupied_ is set while bucket b holds an event; bit w of
+    // summary_ while word w of occupied_ is non-zero.
+    std::uint64_t occupied_[kWords] = {};
+    std::uint64_t summary_ = 0;
+    std::size_t wheel_size_ = 0;
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::uint32_t num_slots_ = 0;
     std::uint32_t free_head_ = kNoSlot;

@@ -289,9 +289,11 @@ TEST(Simulator, CancelNextDueEventFromInsideAnEvent)
 class KernelModel
 {
   public:
-    explicit KernelModel(std::uint64_t seed, SimTime far_ns = 500)
+    explicit KernelModel(std::uint64_t seed, SimTime far_ns = 500,
+                         SimTime near_ns = 3)
         : rng_(seeded_rng("sim_test.kernel_differential", seed)),
-          far_ns_(far_ns)
+          far_ns_(far_ns),
+          near_ns_(near_ns)
     {
     }
 
@@ -332,6 +334,8 @@ class KernelModel
 
     std::size_t fired() const { return fired_.size(); }
 
+    SimTime now() const { return sim_.now(); }
+
     /** Most events pending at once, sampled after every op. */
     std::size_t peak_pending() const { return peak_pending_; }
 
@@ -339,11 +343,13 @@ class KernelModel
     void
     schedule()
     {
-        // Near events (0..3 ns) put many events on the same timestamp.
+        // Near events (0..near_ns ns, 0..3 by default) put many events
+        // on the same timestamp.
         if (rng_.chance(0.6))
             schedule_far();
         else
-            add(sim_.now() + static_cast<SimTime>(rng_.next_below(4)));
+            add(sim_.now() + static_cast<SimTime>(rng_.next_below(
+                                 static_cast<std::uint64_t>(near_ns_) + 1)));
     }
 
     /** A timer far_ns..2*far_ns out, most likely cancelled before due. */
@@ -412,6 +418,7 @@ class KernelModel
 
     Rng rng_;
     SimTime far_ns_;
+    SimTime near_ns_;
     std::size_t peak_pending_ = 0;
     Simulator sim_;
     std::vector<EventId> handles_;
@@ -437,8 +444,9 @@ TEST(Simulator, MatchesReferenceOrderUnderRandomScheduleAndCancel)
 
 TEST(Simulator, MatchesReferenceOrderWithThousandsOfTimersArmed)
 {
-    // fabric8_uniform's senders keep ~12k retransmit timers armed at
-    // once; armed 1 ms out, these stay pending until the final drain.
+    // fabric8_uniform peaks at 12,076 pending events, 6,013 of them
+    // retransmit timers. Armed 1 ms out, these stay pending until the
+    // final drain.
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         SCOPED_TRACE(seed);
         KernelModel model(seed, 1'000'000);
@@ -449,6 +457,123 @@ TEST(Simulator, MatchesReferenceOrderWithThousandsOfTimersArmed)
         EXPECT_GE(model.peak_pending(), 12288u);
         EXPECT_GT(model.fired(), 12288u);
     }
+}
+
+TEST(Simulator, MatchesReferenceOrderAcrossManyWheelWraps)
+{
+    // Near events span three horizons, so a third land on the wheel and
+    // the rest in the heap, where many are still pending once their time
+    // comes inside the horizon. Far timers sit at the 100 us RTO floor
+    // and at 1 ms. Rounds of mixing and draining go on until the wheel's
+    // index has wrapped 100 times.
+    const SimTime h = Simulator::kHorizon;
+    for (SimTime far_ns : {100'000, 1'000'000}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(testing::Message() << far_ns << " ns, seed " << seed);
+            KernelModel model(seed, far_ns, 3 * h);
+            model.arm_timers(256);
+            while (model.now() < 100 * h) {
+                model.run(1000);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST(Simulator, HeapAndWheelEventsAtOneTimeFireInScheduleOrder)
+{
+    // `t` lies beyond the horizon when the first event is scheduled, so
+    // that event goes into the heap; the next two are scheduled once `t`
+    // is inside the horizon and go on the wheel. Schedule order decides,
+    // as it does for an event scheduled at `t` while `t` runs.
+    const SimTime t = Simulator::kHorizon + 100;
+    Simulator s;
+    std::vector<int> order;
+    s.schedule_at(t, [&] {
+        order.push_back(0);
+        s.schedule_at(t, [&] { order.push_back(3); });
+    });
+    s.run_until(200);
+    s.schedule_at(t, [&] { order.push_back(1); });
+    s.schedule_at(t, [&] { order.push_back(2); });
+    EXPECT_EQ(s.pending(), 3u);
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(s.now(), t);
+}
+
+TEST(Simulator, EventsAtTheHorizonEdgeFireInTimeOrder)
+{
+    // now + kHorizon - 1 is the last time the wheel takes, now + kHorizon
+    // the first the heap does. now sits off a multiple of the horizon, so
+    // the last wheel bucket's index wraps below now's.
+    const SimTime h = Simulator::kHorizon;
+    const SimTime start = h / 2 + 3;
+    Simulator s;
+    s.run_until(start);
+    std::vector<SimTime> fired;
+    auto record = [&] { fired.push_back(s.now()); };
+    s.schedule_at(start + h, record);
+    s.schedule_at(start + h - 1, record);
+    s.schedule_at(start + 1, record);
+    EXPECT_EQ(s.pending(), 3u);
+    s.run();
+    EXPECT_EQ(fired, (std::vector<SimTime>{start + 1, start + h - 1, start + h}));
+}
+
+TEST(Simulator, CancelFirstMiddleAndLastOfOneTimestamp)
+{
+    const SimTime h = Simulator::kHorizon;
+    Simulator s;
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 5; ++i)
+        ids.push_back(s.schedule_at(10, [&order, i] { order.push_back(i); }));
+    EventId alone = s.schedule_at(5, [&] { order.push_back(-1); });
+    EventId far = s.schedule_at(h + 10, [&] { order.push_back(-2); });
+    s.schedule_at(h + 20, [&] { order.push_back(6); });
+    EXPECT_EQ(s.pending(), 8u);
+    EXPECT_TRUE(s.cancel(ids[0]));  // the bucket's head
+    EXPECT_EQ(s.pending(), 7u);
+    EXPECT_TRUE(s.cancel(ids[2]));  // a middle event
+    EXPECT_EQ(s.pending(), 6u);
+    EXPECT_TRUE(s.cancel(ids[4]));  // its tail
+    EXPECT_EQ(s.pending(), 5u);
+    EXPECT_TRUE(s.cancel(alone));  // empties its bucket
+    EXPECT_EQ(s.pending(), 4u);
+    EXPECT_TRUE(s.cancel(far));  // a heap event
+    EXPECT_EQ(s.pending(), 3u);
+    EXPECT_FALSE(s.cancel(ids[2]));
+    EXPECT_EQ(s.pending(), 3u);
+    // Appended behind the new tail.
+    s.schedule_at(10, [&] { order.push_back(5); });
+    EXPECT_EQ(s.pending(), 4u);
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 6}));
+    EXPECT_EQ(s.executed(), 4u);
+}
+
+TEST(Simulator, RunUntilStopsBetweenTheWheelAndTheHeap)
+{
+    const SimTime h = Simulator::kHorizon;
+    Simulator s;
+    std::vector<SimTime> fired;
+    auto record = [&] { fired.push_back(s.now()); };
+    const SimTime t0 = s.run_until(3 * h / 4);
+    // The wheel's event is next; its bucket index wraps below now's.
+    s.schedule_at(t0 + h / 2, record);
+    s.schedule_at(t0 + h + 5, record);
+    EXPECT_EQ(s.run_until(t0 + h), t0 + h);
+    EXPECT_EQ(fired, (std::vector<SimTime>{t0 + h / 2}));
+    EXPECT_EQ(s.pending(), 1u);
+    // Now the heap's event is next and a wheel event lies after it.
+    s.schedule_at(t0 + h + 50, record);
+    EXPECT_EQ(s.run_until(t0 + h + 20), t0 + h + 20);
+    EXPECT_EQ(fired, (std::vector<SimTime>{t0 + h / 2, t0 + h + 5}));
+    EXPECT_EQ(s.pending(), 1u);
+    s.run();
+    EXPECT_EQ(fired.back(), t0 + h + 50);
 }
 
 /** Counts how many times an owning instance is destroyed. */
